@@ -45,34 +45,17 @@ std::array<Vec2, 4> area_gradients(const QuadPts& q) {
 namespace {
 
 /// Vertices of subzone i: p_i, mid(i,i+1), centroid, mid(i-1,i).
-/// `weights[v][j]` is d(vertex v)/d(corner j) (a scalar because vertices
-/// are affine combinations of corners with equal x/y weights).
-struct Subzone {
-    QuadPts pts;
-    std::array<std::array<Real, 4>, 4> weights{};
-};
-
-Subzone subzone(const QuadPts& q, int i) {
+QuadPts subzone(const QuadPts& q, int i) {
     const auto ip = static_cast<std::size_t>((i + 1) % 4);
     const auto im = static_cast<std::size_t>((i + 3) % 4);
     const auto ii = static_cast<std::size_t>(i);
-    Subzone s;
-    s.pts.x = {q.x[ii], Real(0.5) * (q.x[ii] + q.x[ip]),
-               Real(0.25) * (q.x[0] + q.x[1] + q.x[2] + q.x[3]),
-               Real(0.5) * (q.x[im] + q.x[ii])};
-    s.pts.y = {q.y[ii], Real(0.5) * (q.y[ii] + q.y[ip]),
-               Real(0.25) * (q.y[0] + q.y[1] + q.y[2] + q.y[3]),
-               Real(0.5) * (q.y[im] + q.y[ii])};
-    // vertex 0 = p_i
-    s.weights[0][ii] = 1.0;
-    // vertex 1 = (p_i + p_{i+1})/2
-    s.weights[1][ii] = 0.5;
-    s.weights[1][ip] = 0.5;
-    // vertex 2 = centroid
-    for (auto& w : s.weights[2]) w = 0.25;
-    // vertex 3 = (p_{i-1} + p_i)/2
-    s.weights[3][im] = 0.5;
-    s.weights[3][ii] = 0.5;
+    QuadPts s;
+    s.x = {q.x[ii], Real(0.5) * (q.x[ii] + q.x[ip]),
+           Real(0.25) * (q.x[0] + q.x[1] + q.x[2] + q.x[3]),
+           Real(0.5) * (q.x[im] + q.x[ii])};
+    s.y = {q.y[ii], Real(0.5) * (q.y[ii] + q.y[ip]),
+           Real(0.25) * (q.y[0] + q.y[1] + q.y[2] + q.y[3]),
+           Real(0.5) * (q.y[im] + q.y[ii])};
     return s;
 }
 
@@ -81,24 +64,8 @@ Subzone subzone(const QuadPts& q, int i) {
 std::array<Real, 4> corner_volumes(const QuadPts& q) {
     std::array<Real, 4> v;
     for (int i = 0; i < 4; ++i)
-        v[static_cast<std::size_t>(i)] = quad_area(subzone(q, i).pts);
+        v[static_cast<std::size_t>(i)] = quad_area(subzone(q, i));
     return v;
-}
-
-std::array<std::array<Vec2, 4>, 4> corner_volume_gradients(const QuadPts& q) {
-    std::array<std::array<Vec2, 4>, 4> grad{};
-    for (int i = 0; i < 4; ++i) {
-        const Subzone s = subzone(q, i);
-        const auto vertex_grads = area_gradients(s.pts);
-        for (std::size_t v = 0; v < 4; ++v)
-            for (std::size_t j = 0; j < 4; ++j) {
-                const Real w = s.weights[v][j];
-                if (w == 0.0) continue;
-                grad[static_cast<std::size_t>(i)][j].x += w * vertex_grads[v].x;
-                grad[static_cast<std::size_t>(i)][j].y += w * vertex_grads[v].y;
-            }
-    }
-    return grad;
 }
 
 Real char_length(const QuadPts& q) {

@@ -45,8 +45,48 @@ struct QuadPts {
 
 /// d(subzone_volume_i)/d(corner_j) for all i, j. Satisfies
 /// sum_i grad[i][j] == area_gradients()[j] (subzones tile the cell).
-[[nodiscard]] std::array<std::array<Vec2, 4>, 4>
-corner_volume_gradients(const QuadPts& q);
+///
+/// Subzone i has vertices (p_i, m_i, c, m_{i-1}), with m_i the midpoint of
+/// edge (i, i+1) and c the centroid, so by the chain rule its gradient is
+/// the shoelace vertex gradients g_v weighted by d(vertex v)/d(corner j):
+///   j == i:   g_0 + g_1/2 + g_2/4 + g_3/2     j == i+1: g_1/2 + g_2/4
+///   j == i-1: g_2/4 + g_3/2                   j == i+2: g_2/4
+/// Each sum starts from +0.0 and adds its terms in vertex order, the
+/// order of the generic chain-rule sum, so the result is the same to the
+/// bit (an exactly cancelling entry is +0.0). Defined inline: getforce
+/// evaluates it once per cell with a non-zero sub-zonal pressure delta.
+[[nodiscard]] inline std::array<std::array<Vec2, 4>, 4>
+corner_volume_gradients(const QuadPts& q) {
+    const Real cx = Real(0.25) * (q.x[0] + q.x[1] + q.x[2] + q.x[3]);
+    const Real cy = Real(0.25) * (q.y[0] + q.y[1] + q.y[2] + q.y[3]);
+    std::array<Real, 4> mx{}, my{}; // edge midpoints m_i
+    for (std::size_t i = 0; i < 4; ++i) {
+        mx[i] = Real(0.5) * (q.x[i] + q.x[(i + 1) % 4]);
+        my[i] = Real(0.5) * (q.y[i] + q.y[(i + 1) % 4]);
+    }
+    std::array<std::array<Vec2, 4>, 4> grad;
+    for (std::size_t i = 0; i < 4; ++i) {
+        const std::size_t ip = (i + 1) % 4, io = (i + 2) % 4, im = (i + 3) % 4;
+        // Shoelace gradients of the subzone's vertices.
+        const Vec2 g0{Real(0.5) * (my[i] - my[im]),
+                      Real(0.5) * (mx[im] - mx[i])};
+        const Vec2 g1{Real(0.5) * (cy - q.y[i]), Real(0.5) * (q.x[i] - cx)};
+        const Vec2 g2{Real(0.5) * (my[im] - my[i]),
+                      Real(0.5) * (mx[i] - mx[im])};
+        const Vec2 g3{Real(0.5) * (q.y[i] - cy), Real(0.5) * (cx - q.x[i])};
+        grad[i][i] = {Real(0.0) + g0.x + Real(0.5) * g1.x + Real(0.25) * g2.x +
+                          Real(0.5) * g3.x,
+                      Real(0.0) + g0.y + Real(0.5) * g1.y + Real(0.25) * g2.y +
+                          Real(0.5) * g3.y};
+        grad[i][ip] = {Real(0.0) + Real(0.5) * g1.x + Real(0.25) * g2.x,
+                       Real(0.0) + Real(0.5) * g1.y + Real(0.25) * g2.y};
+        grad[i][im] = {Real(0.0) + Real(0.25) * g2.x + Real(0.5) * g3.x,
+                       Real(0.0) + Real(0.25) * g2.y + Real(0.5) * g3.y};
+        grad[i][io] = {Real(0.0) + Real(0.25) * g2.x,
+                       Real(0.0) + Real(0.25) * g2.y};
+    }
+    return grad;
+}
 
 /// Characteristic length for the CFL condition. BookLeaf-style: cell area
 /// divided by the longest diagonal — reduces to ~h/sqrt(2) on squares and

@@ -42,18 +42,25 @@ inline void force_cell(const mesh::Mesh& mesh,
     }
 
     if (subzonal) {
-        const auto szgrads = geom::corner_volume_gradients(s.cached_quad(c));
         const Index region = mesh.cell_region[ci];
+        std::array<Real, 4> dp{};
         for (std::size_t i = 0; i < 4; ++i) {
-            const auto ii = State::cidx(c, static_cast<int>(i));
-            const Real vsz = std::max(s.cnvol[ii], tiny);
-            const Real rho_sz = s.cnmass[ii] / vsz;
-            const Real dp =
-                materials.pressure(region, rho_sz, s.ein[ci]) - s.pre[ci];
-            if (dp == 0.0) continue;
-            for (std::size_t j = 0; j < 4; ++j) {
-                fx[j] += dp * szgrads[i][j].x;
-                fy[j] += dp * szgrads[i][j].y;
+            const Real vsz = std::max(s.cnvol[base + i], tiny);
+            const Real rho_sz = s.cnmass[base + i] / vsz;
+            dp[i] = materials.pressure(region, rho_sz, s.ein[ci]) - s.pre[ci];
+        }
+        // A subzone with dp == 0 adds nothing, and in uniform gas (e.g.
+        // Noh's cold pressure-cut inflow) all four are exactly zero, so
+        // the gradients are built only when some subzone pushes.
+        if (dp[0] != 0.0 || dp[1] != 0.0 || dp[2] != 0.0 || dp[3] != 0.0) {
+            const auto szgrads =
+                geom::corner_volume_gradients(s.cached_quad(c));
+            for (std::size_t i = 0; i < 4; ++i) {
+                if (dp[i] == 0.0) continue;
+                for (std::size_t j = 0; j < 4; ++j) {
+                    fx[j] += dp[i] * szgrads[i][j].x;
+                    fy[j] += dp[i] * szgrads[i][j].y;
+                }
             }
         }
     }

@@ -4,11 +4,14 @@
 /// quadratic+linear viscosity is applied as an equal-and-opposite force
 /// pair on the edge's nodes; a van-Leer-style limiter built from the
 /// *continuation* edges (through each endpoint, into the face-neighbour
-/// cells) switches the viscosity off in smooth / uniform-strain flow.
+/// cells) switches the viscosity off in smooth / uniform-strain flow. The
+/// continuation edges come from the mesh's precomputed
+/// `mesh::Mesh::continuation` table (topology never changes mid-run).
 ///
 /// This is the kernel that needs ghost data in distributed runs (the
 /// halo exchange immediately before GETQ in the paper's Algorithm 1).
 
+#include <array>
 #include <cmath>
 
 #include "hydro/kernels.hpp"
@@ -16,43 +19,6 @@
 namespace bookleaf::hydro {
 
 namespace {
-
-/// Velocity difference along the continuation of edge (through `node`)
-/// inside neighbour cell `nb` (which shares face `shared_k` of cell c).
-/// Returns false if the neighbour doesn't exist.
-struct Continuation {
-    Real du = 0.0, dv = 0.0;
-    bool valid = false;
-};
-
-Continuation continuation(const mesh::Mesh& mesh, const State& s, Index cell,
-                          Index nb, Index node, bool toward_node) {
-    Continuation out;
-    if (nb == no_index) return out;
-    // Find the side of `nb` that contains `node` but is not the face
-    // shared with `cell`.
-    for (int m = 0; m < corners_per_cell; ++m) {
-        const Index a = mesh.cn(nb, m);
-        const Index b = mesh.cn(nb, (m + 1) % corners_per_cell);
-        if (a != node && b != node) continue;
-        if (mesh.neighbor(nb, m) == cell) continue; // the shared face
-        const Index other = (a == node) ? b : a;
-        const auto ni = static_cast<std::size_t>(node);
-        const auto oi = static_cast<std::size_t>(other);
-        if (toward_node) {
-            // difference from the far node *into* `node` (upstream sense)
-            out.du = s.u[ni] - s.u[oi];
-            out.dv = s.v[ni] - s.v[oi];
-        } else {
-            // difference from `node` *out* to the far node (downstream)
-            out.du = s.u[oi] - s.u[ni];
-            out.dv = s.v[oi] - s.v[ni];
-        }
-        out.valid = true;
-        return out;
-    }
-    return out;
-}
 
 /// The per-cell viscosity computation. Writes only cell c's corner forces
 /// and q scalar, so any disjoint cover of the cell range (full sweep or
@@ -63,11 +29,10 @@ inline void q_cell(const mesh::Mesh& mesh, const Options& opts, State& s,
     const Real cq = opts.cq;
     const Real cl = opts.cl;
     const auto ci = static_cast<std::size_t>(c);
-    for (int k = 0; k < corners_per_cell; ++k) {
-        s.qfx[State::cidx(c, k)] = 0.0;
-        s.qfy[State::cidx(c, k)] = 0.0;
-    }
+    const std::size_t base = State::cidx(c, 0);
+    std::array<Real, 4> qfx{}, qfy{}; // corner forces, summed from +0.0
     Real q_max = 0.0;
+    const Real cs = std::sqrt(std::max(s.csqrd[ci], Real(0.0)));
 
     for (int k = 0; k < corners_per_cell; ++k) {
         const int k1 = (k + 1) % corners_per_cell;
@@ -84,39 +49,36 @@ inline void q_cell(const mesh::Mesh& mesh, const Options& opts, State& s,
         // Compression switch: nodes approaching along the edge. Edge
         // vectors come from the gathered-geometry cache (contiguous),
         // not from indirect node loads.
-        const std::size_t base = State::cidx(c, 0);
         const auto kk = static_cast<std::size_t>(k);
         const auto kk1 = static_cast<std::size_t>(k1);
         const Real ex = s.cnx[base + kk1] - s.cnx[base + kk];
         const Real ey = s.cny[base + kk1] - s.cny[base + kk];
         if (du * ex + dv * ey >= 0.0) continue;
 
-        // Monotonicity limiter from the continuation edges. The
-        // "previous" continuation passes through node a (inside the
-        // neighbour across face k-1), the "next" through node b
-        // (across face k+1).
-        const auto prev = continuation(
-            mesh, s, c, mesh.neighbor(c, (k + 3) % corners_per_cell), a,
-            /*toward_node=*/true);
-        const auto next = continuation(
-            mesh, s, c, mesh.neighbor(c, k1), b, /*toward_node=*/false);
+        // Monotonicity limiter from the continuation edges, both
+        // oriented like a -> b: the "previous" one runs from its far node
+        // into a (inside the neighbour across face k-1), the "next" one
+        // from b out to its far node (across face k+1).
+        const Index pf = mesh.continuation_node(c, k, 0);
+        const Index nf = mesh.continuation_node(c, k, 1);
 
         Real psi = 0.0;
-        const bool any = prev.valid || next.valid;
-        if (any) {
-            const Real rp = prev.valid
-                                ? (prev.du * du + prev.dv * dv) / du2
-                                : (next.du * du + next.dv * dv) / du2;
-            const Real rn = next.valid
-                                ? (next.du * du + next.dv * dv) / du2
-                                : rp;
+        if (pf != no_index || nf != no_index) {
+            // Velocity difference along from -> to, projected on du.
+            const auto ratio = [&](Index from, Index to) {
+                const auto fi = static_cast<std::size_t>(from);
+                const auto ti = static_cast<std::size_t>(to);
+                return ((s.u[ti] - s.u[fi]) * du + (s.v[ti] - s.v[fi]) * dv) /
+                       du2;
+            };
+            const Real rp = pf != no_index ? ratio(pf, a) : ratio(b, nf);
+            const Real rn = nf != no_index ? ratio(b, nf) : rp;
             psi = std::min({Real(1.0), Real(0.5) * (rp + rn),
                             Real(2.0) * rp, Real(2.0) * rn});
             psi = std::max(psi, Real(0.0));
         }
 
         const Real dunorm = std::sqrt(du2);
-        const Real cs = std::sqrt(std::max(s.csqrd[ci], Real(0.0)));
         const Real q_edge = (Real(1.0) - psi) * s.rho[ci] *
                             (cq * du2 + cl * cs * dunorm);
 
@@ -124,12 +86,16 @@ inline void q_cell(const mesh::Mesh& mesh, const Options& opts, State& s,
         const Real mu = q_edge * edge_len / std::max(dunorm, tiny);
 
         // Equal-and-opposite dissipative pair force along du.
-        s.qfx[State::cidx(c, k)] += mu * du;
-        s.qfy[State::cidx(c, k)] += mu * dv;
-        s.qfx[State::cidx(c, k1)] -= mu * du;
-        s.qfy[State::cidx(c, k1)] -= mu * dv;
+        qfx[kk] += mu * du;
+        qfy[kk] += mu * dv;
+        qfx[kk1] -= mu * du;
+        qfy[kk1] -= mu * dv;
 
         q_max = std::max(q_max, q_edge);
+    }
+    for (std::size_t k = 0; k < 4; ++k) {
+        s.qfx[base + k] = qfx[k];
+        s.qfy[base + k] = qfy[k];
     }
     s.q[ci] = q_max;
 }

@@ -17,6 +17,27 @@ std::uint64_t edge_key(Index a, Index b) {
     return (hi << 32) | lo;
 }
 
+/// Continuation `side` of edge k of cell c, found by searching the face
+/// neighbour: the first side of `nb` (in corner order) that contains the
+/// pivot node but is not the face shared with c. Returns the local corner
+/// of that side's far node in `nb`, or -1 without a neighbour.
+int find_continuation(const Mesh& mesh, Index c, int k, int side) {
+    const int face =
+        (k + (side == 0 ? corners_per_cell - 1 : 1)) % corners_per_cell;
+    const Index nb = mesh.neighbor(c, face);
+    if (nb == no_index) return -1;
+    const Index node = mesh.cn(c, (k + side) % corners_per_cell);
+    for (int m = 0; m < corners_per_cell; ++m) {
+        const int m1 = (m + 1) % corners_per_cell;
+        const Index a = mesh.cn(nb, m);
+        const Index b = mesh.cn(nb, m1);
+        if (a != node && b != node) continue;
+        if (mesh.neighbor(nb, m) == c) continue; // the shared face
+        return a == node ? m1 : m;
+    }
+    return -1;
+}
+
 } // namespace
 
 Index Mesh::n_regions() const {
@@ -96,6 +117,17 @@ void build_connectivity(Mesh& mesh) {
                 mesh.cn(c, k), c * corners_per_cell + k};
     mesh.node_corners = util::Csr::from_pairs(n_nodes, pairs);
 
+    // Topology is fixed for the life of the mesh, so getq's limiter reads
+    // its continuation edges from this table instead of searching.
+    mesh.continuation.assign(
+        static_cast<std::size_t>(n_cells) * corners_per_cell * 2, -1);
+    for (Index c = 0; c < n_cells; ++c)
+        for (int k = 0; k < corners_per_cell; ++k)
+            for (int side = 0; side < 2; ++side)
+                mesh.continuation[Mesh::continuation_slot(c, k, side)] =
+                    static_cast<std::int8_t>(
+                        find_continuation(mesh, c, k, side));
+
     if (mesh.cell_region.empty())
         mesh.cell_region.assign(static_cast<std::size_t>(n_cells), 0);
     if (mesh.node_bc.empty())
@@ -154,6 +186,18 @@ std::string check_consistency(const Mesh& mesh) {
             }
         }
     }
+
+    if (mesh.continuation.size() !=
+        static_cast<std::size_t>(n_cells) * corners_per_cell * 2)
+        return "continuation table size is not 8*n_cells "
+               "(connectivity not built?)";
+    for (Index c = 0; c < n_cells; ++c)
+        for (int k = 0; k < corners_per_cell; ++k)
+            for (int side = 0; side < 2; ++side)
+                if (mesh.continuation[Mesh::continuation_slot(c, k, side)] !=
+                    find_continuation(mesh, c, k, side))
+                    return "continuation entry disagrees with the "
+                           "neighbour search";
 
     for (const auto& f : mesh.faces) {
         if (f.left == no_index) return "face without owner";

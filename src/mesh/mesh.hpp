@@ -57,6 +57,15 @@ struct Mesh {
     /// them, making the gather-based nodal assembly bitwise identical to
     /// the serial scatter at any thread count.
     util::Csr node_corners;
+    /// Viscosity-limiter continuation table (getq), two entries per cell
+    /// edge. Edge k of cell c runs from cn(c, k) to cn(c, k+1); its
+    /// *previous* continuation is the other edge through cn(c, k) of the
+    /// face neighbour across face k-1, its *next* continuation the other
+    /// edge through cn(c, k+1) of the face neighbour across face k+1.
+    /// Entry [(c * 4 + k) * 2 + side] (side 0 = previous, 1 = next) holds
+    /// the local corner, within that neighbour, of the continuation edge's
+    /// far node, or -1 when the face is a (mesh or subdomain) boundary.
+    std::vector<std::int8_t> continuation;
 
     [[nodiscard]] Index n_nodes() const { return static_cast<Index>(x.size()); }
     [[nodiscard]] Index n_cells() const {
@@ -82,17 +91,38 @@ struct Mesh {
                          static_cast<std::size_t>(k)];
     }
 
+    /// Index into `continuation` of continuation `side` of edge k of c.
+    [[nodiscard]] static std::size_t continuation_slot(Index c, int k,
+                                                       int side) {
+        return (static_cast<std::size_t>(c) * corners_per_cell +
+                static_cast<std::size_t>(k)) *
+                   2 +
+               static_cast<std::size_t>(side);
+    }
+
+    /// Far node of continuation `side` (0 = previous, 1 = next) of edge k
+    /// of cell c, or no_index when there is none (see `continuation`).
+    [[nodiscard]] Index continuation_node(Index c, int k, int side) const {
+        const int m = continuation[continuation_slot(c, k, side)];
+        if (m < 0) return no_index;
+        const int face = (k + (side == 0 ? corners_per_cell - 1 : 1)) %
+                         corners_per_cell;
+        return cn(neighbor(c, face), m);
+    }
+
     /// Number of distinct material regions (max region id + 1).
     [[nodiscard]] Index n_regions() const;
 };
 
-/// Populate `cell_neigh`, `faces`, and `node_cells` from the primary
-/// storage. Throws util::Error if a face is shared by more than two cells
-/// or a cell is degenerate.
+/// Populate `cell_neigh`, `cell_face`, `faces`, `node_cells`,
+/// `node_corners` and `continuation` from the primary storage. Throws
+/// util::Error if a face is shared by more than two cells or a cell is
+/// degenerate.
 void build_connectivity(Mesh& mesh);
 
 /// Sanity-check invariants (consistent sizes, valid indices, reciprocal
-/// neighbour links). Returns a human-readable description of the first
+/// neighbour links, node_corners and continuation tables that match the
+/// topology). Returns a human-readable description of the first
 /// violation, or an empty string when the mesh is consistent.
 [[nodiscard]] std::string check_consistency(const Mesh& mesh);
 

@@ -147,7 +147,7 @@ Imbalance window_imbalance(const std::vector<WindowRecord>& ranks) {
     if (ranks.empty()) return imb;
     double sum = 0.0, max = 0.0;
     for (const auto& w : ranks) {
-        const double s = w.wall_us * 1e-6;
+        const double s = w.busy_us() * 1e-6;
         sum += s;
         if (imb.slowest_rank < 0 || s > max) {
             max = s;

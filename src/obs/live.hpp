@@ -133,7 +133,7 @@ private:
 // ---------------------------------------------------------------------------
 
 /// One completed monitoring window across all ranks: the per-rank records
-/// (rank order) and the max/mean step-time imbalance over the window —
+/// (rank order) and the max/mean busy-time imbalance over the window —
 /// the online form of the end-of-run obs::Imbalance signal.
 struct LiveWindow {
     long index = 0;
@@ -141,8 +141,9 @@ struct LiveWindow {
     Imbalance imbalance;
 };
 
-/// Imbalance of one window: max over ranks of window wall time divided by
-/// the mean (the same statistic imbalance_of computes over whole runs).
+/// Imbalance of one window: max over ranks of window busy time (wall
+/// minus blocked waits) divided by the mean (the same statistic
+/// imbalance_of computes over whole runs).
 [[nodiscard]] Imbalance window_imbalance(const std::vector<WindowRecord>& ranks);
 
 /// Rank 0's stream assembler: feed windows as they arrive (per-rank FIFO

@@ -47,6 +47,14 @@ double RankRecord::step_wall_s() const {
     return sum * 1e-6;
 }
 
+double RankRecord::busy_s() const {
+    const auto wait = [&](util::Kernel k) {
+        return kernels[static_cast<std::size_t>(k)].wall_s;
+    };
+    return std::max(0.0, step_wall_s() - wait(util::Kernel::halo_wait) -
+                             wait(util::Kernel::reduce_wait));
+}
+
 double RankAttribution::efficiency() const {
     const double capacity =
         static_cast<double>(worker_busy_us.size()) * makespan_us;
@@ -179,7 +187,7 @@ Imbalance imbalance_of(const std::vector<RankRecord>& ranks) {
     if (ranks.empty()) return out;
     double sum = 0.0;
     for (const auto& r : ranks) {
-        const double s = r.step_wall_s();
+        const double s = r.busy_s();
         sum += s;
         if (s > out.max_rank_s) {
             out.max_rank_s = s;

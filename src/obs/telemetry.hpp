@@ -10,7 +10,7 @@
 /// Profiler breakdown + Hub per-peer send counters + optional trace
 /// spans). The dist driver gathers rank records to rank 0 over the
 /// in-process wire (tag 501, the same pack/gather pattern as the
-/// checkpoint path) and computes the max/mean step-time imbalance — the
+/// checkpoint path) and computes the max/mean busy-time imbalance — the
 /// signal the ROADMAP load-balancing item needs.
 ///
 /// Contract: telemetry is PASSIVE. Collecting it never changes the
@@ -24,6 +24,7 @@
 /// chrome://tracing or https://ui.perfetto.dev; one track per rank), and
 /// a human summary in the paper's Table II layout.
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <span>
@@ -136,6 +137,10 @@ struct WindowRecord {
                    ? static_cast<double>(items) / (wall_us * 1e-6)
                    : 0.0;
     }
+    /// Window wall time not spent blocked on peers (halo or reduce).
+    [[nodiscard]] double busy_us() const {
+        return std::max(0.0, wall_us - halo_wait_us - reduce_wait_us);
+    }
 };
 
 /// Number of Reals in the flat wire encoding of one WindowRecord.
@@ -217,10 +222,16 @@ struct RankRecord {
     /// Sum of step wall times, in seconds: the retained records plus the
     /// ring-evicted aggregate (exact however long the run).
     [[nodiscard]] double step_wall_s() const;
+    /// step_wall_s minus the profiler's blocked halo and reduce waits:
+    /// the rank's own work, which the imbalance signal compares.
+    [[nodiscard]] double busy_s() const;
 };
 
-/// The load-balance signal: max over ranks of total step time, divided by
-/// the mean. 1.0 = perfectly balanced; the FaultPlan slow_rank test
+/// The load-balance signal: max over ranks of busy time (step wall time
+/// minus blocked waits), divided by the mean. Step wall time itself is not
+/// used: the per-step collectives make it equal on every rank to within
+/// scheduling noise, since a fast rank spends the difference waiting for
+/// the slow one. 1.0 = perfectly balanced; the FaultPlan slow_rank test
 /// drives it well above 1.
 struct Imbalance {
     double max_over_mean = 1.0;
@@ -323,7 +334,7 @@ struct RunReport {
     std::vector<RankRecord> ranks;
 };
 
-/// Compute the max/mean step-time imbalance over gathered rank records.
+/// Compute the max/mean busy-time imbalance over gathered rank records.
 [[nodiscard]] Imbalance imbalance_of(const std::vector<RankRecord>& ranks);
 
 /// Scan the gathered rank records for kernels deviating from expectation

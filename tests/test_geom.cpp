@@ -2,7 +2,10 @@
 // differences), corner-volume tiling, characteristic lengths, quality.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "geom/geometry.hpp"
 #include "mesh/generator.hpp"
@@ -133,6 +136,120 @@ TEST(CornerVolumeGradients, SumToAreaGradients) {
             EXPECT_NEAR(sy, ga[j].y, 1e-12);
         }
     }
+}
+
+namespace {
+
+/// Reference for corner_volume_gradients in its generic chain-rule form:
+/// each subzone's shoelace vertex gradients, chained through a table of
+/// d(vertex)/d(corner) weights and summed from 0.0 in vertex order,
+/// skipping zero weights. The library's straight-line form must match it
+/// byte for byte.
+std::array<std::array<bg::Vec2, 4>, 4> reference_corner_volume_gradients(
+    const bg::QuadPts& q) {
+    std::array<std::array<bg::Vec2, 4>, 4> grad{};
+    for (std::size_t i = 0; i < 4; ++i) {
+        const std::size_t ip = (i + 1) % 4, im = (i + 3) % 4;
+        bg::QuadPts pts;
+        pts.x = {q.x[i], Real(0.5) * (q.x[i] + q.x[ip]),
+                 Real(0.25) * (q.x[0] + q.x[1] + q.x[2] + q.x[3]),
+                 Real(0.5) * (q.x[im] + q.x[i])};
+        pts.y = {q.y[i], Real(0.5) * (q.y[i] + q.y[ip]),
+                 Real(0.25) * (q.y[0] + q.y[1] + q.y[2] + q.y[3]),
+                 Real(0.5) * (q.y[im] + q.y[i])};
+        std::array<std::array<Real, 4>, 4> w{};
+        w[0][i] = 1.0;
+        w[1][i] = 0.5;
+        w[1][ip] = 0.5;
+        for (auto& wj : w[2]) wj = 0.25;
+        w[3][im] = 0.5;
+        w[3][i] = 0.5;
+        const auto vertex_grads = bg::area_gradients(pts);
+        for (std::size_t v = 0; v < 4; ++v)
+            for (std::size_t j = 0; j < 4; ++j) {
+                if (w[v][j] == 0.0) continue;
+                grad[i][j].x += w[v][j] * vertex_grads[v].x;
+                grad[i][j].y += w[v][j] * vertex_grads[v].y;
+            }
+    }
+    return grad;
+}
+
+/// Byte-for-byte comparison (so +0.0 and -0.0 differ).
+void expect_same_bytes(const bg::QuadPts& q, const std::string& what) {
+    const auto got = bg::corner_volume_gradients(q);
+    const auto want = reference_corner_volume_gradients(q);
+    for (std::size_t i = 0; i < 4; ++i)
+        for (std::size_t j = 0; j < 4; ++j) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i][j].x),
+                      std::bit_cast<std::uint64_t>(want[i][j].x))
+                << what << " i=" << i << " j=" << j << " x: " << got[i][j].x
+                << " vs " << want[i][j].x;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i][j].y),
+                      std::bit_cast<std::uint64_t>(want[i][j].y))
+                << what << " i=" << i << " j=" << j << " y: " << got[i][j].y
+                << " vs " << want[i][j].y;
+        }
+}
+
+} // namespace
+
+TEST(CornerVolumeGradients, BitwiseEqualToTheWeightedSumReference) {
+    bu::SplitMix64 rng(17);
+    // Random perturbed squares, at unit scale and far from the origin.
+    for (int rep = 0; rep < 200; ++rep) {
+        auto q = random_convexish_quad(rng);
+        const Real scale = rng.uniform(1e-6, 1e6);
+        const Real shift = rng.uniform(-1e3, 1e3);
+        for (std::size_t k = 0; k < 4; ++k) {
+            q.x[k] = q.x[k] * scale + shift;
+            q.y[k] = q.y[k] * scale - shift;
+        }
+        expect_same_bytes(q, "random " + std::to_string(rep));
+    }
+    // Sheared and stretched parallelograms (Saltzmann-like skew).
+    for (int rep = 0; rep < 50; ++rep) {
+        const Real shear = rng.uniform(-5.0, 5.0);
+        const Real stretch = rng.uniform(1e-3, 1e3);
+        bg::QuadPts q = unit_square();
+        for (std::size_t k = 0; k < 4; ++k) {
+            q.x[k] = q.x[k] * stretch + shear * q.y[k];
+        }
+        expect_same_bytes(q, "sheared " + std::to_string(rep));
+    }
+    // Near-degenerate: collapsed edges, needles, a point-like quad, and
+    // bow-ties.
+    for (int rep = 0; rep < 50; ++rep) {
+        bg::QuadPts q = random_convexish_quad(rng);
+        const auto k = static_cast<std::size_t>(rep % 4);
+        q.x[(k + 1) % 4] = q.x[k] + rng.uniform(-1e-14, 1e-14);
+        q.y[(k + 1) % 4] = q.y[k];
+        expect_same_bytes(q, "collapsed edge " + std::to_string(rep));
+        for (auto& y : q.y) y *= 1e-12;
+        expect_same_bytes(q, "needle " + std::to_string(rep));
+        std::swap(q.x[0], q.x[1]);
+        expect_same_bytes(q, "bow-tie " + std::to_string(rep));
+    }
+    expect_same_bytes({.x = {1, 1, 1, 1}, .y = {2, 2, 2, 2}}, "point");
+}
+
+TEST(CornerVolumeGradients, BitwiseEqualToTheReferenceOnSignedZeros) {
+    // Coordinates drawn from {+0, -0, +1, -1}: many gradient entries are
+    // exact zeros, whose sign depends on the summation order and on the
+    // leading +0.0 of every sum.
+    constexpr std::array<Real, 4> values = {0.0, -0.0, 1.0, -1.0};
+    bu::SplitMix64 rng(19);
+    for (int rep = 0; rep < 2000; ++rep) {
+        bg::QuadPts q;
+        for (std::size_t k = 0; k < 4; ++k) {
+            q.x[k] = values[rng.next_u64() % 4];
+            q.y[k] = values[rng.next_u64() % 4];
+        }
+        expect_same_bytes(q, "signed zeros " + std::to_string(rep));
+    }
+    expect_same_bytes(
+        {.x = {-0.0, -0.0, -0.0, -0.0}, .y = {-0.0, -0.0, -0.0, -0.0}},
+        "all -0");
 }
 
 TEST(CharLength, SquareAndNeedle) {

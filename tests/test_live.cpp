@@ -253,6 +253,22 @@ TEST(LiveAssembly, WindowImbalanceMatchesTheDefinition) {
     EXPECT_EQ(imb.slowest_rank, 1);
 }
 
+TEST(LiveAssembly, WindowImbalanceDiscountsBlockedWaits) {
+    // Equal window wall times; rank 2 spent none of it blocked on peers.
+    std::vector<bo::WindowRecord> ranks = {make_window(0, 0, 2.0e6),
+                                           make_window(1, 0, 2.0e6),
+                                           make_window(2, 0, 2.0e6)};
+    ranks[0].halo_wait_us = 1.5e6;
+    ranks[1].halo_wait_us = 0.5e6;
+    ranks[1].reduce_wait_us = 1.0e6;
+    EXPECT_DOUBLE_EQ(ranks[1].busy_us(), 0.5e6);
+    const auto imb = bo::window_imbalance(ranks);
+    EXPECT_DOUBLE_EQ(imb.mean_rank_s, 1.0);
+    EXPECT_DOUBLE_EQ(imb.max_rank_s, 2.0);
+    EXPECT_DOUBLE_EQ(imb.max_over_mean, 2.0);
+    EXPECT_EQ(imb.slowest_rank, 2);
+}
+
 TEST(LiveAssembly, AssemblerCompletesWindowsInOrder) {
     bo::LiveAssembler asm3(3);
     // Interleaved arrivals: window 0 completes only once all three ranks

@@ -4,9 +4,12 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "mesh/generator.hpp"
 #include "mesh/mesh.hpp"
+#include "part/partition.hpp"
+#include "part/subdomain.hpp"
 #include "util/random.hpp"
 
 namespace bm = bookleaf::mesh;
@@ -180,6 +183,152 @@ TEST(MeshConnectivity, RejectsNonManifoldInput) {
 TEST(MeshConsistency, DetectsCorruptNeighbor) {
     auto m = bm::generate_rect({.nx = 3, .ny = 2});
     m.cell_neigh[0] = 99; // out of range
+    EXPECT_NE(check_consistency(m), "");
+}
+
+namespace {
+
+/// Brute-force expectation for continuation `side` of edge k of cell c,
+/// phrased independently of the table builder's search: the pivot node
+/// (cn(c, k) for the previous side, cn(c, k+1) for the next) has two
+/// neighbours around the face neighbour; one is its partner on the shared
+/// face, the other is the far node. Returns the far node's corner in the
+/// neighbour, or -1 without a neighbour.
+int expected_continuation(const bm::Mesh& m, Index c, int k, int side) {
+    const int face = side == 0 ? (k + 3) % 4 : (k + 1) % 4;
+    const Index nb = m.neighbor(c, face);
+    if (nb == bookleaf::no_index) return -1;
+    const Index pivot = m.cn(c, side == 0 ? k : (k + 1) % 4);
+    const Index partner = m.cn(c, side == 0 ? (k + 3) % 4 : (k + 2) % 4);
+    for (int i = 0; i < 4; ++i) {
+        if (m.cn(nb, i) != pivot) continue;
+        const int before = (i + 3) % 4;
+        const int after = (i + 1) % 4;
+        if (m.cn(nb, before) == partner) return after;
+        if (m.cn(nb, after) == partner) return before;
+    }
+    ADD_FAILURE() << "cell " << c << " face " << face
+                  << ": neighbour does not share the face";
+    return -2;
+}
+
+/// Checks every entry of m's continuation table (and its accessor)
+/// against the brute-force expectation; returns the number of "none"
+/// entries.
+int check_continuations(const bm::Mesh& m, const std::string& what) {
+    EXPECT_EQ(m.continuation.size(), static_cast<std::size_t>(m.n_cells()) * 8)
+        << what;
+    int none = 0;
+    for (Index c = 0; c < m.n_cells(); ++c)
+        for (int k = 0; k < 4; ++k)
+            for (int side = 0; side < 2; ++side) {
+                const int want = expected_continuation(m, c, k, side);
+                const int got =
+                    m.continuation[bm::Mesh::continuation_slot(c, k, side)];
+                EXPECT_EQ(got, want) << what << ": cell " << c << " edge " << k
+                                     << " side " << side;
+                if (want < 0) {
+                    ++none;
+                    EXPECT_EQ(m.continuation_node(c, k, side),
+                              bookleaf::no_index);
+                } else {
+                    const int face = side == 0 ? (k + 3) % 4 : (k + 1) % 4;
+                    EXPECT_EQ(m.continuation_node(c, k, side),
+                              m.cn(m.neighbor(c, face), want));
+                }
+            }
+    return none;
+}
+
+} // namespace
+
+TEST(MeshContinuation, TableMatchesBruteForceOnGridPermutedAndSkewedMeshes) {
+    const Index nx = 9, ny = 7;
+    const auto grid = bm::generate_rect({.nx = nx, .ny = ny});
+    // Each of the 2(nx + ny) boundary faces ends one continuation of each
+    // of the two cell edges that meet it.
+    EXPECT_EQ(check_continuations(grid, "grid"), 4 * (nx + ny));
+
+    bu::SplitMix64 rng(2024);
+    const auto permuted = bm::permute(grid, rng);
+    EXPECT_EQ(check_continuations(permuted, "permuted"), 4 * (nx + ny));
+
+    bm::RectSpec spec{.x0 = 0, .x1 = 1, .y0 = 0, .y1 = 0.1, .nx = 20, .ny = 10};
+    spec.map = bm::saltzmann_map;
+    EXPECT_EQ(check_continuations(bm::generate_rect(spec), "saltzmann"),
+              4 * (20 + 10));
+}
+
+TEST(MeshContinuation, SubdomainHaloEdgesHaveNoContinuation) {
+    // Every subdomain of a 4-way RCB split. A ghost cell on the outer edge
+    // of the halo has faces whose global neighbour is not present locally;
+    // the local table must say "none" there, exactly as a search of the
+    // local mesh would.
+    const auto global = bm::generate_rect({.nx = 16, .ny = 12});
+    const auto subs = bookleaf::part::decompose(
+        global, bookleaf::part::rcb(global, 4), 4);
+    ASSERT_EQ(subs.size(), 4u);
+    for (const auto& sub : subs) {
+        const auto& m = sub.local;
+        const std::string what = "rank " + std::to_string(sub.rank);
+        EXPECT_EQ(check_consistency(m), "") << what;
+        check_continuations(m, what);
+        // Count the halo-edge entries: locally no neighbour, globally one.
+        int halo_edge = 0;
+        for (Index c = sub.n_owned_cells; c < m.n_cells(); ++c) {
+            const Index gc = sub.local_cells[static_cast<std::size_t>(c)];
+            for (int f = 0; f < 4; ++f) {
+                if (m.neighbor(c, f) != bookleaf::no_index) continue;
+                const Index ga =
+                    sub.local_nodes[static_cast<std::size_t>(m.cn(c, f))];
+                for (int gf = 0; gf < 4; ++gf)
+                    if (global.cn(gc, gf) == ga &&
+                        global.neighbor(gc, gf) != bookleaf::no_index) {
+                        // Both edges meeting face f end a continuation
+                        // here.
+                        EXPECT_EQ(m.continuation[bm::Mesh::continuation_slot(
+                                      c, (f + 1) % 4, 0)],
+                                  -1)
+                            << what;
+                        EXPECT_EQ(m.continuation[bm::Mesh::continuation_slot(
+                                      c, (f + 3) % 4, 1)],
+                                  -1)
+                            << what;
+                        ++halo_edge;
+                    }
+            }
+        }
+        EXPECT_GT(halo_edge, 0) << what;
+        // Owned cells see their full global stencil: an owned cell's
+        // continuation is "none" exactly where the global mesh's is.
+        for (Index c = 0; c < sub.n_owned_cells; ++c) {
+            const Index gc = sub.local_cells[static_cast<std::size_t>(c)];
+            for (int k = 0; k < 4; ++k)
+                for (int side = 0; side < 2; ++side) {
+                    const Index local = m.continuation_node(c, k, side);
+                    const Index as_global =
+                        local == bookleaf::no_index
+                            ? bookleaf::no_index
+                            : sub.local_nodes[static_cast<std::size_t>(local)];
+                    EXPECT_EQ(as_global, global.continuation_node(gc, k, side))
+                        << what << ": owned cell " << c;
+                }
+        }
+    }
+}
+
+TEST(MeshConsistency, DetectsCorruptContinuationTable) {
+    auto m = bm::generate_rect({.nx = 3, .ny = 2});
+    ASSERT_EQ(check_consistency(m), "");
+    auto wrong_entry = m;
+    auto& e = wrong_entry.continuation[bm::Mesh::continuation_slot(4, 0, 0)];
+    ASSERT_GE(e, 0); // cell 4 is interior on the left: a real continuation
+    e = static_cast<std::int8_t>((e + 2) % 4);
+    EXPECT_NE(check_consistency(wrong_entry), "");
+    auto boundary = m;
+    boundary.continuation[bm::Mesh::continuation_slot(0, 0, 0)] = 0;
+    EXPECT_NE(check_consistency(boundary), "");
+    m.continuation.pop_back();
     EXPECT_NE(check_consistency(m), "");
 }
 

@@ -259,6 +259,33 @@ TEST(ObsReport, PackUnpackRoundTripsRankRecord) {
     EXPECT_THROW((void)bo::unpack_rank({1.0, 2.0}), bu::Error);
 }
 
+TEST(ObsReport, ImbalanceComparesBusyTimeNotBlockedWaits) {
+    // Three ranks whose step wall times match, as they do when per-step
+    // collectives hold every rank to the slowest: only rank 1 was busy
+    // for all of it, the others waited on halos and reductions.
+    std::vector<bo::RankRecord> ranks(3);
+    const double wait_s[3][2] = {{0.75, 0.0}, {0.0, 0.0}, {0.25, 0.5}};
+    for (int r = 0; r < 3; ++r) {
+        auto& rec = ranks[static_cast<std::size_t>(r)];
+        rec.rank = r;
+        rec.steps = {bo::StepRecord{.step = 0, .wall_us = 0.5e6},
+                     bo::StepRecord{.step = 1, .wall_us = 0.5e6}};
+        rec.kernels[static_cast<std::size_t>(Kernel::halo_wait)].wall_s =
+            wait_s[r][0];
+        rec.kernels[static_cast<std::size_t>(Kernel::reduce_wait)].wall_s =
+            wait_s[r][1];
+    }
+    EXPECT_DOUBLE_EQ(ranks[0].step_wall_s(), ranks[1].step_wall_s());
+    EXPECT_DOUBLE_EQ(ranks[0].busy_s(), 0.25);
+    EXPECT_DOUBLE_EQ(ranks[2].busy_s(), 0.25);
+
+    const auto imb = bo::imbalance_of(ranks);
+    EXPECT_EQ(imb.slowest_rank, 1);
+    EXPECT_DOUBLE_EQ(imb.max_rank_s, 1.0);
+    EXPECT_DOUBLE_EQ(imb.mean_rank_s, 0.5);
+    EXPECT_DOUBLE_EQ(imb.max_over_mean, 2.0);
+}
+
 // ---------------------------------------------------------------------------
 // Serial driver integration
 // ---------------------------------------------------------------------------
