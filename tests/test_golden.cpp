@@ -1,11 +1,15 @@
 // Behaviour lock: golden FNV-1a digests of every shipped deck.
 //
-// Each data/*.in configuration runs serially at a reduced 32-cell
-// resolution for a fixed number of steps, and the final state is hashed in
-// ckpt::Snapshot field order (clock, then node, cell and corner fields, in
-// ascending global entity order). The constants are held fixed across
-// commits: a passing run is a bitwise match against the code that
-// generated them, not only between configurations of the current code.
+// Each data/*.in configuration runs at a reduced 32-cell resolution for a
+// fixed number of steps, and the final state is hashed in ckpt::Snapshot
+// field order (clock, then node, cell and corner fields, in ascending
+// global entity order). The constants are held fixed across commits: a
+// passing run is a bitwise match against the code that generated them, not
+// only between configurations of the current code. The same constants
+// hold for the serial driver, for the serial driver on a 2-worker pool,
+// and for dist::run at 1, 2 and 3 ranks (digesting the checkpoint rank 0
+// assembles at the final step), so every driver and schedule is locked to
+// the same bytes.
 // They were generated before the getq continuation table and the
 // straight-line sub-zonal gradients, which keep every floating-point
 // operation and its order and so leave them unchanged.
@@ -30,6 +34,8 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "core/driver.hpp"
+#include "dist/distributed.hpp"
+#include "par/thread_pool.hpp"
 #include "setup/deck.hpp"
 #include "util/hash.hpp"
 
@@ -55,20 +61,60 @@ std::uint64_t state_digest(const bookleaf::ckpt::Snapshot& s) {
     return h;
 }
 
-/// Run `data/<deck>.in` at the reduced size and digest the final state.
-/// Later deck keys override earlier ones, so appending a [problem] section
-/// resizes the mesh and leaves every other setting as shipped.
-std::uint64_t run_deck(const std::string& deck) {
+/// `data/<deck>.in` at the reduced size. Later deck keys override earlier
+/// ones, so appending a [problem] section resizes the mesh and leaves
+/// every other setting as shipped.
+bs::Problem load_deck(const std::string& deck) {
     std::ifstream in(std::string(BOOKLEAF_DATA_DIR) + "/" + deck + ".in");
     EXPECT_TRUE(in) << deck;
     std::stringstream text;
     text << in.rdbuf() << "\n[problem]\nresolution = " << golden_resolution
          << "\n";
-    bookleaf::core::Hydro hydro(
-        bs::make_problem(bs::Deck::parse_string(text.str())));
+    return bs::make_problem(bs::Deck::parse_string(text.str()));
+}
+
+/// Run the deck on the serial driver (on `pool` when given) and digest
+/// the final state.
+std::uint64_t run_serial(const std::string& deck,
+                         bookleaf::par::ThreadPool* pool = nullptr) {
+    bookleaf::core::Hydro hydro(load_deck(deck));
+    if (pool != nullptr) {
+        bookleaf::par::Exec exec;
+        exec.pool = pool;
+        hydro.set_exec(exec);
+    }
     hydro.run(std::nullopt, golden_steps);
     EXPECT_EQ(hydro.steps(), golden_steps) << deck;
     return state_digest(hydro.snapshot());
+}
+
+/// Run the deck through dist::run at `n_ranks` and digest the checkpoint
+/// rank 0 writes after the final step (removed afterwards).
+std::uint64_t run_distributed(const std::string& deck, int n_ranks) {
+    const auto p = load_deck(deck);
+    bookleaf::dist::Options opts;
+    opts.n_ranks = n_ranks;
+    opts.t_end = p.t_end;
+    opts.max_steps = golden_steps;
+    opts.hydro = p.hydro;
+    opts.ale = p.ale;
+    opts.checkpoint.every_steps = golden_steps;
+    opts.checkpoint.prefix = ::testing::TempDir() + "golden_" + deck + "_" +
+                             std::to_string(n_ranks);
+    const auto r = bookleaf::dist::run(p.mesh, p.materials, p.rho, p.ein, p.u,
+                                       p.v, opts);
+    EXPECT_EQ(r.steps, golden_steps) << deck;
+    const auto path = opts.checkpoint.path_for(golden_steps);
+    const std::uint64_t digest = state_digest(bookleaf::ckpt::read(path));
+    std::remove(path.c_str());
+    return digest;
+}
+
+std::string hex(std::uint64_t digest) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016llxULL",
+                  static_cast<unsigned long long>(digest));
+    return buf;
 }
 
 struct Golden {
@@ -84,11 +130,25 @@ class GoldenDigest : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(GoldenDigest, FinalStateMatchesTheLockedBytes) {
     const Golden& g = GetParam();
-    const std::uint64_t got = run_deck(g.deck);
-    char hex[32];
-    std::snprintf(hex, sizeof hex, "0x%016llxULL",
-                  static_cast<unsigned long long>(got));
-    EXPECT_EQ(got, g.digest) << g.deck << ": this build computes " << hex;
+    const std::uint64_t got = run_serial(g.deck);
+    EXPECT_EQ(got, g.digest) << g.deck << ": this build computes " << hex(got);
+}
+
+TEST_P(GoldenDigest, ThreadedRunMatchesTheLockedBytes) {
+    const Golden& g = GetParam();
+    bookleaf::par::ThreadPool pool(2);
+    const std::uint64_t got = run_serial(g.deck, &pool);
+    EXPECT_EQ(got, g.digest) << g.deck << " at 2 threads: this build computes "
+                             << hex(got);
+}
+
+TEST_P(GoldenDigest, DistributedRunsMatchTheLockedBytes) {
+    const Golden& g = GetParam();
+    for (const int n_ranks : {1, 2, 3}) {
+        const std::uint64_t got = run_distributed(g.deck, n_ranks);
+        EXPECT_EQ(got, g.digest) << g.deck << " at " << n_ranks
+                                 << " ranks: this build computes " << hex(got);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
