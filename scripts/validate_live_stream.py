@@ -12,6 +12,8 @@ Checks (stdlib only, one JSON object per line):
     for a run that ended — the last is run_end;
   * only known event kinds appear (run_start, window, imbalance, stall,
     recovery, run_end);
+  * every window, imbalance, stall and recovery event carries the
+    "attempt" it belongs to (both drivers share one event schema);
   * per (attempt, rank), window indices count 0,1,2,... in arrival
     order (the tag-502 channel is FIFO);
   * every imbalance event carries max_over_mean >= 1 and a slowest rank;
@@ -29,6 +31,7 @@ import sys
 KNOWN_EVENTS = {
     "run_start", "window", "imbalance", "stall", "recovery", "run_end",
 }
+ATTEMPT_EVENTS = {"window", "imbalance", "stall", "recovery"}
 
 
 def fail(msg):
@@ -64,6 +67,8 @@ def main():
             if ev["seq"] != lineno - 1:
                 fail(f"line {lineno}: seq {ev['seq']}, expected {lineno - 1}"
                      " (lost or reordered events)")
+            if ev["event"] in ATTEMPT_EVENTS and "attempt" not in ev:
+                fail(f"line {lineno}: {ev['event']} event missing 'attempt'")
             events.append(ev)
 
     if not events:
@@ -86,7 +91,7 @@ def main():
         kind = ev["event"]
         if kind == "window":
             rec = ev.get("record", {})
-            key = (ev.get("attempt", 0), rec.get("rank"))
+            key = (ev["attempt"], rec.get("rank"))
             want = next_index.get(key, 0)
             if rec.get("index") != want:
                 fail(f"seq {ev['seq']}: rank {key[1]} window index "

@@ -5,9 +5,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/critical_path.hpp"
 #include "perfmodel/calibrate.hpp"
-#include "util/csr.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -36,7 +34,7 @@ Hydro::Hydro(setup::Problem problem) : problem_(std::move(problem)) {
     hydro::initialise(problem_.mesh, problem_.materials, state_);
 
     init_context();
-    dt_ = problem_.hydro.dt_initial;
+    stepper_.clock().dt = problem_.hydro.dt_initial;
     open_history_fresh();
 }
 
@@ -46,10 +44,7 @@ Hydro::Hydro(setup::Problem problem, const ckpt::Snapshot& snapshot)
     ckpt::restore(problem_.mesh, problem_.materials, snapshot, state_);
 
     init_context();
-    t_ = snapshot.t;
-    dt_ = snapshot.dt;
-    regrow_limit_ = snapshot.regrow;
-    steps_ = static_cast<int>(snapshot.steps);
+    stepper_.clock() = Clock::of(snapshot);
     // (An at_time trigger the snapshot already passed cannot re-fire:
     // Config::due needs the step to cross it, and t only grows.)
     continue_history();
@@ -61,32 +56,30 @@ void Hydro::init_context() {
     ctx_.opts = problem_.hydro;
     ctx_.profiler = &profiler_;
     telemetry_ = problem_.telemetry;
-    if (telemetry_.active()) {
-        telemetry_epoch_ = std::chrono::steady_clock::now();
-        if (telemetry_.want_trace())
-            profiler_.set_trace(&trace_, telemetry_epoch_);
-        // Attach the graph-run collector so every task-graph execution
-        // exports its spans for attribution. Telemetry-off runs keep the
-        // null default and the executor records nothing.
-        graph_log_.epoch = telemetry_epoch_;
-        ctx_.graph_log = &graph_log_;
-        telemetry_steps_ = obs::StepRing(telemetry_.max_steps);
-        if (telemetry_.live_active())
-            window_folder_.emplace(0, telemetry_.window_steps, &profiler_);
-        if (!telemetry_.live.empty()) {
-            live_stream_.emplace(telemetry_.live);
-            obs::Json ev;
-            ev["event"] = "run_start";
-            ev["schema"] = "bookleaf.live/1";
-            ev["label"] = telemetry_.label.empty() ? problem_.name
-                                                   : telemetry_.label;
-            ev["n_ranks"] = 1;
-            ev["window_steps"] =
-                static_cast<long long>(telemetry_.window_steps);
-            ev["watchdog_factor"] = telemetry_.watchdog_factor;
-            live_stream_->emit(std::move(ev));
-        }
-    }
+    if (!telemetry_.active()) return;
+    telemetry_epoch_ = std::chrono::steady_clock::now();
+    if (telemetry_.want_trace()) profiler_.set_trace(&trace_, telemetry_epoch_);
+    stepper_.enable_telemetry(telemetry_, 0, telemetry_epoch_);
+    if (telemetry_.live.empty()) return;
+    live_.emplace(telemetry_.live);
+    live_->emit(obs::run_start_event(
+        telemetry_.label.empty() ? problem_.name : telemetry_.label, 1,
+        telemetry_));
+}
+
+Stepper::Hooks Hydro::serial_hooks() {
+    Stepper::Hooks hooks;
+    hooks.advance = [this](Real dt_local, bool, const Stepper::Settle& settle) {
+        hydro::lagstep(ctx_, state_, settle(dt_local));
+    };
+    hooks.retake = [this](Real dt) { hydro::lagstep(ctx_, state_, dt); };
+    hooks.remap = [this] {
+        ale::alestep(ctx_, state_, problem_.ale, ale_work_);
+    };
+    hooks.window = [this](const obs::WindowRecord& w) {
+        if (live_) (void)obs::stream_window(*live_, assembler_, 0, w);
+    };
+    return hooks;
 }
 
 void Hydro::open_history_fresh() {
@@ -141,7 +134,7 @@ void Hydro::continue_history() {
                 dropped = true;
                 continue;
             }
-            if (step > static_cast<Real>(steps_) + Real(0.5)) {
+            if (step > static_cast<Real>(steps()) + Real(0.5)) {
                 dropped = true; // written past the checkpoint; discard
                 continue;
             }
@@ -158,10 +151,10 @@ void Hydro::continue_history() {
     std::istringstream last(kept.back());
     Real last_step = -1.0;
     last >> last_step;
-    util::require(last_step == static_cast<Real>(steps_),
+    util::require(last_step == static_cast<Real>(steps()),
                   "history restart: " + problem_.history + " ends at step " +
                       std::to_string(static_cast<long>(last_step)) +
-                      ", checkpoint is at step " + std::to_string(steps_) +
+                      ", checkpoint is at step " + std::to_string(steps()) +
                       " (stale or mismatched history file)");
     if (dropped) {
         std::ofstream rewrite(problem_.history, std::ios::trunc);
@@ -176,22 +169,22 @@ void Hydro::continue_history() {
 
 void Hydro::write_history_row(Real dt) {
     const auto tot = totals();
-    history_->row({static_cast<Real>(steps_), t_, dt, tot.mass,
+    history_->row({static_cast<Real>(steps()), time(), dt, tot.mass,
                    tot.internal_energy, tot.kinetic_energy});
 }
 
 /// Write a checkpoint if the deck cadence (ckpt::Config::due — the one
 /// trigger definition, shared with the distributed driver) says one is
-/// due after the step that advanced t_before -> t_. Checkpoints never
+/// due after the step that advanced t_before -> time(). Checkpoints never
 /// perturb the trajectory: they are written after completed natural
 /// steps only. The history CSV is flushed first so the on-disk rows are
 /// durable up to the checkpointed step — what the restore handshake
 /// requires of a file recovered from a crash.
 void Hydro::maybe_checkpoint(Real t_before) {
     const auto& cfg = problem_.checkpoint;
-    if (!cfg.enabled() || !cfg.due(steps_, t_before, t_)) return;
+    if (!cfg.enabled() || !cfg.due(steps(), t_before, time())) return;
     if (history_) history_->flush();
-    save(cfg.path_for(steps_));
+    save(cfg.path_for(steps()));
     if (cfg.halt_after) halt_requested_ = true;
 }
 
@@ -228,137 +221,17 @@ void Hydro::ensure_stepgraph() {
     ctx_.stepgraph = stepgraph_.get();
 }
 
-StepInfo Hydro::step() { return step_clamped(std::nullopt); }
+StepInfo Hydro::step() {
+    return step_to(std::numeric_limits<Real>::infinity());
+}
 
-StepInfo Hydro::step_clamped(std::optional<Real> t_end) {
-    const bool telemetry = telemetry_.active();
-    const auto step_t0 = telemetry ? std::chrono::steady_clock::now()
-                                   : std::chrono::steady_clock::time_point{};
-    StepInfo info;
-    int retries = 0;
-    const auto& guard = ctx_.opts.guard;
-    // Algorithm 1: the very first step uses dt_initial.
-    if (steps_ > 0) {
-        const auto dt_result = hydro::getdt(ctx_, state_, dt_);
-        dt_ = dt_result.dt;
-        info.dt_cell = dt_result.cell;
-        info.dt_reason = dt_result.reason;
-        // Re-growth ceiling after a health-guard backoff: binds the
-        // controller until its own value ducks back under, then clears.
-        // (The distributed driver replicates this sequence exactly; the
-        // cap commutes with the min-reduction because every rank holds
-        // the same limit.)
-        if (regrow_limit_ > 0.0) {
-            if (dt_ > regrow_limit_) {
-                dt_ = regrow_limit_;
-                info.dt_cell = no_index;
-                info.dt_reason = "regrow";
-                regrow_limit_ *= guard.regrow_cap;
-            } else {
-                regrow_limit_ = 0.0;
-            }
-        }
-    } else {
-        info.dt_reason = "initial";
-    }
-    // The t_end clamp applies to the *used* dt only. `dt_` keeps the
-    // unclamped controller value as the growth reference: storing the
-    // clamped value would growth-limit a follow-on run(t2) after run(t1)
-    // from the arbitrarily tiny final clamped step.
-    const auto clamped = t_end ? hydro::clamp_to_t_end(t_, dt_, *t_end)
-                               : hydro::ClampedDt{dt_, dt_};
-    Real dt = clamped.used;
-    if (dt != clamped.unclamped) info.dt_reason = "t_end";
-
+StepInfo Hydro::step_to(Real t_end) {
     ensure_stepgraph();
-    if (guard.enabled) hydro::capture_step(state_, step_backup_);
-    hydro::lagstep(ctx_, state_, dt);
-    if (guard.enabled) {
-        // Health-guard retry: a step that produced non-finite or
-        // non-physical fields is rolled back and retaken with a smaller
-        // dt. The accepted dt becomes the growth reference and arms the
-        // re-growth ceiling, so the controller climbs back gradually.
-        while (!hydro::step_healthy(state_, state_.n_cells())) {
-            util::require(retries < guard.max_retries,
-                          "hydro: step " + std::to_string(steps_ + 1) +
-                              " rejected by health guards after " +
-                              std::to_string(retries) + " dt-backoff retries");
-            ++retries;
-            const Real dt_try = dt * guard.backoff;
-            util::require(dt_try >= ctx_.opts.dt_min,
-                          "hydro: health-guard backoff drove dt below dt_min "
-                          "at step " + std::to_string(steps_ + 1));
-            hydro::restore_step(ctx_, state_, step_backup_);
-            dt = dt_try;
-            hydro::lagstep(ctx_, state_, dt);
-        }
-        if (retries > 0) {
-            dt_ = dt;
-            regrow_limit_ = dt * guard.regrow_cap;
-            info.dt_cell = no_index;
-            info.dt_reason = "health-retry";
-        }
-    }
-
-    if (problem_.ale.mode != ale::Mode::lagrange) {
-        const bool due = problem_.ale.mode == ale::Mode::eulerian ||
-                         (steps_ + 1) % problem_.ale.frequency == 0;
-        if (due) {
-            ale::alestep(ctx_, state_, problem_.ale, ale_work_);
-            info.remapped = true;
-        }
-    }
-
-    const Real t_before = t_;
-    t_ += dt;
-    ++steps_;
-    if (history_) write_history_row(dt);
+    const Real t_before = time();
+    const StepInfo info = stepper_.step(t_end);
+    if (history_) write_history_row(info.dt);
     maybe_checkpoint(t_before);
-    info.step = steps_;
-    info.t = t_;
-    info.dt = dt;
-    if (telemetry) {
-        // Recorded after the step committed: telemetry reads state, never
-        // feeds back into it (the passive contract).
-        obs::StepRecord rec;
-        rec.step = steps_ - 1;
-        rec.t = t_;
-        rec.dt = dt;
-        rec.dt_local = dt;
-        rec.dt_reason = obs::dt_reason_code(info.dt_reason);
-        rec.start_us = std::chrono::duration<double, std::micro>(
-                           step_t0 - telemetry_epoch_)
-                           .count();
-        rec.wall_us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - step_t0)
-                          .count();
-        rec.retries = retries;
-        rec.remapped = info.remapped;
-        obs::attribute_step(graph_log_, rec, attrib_,
-                            telemetry_.want_trace() ? &critical_ : nullptr);
-        telemetry_steps_.push(rec);
-        if (window_folder_) {
-            if (auto w = window_folder_->add(rec)) {
-                telemetry_windows_.push_back(*w);
-                if (live_stream_) {
-                    obs::Json ev;
-                    ev["event"] = "window";
-                    ev["record"] = obs::window_json(*w);
-                    live_stream_->emit(std::move(ev));
-                    const auto imb = obs::window_imbalance({*w});
-                    obs::Json iev;
-                    iev["event"] = "imbalance";
-                    iev["window"] = static_cast<long long>(w->index);
-                    iev["max_over_mean"] = imb.max_over_mean;
-                    iev["mean_rank_s"] = imb.mean_rank_s;
-                    iev["max_rank_s"] = imb.max_rank_s;
-                    iev["slowest_rank"] = imb.slowest_rank;
-                    live_stream_->emit(std::move(iev));
-                }
-            }
-        }
-    }
-    util::log_debug("step ", steps_, " t=", t_, " dt=", dt, " (",
+    util::log_debug("step ", info.step, " t=", info.t, " dt=", info.dt, " (",
                     info.dt_reason, ")");
     return info;
 }
@@ -369,8 +242,8 @@ obs::RunReport Hydro::telemetry_report() const {
     report.label = telemetry_.label.empty() ? problem_.name : telemetry_.label;
     report.mode = "serial";
     report.n_ranks = 1;
-    report.steps = steps_;
-    report.t_final = t_;
+    report.steps = steps();
+    report.t_final = time();
     report.wall_s = run_wall_s_;
     report.config.schedule =
         ctx_.exec.schedule == par::Schedule::taskgraph ? "taskgraph"
@@ -380,16 +253,8 @@ obs::RunReport Hydro::telemetry_report() const {
     report.config.n_threads = ctx_.exec.width();
     report.config.n_ranks = 1;
     report.work = perfmodel::telemetry_work_model(ctx_.exec.width());
-    obs::RankRecord rank;
-    rank.rank = 0;
-    rank.steps = telemetry_steps_.take();
-    rank.evicted = telemetry_steps_.evicted();
-    rank.windows = telemetry_windows_;
-    rank.kernels = profiler_.snapshot();
-    rank.attrib = attrib_;
-    rank.trace = trace_;
-    rank.critical = critical_;
-    report.ranks.push_back(std::move(rank));
+    report.ranks.push_back(stepper_.rank_record(0));
+    report.ranks.back().trace = trace_;
     report.imbalance = obs::imbalance_of(report.ranks);
     report.anomalies = obs::detect_anomalies(report, telemetry_.anomaly_factor);
     return report;
@@ -406,28 +271,20 @@ RunSummary Hydro::run(std::optional<Real> t_end_opt, int max_steps) {
     summary.initial = totals();
     const util::Timer timer;
     halt_requested_ = false;
-    while (t_ < t_end * (Real(1.0) - eps) && steps_ < max_steps &&
+    while (time() < t_end * (Real(1.0) - eps) && steps() < max_steps &&
            !halt_requested_)
-        step_clamped(t_end);
-    summary.steps = steps_;
-    summary.t_final = t_;
+        step_to(t_end);
+    summary.steps = steps();
+    summary.t_final = time();
     summary.wall_seconds = timer.elapsed();
     summary.final_ = totals();
     if (telemetry_.active()) {
         run_wall_s_ += summary.wall_seconds;
         write_telemetry();
-        if (live_stream_) {
-            obs::Json ev;
-            ev["event"] = "run_end";
-            ev["steps"] = steps_;
-            ev["t_final"] = t_;
-            ev["wall_s"] = run_wall_s_;
-            ev["windows"] =
-                static_cast<long long>(telemetry_windows_.size());
-            ev["stalls"] = 0;
-            ev["recoveries"] = 0;
-            live_stream_->emit(std::move(ev));
-        }
+        if (live_)
+            live_->emit(obs::run_end_event(
+                steps(), time(), run_wall_s_,
+                static_cast<long>(windows().size()), 0, 0));
     }
     return summary;
 }

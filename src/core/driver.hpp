@@ -1,17 +1,18 @@
 #pragma once
 /// \file driver.hpp
-/// The BookLeaf driver — Algorithm 1 of the paper:
-///   loop { if after first step: dt = GETDT(dt); LAGSTEP(dt);
-///          if remap due: ALESTEP; }
-/// This is the single-process driver (the distributed variant lives in
-/// dist/). It owns the state, the kernel context, the ALE workspace and
-/// the per-run profiler.
+/// The single-process BookLeaf driver: Algorithm 1 on the whole mesh. The
+/// step policy — dt controller, re-growth ceiling, t_end clamp, health
+/// guard, remap cadence, step records — is core::Stepper's, which
+/// dist::run shares; this driver supplies the serial step mechanics and
+/// owns the state, the kernel context, the ALE workspace, the per-run
+/// profiler and the run's outputs (history CSV, checkpoints, telemetry).
 
 #include <memory>
 #include <optional>
 
 #include "ale/remap.hpp"
 #include "ckpt/checkpoint.hpp"
+#include "core/stepper.hpp"
 #include "hydro/kernels.hpp"
 #include "hydro/stepgraph.hpp"
 #include "io/csv.hpp"
@@ -21,16 +22,6 @@
 #include "setup/problems.hpp"
 
 namespace bookleaf::core {
-
-/// Per-step record (what the reference code prints as its step banner).
-struct StepInfo {
-    int step = 0;
-    Real t = 0.0;
-    Real dt = 0.0;
-    Index dt_cell = no_index;
-    std::string_view dt_reason;
-    bool remapped = false;
-};
 
 /// Outcome of a full run.
 struct RunSummary {
@@ -55,6 +46,10 @@ public:
     /// and new rows append (the file ends byte-identical to an
     /// uninterrupted run's history).
     Hydro(setup::Problem problem, const ckpt::Snapshot& snapshot);
+
+    /// The step loop holds references into the driver.
+    Hydro(const Hydro&) = delete;
+    Hydro& operator=(const Hydro&) = delete;
 
     /// Optional execution policy (threading) — set before stepping. An
     /// assembly strategy chosen via set_assembly() survives this call
@@ -87,8 +82,9 @@ public:
     /// unclamped dt growth reference and the health-guard re-growth
     /// ceiling).
     [[nodiscard]] ckpt::Snapshot snapshot() const {
-        return ckpt::capture(problem_.mesh, state_, t_, dt_, steps_,
-                             regrow_limit_);
+        const Clock& c = stepper_.clock();
+        return ckpt::capture(problem_.mesh, state_, c.t, c.dt, c.steps,
+                             c.regrow);
     }
     /// Write a checkpoint of the current state to `path`.
     void save(const std::string& path) const { ckpt::write(path, snapshot()); }
@@ -111,8 +107,8 @@ public:
     [[nodiscard]] const setup::Problem& problem() const { return problem_; }
     [[nodiscard]] const util::Profiler& profiler() const { return profiler_; }
     [[nodiscard]] util::Profiler& profiler() { return profiler_; }
-    [[nodiscard]] Real time() const { return t_; }
-    [[nodiscard]] int steps() const { return steps_; }
+    [[nodiscard]] Real time() const { return stepper_.clock().t; }
+    [[nodiscard]] int steps() const { return stepper_.clock().steps; }
     [[nodiscard]] hydro::Totals totals() const {
         return hydro::totals(problem_.mesh, state_);
     }
@@ -120,11 +116,12 @@ public:
     /// window_steps` > 0) — the serial counterpart of the distributed
     /// driver's live window stream.
     [[nodiscard]] const std::vector<obs::WindowRecord>& windows() const {
-        return telemetry_windows_;
+        return stepper_.windows();
     }
 
 private:
-    StepInfo step_clamped(std::optional<Real> t_end);
+    StepInfo step_to(Real t_end);
+    Stepper::Hooks serial_hooks();
     void write_history_row(Real dt);
     void init_context();
     void ensure_stepgraph();
@@ -147,54 +144,23 @@ private:
     par::Coloring coloring_;
     par::Assembly chosen_assembly_ = par::Assembly::gather;
     bool assembly_chosen_ = false;
-    Real t_ = 0.0;
-    /// Unclamped controller dt — the growth reference for the next
-    /// getdt. The t_end clamp applies only to the dt a step advances by
-    /// (step_clamped's local), never here: a follow-on run(t2) after
-    /// run(t1) must not be growth-limited by the tiny final clamped step.
-    Real dt_ = 0.0;
-    int steps_ = 0;
-    /// Health-guard re-growth ceiling on the controller dt (0 = inactive).
-    /// Armed after a dt-backoff retry at `accepted dt * guard.regrow_cap`
-    /// and raised by regrow_cap per step while it binds; cleared the
-    /// first step the controller's own value ducks under it. Keeps a
-    /// freshly stabilised dt from leaping straight back to the value
-    /// that failed. Evolves from collectively-agreed quantities only, so
-    /// the distributed driver replicates it bitwise on every rank.
-    Real regrow_limit_ = 0.0;
-    /// Loop-top state for the health-guard rollback (reused across steps).
-    hydro::StepBackup step_backup_;
     /// Set when a checkpoint was written and `halt_after` asks the run
     /// loop to stop there (the step itself still completed normally).
     bool halt_requested_ = false;
-    /// Telemetry (problem `[telemetry]`): per-step records + optional
-    /// trace spans, all collected AFTER a step's physics commits — the
-    /// passive contract. Empty/inactive by default, so telemetry-off
-    /// runs take none of these branches.
+    /// Telemetry (problem `[telemetry]`). Inactive by default, so
+    /// telemetry-off runs take none of these branches. Live monitoring
+    /// (`window_steps` > 0) sends each window through a 1-rank assembler
+    /// onto the NDJSON stream (closed unless `live` names a file), in the
+    /// distributed driver's event shape. No watchdog in the serial driver:
+    /// there is no peer to observe a hang from.
     obs::Options telemetry_;
-    /// Step records, bounded by `[telemetry] max_steps` (0 = keep all);
-    /// evicted records fold into an exact aggregate, so the report's
-    /// totals are unaffected by the cap.
-    obs::StepRing telemetry_steps_;
-    /// Live monitoring (`[telemetry] window_steps` > 0): the folder closes
-    /// a window every window_steps committed steps; each window lands in
-    /// telemetry_windows_ and — when `[telemetry] live` names a file — as
-    /// a "window" (plus trivial single-rank "imbalance") event on the
-    /// NDJSON stream. No watchdog in the serial driver: there is no peer
-    /// to observe a hang from.
-    std::optional<obs::WindowFolder> window_folder_;
-    std::vector<obs::WindowRecord> telemetry_windows_;
-    std::optional<obs::LiveStream> live_stream_;
+    std::optional<obs::LiveStream> live_;
+    obs::LiveAssembler assembler_{1};
     std::vector<util::TraceEvent> trace_;
     std::chrono::steady_clock::time_point telemetry_epoch_{};
     double run_wall_s_ = 0.0;
-    /// Task-graph attribution (telemetry active only): ctx_.graph_log
-    /// points at graph_log_, every step's graph runs are analyzed into
-    /// the step record + attrib_, and — when tracing — the critical-path
-    /// spans land in critical_ for the trace's flow arrows.
-    par::GraphRunLog graph_log_;
-    obs::RankAttribution attrib_;
-    std::vector<obs::CritSpan> critical_;
+    Stepper stepper_{ctx_, state_, problem_.ale, serial_hooks(),
+                     problem_.mesh.n_cells()};
 };
 
 } // namespace bookleaf::core

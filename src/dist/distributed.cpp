@@ -9,7 +9,10 @@
 ///      node of an owned cell is complete and exact.
 /// The timestep is the global min-reduction of the owned-cell dt. On
 /// remap-due steps of ALE/Eulerian decks, remap() below runs the
-/// ghost-aware ALE step after the corrector.
+/// ghost-aware ALE step after the corrector. The step policy itself (dt
+/// controller, re-growth ceiling, t_end clamp, health-guard retry, remap
+/// cadence, step records) is core::Stepper's, shared with the serial
+/// driver; this file supplies the per-rank mechanics as its hooks.
 ///
 /// Two schedules implement the step. The *blocking* schedule is the
 /// paper's: reduce, exchange, compute, exchange, compute. The *overlap*
@@ -38,8 +41,7 @@
 #include <string>
 #include <thread>
 
-#include "geom/geometry.hpp"
-#include "obs/critical_path.hpp"
+#include "core/stepper.hpp"
 #include "par/task_graph.hpp"
 #include "perfmodel/calibrate.hpp"
 #include "part/subdomain.hpp"
@@ -81,6 +83,19 @@ void rebuild_ghost_state(const hydro::Context& ctx, hydro::State& s,
                          /*strict=*/!ctx.opts.guard.enabled, "dist ghost");
 }
 
+/// One blocking halo exchange, charged to Kernel::halo: `start` posts it
+/// (under halo_pack), then it is finished.
+template <class Start>
+void blocking_halo(const hydro::Context& ctx, Start&& start) {
+    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
+    typhon::PendingExchange halo;
+    {
+        const util::ScopedTimer pack(*ctx.profiler, util::Kernel::halo_pack);
+        halo = start();
+    }
+    halo.finish(ctx.profiler);
+}
+
 // ---------------------------------------------------------------------------
 // Blocking schedule (ablation baseline, Options::overlap = false)
 // ---------------------------------------------------------------------------
@@ -112,16 +127,7 @@ start_state_halo(hydro::State& s, typhon::Comm& comm,
 void refresh_ghosts(const hydro::Context& ctx, hydro::State& s,
                     typhon::Comm& comm, const part::Subdomain& sub,
                     typhon::Packing packing) {
-    {
-        const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
-        typhon::PendingExchange halo;
-        {
-            const util::ScopedTimer pack(*ctx.profiler,
-                                         util::Kernel::halo_pack);
-            halo = start_state_halo(s, comm, sub, packing);
-        }
-        halo.finish(ctx.profiler);
-    }
+    blocking_halo(ctx, [&] { return start_state_halo(s, comm, sub, packing); });
     rebuild_ghost_state(ctx, s, sub);
 }
 
@@ -145,21 +151,14 @@ void dist_lagstep(const hydro::Context& ctx, hydro::State& s, Real dt,
     // --- corrector ----------------------------------------------------------
     hydro::getq(ctx, s);
     hydro::getforce(ctx, s);
-    {
-        // Pre-acceleration halo: ghost corner forces from their owners.
-        // After this, the gather at any node of an owned cell sees exactly
-        // the corner forces a serial run would.
-        static_assert(part::Subdomain::corner_exchange_fields == 2);
-        const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
-        typhon::PendingExchange corners;
-        {
-            const util::ScopedTimer pack(*ctx.profiler,
-                                         util::Kernel::halo_pack);
-            corners = typhon::exchange_start(comm, sub.corner_schedule,
-                                             {s.fx, s.fy}, 200, packing);
-        }
-        corners.finish(ctx.profiler);
-    }
+    // Pre-acceleration halo: ghost corner forces from their owners. After
+    // this, the gather at any node of an owned cell sees exactly the
+    // corner forces a serial run would.
+    static_assert(part::Subdomain::corner_exchange_fields == 2);
+    blocking_halo(ctx, [&] {
+        return typhon::exchange_start(comm, sub.corner_schedule,
+                                      {s.fx, s.fy}, 200, packing);
+    });
     hydro::getacc(ctx, s, dt);
     hydro::getgeom(ctx, s, s.ubar, s.vbar, dt);
     hydro::getrho(ctx, s);
@@ -175,7 +174,8 @@ void dist_lagstep(const hydro::Context& ctx, hydro::State& s, Real dt,
 /// getdt's reduce + refresh + lagstep: the global min-reduce of
 /// `dt_local` is posted nonblocking *before* the pre-step state exchange
 /// (the exchanged bytes do not depend on dt) and finished only when the
-/// predictor is about to consume dt; the state exchange spans into the
+/// predictor is about to consume dt, where `settle` turns the agreed
+/// value into the dt the step uses; the state exchange spans into the
 /// predictor and the corner-force exchange spans the corrector's interior
 /// viscosity/force/assembly work.
 /// Note on profiles: each subrange piece charges the profiler separately,
@@ -183,10 +183,10 @@ void dist_lagstep(const hydro::Context& ctx, hydro::State& s, Real dt,
 /// two getq calls per sweep instead of one, halo split into post and
 /// finish scopes, reduce split into post and wait); the wall-second
 /// buckets remain comparable and are what the overlap ablation reports.
-hydro::ClampedDt overlap_step(const hydro::Context& ctx, hydro::State& s,
-                              Real dt_local, bool reduce, Real t, Real t_end,
-                              typhon::Comm& comm, const part::Subdomain& sub,
-                              typhon::Packing packing, Real& regrow_limit) {
+void overlap_step(const hydro::Context& ctx, hydro::State& s, Real dt_local,
+                  bool reduce, const core::Stepper::Settle& settle,
+                  typhon::Comm& comm, const part::Subdomain& sub,
+                  typhon::Packing packing) {
     const std::span<const Index> interior(sub.interior_cells);
     const std::span<const Index> boundary(sub.boundary_cells);
 
@@ -220,30 +220,14 @@ hydro::ClampedDt overlap_step(const hydro::Context& ctx, hydro::State& s,
     rebuild_ghost_state(ctx, s, sub);
     snapshot(ctx, s);
 
-    // The predictor consumes dt from here on: finish the reduce, then
-    // apply the t_end clamp to the *used* dt only (the unclamped value
-    // stays the growth reference for the next step).
-    Real dt_global = dt_local;
+    // The predictor consumes dt from here on: finish the reduce.
+    Real dt_agreed = dt_local;
     if (reduce) {
         const util::ScopedTimer timer(*ctx.profiler, util::Kernel::reduce);
         const util::ScopedTimer wait(*ctx.profiler, util::Kernel::reduce_wait);
-        dt_global = dt_reduce.wait();
+        dt_agreed = dt_reduce.wait();
     }
-    // Health-guard re-growth ceiling, applied to the *reduced* controller
-    // value — the exact serial sequence (core::Hydro::step_clamped),
-    // evaluated identically on every rank because the reduced dt and the
-    // limit are globally agreed quantities.
-    if (reduce && regrow_limit > 0.0) {
-        if (dt_global > regrow_limit) {
-            dt_global = regrow_limit;
-            regrow_limit *= ctx.opts.guard.regrow_cap;
-        } else {
-            regrow_limit = 0.0;
-        }
-    }
-    const auto step_dt = hydro::clamp_to_t_end(t, dt_global, t_end);
-
-    const Real dt = step_dt.used;
+    const Real dt = settle(dt_agreed);
     const Real half_dt = Real(0.5) * dt;
 
     // --- predictor boundary finish + whole-range remainder ------------------
@@ -281,7 +265,6 @@ hydro::ClampedDt overlap_step(const hydro::Context& ctx, hydro::State& s,
     hydro::getrho(ctx, s);
     hydro::getein(ctx, s, s.ubar, s.vbar, dt);
     hydro::getpc(ctx, s);
-    return step_dt;
 }
 
 // ---------------------------------------------------------------------------
@@ -384,18 +367,18 @@ void unpack_owned(const part::Subdomain& sub, std::span<const Real> payload,
 std::optional<ckpt::Snapshot> gather_snapshot(
     typhon::Comm& comm, const std::vector<part::Subdomain>& subs,
     const mesh::Mesh& global, std::uint64_t mesh_hash, const hydro::State& s,
-    const part::Subdomain& sub, Real t, Real dt_ref, Real regrow,
-    std::int64_t steps, util::Profiler& profiler) {
+    const core::Clock& clock, util::Profiler& profiler) {
     const util::ScopedTimer timer(profiler, util::Kernel::other);
-    comm.send(0, ckpt_tag, pack_owned(sub, s));
+    comm.send(0, ckpt_tag,
+              pack_owned(subs[static_cast<std::size_t>(comm.rank())], s));
     if (comm.rank() != 0) return std::nullopt;
 
     ckpt::Snapshot snap;
     snap.mesh_hash = mesh_hash;
-    snap.steps = steps;
-    snap.t = t;
-    snap.dt = dt_ref;
-    snap.regrow = regrow;
+    snap.steps = clock.steps;
+    snap.t = clock.t;
+    snap.dt = clock.dt;
+    snap.regrow = clock.regrow;
     const auto nn = static_cast<std::size_t>(global.n_nodes());
     const auto nc = static_cast<std::size_t>(global.n_cells());
     snap.x.resize(nn);
@@ -595,17 +578,11 @@ void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
         static_assert(part::Subdomain::remap_mesh_fields == 2);
         ale::alegetmesh(ctx, s, ale, w,
                         [&](std::vector<Real>& xt, std::vector<Real>& yt) {
-                            const util::ScopedTimer timer(*ctx.profiler,
-                                                          util::Kernel::halo);
-                            typhon::PendingExchange mesh_halo;
-                            {
-                                const util::ScopedTimer pack(
-                                    *ctx.profiler, util::Kernel::halo_pack);
-                                mesh_halo = typhon::exchange_start(
+                            blocking_halo(ctx, [&] {
+                                return typhon::exchange_start(
                                     comm, sub.node_schedule, {xt, yt}, 300,
                                     packing);
-                            }
-                            mesh_halo.finish(ctx.profiler);
+                            });
                         });
     } else {
         ale::alegetmesh(ctx, s, ale, w);
@@ -627,20 +604,13 @@ void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
         // overlap the in-flight messages. Bitwise == the blocking branch.
         remap_flux_graph(ctx, s, ale, w, comm, sub, packing);
     } else {
-        {
-            static_assert(part::Subdomain::remap_grad_fields == 4);
-            const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
-            typhon::PendingExchange grads;
-            {
-                const util::ScopedTimer pack(*ctx.profiler,
-                                             util::Kernel::halo_pack);
-                grads = typhon::exchange_start(comm, sub.remap_cell_schedule,
-                                               {w.grad_rho_x, w.grad_rho_y,
-                                                w.grad_e_x, w.grad_e_y},
-                                               320, packing);
-            }
-            grads.finish(ctx.profiler);
-        }
+        static_assert(part::Subdomain::remap_grad_fields == 4);
+        blocking_halo(ctx, [&] {
+            return typhon::exchange_start(comm, sub.remap_cell_schedule,
+                                          {w.grad_rho_x, w.grad_rho_y,
+                                           w.grad_e_x, w.grad_e_y},
+                                          320, packing);
+        });
 
         // 4. Fluxes on the remap faces; cell and dual sweeps over owned
         // cells.
@@ -655,25 +625,17 @@ void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
     // ghost corner masses every step, and the nodal remap below needs the
     // dual fluxes of ghost cells, which their far faces make impossible
     // to compute here.
-    {
-        static_assert(part::Subdomain::remap_cell_result_fields == 2 &&
-                      part::Subdomain::remap_dual_fields == 2);
-        const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
-        const std::array<typhon::FieldGroup, 2> groups{
-            typhon::FieldGroup{&sub.cell_schedule,
-                               {std::span<Real>(s.cell_mass),
-                                std::span<Real>(s.ein)}},
-            typhon::FieldGroup{&sub.remap_dual_schedule,
-                               {std::span<Real>(s.cnmass),
-                                std::span<Real>(w.dflux)}}};
-        typhon::PendingExchange results;
-        {
-            const util::ScopedTimer pack(*ctx.profiler,
-                                         util::Kernel::halo_pack);
-            results = typhon::exchange_start(comm, groups, 340, packing);
-        }
-        results.finish(ctx.profiler);
-    }
+    static_assert(part::Subdomain::remap_cell_result_fields == 2 &&
+                  part::Subdomain::remap_dual_fields == 2);
+    const std::array<typhon::FieldGroup, 2> results{
+        typhon::FieldGroup{&sub.cell_schedule, {std::span<Real>(s.cell_mass),
+                                                std::span<Real>(s.ein)}},
+        typhon::FieldGroup{&sub.remap_dual_schedule,
+                           {std::span<Real>(s.cnmass),
+                            std::span<Real>(w.dflux)}}};
+    blocking_halo(ctx, [&] {
+        return typhon::exchange_start(comm, results, 340, packing);
+    });
 
     // 6. Nodal (dual-mesh) remap over the stencil-complete nodes, then
     // move everything onto the target mesh and rebuild the dependent
@@ -685,629 +647,571 @@ void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
 
 namespace {
 
-/// The shared driver body. Exactly one of `snap` (restart) or the four
-/// initial-condition fields (fresh run) is non-null.
+/// Blocking global min, charged to the reduce slots.
+Real timed_min(typhon::Comm& comm, util::Profiler& profiler, Real v) {
+    const util::ScopedTimer timer(profiler, util::Kernel::reduce);
+    const util::ScopedTimer wait(profiler, util::Kernel::reduce_wait);
+    return comm.allreduce_min(v);
+}
+
+obs::RecoveryEvent event_of(const Result::Recovery& r) {
+    return {r.failed_rank, r.failed_step, static_cast<long>(r.resumed_step),
+            r.survivors};
+}
+
+/// A fresh run's initial conditions, per global cell and node.
+struct Initial {
+    const std::vector<Real>& rho;
+    const std::vector<Real>& ein;
+    const std::vector<Real>& u;
+    const std::vector<Real>& v;
+};
+
+/// The state of one dist::run call that spans every attempt.
+struct Run {
+    Run(const mesh::Mesh& global_, const eos::MaterialTable& materials_,
+        const Options& opts_, const Initial* initial_)
+        : global(global_), materials(materials_), opts(opts_),
+          initial(initial_), telemetry(opts_.telemetry.active()),
+          live(opts_.telemetry.live_active()),
+          live_stream(telemetry ? opts_.telemetry.live : std::string{}),
+          global_hash(opts_.checkpoint.enabled() || opts_.supervise.enabled
+                          ? ckpt::mesh_hash(global_)
+                          : 0) {
+        if (live_stream.open())
+            live_stream.emit(obs::run_start_event(
+                opts.telemetry.label, opts.n_ranks, opts.telemetry));
+        result.rho.resize(static_cast<std::size_t>(global.n_cells()));
+        result.ein.resize(result.rho.size());
+        result.u.resize(static_cast<std::size_t>(global.n_nodes()));
+        result.v.resize(result.u.size());
+        result.x.resize(result.u.size());
+        result.y.resize(result.u.size());
+    }
+
+    const mesh::Mesh& global;
+    const eos::MaterialTable& materials;
+    const Options& opts;
+    const Initial* initial; ///< null on a restart
+    const bool telemetry;
+    const bool live;
+    /// The NDJSON stream spans every attempt — the crash trail must
+    /// include failed ones — and is appended to by the rank-0 thread and
+    /// the watchdog supervisor thread (LiveStream locks internally).
+    obs::LiveStream live_stream;
+    std::atomic<long> stalls{0};
+    /// One epoch for the whole run: recovery attempts land on the same
+    /// trace timeline, and the run wall clock spans every attempt.
+    const std::chrono::steady_clock::time_point epoch =
+        std::chrono::steady_clock::now();
+    const util::Timer timer;
+    /// The writer rank's global mesh identity, hashed once.
+    const std::uint64_t global_hash;
+    /// Rollback ring: the newest supervised snapshots, oldest evicted.
+    /// Only the rank-0 thread touches it inside typhon::run; the
+    /// supervisor reads it after the join (thread-join ordering, no lock).
+    std::deque<ckpt::Snapshot> ring;
+    Result result;
+};
+
+/// What one attempt's rank threads share with the supervisor. Rank
+/// threads write only their own per-rank slots; the rank-0 members are
+/// written by the rank-0 thread and read after the join.
+struct Attempt {
+    Attempt(const Run& run, int index_, int n_ranks_,
+            const ckpt::Snapshot* start_)
+        : index(index_), n_ranks(n_ranks_), start(start_),
+          profilers(static_cast<std::size_t>(n_ranks_)) {
+        const auto& opts = run.opts;
+        subs = part::decompose(run.global,
+                               opts.partitioner
+                                   ? opts.partitioner(run.global, n_ranks)
+                                   : part::rcb(run.global, n_ranks),
+                               n_ranks);
+        if (run.telemetry && opts.telemetry.want_trace()) {
+            traces.resize(static_cast<std::size_t>(n_ranks));
+            crits.resize(static_cast<std::size_t>(n_ranks));
+        }
+        if (!run.live) return;
+        assembler.emplace(n_ranks);
+        if (opts.telemetry.watchdog_factor > 0.0 && n_ranks > 1)
+            watchdog.emplace(
+                n_ranks, opts.telemetry.watchdog_factor,
+                static_cast<double>(opts.telemetry.watchdog_grace_ms),
+                opts.telemetry.watchdog_escalate);
+    }
+
+    int index;
+    int n_ranks;
+    /// Where the attempt starts: the restart or rollback snapshot, or the
+    /// initial conditions when null.
+    const ckpt::Snapshot* start;
+    std::vector<part::Subdomain> subs;
+    std::vector<util::Profiler> profilers;
+    /// Trace and critical-path spans, one slot per rank, each stamped
+    /// against that rank's own epoch (aligned onto rank 0's timeline by
+    /// the report).
+    std::vector<std::vector<util::TraceEvent>> traces;
+    std::vector<std::vector<obs::CritSpan>> crits;
+    // Rank 0 only.
+    core::Clock clock;
+    std::vector<obs::RankRecord> records;
+    long long gathers = 0;
+    std::vector<obs::LiveWindow> windows;
+    std::optional<obs::LiveAssembler> assembler;
+    /// Shared: rank threads bump their step epochs (relaxed atomics),
+    /// rank 0 stamps window arrivals, the supervisor thread runs check().
+    std::optional<obs::Watchdog> watchdog;
+};
+
+/// Rank 0's end of the tag-502 live-window stream: one posted irecv per
+/// rank, drained opportunistically at the top of every step, plus the
+/// watchdog supervisor thread. A posted irecv is a local handle (test()
+/// polls the transport), so a request left pending strands nothing.
+class LiveDrain {
+public:
+    LiveDrain(Run& run, Attempt& a, typhon::Comm& comm)
+        : run_(run), a_(a), comm_(comm),
+          pending_(static_cast<std::size_t>(comm.size())),
+          received_(static_cast<std::size_t>(comm.size()), 0) {
+        for (int r = 0; r < comm.size(); ++r)
+            pending_[static_cast<std::size_t>(r)] = comm.irecv(r, live_tag);
+        if (!a.watchdog) return;
+        const double poll_ms = std::max(
+            static_cast<double>(run.opts.telemetry.watchdog_grace_ms) / 8.0,
+            1.0);
+        session_.emplace(*a.watchdog, poll_ms,
+                         [this](const obs::Watchdog::Stall& st) {
+            ++run_.stalls;
+            run_.live_stream.emit(obs::stall_event(
+                a_.index, st, *a_.watchdog, comm_.backlog()));
+            util::log_warn("watchdog: rank ", st.rank, " silent for ",
+                           st.silent_ms, " ms (threshold ", st.threshold_ms,
+                           " ms), last step ", st.last_step,
+                           st.escalated ? " - escalating" : "");
+        });
+    }
+
+    /// Harvest whatever has arrived.
+    void poll() {
+        for (int r = 0; r < comm_.size(); ++r)
+            while (pending_[static_cast<std::size_t>(r)].test()) harvest(r);
+    }
+
+    /// After the step loop: stop the stall supervisor (no more progress
+    /// ticks are coming, so anything it would flag now is a false
+    /// positive), then drain the stream dry. Lockstep stepping means every
+    /// rank produced exactly rank 0's `windows` count; the blocking wait()
+    /// promotes fault-held messages, so a delay plan cannot strand the
+    /// channel past Hub::drained().
+    void finish(long windows) {
+        session_.reset();
+        for (int r = 0; r < comm_.size(); ++r)
+            while (received_[static_cast<std::size_t>(r)] < windows) {
+                pending_[static_cast<std::size_t>(r)].wait();
+                harvest(r);
+            }
+    }
+
+private:
+    void harvest(int r) {
+        auto& req = pending_[static_cast<std::size_t>(r)];
+        auto w = obs::unpack_window(req.data());
+        req = comm_.irecv(r, live_tag);
+        ++received_[static_cast<std::size_t>(r)];
+        if (a_.watchdog) a_.watchdog->note_window(w.rank);
+        for (auto& lw : obs::stream_window(run_.live_stream, *a_.assembler,
+                                           a_.index, std::move(w))) {
+            if (run_.opts.on_window) run_.opts.on_window(lw);
+            a_.windows.push_back(std::move(lw));
+        }
+    }
+
+    Run& run_;
+    Attempt& a_;
+    typhon::Comm& comm_;
+    std::vector<typhon::Request> pending_;
+    std::vector<long> received_;
+    std::optional<obs::WatchdogSession> session_;
+};
+
+/// The snapshot cadences after a completed step. Every rank evaluates the
+/// same triggers (t and steps are globally agreed), so the gather is
+/// collective; both fire after completed natural steps only, so a
+/// checkpointing or supervised run is bitwise the run without either. One
+/// gather feeds the on-disk checkpoint, the rollback ring and its
+/// optional spill to disk. Returns true when `halt_after` stops the run.
+bool take_snapshots(Run& run, Attempt& a, typhon::Comm& comm,
+                    const hydro::State& s, const core::Clock& clock,
+                    Real t_before) {
+    const Options& opts = run.opts;
+    const bool disk_due = opts.checkpoint.enabled() &&
+                          opts.checkpoint.due(clock.steps, t_before, clock.t);
+    const bool ring_due = opts.supervise.enabled &&
+                          opts.supervise.snapshot_every > 0 &&
+                          clock.steps % opts.supervise.snapshot_every == 0;
+    if (!disk_due && !ring_due) return false;
+    if (comm.rank() == 0) ++a.gathers;
+    auto gathered = gather_snapshot(
+        comm, a.subs, run.global, run.global_hash, s, clock,
+        a.profilers[static_cast<std::size_t>(comm.rank())]);
+    if (gathered.has_value()) { // rank 0 only
+        if (disk_due) {
+            const auto path = opts.checkpoint.path_for(clock.steps);
+            ckpt::write(path, *gathered);
+            // A recovery replays steps, so a path may come up twice; the
+            // rewrite is byte-identical (bitwise contract) — record it once.
+            auto& written = run.result.checkpoints;
+            if (std::find(written.begin(), written.end(), path) ==
+                written.end())
+                written.push_back(path);
+        }
+        if (opts.supervise.enabled) {
+            if (!opts.supervise.spill_prefix.empty())
+                ckpt::write(opts.supervise.spill_prefix + "_" +
+                                std::to_string(clock.steps) + ".ckpt",
+                            *gathered);
+            run.ring.push_back(std::move(*gathered));
+            if (run.ring.size() > static_cast<std::size_t>(std::max(
+                                      1, opts.supervise.ring_capacity)))
+                run.ring.pop_front();
+        }
+    }
+    return disk_due && opts.checkpoint.halt_after;
+}
+
+/// One rank's share of an attempt: set up its subdomain state, step it
+/// with the shared core::Stepper, take the snapshot cadences, drain the
+/// live stream (rank 0), then gather the owned fields into the result and
+/// the telemetry records to rank 0.
+void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
+    const Options& opts = run.opts;
+    const int rank = comm.rank();
+    const auto& sub = a.subs[static_cast<std::size_t>(rank)];
+    auto& profiler = a.profilers[static_cast<std::size_t>(rank)];
+
+    // Per-rank run epoch: rank threads start (and stamp their clocks) at
+    // slightly different instants, so every sink this rank writes — trace
+    // spans, step start times, graph-run spans — is measured against its
+    // own origin, and the offset to the shared run epoch ships with the
+    // tag-501 gather so rank 0 can align all records onto its own
+    // timeline (what a real MPI run must do, since node clocks share no
+    // origin).
+    const auto rank_epoch =
+        run.telemetry ? std::chrono::steady_clock::now() : run.epoch;
+    if (!a.traces.empty())
+        profiler.set_trace(&a.traces[static_cast<std::size_t>(rank)],
+                           rank_epoch);
+
+    // Per-rank worker pool (the hybrid MPI+OpenMP analogue). Built before
+    // the state so the first-touch allocation places pages in the same
+    // blocks the threaded kernels sweep.
+    std::unique_ptr<par::ThreadPool> pool;
+    par::Exec exec;
+    exec.schedule = opts.schedule;
+    if (opts.n_threads > 1) {
+        pool = std::make_unique<par::ThreadPool>(opts.n_threads);
+        exec.pool = pool.get();
+    }
+
+    hydro::State s = hydro::allocate(sub.local, exec);
+    if (a.start != nullptr) {
+        restore_rank_state(sub, run.materials, *a.start, s);
+    } else {
+        for (std::size_t lc = 0; lc < sub.local_cells.size(); ++lc) {
+            const auto gc = static_cast<std::size_t>(sub.local_cells[lc]);
+            s.rho[lc] = run.initial->rho[gc];
+            s.ein[lc] = run.initial->ein[gc];
+        }
+        for (std::size_t ln = 0; ln < sub.local_nodes.size(); ++ln) {
+            const auto gn = static_cast<std::size_t>(sub.local_nodes[ln]);
+            s.u[ln] = run.initial->u[gn];
+            s.v[ln] = run.initial->v[gn];
+        }
+        hydro::initialise(sub.local, run.materials, s);
+    }
+
+    hydro::Context ctx;
+    ctx.mesh = &sub.local;
+    ctx.materials = &run.materials;
+    ctx.opts = opts.hydro;
+    ctx.exec = exec;
+    ctx.profiler = &profiler;
+    ctx.dt_cells = sub.n_owned_cells; // dt over owned cells only
+    // Corner gathers in serial deposition order (bitwise == serial).
+    ctx.assembly_corners = &sub.assembly_corners;
+    ale::Workspace ale_work;
+
+    core::Stepper::Hooks hooks;
+    hooks.advance = [&](Real dt_local, bool reduce,
+                        const core::Stepper::Settle& settle) {
+        if (opts.overlap) {
+            overlap_step(ctx, s, dt_local, reduce, settle, comm, sub,
+                         opts.packing);
+            return;
+        }
+        const Real dt =
+            settle(reduce ? timed_min(comm, profiler, dt_local) : dt_local);
+        refresh_ghosts(ctx, s, comm, sub, opts.packing);
+        dist_lagstep(ctx, s, dt, comm, sub, opts.packing);
+    };
+    // Every rank checks its owned entities (their union is the global set
+    // and owned bytes are bitwise-serial), so the min-reduced verdict is
+    // the serial driver's. The reduce is a collective: a healthy run's
+    // point-to-point message count is untouched.
+    hooks.agree = [&](bool ok) {
+        return timed_min(comm, profiler, ok ? Real(1.0) : Real(0.0)) >
+               Real(0.5);
+    };
+    // Retries replay the step on the blocking schedule (bitwise == overlap
+    // by contract).
+    hooks.retake = [&](Real dt) {
+        refresh_ghosts(ctx, s, comm, sub, opts.packing);
+        dist_lagstep(ctx, s, dt, comm, sub, opts.packing);
+    };
+    hooks.remap = [&] {
+        remap(ctx, s, opts.ale, ale_work, comm, sub, opts.packing);
+    };
+    // Every rank streams each closed window to rank 0 on tag 502 (rank 0
+    // sends to itself through the same channel — one discipline).
+    hooks.window = [&](const obs::WindowRecord& w) {
+        comm.send(0, live_tag, obs::pack_window(w));
+    };
+    core::Stepper stepper(ctx, s, opts.ale, std::move(hooks),
+                          sub.n_owned_cells, sub.node_owned);
+    // Fresh runs start at zero; restarts continue the snapshot's clock,
+    // so the remap cadence, dt_initial and max_steps behave as in the
+    // serial restore.
+    stepper.clock() = a.start != nullptr
+                          ? core::Clock::of(*a.start)
+                          : core::Clock{0.0, opts.hydro.dt_initial, 0.0, 0};
+    if (run.telemetry)
+        stepper.enable_telemetry(opts.telemetry, rank, rank_epoch);
+
+    std::optional<LiveDrain> drain;
+    if (run.live && rank == 0) drain.emplace(run, a, comm);
+    const core::Clock& clock = stepper.clock();
+    while (clock.t < opts.t_end * (Real(1.0) - eps) &&
+           clock.steps < opts.max_steps) {
+        // Record the step for failure reports and tick the fault plan's
+        // kill-at-step trigger. Then the watchdog progress tick (one
+        // relaxed store + one relaxed load): a poisoned rank — flagged as
+        // stalled with escalation enabled — turns its silent hang into an
+        // ordinary recoverable failure.
+        comm.set_step(clock.steps);
+        if (a.watchdog && a.watchdog->note_step(rank, clock.steps))
+            throw obs::StallEscalated(rank);
+        if (drain) drain->poll();
+        const Real t_before = clock.t;
+        stepper.step(opts.t_end);
+        if (take_snapshots(run, a, comm, s, clock, t_before)) break;
+    }
+    if (drain) drain->finish(static_cast<long>(stepper.windows().size()));
+
+    // Gather owned fields into the global result. Each global cell has
+    // exactly one owner and each global node one owning rank, so the
+    // writes are disjoint across rank threads.
+    Result& result = run.result;
+    for (Index lc = 0; lc < sub.n_owned_cells; ++lc) {
+        const auto l = static_cast<std::size_t>(lc);
+        const auto gc = static_cast<std::size_t>(sub.local_cells[l]);
+        result.rho[gc] = s.rho[l];
+        result.ein[gc] = s.ein[l];
+    }
+    for (std::size_t ln = 0; ln < sub.local_nodes.size(); ++ln) {
+        if (!sub.node_owned[ln]) continue;
+        const auto gn = static_cast<std::size_t>(sub.local_nodes[ln]);
+        result.u[gn] = s.u[ln];
+        result.v[gn] = s.v[ln];
+        result.x[gn] = s.x[ln];
+        result.y[gn] = s.y[ln];
+    }
+    if (rank == 0) a.clock = clock;
+
+    // Telemetry gather (tag 501): every rank ships its step records and
+    // kernel breakdown to rank 0 — the checkpoint gather's pattern, once,
+    // after the field gather, so it cannot perturb the run it measures.
+    if (!run.telemetry) return;
+    auto record = stepper.rank_record(rank);
+    record.epoch_us = std::chrono::duration<double, std::micro>(
+                          rank_epoch - run.epoch)
+                          .count();
+    if (!a.crits.empty())
+        a.crits[static_cast<std::size_t>(rank)] = std::move(record.critical);
+    comm.send(0, telemetry_tag, obs::pack_rank(record));
+    if (rank != 0) return;
+    a.records.resize(static_cast<std::size_t>(comm.size()));
+    for (int r = 0; r < comm.size(); ++r)
+        a.records[static_cast<std::size_t>(r)] =
+            obs::unpack_rank(comm.recv(r, telemetry_tag));
+}
+
+/// Wire-format self-check: predict the run's point-to-point message count
+/// from the Subdomain metadata. Only meaningful on an undisturbed
+/// schedule — faults, recoveries and health-guard retries all
+/// legitimately change the count.
+obs::WireCheck check_wire(const Run& run, const Attempt& a,
+                          const obs::RunReport& report) {
+    const Options& opts = run.opts;
+    long long retries = 0;
+    for (const auto& r : report.ranks) {
+        retries += static_cast<long long>(r.evicted.retries);
+        for (const auto& s : r.steps) retries += s.retries;
+    }
+    obs::WireCheck wire;
+    if (!run.result.recoveries.empty() || !opts.faults.empty() || retries > 0)
+        return wire;
+    const int n_mesh = opts.ale.mode == ale::Mode::ale
+                           ? opts.ale.smoothing_passes + 1
+                           : 0;
+    long long expected = 0;
+    for (int r = 0; r < a.n_ranks; ++r) {
+        const auto& rr = report.ranks[static_cast<std::size_t>(r)];
+        const auto& sub = a.subs[static_cast<std::size_t>(r)];
+        // Step and remap counts over ALL steps, including the ones the
+        // max_steps ring evicted into the aggregate.
+        auto remaps = static_cast<long long>(rr.evicted.remaps);
+        for (const auto& s : rr.steps)
+            if (s.remapped) ++remaps;
+        const auto n_steps = static_cast<long long>(rr.evicted.steps) +
+                             static_cast<long long>(rr.steps.size());
+        expected += static_cast<long long>(
+                        sub.messages_per_step(opts.packing)) *
+                    n_steps;
+        expected += static_cast<long long>(
+                        sub.messages_per_remap(opts.packing, n_mesh)) *
+                    remaps;
+        // Plus the rank's tag-502 live-window sends.
+        expected += static_cast<long long>(rr.windows.size());
+    }
+    // Plus one send per rank per checkpoint/ring gather, and one per rank
+    // for the telemetry gather itself.
+    expected += (a.gathers + 1) * a.n_ranks;
+    const long long measured = run.result.traffic.messages;
+    wire.checked = true;
+    wire.expected = expected;
+    wire.measured = measured;
+    wire.match = expected == measured;
+    if (!wire.match)
+        util::log_warn("telemetry: wire-format drift — measured ", measured,
+                       " point-to-point messages, metadata predicts ",
+                       expected);
+    return wire;
+}
+
+/// The run report of the successful attempt: the executed configuration,
+/// the gathered per-rank records with what only the host holds attached,
+/// every timestamp aligned onto rank 0's timeline, and the wire check.
+obs::RunReport telemetry_report(const Run& run, Attempt& a) {
+    const Options& opts = run.opts;
+    const Result& result = run.result;
+    obs::RunReport report;
+    report.problem = opts.telemetry.label;
+    report.label = opts.telemetry.label;
+    report.mode = "distributed";
+    report.n_ranks = a.n_ranks;
+    report.overlap = opts.overlap;
+    report.packing = opts.packing == typhon::Packing::coalesced ? "coalesced"
+                                                                 : "per_field";
+    report.steps = result.steps;
+    report.t_final = result.t_final;
+    report.wall_s = run.timer.elapsed();
+    for (const auto& rec : result.recoveries)
+        report.recoveries.push_back(event_of(rec));
+    // The executed configuration, so the report reproduces the run without
+    // the invoking script. task_block mirrors the per-rank Exec the rank
+    // bodies build (default blocking).
+    report.config.schedule = opts.schedule == par::Schedule::taskgraph
+                                 ? "taskgraph"
+                                 : "forkjoin";
+    report.config.task_block = par::Exec{}.task_block;
+    report.config.grain = par::Exec{}.grain;
+    report.config.n_threads = opts.n_threads;
+    report.config.n_ranks = a.n_ranks;
+    report.config.overlap = opts.overlap;
+    report.config.packing = report.packing;
+    report.work = perfmodel::telemetry_work_model(opts.n_threads);
+
+    // Attach the Hub's per-peer send tallies and the trace/critical-path
+    // spans (after a recovery the records cover the successful attempt
+    // only — its traffic, its traces, its steps from the rollback point),
+    // then shift every per-rank timestamp by that rank's epoch offset so
+    // all tracks share rank 0's timeline.
+    const double epoch0 = a.records.empty() ? 0.0 : a.records[0].epoch_us;
+    for (auto& rank : a.records) {
+        const auto r = static_cast<std::size_t>(rank.rank);
+        for (const auto& p : result.traffic.peers)
+            if (p.src == rank.rank)
+                rank.sent.push_back({p.dst, p.messages, p.reals});
+        if (!a.traces.empty()) {
+            rank.trace = std::move(a.traces[r]);
+            rank.critical = std::move(a.crits[r]);
+        }
+        const double shift = rank.epoch_us - epoch0;
+        for (auto& step : rank.steps) step.start_us += shift;
+        for (auto& span : rank.trace) span.t0_us += shift;
+        for (auto& span : rank.critical) span.t0_us += shift;
+        rank.epoch_us = shift;
+    }
+    report.ranks = std::move(a.records);
+    report.imbalance = obs::imbalance_of(report.ranks);
+    report.anomalies =
+        obs::detect_anomalies(report, opts.telemetry.anomaly_factor);
+    report.wire = check_wire(run, a, report);
+    return report;
+}
+
+/// The shared driver body: the attempt supervisor. A fresh run passes its
+/// initial conditions, a restart its snapshot.
 ///
-/// Supervised mode (opts.supervise) wraps the whole run in an attempt
-/// loop: a typhon::RankFailure — an injected kill or any real rank error —
-/// rolls the run back to the newest ring snapshot (or the restart
-/// snapshot, or the initial conditions), drops the failed rank, and
-/// re-runs partition/decompose/typhon::run on the survivors. Because
-/// snapshots are rank-count invariant and the owned-entity contract is
-/// bitwise at any rank count, the recovered result is bitwise identical
-/// to an uninterrupted run. Failed attempts leave no residue: every
-/// global entity is owned by some rank at every rank count, so the
-/// successful attempt's gather overwrites the result arrays completely,
-/// and thread-join ordering makes the cross-attempt reuse race-free.
+/// Supervised mode (opts.supervise) wraps the run in an attempt loop: a
+/// typhon::RankFailure — an injected kill or any real rank error — rolls
+/// the run back to the newest ring snapshot (or the restart snapshot, or
+/// the initial conditions), drops the failed rank, and re-runs partition/
+/// decompose/typhon::run on the survivors. Because snapshots are
+/// rank-count invariant and the owned-entity contract is bitwise at any
+/// rank count, the recovered result is bitwise identical to an
+/// uninterrupted run. Failed attempts leave no residue: every global
+/// entity is owned by some rank at every rank count, so the successful
+/// attempt's gather overwrites the result arrays completely, and
+/// thread-join ordering makes the cross-attempt reuse race-free.
 Result run_impl(const mesh::Mesh& global, const eos::MaterialTable& materials,
                 const Options& opts, const ckpt::Snapshot* snap,
-                const std::vector<Real>* rho_ic,
-                const std::vector<Real>* ein_ic, const std::vector<Real>* u_ic,
-                const std::vector<Real>* v_ic) {
-    const bool supervised = opts.supervise.enabled;
-    const bool telemetry = opts.telemetry.active();
-    const bool live = opts.telemetry.live_active();
-    // Live monitoring host state. The NDJSON stream spans every attempt —
-    // the crash trail must include failed ones — and is appended to by
-    // the rank-0 driver thread and the watchdog supervisor thread
-    // (LiveStream locks internally). stall_count is bumped on the
-    // supervisor thread and read after the joins.
-    obs::LiveStream live_stream(telemetry ? opts.telemetry.live
-                                          : std::string{});
-    std::atomic<long> stall_count{0};
-    if (live_stream.open()) {
-        obs::Json ev;
-        ev["event"] = "run_start";
-        ev["schema"] = "bookleaf.live/1";
-        ev["label"] = opts.telemetry.label;
-        ev["n_ranks"] = opts.n_ranks;
-        ev["window_steps"] = static_cast<long long>(
-            opts.telemetry.window_steps);
-        ev["watchdog_factor"] = opts.telemetry.watchdog_factor;
-        live_stream.emit(std::move(ev));
-    }
-    // One epoch for the whole run: recovery attempts land on the same
-    // trace timeline, and the run wall clock spans every attempt.
-    const auto telemetry_epoch = std::chrono::steady_clock::now();
-    const util::Timer run_timer;
-
-    // The writer rank needs the global mesh identity; hash it once here
-    // rather than per checkpoint/ring snapshot.
-    const std::uint64_t global_hash =
-        (opts.checkpoint.enabled() || supervised) ? ckpt::mesh_hash(global)
-                                                  : 0;
-
-    Result result;
-    result.rho.resize(static_cast<std::size_t>(global.n_cells()));
-    result.ein.resize(result.rho.size());
-    result.u.resize(static_cast<std::size_t>(global.n_nodes()));
-    result.v.resize(result.u.size());
-    result.x.resize(result.u.size());
-    result.y.resize(result.u.size());
-
-    // Rollback ring: the newest supervised snapshots, oldest evicted.
-    // Only the rank-0 thread touches it inside typhon::run; the
-    // supervisor reads it after the join (thread-join ordering, no lock).
-    std::deque<ckpt::Snapshot> ring;
-    const auto ring_capacity =
-        static_cast<std::size_t>(std::max(1, opts.supervise.ring_capacity));
-
+                const Initial* initial) {
+    Run run(global, materials, opts, initial);
+    Result& result = run.result;
     int ranks_now = opts.n_ranks;
-    const ckpt::Snapshot* start_snap = snap;
+    const ckpt::Snapshot* start = snap;
     ckpt::Snapshot rollback; // owns the ring snapshot a recovery resumes from
 
     for (int attempt = 0;; ++attempt) {
-        const std::vector<Index> part =
-            opts.partitioner ? opts.partitioner(global, ranks_now)
-                             : part::rcb(global, ranks_now);
-        const auto subs = part::decompose(global, part, ranks_now);
-
-        std::vector<util::Profiler> profilers(
-            static_cast<std::size_t>(ranks_now));
-        std::vector<int> steps_per_rank(static_cast<std::size_t>(ranks_now),
-                                        0);
-        std::vector<Real> t_per_rank(static_cast<std::size_t>(ranks_now), 0.0);
-
-        // Telemetry sinks of this attempt. Trace and critical-path span
-        // vectors are host-allocated here; each rank thread attaches its
-        // own slot (disjoint writes) and stamps spans against its OWN run
-        // epoch — the per-rank epoch offsets travel with the tag-501
-        // gather and rank 0 aligns everything onto its timeline below.
-        // rank_records and gather_events are written by the rank-0 thread
-        // only and read after the join (thread-join ordering, no lock).
-        std::vector<std::vector<util::TraceEvent>> traces;
-        std::vector<std::vector<obs::CritSpan>> crits;
-        if (telemetry && opts.telemetry.want_trace()) {
-            traces.resize(static_cast<std::size_t>(ranks_now));
-            crits.resize(static_cast<std::size_t>(ranks_now));
-        }
-        std::vector<obs::RankRecord> rank_records;
-        long long gather_events = 0;
-
-        // Live-window state of this attempt. live_windows and the
-        // assembler are touched by the rank-0 thread only (read after the
-        // join); the watchdog is shared — rank threads bump its step
-        // epochs (relaxed atomics), the rank-0 thread stamps window
-        // arrivals, and the supervisor thread runs check().
-        std::vector<obs::LiveWindow> live_windows;
-        std::optional<obs::LiveAssembler> assembler;
-        std::optional<obs::Watchdog> watchdog;
-        if (live) {
-            assembler.emplace(ranks_now);
-            if (opts.telemetry.watchdog_factor > 0.0 && ranks_now > 1)
-                watchdog.emplace(
-                    ranks_now, opts.telemetry.watchdog_factor,
-                    static_cast<double>(opts.telemetry.watchdog_grace_ms),
-                    opts.telemetry.watchdog_escalate);
-        }
-
+        Attempt a(run, attempt, ranks_now, start);
         // The fault plan is scripted per attempt: a kill recorded for
         // attempt 0 stays quiet during recovery re-runs. An empty plan
         // never touches the transport hot path (nullptr injector).
         typhon::FaultInjector injector(opts.faults, ranks_now, attempt);
-        typhon::FaultInjector* fault =
-            opts.faults.empty() ? nullptr : &injector;
-
         try {
-            result.traffic =
-                typhon::run(ranks_now, [&](typhon::Comm& comm) {
-        const auto& sub = subs[static_cast<std::size_t>(comm.rank())];
-        auto& profiler = profilers[static_cast<std::size_t>(comm.rank())];
-
-        // Per-rank run epoch: rank threads start (and stamp their clocks)
-        // at slightly different instants, so every sink this rank writes
-        // — trace spans, step start times, graph-run spans — is measured
-        // against its own origin, and the offset to the shared run epoch
-        // ships with the tag-501 gather so rank 0 can align all records
-        // onto its own timeline (what a real MPI run must do, since node
-        // clocks share no origin).
-        const auto rank_epoch = telemetry ? std::chrono::steady_clock::now()
-                                          : telemetry_epoch;
-        if (telemetry && opts.telemetry.want_trace())
-            profiler.set_trace(&traces[static_cast<std::size_t>(comm.rank())],
-                               rank_epoch);
-
-        // Per-rank worker pool (the hybrid MPI+OpenMP analogue). Built
-        // before the state so the first-touch allocation places pages in
-        // the same blocks the threaded kernels sweep.
-        std::unique_ptr<par::ThreadPool> pool;
-        par::Exec exec;
-        exec.schedule = opts.schedule;
-        if (opts.n_threads > 1) {
-            pool = std::make_unique<par::ThreadPool>(opts.n_threads);
-            exec.pool = pool.get();
-        }
-
-        hydro::State s = hydro::allocate(sub.local, exec);
-        if (start_snap != nullptr) {
-            restore_rank_state(sub, materials, *start_snap, s);
-        } else {
-            for (std::size_t lc = 0; lc < sub.local_cells.size(); ++lc) {
-                const auto gc = static_cast<std::size_t>(sub.local_cells[lc]);
-                s.rho[lc] = (*rho_ic)[gc];
-                s.ein[lc] = (*ein_ic)[gc];
-            }
-            for (std::size_t ln = 0; ln < sub.local_nodes.size(); ++ln) {
-                const auto gn = static_cast<std::size_t>(sub.local_nodes[ln]);
-                s.u[ln] = (*u_ic)[gn];
-                s.v[ln] = (*v_ic)[gn];
-            }
-            hydro::initialise(sub.local, materials, s);
-        }
-
-        hydro::Context ctx;
-        ctx.mesh = &sub.local;
-        ctx.materials = &materials;
-        ctx.opts = opts.hydro;
-        ctx.exec = exec;
-        ctx.profiler = &profiler;
-        ctx.dt_cells = sub.n_owned_cells; // dt over owned cells only
-        // Corner gathers in serial deposition order (bitwise == serial).
-        ctx.assembly_corners = &sub.assembly_corners;
-
-        // Task-graph attribution sinks (telemetry only): the remap flux
-        // graph appends per-task spans into graph_log; attribute_step
-        // drains them into the step record after the physics commits.
-        // Null when telemetry is off — graph.run takes the zero-cost path.
-        par::GraphRunLog graph_log;
-        obs::RankAttribution attrib;
-        if (telemetry) {
-            graph_log.epoch = rank_epoch;
-            ctx.graph_log = &graph_log;
-        }
-
-        ale::Workspace ale_work;
-        const bool remap_enabled = opts.ale.mode != ale::Mode::lagrange;
-        const auto& guard = opts.hydro.guard;
-        hydro::StepBackup backup;
-
-        // Clock: fresh runs start at zero; restarts continue the
-        // snapshot's clock (so the remap cadence, the `steps > 0` getdt
-        // gate and max_steps all behave as in the serial restore).
-        Real t = start_snap != nullptr ? start_snap->t : 0.0;
-        // Growth reference for getdt: always the *unclamped* controller
-        // value. Feeding a t_end-clamped dt back would growth-limit the
-        // next step from an arbitrarily tiny final step (the continuation
-        // bug fixed in core::Hydro::step_clamped — same pattern here).
-        Real dt_prev =
-            start_snap != nullptr ? start_snap->dt : opts.hydro.dt_initial;
-        Real regrow_limit = start_snap != nullptr ? start_snap->regrow : 0.0;
-        int steps = start_snap != nullptr ? static_cast<int>(start_snap->steps)
-                                          : 0;
-        // Bounded step retention: [telemetry] max_steps caps the records
-        // kept in memory; evicted ones fold into an exact aggregate.
-        obs::StepRing my_steps(opts.telemetry.max_steps);
-
-        // Live monitoring rank state. Every rank folds its own windows
-        // and streams each one to rank 0 on tag 502 the moment it closes
-        // (rank 0 sends to itself through the same channel — one
-        // discipline, no special case). Rank 0 additionally keeps one
-        // posted irecv per peer, drained opportunistically at the top of
-        // every step, and hosts the watchdog supervisor thread.
-        std::optional<obs::WindowFolder> folder;
-        std::vector<obs::WindowRecord> my_windows;
-        std::vector<typhon::Request> live_pending;
-        std::vector<long> live_received;
-        if (live)
-            folder.emplace(comm.rank(), opts.telemetry.window_steps,
-                           &profiler);
-        const auto harvest_window = [&](const std::vector<Real>& payload,
-                                        int src) {
-            auto w = obs::unpack_window(payload);
-            ++live_received[static_cast<std::size_t>(src)];
-            if (watchdog) watchdog->note_window(w.rank);
-            obs::Json ev;
-            ev["event"] = "window";
-            ev["attempt"] = attempt;
-            ev["record"] = obs::window_json(w);
-            live_stream.emit(std::move(ev));
-            for (auto& lw : assembler->add(std::move(w))) {
-                obs::Json iev;
-                iev["event"] = "imbalance";
-                iev["attempt"] = attempt;
-                iev["window"] = static_cast<long long>(lw.index);
-                iev["max_over_mean"] = lw.imbalance.max_over_mean;
-                iev["mean_rank_s"] = lw.imbalance.mean_rank_s;
-                iev["max_rank_s"] = lw.imbalance.max_rank_s;
-                iev["slowest_rank"] = lw.imbalance.slowest_rank;
-                live_stream.emit(std::move(iev));
-                if (opts.on_window) opts.on_window(lw);
-                live_windows.push_back(std::move(lw));
-            }
-        };
-        // Nonblocking drain: harvest whatever has arrived, repost. A
-        // posted irecv is a local handle (test() polls the transport), so
-        // a request left pending at run end strands nothing.
-        const auto drain_live = [&] {
-            for (int r = 0; r < comm.size(); ++r) {
-                auto& req = live_pending[static_cast<std::size_t>(r)];
-                while (req.test()) {
-                    harvest_window(req.data(), r);
-                    req = comm.irecv(r, live_tag);
-                }
-            }
-        };
-        std::optional<obs::WatchdogSession> watch_session;
-        if (live && comm.rank() == 0) {
-            live_pending.resize(static_cast<std::size_t>(comm.size()));
-            live_received.assign(static_cast<std::size_t>(comm.size()), 0);
-            for (int r = 0; r < comm.size(); ++r)
-                live_pending[static_cast<std::size_t>(r)] =
-                    comm.irecv(r, live_tag);
-            if (watchdog) {
-                const double poll_ms = std::max(
-                    static_cast<double>(opts.telemetry.watchdog_grace_ms) /
-                        8.0,
-                    1.0);
-                watch_session.emplace(*watchdog, poll_ms,
-                                      [&](const obs::Watchdog::Stall& st) {
-                    ++stall_count;
-                    obs::Json ev;
-                    ev["event"] = "stall";
-                    ev["attempt"] = attempt;
-                    ev["rank"] = st.rank;
-                    ev["last_step"] = static_cast<long long>(st.last_step);
-                    ev["windows"] = static_cast<long long>(st.windows);
-                    ev["silent_ms"] = st.silent_ms;
-                    ev["threshold_ms"] = st.threshold_ms;
-                    ev["escalated"] = st.escalated;
-                    // The hang diagnostic: every rank's last completed
-                    // step plus the transport channels still holding
-                    // undelivered (pending or fault-held) messages.
-                    obs::Json last = obs::Json::array();
-                    for (int r = 0; r < watchdog->n_ranks(); ++r)
-                        last.push_back(
-                            static_cast<long long>(watchdog->last_step(r)));
-                    ev["last_steps"] = std::move(last);
-                    obs::Json channels = obs::Json::array();
-                    for (const auto& c : comm.backlog()) {
-                        obs::Json cj;
-                        cj["src"] = c.src;
-                        cj["dst"] = c.dst;
-                        cj["tag"] = c.tag;
-                        cj["pending"] = static_cast<long long>(c.pending);
-                        cj["held"] = static_cast<long long>(c.held);
-                        channels.push_back(std::move(cj));
-                    }
-                    ev["backlog"] = std::move(channels);
-                    live_stream.emit(std::move(ev));
-                    util::log_warn("watchdog: rank ", st.rank,
-                                   " silent for ", st.silent_ms,
-                                   " ms (threshold ", st.threshold_ms,
-                                   " ms), last step ", st.last_step,
-                                   st.escalated ? " - escalating" : "");
-                });
-            }
-        }
-        while (t < opts.t_end * (Real(1.0) - eps) && steps < opts.max_steps) {
-            // Record the step for failure reports and tick the fault
-            // plan's kill-at-step trigger.
-            comm.set_step(steps);
-            // Watchdog progress tick (one relaxed store + one relaxed
-            // load) and, on rank 0, the opportunistic tag-502 drain. A
-            // poisoned rank — flagged as stalled with escalation enabled —
-            // turns its silent hang into an ordinary recoverable failure.
-            if (watchdog && watchdog->note_step(comm.rank(), steps))
-                throw obs::StallEscalated(comm.rank());
-            if (live && comm.rank() == 0) drain_live();
-            const auto step_t0 = telemetry
-                                     ? std::chrono::steady_clock::now()
-                                     : std::chrono::steady_clock::time_point{};
-            const Real t_before = t;
-            std::string_view dt_reason = "initial";
-            Real dt_local = opts.hydro.dt_initial;
-            if (steps > 0) {
-                const auto dtr = hydro::getdt(ctx, s, dt_prev);
-                dt_local = dtr.dt;
-                dt_reason = dtr.reason;
-            }
-            const Real regrow_before = regrow_limit;
-
-            // Loop-top capture for the health-guard rollback — before the
-            // ghost refresh, so a retry replays the refresh from restored
-            // owned values (the same bytes the first attempt exchanged).
-            if (guard.enabled) hydro::capture_step(s, backup);
-
-            Real dt_used;
-            bool t_end_clamped = false;
-            int retries = 0;
-            if (opts.overlap) {
-                // The reduce is posted inside the step, concurrent with
-                // the pre-step state halo.
-                const auto step_dt =
-                    overlap_step(ctx, s, dt_local, steps > 0, t, opts.t_end,
-                                 comm, sub, opts.packing, regrow_limit);
-                dt_prev = step_dt.unclamped;
-                dt_used = step_dt.used;
-                t_end_clamped = step_dt.used != step_dt.unclamped;
-            } else {
-                Real dt_global = dt_local;
-                if (steps > 0) {
-                    const util::ScopedTimer timer(profiler,
-                                                  util::Kernel::reduce);
-                    const util::ScopedTimer wait(profiler,
-                                                 util::Kernel::reduce_wait);
-                    dt_global = comm.allreduce_min(dt_local);
-                }
-                // Re-growth ceiling on the reduced controller value — the
-                // serial sequence, identical on every rank (see
-                // overlap_step).
-                if (steps > 0 && regrow_limit > 0.0) {
-                    if (dt_global > regrow_limit) {
-                        dt_global = regrow_limit;
-                        regrow_limit *= guard.regrow_cap;
-                    } else {
-                        regrow_limit = 0.0;
-                    }
-                }
-                const auto step_dt =
-                    hydro::clamp_to_t_end(t, dt_global, opts.t_end);
-                dt_prev = step_dt.unclamped;
-                refresh_ghosts(ctx, s, comm, sub, opts.packing);
-                dist_lagstep(ctx, s, step_dt.used, comm, sub, opts.packing);
-                dt_used = step_dt.used;
-                t_end_clamped = step_dt.used != step_dt.unclamped;
-            }
-
-            if (guard.enabled) {
-                // Collective health vote + dt-backoff retry. Every rank
-                // checks its owned entities (their union is the global
-                // set and owned bytes are bitwise-serial), so the
-                // min-reduced verdict equals the serial driver's
-                // step_healthy on the full state — the retry decision is
-                // agreed bitwise on all ranks. Retries replay the step on
-                // the blocking schedule (bitwise == overlap by contract);
-                // the reduce is a collective, so the per-step
-                // point-to-point message count of a healthy run is
-                // untouched.
-                bool healthy = hydro::step_healthy(s, sub.n_owned_cells,
-                                                   sub.node_owned);
-                for (;;) {
-                    Real all_ok;
-                    {
-                        const util::ScopedTimer timer(profiler,
-                                                      util::Kernel::reduce);
-                        const util::ScopedTimer wait(
-                            profiler, util::Kernel::reduce_wait);
-                        all_ok = comm.allreduce_min(healthy ? Real(1.0)
-                                                            : Real(0.0));
-                    }
-                    if (all_ok > Real(0.5)) break;
-                    util::require(
-                        retries < guard.max_retries,
-                        "hydro: step " + std::to_string(steps + 1) +
-                            " rejected by health guards after " +
-                            std::to_string(retries) + " dt-backoff retries");
-                    ++retries;
-                    const Real dt_try = dt_used * guard.backoff;
-                    util::require(dt_try >= opts.hydro.dt_min,
-                                  "hydro: health-guard backoff drove dt below "
-                                  "dt_min at step " +
-                                      std::to_string(steps + 1));
-                    hydro::restore_step(ctx, s, backup);
-                    refresh_ghosts(ctx, s, comm, sub, opts.packing);
-                    dist_lagstep(ctx, s, dt_try, comm, sub, opts.packing);
-                    dt_used = dt_try;
-                    healthy = hydro::step_healthy(s, sub.n_owned_cells,
-                                                  sub.node_owned);
-                }
-                if (retries > 0) {
-                    // Accepted retried step: the used dt becomes the
-                    // growth reference and arms the re-growth ceiling
-                    // (serial semantics, collectively-agreed values only).
-                    dt_prev = dt_used;
-                    regrow_limit = dt_used * guard.regrow_cap;
-                }
-            }
-            t += dt_used;
-
-            // Remap cadence as in core::Hydro::step_clamped: Eulerian
-            // every step, ALE every `frequency` steps (1-based).
-            bool remapped = false;
-            if (remap_enabled &&
-                (opts.ale.mode == ale::Mode::eulerian ||
-                 (steps + 1) % opts.ale.frequency == 0)) {
-                remap(ctx, s, opts.ale, ale_work, comm, sub, opts.packing);
-                remapped = true;
-            }
-            if (telemetry) {
-                // Recorded after the step's physics committed (passive —
-                // telemetry reads state, never feeds back into it). The
-                // constraint resolution mirrors the serial driver's
-                // precedence: retry > t_end clamp > regrow ceiling >
-                // getdt's own reason.
-                if (retries > 0)
-                    dt_reason = "health-retry";
-                else if (t_end_clamped)
-                    dt_reason = "t_end";
-                else if (steps > 0 && regrow_before > 0.0 &&
-                         regrow_limit > 0.0)
-                    dt_reason = "regrow";
-                obs::StepRecord rec;
-                rec.step = steps;
-                rec.t = t;
-                rec.dt = dt_used;
-                rec.dt_local = dt_local;
-                rec.dt_reason = obs::dt_reason_code(dt_reason);
-                rec.start_us = std::chrono::duration<double, std::micro>(
-                                   step_t0 - rank_epoch)
-                                   .count();
-                rec.wall_us =
-                    std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - step_t0)
-                        .count();
-                rec.retries = retries;
-                rec.remapped = remapped;
-                obs::attribute_step(
-                    graph_log, rec, attrib,
-                    opts.telemetry.want_trace()
-                        ? &crits[static_cast<std::size_t>(comm.rank())]
-                        : nullptr);
-                my_steps.push(rec);
-                if (folder) {
-                    if (auto w = folder->add(rec)) {
-                        my_windows.push_back(*w);
-                        comm.send(0, live_tag, obs::pack_window(*w));
-                    }
-                }
-            }
-            ++steps;
-            // Snapshot cadences: every rank evaluates the same triggers
-            // (t and steps are globally identical), so the gather below
-            // is collective. Both cadences only ever fire after completed
-            // natural steps — a checkpointing/supervised run is bitwise
-            // the run without either. One gather feeds the on-disk
-            // checkpoint, the supervisor's rollback ring and an optional
-            // ring spill to disk.
-            const bool disk_due = opts.checkpoint.enabled() &&
-                                  opts.checkpoint.due(steps, t_before, t);
-            const bool ring_due = supervised &&
-                                  opts.supervise.snapshot_every > 0 &&
-                                  steps % opts.supervise.snapshot_every == 0;
-            if (disk_due || ring_due) {
-                if (comm.rank() == 0) ++gather_events;
-                auto gathered = gather_snapshot(comm, subs, global,
-                                                global_hash, s, sub, t,
-                                                dt_prev, regrow_limit, steps,
-                                                profiler);
-                if (gathered.has_value()) { // rank 0 only
-                    if (disk_due) {
-                        const auto path = opts.checkpoint.path_for(steps);
-                        ckpt::write(path, *gathered);
-                        // A recovery replays steps, so a path may come up
-                        // twice; the rewrite is byte-identical (bitwise
-                        // contract) — record it once.
-                        if (std::find(result.checkpoints.begin(),
-                                      result.checkpoints.end(),
-                                      path) == result.checkpoints.end())
-                            result.checkpoints.push_back(path);
-                    }
-                    if (supervised) {
-                        if (!opts.supervise.spill_prefix.empty())
-                            ckpt::write(opts.supervise.spill_prefix + "_" +
-                                            std::to_string(steps) + ".ckpt",
-                                        *gathered);
-                        ring.push_back(std::move(*gathered));
-                        if (ring.size() > ring_capacity) ring.pop_front();
-                    }
-                }
-                if (disk_due && opts.checkpoint.halt_after) break;
-            }
-        }
-
-        // Step loop done: stop the stall supervisor (no more progress
-        // ticks are coming, so anything it would flag now is a false
-        // positive), then drain the tag-502 stream dry. Lockstep stepping
-        // means every rank produced exactly this rank-0 folder's window
-        // count; the blocking wait() promotes fault-held messages, so a
-        // delay plan cannot strand the channel past Hub::drained().
-        if (live && comm.rank() == 0) {
-            watch_session.reset();
-            const long expect = folder->produced();
-            for (int r = 0; r < comm.size(); ++r) {
-                auto& req = live_pending[static_cast<std::size_t>(r)];
-                while (live_received[static_cast<std::size_t>(r)] < expect) {
-                    req.wait();
-                    harvest_window(req.data(), r);
-                    req = comm.irecv(r, live_tag);
-                }
-            }
-        }
-
-        // Gather owned fields into the global result. Each global cell has
-        // exactly one owner and each global node one owning rank, so the
-        // writes are disjoint across rank threads.
-        for (Index lc = 0; lc < sub.n_owned_cells; ++lc) {
-            const auto gc =
-                static_cast<std::size_t>(sub.local_cells[static_cast<std::size_t>(lc)]);
-            result.rho[gc] = s.rho[static_cast<std::size_t>(lc)];
-            result.ein[gc] = s.ein[static_cast<std::size_t>(lc)];
-        }
-        for (std::size_t ln = 0; ln < sub.local_nodes.size(); ++ln) {
-            if (!sub.node_owned[ln]) continue;
-            const auto gn = static_cast<std::size_t>(sub.local_nodes[ln]);
-            result.u[gn] = s.u[ln];
-            result.v[gn] = s.v[ln];
-            result.x[gn] = s.x[ln];
-            result.y[gn] = s.y[ln];
-        }
-        steps_per_rank[static_cast<std::size_t>(comm.rank())] = steps;
-        t_per_rank[static_cast<std::size_t>(comm.rank())] = t;
-
-        // Telemetry gather (tag 501): every rank ships its step records
-        // and kernel breakdown to rank 0 — the same every-rank-sends
-        // pattern as the checkpoint gather, once, after the field gather,
-        // so it cannot perturb the run it measures.
-        if (telemetry) {
-            obs::RankRecord rec;
-            rec.rank = comm.rank();
-            rec.epoch_us = std::chrono::duration<double, std::micro>(
-                               rank_epoch - telemetry_epoch)
-                               .count();
-            rec.steps = my_steps.take();
-            rec.evicted = my_steps.evicted();
-            rec.windows = std::move(my_windows);
-            rec.kernels = profiler.snapshot();
-            rec.attrib = std::move(attrib);
-            comm.send(0, telemetry_tag, obs::pack_rank(rec));
-            if (comm.rank() == 0) {
-                rank_records.resize(static_cast<std::size_t>(comm.size()));
-                for (int r = 0; r < comm.size(); ++r)
-                    rank_records[static_cast<std::size_t>(r)] =
-                        obs::unpack_rank(comm.recv(r, telemetry_tag));
-            }
-        }
-                }, fault);
+            result.traffic = typhon::run(
+                ranks_now,
+                [&](typhon::Comm& comm) { rank_body(run, a, comm); },
+                opts.faults.empty() ? nullptr : &injector);
         } catch (const typhon::RankFailure& failure) {
-            if (!supervised ||
+            if (!opts.supervise.enabled ||
                 static_cast<int>(result.recoveries.size()) >=
                     opts.supervise.max_recoveries ||
                 ranks_now <= 1)
                 throw;
-            Result::Recovery rec;
-            rec.failed_rank = failure.rank;
-            rec.failed_step = failure.step;
-            rec.survivors = ranks_now - 1;
-            rec.error = failure.what();
-            // Roll back to the newest ring snapshot; with an empty ring
-            // the run restarts from where this attempt began (the restart
+            // Roll back to the newest ring snapshot; with an empty ring the
+            // run restarts from where this attempt began (the restart
             // snapshot or the initial conditions).
-            if (!ring.empty()) {
-                rollback = ring.back();
-                start_snap = &rollback;
+            if (!run.ring.empty()) {
+                rollback = run.ring.back();
+                start = &rollback;
             }
-            rec.resumed_step =
-                start_snap != nullptr ? start_snap->steps : 0;
-            if (live_stream.open()) {
-                obs::Json ev;
-                ev["event"] = "recovery";
-                ev["attempt"] = attempt;
-                ev["failed_rank"] = rec.failed_rank;
-                ev["failed_step"] = rec.failed_step;
-                ev["resumed_step"] = static_cast<long long>(rec.resumed_step);
-                ev["survivors"] = rec.survivors;
-                live_stream.emit(std::move(ev));
-            }
+            Result::Recovery rec{failure.rank, failure.step,
+                                 start != nullptr ? start->steps : 0,
+                                 ranks_now - 1, failure.what()};
+            run.live_stream.emit(obs::recovery_event(attempt, event_of(rec)));
             result.recoveries.push_back(std::move(rec));
             --ranks_now;
             if (opts.supervise.backoff_ms > 0)
@@ -1316,147 +1220,22 @@ Result run_impl(const mesh::Mesh& global, const eos::MaterialTable& materials,
             continue;
         }
 
-        result.steps = steps_per_rank[0];
-        result.t_final = t_per_rank[0];
+        result.steps = a.clock.steps;
+        result.t_final = a.clock.t;
         result.profiles.resize(static_cast<std::size_t>(ranks_now));
         for (int r = 0; r < ranks_now; ++r)
             result.profiles[static_cast<std::size_t>(r)] =
-                profilers[static_cast<std::size_t>(r)].snapshot();
-        result.windows = std::move(live_windows);
-
-        if (telemetry) {
-            obs::RunReport report;
-            report.problem = opts.telemetry.label;
-            report.label = opts.telemetry.label;
-            report.mode = "distributed";
-            report.n_ranks = ranks_now;
-            report.overlap = opts.overlap;
-            report.packing = opts.packing == typhon::Packing::coalesced
-                                 ? "coalesced"
-                                 : "per_field";
-            report.steps = result.steps;
-            report.t_final = result.t_final;
-            report.wall_s = run_timer.elapsed();
-            for (const auto& rec : result.recoveries) {
-                obs::RecoveryEvent e;
-                e.failed_rank = rec.failed_rank;
-                e.failed_step = rec.failed_step;
-                e.resumed_step = static_cast<long>(rec.resumed_step);
-                e.survivors = rec.survivors;
-                report.recoveries.push_back(e);
-            }
-            // The executed configuration, so the report reproduces the
-            // run without the invoking script. task_block mirrors the
-            // per-rank Exec the rank lambdas build (default blocking).
-            report.config.schedule =
-                opts.schedule == par::Schedule::taskgraph ? "taskgraph"
-                                                          : "forkjoin";
-            report.config.task_block = par::Exec{}.task_block;
-            report.config.grain = par::Exec{}.grain;
-            report.config.n_threads = opts.n_threads;
-            report.config.n_ranks = ranks_now;
-            report.config.overlap = opts.overlap;
-            report.config.packing = report.packing;
-            report.work = perfmodel::telemetry_work_model(opts.n_threads);
-
-            // Attach what only the host side holds: the Hub's per-peer
-            // send tallies and the trace/critical-path spans (after a
-            // recovery the records cover the successful attempt only —
-            // its traffic, its traces, its steps from the rollback
-            // point). Then shift every per-rank timestamp by that rank's
-            // epoch offset so all tracks share rank 0's timeline.
-            const double epoch0 =
-                rank_records.empty() ? 0.0 : rank_records[0].epoch_us;
-            for (auto& rank : rank_records) {
-                for (const auto& p : result.traffic.peers)
-                    if (p.src == rank.rank)
-                        rank.sent.push_back({p.dst, p.messages, p.reals});
-                if (!traces.empty()) {
-                    rank.trace = std::move(
-                        traces[static_cast<std::size_t>(rank.rank)]);
-                    rank.critical = std::move(
-                        crits[static_cast<std::size_t>(rank.rank)]);
-                }
-                const double shift = rank.epoch_us - epoch0;
-                for (auto& step : rank.steps) step.start_us += shift;
-                for (auto& span : rank.trace) span.t0_us += shift;
-                for (auto& span : rank.critical) span.t0_us += shift;
-                rank.epoch_us = shift;
-            }
-            report.ranks = std::move(rank_records);
-            report.imbalance = obs::imbalance_of(report.ranks);
-            report.anomalies = obs::detect_anomalies(
-                report, opts.telemetry.anomaly_factor);
-
-            // Wire-format self-check: predict the run's point-to-point
-            // message count from the Subdomain metadata. Only meaningful
-            // on an undisturbed schedule — faults, recoveries and
-            // health-guard retries all legitimately change the count.
-            long long total_retries = 0;
-            for (const auto& r : report.ranks) {
-                total_retries += static_cast<long long>(r.evicted.retries);
-                for (const auto& s : r.steps) total_retries += s.retries;
-            }
-            if (result.recoveries.empty() && opts.faults.empty() &&
-                total_retries == 0) {
-                const int n_mesh = opts.ale.mode == ale::Mode::ale
-                                       ? opts.ale.smoothing_passes + 1
-                                       : 0;
-                long long expected = 0;
-                for (int r = 0; r < ranks_now; ++r) {
-                    const auto& rr =
-                        report.ranks[static_cast<std::size_t>(r)];
-                    const auto& sub_r = subs[static_cast<std::size_t>(r)];
-                    // Step and remap counts over ALL steps, including the
-                    // ones the max_steps ring evicted into the aggregate.
-                    long long remaps =
-                        static_cast<long long>(rr.evicted.remaps);
-                    for (const auto& s : rr.steps)
-                        if (s.remapped) ++remaps;
-                    const long long n_steps =
-                        static_cast<long long>(rr.evicted.steps) +
-                        static_cast<long long>(rr.steps.size());
-                    expected += static_cast<long long>(
-                                    sub_r.messages_per_step(opts.packing)) *
-                                n_steps;
-                    expected +=
-                        static_cast<long long>(
-                            sub_r.messages_per_remap(opts.packing, n_mesh)) *
-                        remaps;
-                    // Plus the rank's tag-502 live-window sends.
-                    expected += static_cast<long long>(rr.windows.size());
-                }
-                // Plus one send per rank per checkpoint/ring gather, and
-                // one per rank for the telemetry gather itself.
-                expected += gather_events * ranks_now;
-                expected += ranks_now;
-                report.wire.checked = true;
-                report.wire.expected = expected;
-                report.wire.measured = result.traffic.messages;
-                report.wire.match = expected == result.traffic.messages;
-                if (!report.wire.match)
-                    util::log_warn(
-                        "telemetry: wire-format drift — measured ",
-                        result.traffic.messages,
-                        " point-to-point messages, metadata predicts ",
-                        expected);
-            }
-            result.telemetry = std::move(report);
+                a.profilers[static_cast<std::size_t>(r)].snapshot();
+        result.windows = std::move(a.windows);
+        if (run.telemetry) {
+            result.telemetry = telemetry_report(run, a);
             obs::write_outputs(opts.telemetry, result.telemetry);
         }
-        if (live_stream.open()) {
-            obs::Json ev;
-            ev["event"] = "run_end";
-            ev["steps"] = result.steps;
-            ev["t_final"] = result.t_final;
-            ev["wall_s"] = run_timer.elapsed();
-            ev["windows"] = static_cast<long long>(result.windows.size());
-            ev["stalls"] = static_cast<long long>(stall_count.load());
-            ev["recoveries"] =
-                static_cast<long long>(result.recoveries.size());
-            live_stream.emit(std::move(ev));
-        }
-        return result;
+        run.live_stream.emit(obs::run_end_event(
+            result.steps, result.t_final, run.timer.elapsed(),
+            static_cast<long>(result.windows.size()), run.stalls.load(),
+            static_cast<long>(result.recoveries.size())));
+        return std::move(result);
     }
 }
 
@@ -1482,7 +1261,8 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
     util::require(u.size() == static_cast<std::size_t>(global.n_nodes()) &&
                       v.size() == u.size(),
                   "dist::run: node field size mismatch");
-    return run_impl(global, materials, opts, nullptr, &rho, &ein, &u, &v);
+    const Initial initial{rho, ein, u, v};
+    return run_impl(global, materials, opts, nullptr, &initial);
 }
 
 Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
@@ -1495,8 +1275,7 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
     util::require(snapshot.n_nodes() == global.n_nodes() &&
                       snapshot.n_cells() == global.n_cells(),
                   "dist::run: snapshot entity counts disagree with the mesh");
-    return run_impl(global, materials, opts, &snapshot, nullptr, nullptr,
-                    nullptr, nullptr);
+    return run_impl(global, materials, opts, &snapshot, nullptr);
 }
 
 bool bitwise_equal(const Result& a, const Result& b) {

@@ -185,9 +185,8 @@ DtResult getdt(const Context& ctx, const State& s, Real dt_prev);
 /// The t_end clamp, applied to the dt a step advances by. `unclamped`
 /// keeps the controller's value: it — never the clamped `used` — must
 /// seed the next getdt's growth limit, or a follow-on run after a tiny
-/// clamped final step is growth-limited from near zero. The single
-/// definition shared by the serial driver and both distributed schedules
-/// so the clamp semantics cannot drift between them.
+/// clamped final step is growth-limited from near zero. core::Stepper
+/// applies it for both drivers.
 struct ClampedDt {
     Real used = 0.0;
     Real unclamped = 0.0;

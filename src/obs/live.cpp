@@ -302,11 +302,6 @@ std::vector<Watchdog::Stall> Watchdog::check(double now_ms) {
 
 std::vector<Watchdog::Stall> Watchdog::check_now() { return check(now_ms()); }
 
-void Watchdog::poison(int rank) {
-    poisoned_[static_cast<std::size_t>(rank)].store(
-        true, std::memory_order_relaxed);
-}
-
 long Watchdog::last_step(int rank) const {
     return steps_[static_cast<std::size_t>(rank)].load(
         std::memory_order_relaxed);
@@ -340,5 +335,97 @@ void WatchdogSession::stop() {
 }
 
 WatchdogSession::~WatchdogSession() { stop(); }
+
+// ---------------------------------------------------------------------------
+// Event builders
+// ---------------------------------------------------------------------------
+
+Json run_start_event(const std::string& label, int n_ranks,
+                     const Options& opts) {
+    Json ev;
+    ev["event"] = "run_start";
+    ev["schema"] = "bookleaf.live/1";
+    ev["label"] = label;
+    ev["n_ranks"] = n_ranks;
+    ev["window_steps"] = static_cast<long long>(opts.window_steps);
+    ev["watchdog_factor"] = opts.watchdog_factor;
+    return ev;
+}
+
+std::vector<LiveWindow> stream_window(LiveStream& out,
+                                      LiveAssembler& assembler, int attempt,
+                                      WindowRecord w) {
+    Json ev;
+    ev["event"] = "window";
+    ev["attempt"] = attempt;
+    ev["record"] = window_json(w);
+    out.emit(std::move(ev));
+    auto done = assembler.add(std::move(w));
+    for (const auto& lw : done) {
+        Json iev;
+        iev["event"] = "imbalance";
+        iev["attempt"] = attempt;
+        iev["window"] = lw.index;
+        iev["max_over_mean"] = lw.imbalance.max_over_mean;
+        iev["mean_rank_s"] = lw.imbalance.mean_rank_s;
+        iev["max_rank_s"] = lw.imbalance.max_rank_s;
+        iev["slowest_rank"] = lw.imbalance.slowest_rank;
+        out.emit(std::move(iev));
+    }
+    return done;
+}
+
+Json stall_event(int attempt, const Watchdog::Stall& stall,
+                 const Watchdog& dog,
+                 const std::vector<typhon::ChannelBacklog>& backlog) {
+    Json ev;
+    ev["event"] = "stall";
+    ev["attempt"] = attempt;
+    ev["rank"] = stall.rank;
+    ev["last_step"] = stall.last_step;
+    ev["windows"] = stall.windows;
+    ev["silent_ms"] = stall.silent_ms;
+    ev["threshold_ms"] = stall.threshold_ms;
+    ev["escalated"] = stall.escalated;
+    Json last = Json::array();
+    for (int r = 0; r < dog.n_ranks(); ++r) last.push_back(dog.last_step(r));
+    ev["last_steps"] = std::move(last);
+    Json channels = Json::array();
+    for (const auto& c : backlog) {
+        Json cj;
+        cj["src"] = c.src;
+        cj["dst"] = c.dst;
+        cj["tag"] = c.tag;
+        cj["pending"] = c.pending;
+        cj["held"] = c.held;
+        channels.push_back(std::move(cj));
+    }
+    ev["backlog"] = std::move(channels);
+    return ev;
+}
+
+Json recovery_event(int attempt, const RecoveryEvent& r) {
+    Json ev;
+    ev["event"] = "recovery";
+    ev["attempt"] = attempt;
+    ev["failed_rank"] = r.failed_rank;
+    ev["failed_step"] = r.failed_step;
+    ev["resumed_step"] = r.resumed_step;
+    ev["survivors"] = r.survivors;
+    return ev;
+}
+
+Json run_end_event(long steps, double t_final, double wall_s, long windows,
+                   long stalls, long recoveries) {
+    Json ev;
+    ev["event"] = "run_end";
+    ev["steps"] = steps;
+    ev["t_final"] = t_final;
+    ev["wall_s"] = wall_s;
+    ev["windows"] = windows;
+    ev["stalls"] = stalls;
+    ev["recoveries"] = recoveries;
+    return ev;
+}
 
 } // namespace bookleaf::obs

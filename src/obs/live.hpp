@@ -49,6 +49,7 @@
 
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
+#include "typhon/typhon.hpp"
 #include "util/error.hpp"
 #include "util/profiler.hpp"
 #include "util/types.hpp"
@@ -176,7 +177,8 @@ private:
 /// the watchdog supervisor thread both append.
 ///
 /// Schema "bookleaf.live/1" events: run_start (carries the schema tag),
-/// window, imbalance, stall, recovery, run_end.
+/// window, imbalance, stall, recovery, run_end — built by the event
+/// builders at the end of this header, which both drivers share.
 class LiveStream {
 public:
     LiveStream() = default;
@@ -266,7 +268,6 @@ public:
     [[nodiscard]] std::vector<Stall> check(double now_ms);
     [[nodiscard]] std::vector<Stall> check_now();
 
-    void poison(int rank);
     [[nodiscard]] long last_step(int rank) const;
     /// Milliseconds since construction on the steady clock.
     [[nodiscard]] double now_ms() const;
@@ -313,5 +314,36 @@ private:
     bool stop_ = false;
     std::thread thread_;
 };
+
+// ---------------------------------------------------------------------------
+// "bookleaf.live/1" events: one builder per kind, shared by both drivers.
+// Every event of an attempt carries its "attempt" ordinal (0 for the
+// serial driver and undisturbed distributed runs).
+// ---------------------------------------------------------------------------
+
+/// run_start: the schema tag and the monitoring configuration.
+[[nodiscard]] Json run_start_event(const std::string& label, int n_ranks,
+                                   const Options& opts);
+
+/// Stream one arrived window: emit its "window" event, feed it to the
+/// assembler and emit an "imbalance" event for every LiveWindow that
+/// completes; those are returned in order.
+std::vector<LiveWindow> stream_window(LiveStream& out,
+                                      LiveAssembler& assembler, int attempt,
+                                      WindowRecord w);
+
+/// stall: the detection, every rank's last completed step and the
+/// transport channels still holding undelivered messages — the hang
+/// diagnostic.
+[[nodiscard]] Json
+stall_event(int attempt, const Watchdog::Stall& stall, const Watchdog& dog,
+            const std::vector<typhon::ChannelBacklog>& backlog);
+
+/// recovery: the failed attempt and where the next one resumes.
+[[nodiscard]] Json recovery_event(int attempt, const RecoveryEvent& r);
+
+/// run_end: the run's outcome and event totals.
+[[nodiscard]] Json run_end_event(long steps, double t_final, double wall_s,
+                                 long windows, long stalls, long recoveries);
 
 } // namespace bookleaf::obs

@@ -367,7 +367,7 @@ TEST(Driver, RunStopsExactlyAtTEnd) {
 }
 
 TEST(Driver, ContinuationRunIsNotGrowthPoisonedByTEndClamp) {
-    // Regression: step_clamped used to store the t_end-clamped dt as the
+    // Regression: the step loop used to store the t_end-clamped dt as the
     // growth reference, so run(t1) ending in a tiny clamped step left a
     // follow-on run(t2) growth-limited from that tiny dt (1.02x per step
     // from near zero). The clamp must apply to the step only.

@@ -11,6 +11,7 @@
 #include "part/partition.hpp"
 #include "part/subdomain.hpp"
 #include "setup/problems.hpp"
+#include "step_records.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
 
@@ -351,14 +352,16 @@ namespace {
 namespace ba = bookleaf::ale;
 
 /// Run the serial reference driver on a problem and collect the fields
-/// the distributed result gathers. The distributed remap's contract is
-/// bitwise equality against exactly this.
+/// the distributed result gathers, plus its per-step records. The
+/// distributed remap's contract is bitwise equality against exactly this.
 struct SerialFields {
     int steps = 0;
     std::vector<Real> rho, ein, u, v, x, y;
+    std::vector<bookleaf::obs::StepRecord> records;
 };
 
 SerialFields serial_reference(bookleaf::setup::Problem problem, Real t_end) {
+    problem.telemetry.enabled = true;
     bookleaf::core::Hydro h(std::move(problem));
     const auto summary = h.run(t_end);
     SerialFields f;
@@ -369,11 +372,13 @@ SerialFields serial_reference(bookleaf::setup::Problem problem, Real t_end) {
     f.v.assign(h.state().v.begin(), h.state().v.end());
     f.x.assign(h.state().x.begin(), h.state().x.end());
     f.y.assign(h.state().y.begin(), h.state().y.end());
+    f.records = h.telemetry_report().ranks.at(0).steps;
     return f;
 }
 
 /// Every gathered field must equal the serial driver's bit for bit (every
-/// global entity is owned by exactly one rank).
+/// global entity is owned by exactly one rank), and every rank must
+/// record the serial step clock.
 void expect_bitwise_serial(const bd::Result& r, const SerialFields& ref,
                            const std::string& label) {
     ASSERT_EQ(r.steps, ref.steps) << label;
@@ -388,6 +393,12 @@ void expect_bitwise_serial(const bd::Result& r, const SerialFields& ref,
         EXPECT_EQ(r.x[n], ref.x[n]) << label << ": node " << n;
         EXPECT_EQ(r.y[n], ref.y[n]) << label << ": node " << n;
     }
+    const auto& ranks = r.telemetry.ranks;
+    ASSERT_FALSE(ranks.empty()) << label;
+    for (const auto& rank : ranks)
+        bookleaf::test::expect_same_steps(
+            rank.steps, ref.records, ranks.size() == 1,
+            label + ", rank " + std::to_string(rank.rank));
 }
 
 bd::Result run_deck(const bookleaf::setup::Problem& p, int n_ranks, Real t_end,
@@ -399,6 +410,7 @@ bd::Result run_deck(const bookleaf::setup::Problem& p, int n_ranks, Real t_end,
     opts.ale = p.ale;
     opts.overlap = overlap;
     opts.packing = packing;
+    opts.telemetry.enabled = true;
     return bd::run(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, opts);
 }
 
@@ -418,6 +430,9 @@ TEST(DistRemap, EulerianSodBitwiseMatchesSerialDriver) {
     eul.ale.mode = ba::Mode::eulerian;
     const auto ref_eul = serial_reference(std::move(eul), t_end);
     ASSERT_GT(ref_eul.steps, 0);
+    // The final step lands on t_end, so the clamp is compared too.
+    EXPECT_EQ(bookleaf::obs::dt_reason_name(ref_eul.records.back().dt_reason),
+              "t_end");
     // Sanity: the remap changes the answer (otherwise the contract below
     // would be vacuous).
     EXPECT_NE(ref.rho, ref_eul.rho);
