@@ -75,7 +75,8 @@ public:
         /// holds the same dt_initial and there is nothing to agree.
         std::function<void(Real dt_local, bool reduce, const Settle& settle)>
             advance;
-        /// Combine the health verdicts of every rank.
+        /// Combine the health verdicts of every rank (default: this
+        /// rank's verdict alone).
         std::function<bool(bool ok)> agree = [](bool ok) { return ok; };
         /// Retake a rejected step from the restored loop-top state.
         std::function<void(Real dt)> retake;
@@ -92,6 +93,9 @@ public:
     Stepper(hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
             Hooks hooks, Index n_cells,
             std::span<const std::uint8_t> node_owned = {});
+    /// The context holds the address of the graph-run collector.
+    Stepper(const Stepper&) = delete;
+    Stepper& operator=(const Stepper&) = delete;
 
     /// Record every step from here on: step records (bounded by
     /// `opts.max_steps`), monitoring windows and task-graph attribution

@@ -791,6 +791,9 @@ public:
                            st.escalated ? " - escalating" : "");
         });
     }
+    /// The watchdog callback holds this object's address.
+    LiveDrain(const LiveDrain&) = delete;
+    LiveDrain& operator=(const LiveDrain&) = delete;
 
     /// Harvest whatever has arrived.
     void poll() {

@@ -367,10 +367,10 @@ TEST(Driver, RunStopsExactlyAtTEnd) {
 }
 
 TEST(Driver, ContinuationRunIsNotGrowthPoisonedByTEndClamp) {
-    // Regression: the step loop used to store the t_end-clamped dt as the
-    // growth reference, so run(t1) ending in a tiny clamped step left a
-    // follow-on run(t2) growth-limited from that tiny dt (1.02x per step
-    // from near zero). The clamp must apply to the step only.
+    // Storing the t_end-clamped dt as the growth reference would leave a
+    // follow-on run(t2) after a run(t1) ending in a tiny clamped step
+    // growth-limited from that tiny dt (1.02x per step from near zero).
+    // The clamp must apply to the step only.
     // A probe finds a natural (unclamped) step time, then t1 is placed
     // just past it to force an ~1e-7 final clamped step.
     bc::Hydro probe(bs::sod(32, 2));

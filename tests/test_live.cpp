@@ -622,13 +622,23 @@ TEST(LiveSerial, CoreDriverFoldsStreamsAndBoundsRetention) {
               static_cast<long>(live.steps()));
     EXPECT_EQ(report.ranks[0].windows.size(), live.windows().size());
 
+    // The distributed stream's event shape: every window and imbalance
+    // event carries its attempt (always 0 here).
     const auto events = read_ndjson(path);
     EXPECT_EQ(event_of(events.front()), "run_start");
     EXPECT_EQ(event_of(events.back()), "run_end");
-    long windows = 0;
-    for (const auto& e : events)
-        if (event_of(e) == "window") ++windows;
+    long windows = 0, imbalances = 0;
+    for (const auto& e : events) {
+        const auto kind = event_of(e);
+        if (kind == "window") ++windows;
+        if (kind == "imbalance") ++imbalances;
+        if (kind != "window" && kind != "imbalance") continue;
+        const auto* attempt = e.find("attempt");
+        ASSERT_NE(attempt, nullptr) << kind;
+        EXPECT_EQ(attempt->as_int(), 0);
+    }
     EXPECT_EQ(windows, static_cast<long>(live.windows().size()));
+    EXPECT_EQ(imbalances, windows);
     std::remove(path.c_str());
 }
 
