@@ -28,6 +28,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "ale/advect_graph.hpp"
 #include "ale/remap.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -490,11 +491,13 @@ void aleadvect(const hydro::Context& ctx, hydro::State& s, const Options& opts,
                Workspace& w) {
     // Task-graph schedule: the same phases as (kernel, block) tasks with
     // footprint-derived dependencies — a cell block's fluxes start as soon
-    // as the gradients they read are ready. Bitwise identical to the
-    // fork-join sequence below (see advect_graph.cpp).
-    if (ctx.exec.threaded() && ctx.exec.pool != nullptr &&
-        ctx.exec.schedule == par::Schedule::taskgraph) {
-        aleadvect_graph(ctx, s, opts, w);
+    // as the gradients they read are ready. The driver builds the graph
+    // once and re-runs it every remap; without one the fork-join sequence
+    // below runs. Bitwise identical either way (see advect_graph.hpp).
+    if (ctx.advectgraph != nullptr &&
+        ctx.exec.schedule == par::Schedule::taskgraph &&
+        ctx.advectgraph->binds(s, opts, w)) {
+        ctx.advectgraph->run();
         return;
     }
     aleadvect_centroids(ctx, s, w);

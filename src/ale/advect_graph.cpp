@@ -1,19 +1,11 @@
 /// \file advect_graph.cpp
-/// ALEADVECT as a task graph: the advection phases become (phase, block)
-/// tasks over contiguous cell / face / node blocks, with happens-before
-/// edges derived from each phase's read/write footprint against the mesh
-/// topology. Instead of a barrier after every phase, a face block's
-/// fluxes start as soon as the gradients of the cell blocks it reads are
-/// ready, and a node block's momentum gather starts as soon as the dual
-/// sweeps of its incident cell blocks are done.
-///
-/// Bitwise contract (same as hydro::StepGraph): the graph changes only
-/// *when* work runs, never what it computes. Per-entity writes are
-/// disjoint across concurrent tasks, every cross-entity accumulation is a
-/// gather replaying the serial order (cells walk their own faces in local
-/// face order, nodes walk ctx.corner_gather() rows), the floored-corner
-/// count is a commutative integer sum, and the kinematic BC fixup runs as
-/// one serial task exactly where the fork-join sequence applies it.
+/// Builds the ALEADVECT task graph (see advect_graph.hpp). Per-entity
+/// writes are disjoint across concurrent tasks, every cross-entity
+/// accumulation is a gather replaying the serial order (cells walk their
+/// own faces in local face order, nodes walk ctx.corner_gather() rows),
+/// the floored-corner count is a commutative integer sum, and the
+/// kinematic BC fixup runs as one serial task exactly where the fork-join
+/// sequence applies it.
 ///
 /// Hazards and the edges that cover them:
 ///   cent  -> grad   : gradients read centroids of own + face-neighbours.
@@ -37,7 +29,7 @@
 #include <atomic>
 #include <vector>
 
-#include "ale/remap.hpp"
+#include "ale/advect_graph.hpp"
 #include "par/task_graph.hpp"
 #include "util/log.hpp"
 
@@ -64,40 +56,27 @@ void sort_unique(std::vector<int>& v) {
 
 } // namespace
 
-void aleadvect_graph(const hydro::Context& ctx, hydro::State& s,
-                     const Options& opts, Workspace& w) {
-    const auto& mesh = *ctx.mesh;
+AdvectGraph::AdvectGraph(const hydro::Context& ctx, hydro::State& s,
+                         const Options& opts, Workspace& w)
+    : run_exec_(ctx.exec), ctx_(ctx), s_(&s), opts_(&opts), w_(&w) {
+    // Task bodies are serial block loops: null the pool so nothing they
+    // reach can re-dispatch onto the pool the graph is scheduled on.
+    ctx_.exec.pool = nullptr;
+    ctx_.stepgraph = nullptr;
+    ctx_.advectgraph = nullptr;
+    const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::other);
+    build();
+}
+
+void AdvectGraph::build() {
+    const auto& mesh = *ctx_.mesh;
     const Index n_cells = mesh.n_cells();
     const Index n_nodes = mesh.n_nodes();
     const Index n_faces = mesh.n_faces();
 
-    // Task bodies run with a serialized context: the block overloads are
-    // serial loops, and nulling the pool guarantees nothing they reach can
-    // re-dispatch onto the pool the graph itself is scheduled on.
-    hydro::Context body = ctx;
-    body.exec.pool = nullptr;
-
-    // Size the workspace arrays the blocks write into. Every slot is
-    // written by exactly one task (fluxes zero their own slots), so plain
-    // resizes replace the fork-join phases' full-array assigns.
-    {
-        const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect);
-        const auto nc = static_cast<std::size_t>(n_cells);
-        w.cx.resize(nc);
-        w.cy.resize(nc);
-        w.grad_rho_x.resize(nc);
-        w.grad_rho_y.resize(nc);
-        w.grad_e_x.resize(nc);
-        w.grad_e_y.resize(nc);
-        w.mflux.resize(static_cast<std::size_t>(n_faces));
-        w.eflux.resize(static_cast<std::size_t>(n_faces));
-        w.dflux.resize(nc * corners_per_cell);
-        aleadvect_nodes_resize(mesh, w);
-    }
-
-    const Index cell_bs = par::detail::resolve_task_block(ctx.exec, n_cells);
-    const Index node_bs = par::detail::resolve_task_block(ctx.exec, n_nodes);
-    const Index face_bs = par::detail::resolve_task_block(ctx.exec, n_faces);
+    const Index cell_bs = par::detail::resolve_task_block(run_exec_, n_cells);
+    const Index node_bs = par::detail::resolve_task_block(run_exec_, n_nodes);
+    const Index face_bs = par::detail::resolve_task_block(run_exec_, n_faces);
     const auto cells = make_blocks(n_cells, cell_bs);
     const auto nodes = make_blocks(n_nodes, node_bs);
     const auto faces = make_blocks(n_faces, face_bs);
@@ -148,7 +127,7 @@ void aleadvect_graph(const hydro::Context& ctx, hydro::State& s,
         }
         sort_unique(cbs);
     }
-    const auto& gather = ctx.corner_gather();
+    const auto& gather = ctx_.corner_gather();
     for (int nb = 0; nb < n_nb; ++nb) {
         auto& touch = touch_cb[static_cast<std::size_t>(nb)];
         auto& adj = adj_nb[static_cast<std::size_t>(nb)];
@@ -168,12 +147,10 @@ void aleadvect_graph(const hydro::Context& ctx, hydro::State& s,
 
     // --- tasks -----------------------------------------------------------
     using par::TaskId;
-    par::TaskGraph graph;
-    std::atomic<long> floored{0};
     auto link = [&](TaskId after, const std::vector<int>& blocks,
                     const std::vector<TaskId>& ids) {
         for (const int b : blocks)
-            graph.depend(after, ids[static_cast<std::size_t>(b)]);
+            graph_.depend(after, ids[static_cast<std::size_t>(b)]);
     };
 
     std::vector<TaskId> cent(cells.size()), grad(cells.size());
@@ -184,16 +161,15 @@ void aleadvect_graph(const hydro::Context& ctx, hydro::State& s,
     for (int cb = 0; cb < n_cb; ++cb) {
         const Index b = cells[static_cast<std::size_t>(cb)].begin;
         const Index e = cells[static_cast<std::size_t>(cb)].end;
-        cent[static_cast<std::size_t>(cb)] = graph.add(
-            [&body, &s, &w, b, e] { aleadvect_centroids(body, s, w, b, e); },
+        cent[static_cast<std::size_t>(cb)] = graph_.add(
+            [this, b, e] { aleadvect_centroids(ctx_, *s_, *w_, b, e); },
             false, util::Kernel::ale_gradients);
     }
     for (int cb = 0; cb < n_cb; ++cb) {
         const Index b = cells[static_cast<std::size_t>(cb)].begin;
         const Index e = cells[static_cast<std::size_t>(cb)].end;
-        grad[static_cast<std::size_t>(cb)] = graph.add([&body, &s, &opts, &w,
-                                                        b, e] {
-            aleadvect_gradients(body, s, opts, w, b, e);
+        grad[static_cast<std::size_t>(cb)] = graph_.add([this, b, e] {
+            aleadvect_gradients(ctx_, *s_, *opts_, *w_, b, e);
         }, false, util::Kernel::ale_gradients);
         link(grad[static_cast<std::size_t>(cb)],
              face_nb_cb[static_cast<std::size_t>(cb)], cent);
@@ -201,24 +177,22 @@ void aleadvect_graph(const hydro::Context& ctx, hydro::State& s,
     for (int fb = 0; fb < n_fb; ++fb) {
         const Index b = faces[static_cast<std::size_t>(fb)].begin;
         const Index e = faces[static_cast<std::size_t>(fb)].end;
-        flux[static_cast<std::size_t>(fb)] = graph.add(
-            [&body, &s, &opts, &w, b, e] {
-                aleadvect_fluxes(body, s, opts, w, b, e);
-            }, false, util::Kernel::ale_fluxes);
+        flux[static_cast<std::size_t>(fb)] = graph_.add(
+            [this, b, e] { aleadvect_fluxes(ctx_, *s_, *opts_, *w_, b, e); },
+            false, util::Kernel::ale_fluxes);
         link(flux[static_cast<std::size_t>(fb)],
              cells_fb[static_cast<std::size_t>(fb)], grad);
     }
     for (int cb = 0; cb < n_cb; ++cb) {
         const Index b = cells[static_cast<std::size_t>(cb)].begin;
         const Index e = cells[static_cast<std::size_t>(cb)].end;
-        cellt[static_cast<std::size_t>(cb)] = graph.add(
-            [&body, &s, &w, b, e] { aleadvect_cells(body, s, w, b, e); },
+        cellt[static_cast<std::size_t>(cb)] = graph_.add(
+            [this, b, e] { aleadvect_cells(ctx_, *s_, *w_, b, e); },
             false, util::Kernel::ale_cells);
         link(cellt[static_cast<std::size_t>(cb)],
              faces_cb[static_cast<std::size_t>(cb)], flux);
-        dual[static_cast<std::size_t>(cb)] = graph.add([&body, &s, &w,
-                                                        &floored, b, e] {
-            aleadvect_dual(body, s, w, b, e, floored);
+        dual[static_cast<std::size_t>(cb)] = graph_.add([this, b, e] {
+            aleadvect_dual(ctx_, *s_, *w_, b, e, floored_);
         }, false, util::Kernel::ale_dual);
         link(dual[static_cast<std::size_t>(cb)],
              faces_cb[static_cast<std::size_t>(cb)], flux);
@@ -226,10 +200,8 @@ void aleadvect_graph(const hydro::Context& ctx, hydro::State& s,
     for (int nb = 0; nb < n_nb; ++nb) {
         const Index b = nodes[static_cast<std::size_t>(nb)].begin;
         const Index e = nodes[static_cast<std::size_t>(nb)].end;
-        gat[static_cast<std::size_t>(nb)] = graph.add(
-            [&body, &s, &w, b, e] {
-                aleadvect_node_gather(body, s, w, b, e);
-            },
+        gat[static_cast<std::size_t>(nb)] = graph_.add(
+            [this, b, e] { aleadvect_node_gather(ctx_, *s_, *w_, b, e); },
             false, util::Kernel::ale_nodes);
         link(gat[static_cast<std::size_t>(nb)],
              touch_cb[static_cast<std::size_t>(nb)], dual);
@@ -237,25 +209,44 @@ void aleadvect_graph(const hydro::Context& ctx, hydro::State& s,
     for (int nb = 0; nb < n_nb; ++nb) {
         const Index b = nodes[static_cast<std::size_t>(nb)].begin;
         const Index e = nodes[static_cast<std::size_t>(nb)].end;
-        wri[static_cast<std::size_t>(nb)] = graph.add(
-            [&body, &s, &w, b, e] {
-                aleadvect_node_write(body, s, w, b, e);
-            },
+        wri[static_cast<std::size_t>(nb)] = graph_.add(
+            [this, b, e] { aleadvect_node_write(ctx_, *s_, *w_, b, e); },
             false, util::Kernel::ale_nodes);
         link(wri[static_cast<std::size_t>(nb)],
              adj_nb[static_cast<std::size_t>(nb)], gat);
     }
-    const TaskId bc = graph.add([&body, &s] {
-        const util::ScopedTimer timer(*body.profiler, util::Kernel::aleadvect);
-        const util::ScopedTimer phase(*body.profiler, util::Kernel::ale_nodes);
-        hydro::apply_velocity_bc(*body.mesh, body.opts, s.u, s.v);
+    const TaskId bc = graph_.add([this] {
+        const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::aleadvect);
+        const util::ScopedTimer phase(*ctx_.profiler, util::Kernel::ale_nodes);
+        hydro::apply_velocity_bc(*ctx_.mesh, ctx_.opts, s_->u, s_->v);
     }, false, util::Kernel::ale_nodes);
-    for (const TaskId id : wri) graph.depend(bc, id);
+    for (const TaskId id : wri) graph_.depend(bc, id);
+}
 
-    graph.run(ctx.exec, ctx.profiler, ctx.graph_log);
-
-    if (floored.load() > 0)
-        util::log_warn("aleadvect: floored ", floored.load(),
+void AdvectGraph::run() {
+    const auto& mesh = *ctx_.mesh;
+    Workspace& w = *w_;
+    // Size the workspace arrays the blocks write into. Every slot is
+    // written by exactly one task (fluxes zero their own slots), so plain
+    // resizes replace the fork-join phases' full-array assigns.
+    {
+        const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::aleadvect);
+        const auto nc = static_cast<std::size_t>(mesh.n_cells());
+        w.cx.resize(nc);
+        w.cy.resize(nc);
+        w.grad_rho_x.resize(nc);
+        w.grad_rho_y.resize(nc);
+        w.grad_e_x.resize(nc);
+        w.grad_e_y.resize(nc);
+        w.mflux.resize(static_cast<std::size_t>(mesh.n_faces()));
+        w.eflux.resize(static_cast<std::size_t>(mesh.n_faces()));
+        w.dflux.resize(nc * corners_per_cell);
+        aleadvect_nodes_resize(mesh, w);
+    }
+    floored_.store(0);
+    graph_.run(run_exec_, ctx_.profiler, ctx_.graph_log);
+    if (floored_.load() > 0)
+        util::log_warn("aleadvect: floored ", floored_.load(),
                        " negative corner masses");
 }
 

@@ -9,12 +9,13 @@
 ///
 /// The smoothing is a per-node *gather* over the cached node adjacency
 /// (rows ascending by node id): each pass reads only the previous pass's
-/// positions, so nodes are independent, and the neighbour sum order is
-/// the global-id order on every rank — the property the distributed
-/// remap's bitwise contract rests on. The ghost-aware overload calls the
-/// TargetSync hook after each pass (and after the clamp) to overwrite
-/// non-owned entries with their owners' values, since a fringe node's
-/// local adjacency row is incomplete.
+/// positions, so nodes are independent (each pass, like the clamp, is a
+/// par::for_each), and the neighbour sum order is the global-id order on
+/// every rank — the property the distributed remap's bitwise contract
+/// rests on. The ghost-aware overload calls the TargetSync hook after each
+/// pass (and after the clamp) to overwrite non-owned entries with their
+/// owners' values, since a fringe node's local adjacency row is
+/// incomplete.
 
 #include <algorithm>
 #include <cmath>
@@ -54,10 +55,6 @@ void alegetmesh(const hydro::Context& ctx, const hydro::State& s,
     const auto& mesh = *ctx.mesh;
     const auto nn = static_cast<std::size_t>(mesh.n_nodes());
 
-    w.xt.assign(s.x.begin(), s.x.end());
-    w.yt.assign(s.y.begin(), s.y.end());
-    if (opts.mode == Mode::lagrange) return;
-
     if (opts.mode == Mode::eulerian) {
         // The generation-time mesh: exact on every rank without any
         // communication (subdomains carry verbatim copies of the global
@@ -66,19 +63,23 @@ void alegetmesh(const hydro::Context& ctx, const hydro::State& s,
         w.yt.assign(mesh.y.begin(), mesh.y.end());
         return;
     }
+    w.xt.assign(s.x.begin(), s.x.end());
+    w.yt.assign(s.y.begin(), s.y.end());
+    if (opts.mode == Mode::lagrange) return;
 
     // --- ALE: Jacobi smoothing toward the neighbour average -----------------
     const auto& adj = node_adjacency(mesh, w);
+    w.next_x.resize(nn);
+    w.next_y.resize(nn);
     for (int pass = 0; pass < opts.smoothing_passes; ++pass) {
-        w.next_x.assign(w.xt.begin(), w.xt.end());
-        w.next_y.assign(w.yt.begin(), w.yt.end());
-        for (std::size_t n = 0; n < nn; ++n) {
-            const auto row = adj.row(static_cast<Index>(n));
-            if (row.empty()) continue;
-            const auto mask = mesh.node_bc[n];
-            if (mask & mesh::bc::piston) continue;
-            const bool can_x = !(mask & mesh::bc::fix_u);
-            const bool can_y = !(mask & mesh::bc::fix_v);
+        par::for_each(ctx.exec, mesh.n_nodes(), [&](Index n) {
+            const auto ni = static_cast<std::size_t>(n);
+            w.next_x[ni] = w.xt[ni];
+            w.next_y[ni] = w.yt[ni];
+            const auto row = adj.row(n);
+            if (row.empty()) return;
+            const auto mask = mesh.node_bc[ni];
+            if (mask & mesh::bc::piston) return;
             Real ax = 0.0, ay = 0.0;
             for (const Index nb : row) {
                 ax += w.xt[static_cast<std::size_t>(nb)];
@@ -87,13 +88,13 @@ void alegetmesh(const hydro::Context& ctx, const hydro::State& s,
             const auto deg = static_cast<Real>(row.size());
             const Real mx = ax / deg;
             const Real my = ay / deg;
-            if (can_x)
-                w.next_x[n] = (Real(1) - opts.smoothing_weight) * w.xt[n] +
-                              opts.smoothing_weight * mx;
-            if (can_y)
-                w.next_y[n] = (Real(1) - opts.smoothing_weight) * w.yt[n] +
-                              opts.smoothing_weight * my;
-        }
+            if (!(mask & mesh::bc::fix_u))
+                w.next_x[ni] = (Real(1) - opts.smoothing_weight) * w.xt[ni] +
+                               opts.smoothing_weight * mx;
+            if (!(mask & mesh::bc::fix_v))
+                w.next_y[ni] = (Real(1) - opts.smoothing_weight) * w.yt[ni] +
+                               opts.smoothing_weight * my;
+        });
         w.xt.swap(w.next_x);
         w.yt.swap(w.next_y);
         if (sync) sync(w.xt, w.yt);
@@ -102,24 +103,24 @@ void alegetmesh(const hydro::Context& ctx, const hydro::State& s,
     // --- clamp the total displacement --------------------------------------
     // Shortest incident edge per node; hypot is sign-symmetric, so the
     // per-node gather sees the same edge lengths the owning rank does.
-    for (std::size_t n = 0; n < nn; ++n) {
-        const auto row = adj.row(static_cast<Index>(n));
+    par::for_each(ctx.exec, mesh.n_nodes(), [&](Index n) {
+        const auto ni = static_cast<std::size_t>(n);
         Real min_edge = std::numeric_limits<Real>::max();
-        for (const Index nb : row) {
+        for (const Index nb : adj.row(n)) {
             const auto bi = static_cast<std::size_t>(nb);
-            min_edge = std::min(min_edge,
-                                std::hypot(s.x[n] - s.x[bi], s.y[n] - s.y[bi]));
+            min_edge = std::min(
+                min_edge, std::hypot(s.x[ni] - s.x[bi], s.y[ni] - s.y[bi]));
         }
-        const Real dx = w.xt[n] - s.x[n];
-        const Real dy = w.yt[n] - s.y[n];
+        const Real dx = w.xt[ni] - s.x[ni];
+        const Real dy = w.yt[ni] - s.y[ni];
         const Real d = std::hypot(dx, dy);
         const Real dmax = opts.max_move_frac * min_edge;
         if (d > dmax && d > tiny) {
             const Real f = dmax / d;
-            w.xt[n] = s.x[n] + f * dx;
-            w.yt[n] = s.y[n] + f * dy;
+            w.xt[ni] = s.x[ni] + f * dx;
+            w.yt[ni] = s.y[ni] + f * dy;
         }
-    }
+    });
     if (sync) sync(w.xt, w.yt);
 }
 

@@ -197,17 +197,13 @@ void aleadvect_node_write(const hydro::Context& ctx, hydro::State& s,
 void aleadvect_nodes_resize(const mesh::Mesh& mesh, Workspace& w);
 
 /// Advect independent variables: the full composition of the phases above
-/// over every cell, face and node. Under par::Schedule::taskgraph with a
-/// pool attached this dispatches to aleadvect_graph.
+/// over every cell, face and node. When the driver holds an AdvectGraph
+/// for (s, opts, w) in ctx.advectgraph (Schedule::taskgraph with a pool,
+/// see advect_graph.hpp) this re-runs it; otherwise — bare contexts, the
+/// fork-join ablation — the phases run in sequence. Bitwise identical
+/// either way.
 void aleadvect(const hydro::Context& ctx, hydro::State& s, const Options& opts,
                Workspace& w);
-
-/// The advection phases as a dependency graph over cell/face/node blocks,
-/// scheduled on ctx.exec.pool — bitwise identical to the fork-join
-/// composition at any thread count and block size (per-entity writes are
-/// disjoint, cross-entity accumulations replay the serial gather order).
-void aleadvect_graph(const hydro::Context& ctx, hydro::State& s,
-                     const Options& opts, Workspace& w);
 
 /// Rebuild dependent variables on the target mesh: positions, geometry,
 /// density, velocity from momentum, EoS. Ghost-aware as-is: every input

@@ -1,6 +1,9 @@
 /// \file update.cpp
 /// ALEUPDATE: move the state onto the target mesh and rebuild the
-/// dependent variables (geometry, density, EoS).
+/// dependent variables (geometry, density, EoS). Cells are independent,
+/// so the rebuild runs as a par::for_each.
+
+#include <atomic>
 
 #include "ale/remap.hpp"
 #include "geom/geometry.hpp"
@@ -19,14 +22,13 @@ void aleupdate(const hydro::Context& ctx, hydro::State& s, Workspace& w) {
     s.x0 = s.x;
     s.y0 = s.y;
 
-    for (Index c = 0; c < mesh.n_cells(); ++c) {
+    std::atomic<Index> bad_cell{no_index};
+    par::for_each(ctx.exec, mesh.n_cells(), [&](Index c) {
         const auto ci = static_cast<std::size_t>(c);
         const auto quad = geom::gather(mesh, s.x, s.y, c);
         s.cache_geometry(c, quad); // remap moved the nodes
         const Real vol = geom::quad_area(quad);
-        if (vol <= 0.0)
-            throw util::Error("aleupdate: non-positive volume in cell " +
-                              std::to_string(c));
+        if (vol <= 0.0) par::record_lowest(bad_cell, c);
         s.volume[ci] = vol;
         s.char_len[ci] = geom::char_length(quad);
         const auto cv = geom::corner_volumes(quad);
@@ -37,7 +39,10 @@ void aleupdate(const hydro::Context& ctx, hydro::State& s, Workspace& w) {
         const Index r = mesh.cell_region[ci];
         s.pre[ci] = materials.pressure(r, s.rho[ci], s.ein[ci]);
         s.csqrd[ci] = materials.sound_speed2(r, s.rho[ci], s.ein[ci]);
-    }
+    });
+    if (bad_cell.load() != no_index)
+        throw util::Error("aleupdate: non-positive volume in cell " +
+                          std::to_string(bad_cell.load()));
 }
 
 void alestep(const hydro::Context& ctx, hydro::State& s, const Options& opts,

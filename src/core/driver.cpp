@@ -198,27 +198,33 @@ void Hydro::set_assembly(par::Assembly assembly) {
     chosen_assembly_ = assembly;
     assembly_chosen_ = true;
     // The step graph's acceleration tasks encode the gather assembly;
-    // rebuild (or drop) the graph under the new strategy.
-    stepgraph_.reset();
-    ctx_.stepgraph = nullptr;
+    // rebuild (or drop) the graphs under the new strategy.
+    drop_graphs();
 }
 
-/// Build (or tear down) the Lagrangian-step task graph to match the
-/// current execution policy. The graph applies when a pool is attached,
-/// the schedule is taskgraph and the assembly is the default gather (the
-/// scatter ablations deliberately keep the reference fork-join shape).
-void Hydro::ensure_stepgraph() {
-    const bool want = ctx_.exec.threaded() &&
-                      ctx_.exec.schedule == par::Schedule::taskgraph &&
-                      ctx_.exec.assembly == par::Assembly::gather;
-    if (!want) {
-        stepgraph_.reset();
-        ctx_.stepgraph = nullptr;
-        return;
-    }
-    if (!stepgraph_)
+void Hydro::drop_graphs() {
+    stepgraph_.reset();
+    advectgraph_.reset();
+    ctx_.stepgraph = nullptr;
+    ctx_.advectgraph = nullptr;
+}
+
+/// Build the task graphs the current execution policy wants, once: both
+/// need a pool and the taskgraph schedule; the step graph also needs the
+/// default gather assembly (the scatter ablations deliberately keep the
+/// reference fork-join shape), the advection graph a remapping mode.
+/// set_exec and set_assembly drop them, so a graph never outlives the
+/// policy it was built for.
+void Hydro::ensure_graphs() {
+    const bool graphs = ctx_.exec.threaded() &&
+                        ctx_.exec.schedule == par::Schedule::taskgraph;
+    if (graphs && ctx_.exec.assembly == par::Assembly::gather && !stepgraph_)
         stepgraph_ = std::make_unique<hydro::StepGraph>(ctx_, state_);
+    if (graphs && problem_.ale.mode != ale::Mode::lagrange && !advectgraph_)
+        advectgraph_ = std::make_unique<ale::AdvectGraph>(
+            ctx_, state_, problem_.ale, ale_work_);
     ctx_.stepgraph = stepgraph_.get();
+    ctx_.advectgraph = advectgraph_.get();
 }
 
 StepInfo Hydro::step() {
@@ -226,7 +232,7 @@ StepInfo Hydro::step() {
 }
 
 StepInfo Hydro::step_to(Real t_end) {
-    ensure_stepgraph();
+    ensure_graphs();
     const Real t_before = time();
     const StepInfo info = stepper_.step(t_end);
     if (history_) write_history_row(info.dt);
@@ -244,7 +250,7 @@ obs::RunReport Hydro::telemetry_report() const {
     report.n_ranks = 1;
     report.steps = steps();
     report.t_final = time();
-    report.wall_s = run_wall_s_;
+    report.wall_s = stepper_.wall_s();
     report.config.schedule =
         ctx_.exec.schedule == par::Schedule::taskgraph ? "taskgraph"
                                                        : "forkjoin";
@@ -261,7 +267,8 @@ obs::RunReport Hydro::telemetry_report() const {
 }
 
 void Hydro::write_telemetry() const {
-    if (!telemetry_.active()) return;
+    if (!telemetry_.active() || telemetry_written_at_ == steps()) return;
+    telemetry_written_at_ = steps();
     obs::write_outputs(telemetry_, telemetry_report());
 }
 
@@ -279,11 +286,10 @@ RunSummary Hydro::run(std::optional<Real> t_end_opt, int max_steps) {
     summary.wall_seconds = timer.elapsed();
     summary.final_ = totals();
     if (telemetry_.active()) {
-        run_wall_s_ += summary.wall_seconds;
         write_telemetry();
         if (live_)
             live_->emit(obs::run_end_event(
-                steps(), time(), run_wall_s_,
+                steps(), time(), stepper_.wall_s(),
                 static_cast<long>(windows().size()), 0, 0));
     }
     return summary;

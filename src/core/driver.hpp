@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 
+#include "ale/advect_graph.hpp"
 #include "ale/remap.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "core/stepper.hpp"
@@ -53,14 +54,13 @@ public:
 
     /// Optional execution policy (threading) — set before stepping. An
     /// assembly strategy chosen via set_assembly() survives this call
-    /// (set_exec configures the pool, not the assembly ablation). Any
-    /// previously built step graph is invalidated; the next step rebuilds
-    /// it if the new policy wants one.
+    /// (set_exec configures the pool, not the assembly ablation). The
+    /// task graphs built for the previous policy are dropped; the next
+    /// step rebuilds the ones the new policy wants.
     void set_exec(par::Exec exec) {
         ctx_.exec = exec;
         if (assembly_chosen_) ctx_.exec.assembly = chosen_assembly_;
-        stepgraph_.reset();
-        ctx_.stepgraph = nullptr;
+        drop_graphs();
     }
     /// Select the acceleration nodal-assembly strategy (default: gather).
     /// `colored_scatter` builds the conflict colouring on first use.
@@ -98,7 +98,9 @@ public:
     [[nodiscard]] obs::RunReport telemetry_report() const;
     /// Apply the problem's `[telemetry]` sinks (report/trace/summary).
     /// run() calls this at the end of every run; safe to call again after
-    /// further stepping (files are overwritten whole).
+    /// further stepping (files are overwritten whole). A call with no step
+    /// taken since the last write does nothing, so a step()-driven loop
+    /// that ends in run() and then writes again reports once.
     void write_telemetry() const;
 
     [[nodiscard]] const hydro::State& state() const { return state_; }
@@ -124,7 +126,8 @@ private:
     Stepper::Hooks serial_hooks();
     void write_history_row(Real dt);
     void init_context();
-    void ensure_stepgraph();
+    void ensure_graphs();
+    void drop_graphs();
     void open_history_fresh();
     void continue_history();
     void maybe_checkpoint(Real t_before);
@@ -132,10 +135,13 @@ private:
     setup::Problem problem_;
     hydro::State state_;
     hydro::Context ctx_;
-    /// Lagrangian-step task graph (Schedule::taskgraph with a pool and
-    /// gather assembly); built lazily on the first step after set_exec.
-    std::unique_ptr<hydro::StepGraph> stepgraph_;
     ale::Workspace ale_work_;
+    /// Lagrangian-step task graph (Schedule::taskgraph with a pool and
+    /// gather assembly) and ALE advection graph (Schedule::taskgraph with
+    /// a pool, remapping mode); built on the first step after set_exec or
+    /// set_assembly and re-run every step / remap after that.
+    std::unique_ptr<hydro::StepGraph> stepgraph_;
+    std::unique_ptr<ale::AdvectGraph> advectgraph_;
     util::Profiler profiler_;
     /// Time-history CSV (deck `[io] history = <path>`): one row per step
     /// of t, dt, total mass, internal and kinetic energy, plus a step-0
@@ -158,7 +164,8 @@ private:
     obs::LiveAssembler assembler_{1};
     std::vector<util::TraceEvent> trace_;
     std::chrono::steady_clock::time_point telemetry_epoch_{};
-    double run_wall_s_ = 0.0;
+    /// Step count at the last write_telemetry() (-1: none yet).
+    mutable int telemetry_written_at_ = -1;
     Stepper stepper_{ctx_, state_, problem_.ale, serial_hooks(),
                      problem_.mesh.n_cells()};
 };

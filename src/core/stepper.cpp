@@ -142,6 +142,7 @@ void Stepper::record(std::chrono::steady_clock::time_point t0, Real dt_local,
     rec.remapped = info_.remapped;
     obs::attribute_step(graph_log_, rec, attrib_,
                         want_trace_ ? &critical_ : nullptr);
+    wall_us_ += rec.wall_us;
     steps_.push(rec);
     if (!folder_) return;
     if (auto w = folder_->add(rec)) {

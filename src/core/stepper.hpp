@@ -115,6 +115,10 @@ public:
     /// This rank's telemetry record: steps, windows, kernel breakdown,
     /// attribution and critical-path spans (the trace is the driver's).
     [[nodiscard]] obs::RankRecord rank_record(int rank) const;
+    /// Wall seconds of every step recorded since enable_telemetry —
+    /// retained or evicted from the step ring — whichever driver call
+    /// took them: the sum of the step records' wall_us.
+    [[nodiscard]] double wall_s() const { return 1e-6 * wall_us_; }
 
 private:
     Real settle(Real dt_agreed);
@@ -140,6 +144,7 @@ private:
     bool want_trace_ = false;
     std::chrono::steady_clock::time_point epoch_{};
     obs::StepRing steps_;
+    double wall_us_ = 0.0;
     std::optional<obs::WindowFolder> folder_;
     std::vector<obs::WindowRecord> windows_;
     par::GraphRunLog graph_log_;

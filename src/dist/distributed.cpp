@@ -441,58 +441,79 @@ void restore_rank_state(const part::Subdomain& sub,
 /// interior/frontier split only reorders per-face-independent work, the
 /// prelude zero-fill is the same bytes the blocking overloads assign, and
 /// every task writes disjoint slots.
-void remap_flux_graph(const hydro::Context& ctx, hydro::State& s,
-                      const ale::Options& ale, ale::Workspace& w,
-                      typhon::Comm& comm, const part::Subdomain& sub,
-                      typhon::Packing packing) {
-    const auto& mesh = *ctx.mesh;
-    const Index n_owned = sub.n_owned_cells;
+///
+/// The face split, the per-block dependencies and the tasks are constants
+/// of the subdomain and the execution policy: the rank body builds the
+/// graph on an attempt's first remap and re-runs it on every remap after
+/// that (a recovery attempt, on new subdomains, builds its own).
+class FluxGraph {
+public:
+    /// The context is copied (task bodies get a serialized one); the
+    /// state, options, workspace, comm and subdomain must outlive the
+    /// graph. The build is charged to Kernel::other.
+    FluxGraph(const hydro::Context& ctx, hydro::State& s,
+              const ale::Options& ale, ale::Workspace& w, typhon::Comm& comm,
+              const part::Subdomain& sub, typhon::Packing packing);
+    /// Task bodies hold the addresses of this object's members.
+    FluxGraph(const FluxGraph&) = delete;
+    FluxGraph& operator=(const FluxGraph&) = delete;
 
+    /// Post the ghost-gradient exchange and run the fluxes, cell and dual
+    /// sweeps of one remap.
+    void run();
+
+private:
+    void build();
+
+    par::Exec run_exec_; ///< scheduling policy (owns the pool pointer)
+    hydro::Context ctx_; ///< body context: exec serialized (pool == nullptr)
+    hydro::State& s_;
+    const ale::Options& ale_;
+    ale::Workspace& w_;
+    typhon::Comm& comm_;
+    const part::Subdomain& sub_;
+    typhon::Packing packing_;
+    /// The remap faces split by whether they read a ghost gradient; the
+    /// flux tasks hold spans into them.
+    std::vector<Index> interior_, frontier_;
+    /// The in-flight ghost-gradient exchange the finish task completes.
+    typhon::PendingExchange grads_;
+    std::atomic<long> floored_{0}; ///< corner masses floored this run
+    par::TaskGraph graph_;
+};
+
+FluxGraph::FluxGraph(const hydro::Context& ctx, hydro::State& s,
+                     const ale::Options& ale, ale::Workspace& w,
+                     typhon::Comm& comm, const part::Subdomain& sub,
+                     typhon::Packing packing)
+    : run_exec_(ctx.exec), ctx_(ctx), s_(s), ale_(ale), w_(w), comm_(comm),
+      sub_(sub), packing_(packing) {
     // Task bodies run the serial kernel paths (no nested pool dispatch).
-    hydro::Context body = ctx;
-    body.exec.pool = nullptr;
+    ctx_.exec.pool = nullptr;
+    const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::other);
+    build();
+}
+
+void FluxGraph::build() {
+    const auto& mesh = *ctx_.mesh;
+    const Index n_owned = sub_.n_owned_cells;
 
     // Split the remap faces: a frontier face touches a ghost cell, so its
     // donor reconstruction may read an exchanged gradient; interior faces
     // read locally-computed gradients only. Boundary faces have no right
     // cell and classify by their left cell alone.
-    std::vector<Index> interior, frontier;
-    interior.reserve(sub.remap_faces.size());
-    for (const Index f : sub.remap_faces) {
+    interior_.reserve(sub_.remap_faces.size());
+    for (const Index f : sub_.remap_faces) {
         const auto& face = mesh.faces[static_cast<std::size_t>(f)];
         const bool ghost = face.left >= n_owned ||
                            (face.right != no_index && face.right >= n_owned);
-        (ghost ? frontier : interior).push_back(f);
+        (ghost ? frontier_ : interior_).push_back(f);
     }
 
-    // Prelude: the exact zero state the blocking overloads assign (ghost
-    // dflux slots the result exchange does not cover must read zero, as
-    // they do on the blocking schedule).
-    {
-        const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect);
-        w.mflux.assign(mesh.faces.size(), 0.0);
-        w.eflux.assign(mesh.faces.size(), 0.0);
-        w.dflux.assign(
-            static_cast<std::size_t>(mesh.n_cells()) * corners_per_cell, 0.0);
-    }
-
-    // Post the ghost-gradient exchange; its finish is a graph node below.
-    static_assert(part::Subdomain::remap_grad_fields == 4);
-    typhon::PendingExchange grads;
-    {
-        const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
-        const util::ScopedTimer pack(*ctx.profiler, util::Kernel::halo_pack);
-        grads = typhon::exchange_start(comm, sub.remap_cell_schedule,
-                                       {w.grad_rho_x, w.grad_rho_y,
-                                        w.grad_e_x, w.grad_e_y},
-                                       320, packing);
-    }
-
-    par::TaskGraph graph;
-    const par::TaskId t_finish = graph.add(
-        [&] {
-            const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
-            grads.finish(ctx.profiler);
+    const par::TaskId t_finish = graph_.add(
+        [this] {
+            const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::halo);
+            grads_.finish(ctx_.profiler);
         },
         /*main_thread=*/true, // comm endpoints are per-rank-thread
         util::Kernel::halo);
@@ -500,8 +521,8 @@ void remap_flux_graph(const hydro::Context& ctx, hydro::State& s,
     // Flux tasks over chunks of the face lists; face -> task for the
     // cell/dual dependencies.
     std::vector<par::TaskId> task_of_face(mesh.faces.size(), par::TaskId{-1});
-    const Index n_faces = static_cast<Index>(sub.remap_faces.size());
-    const Index fchunk = par::detail::resolve_task_block(ctx.exec, n_faces);
+    const Index n_faces = static_cast<Index>(sub_.remap_faces.size());
+    const Index fchunk = par::detail::resolve_task_block(run_exec_, n_faces);
     auto add_flux_chunks = [&](const std::vector<Index>& faces,
                                bool needs_ghosts) {
         for (std::size_t at = 0; at < faces.size();
@@ -509,24 +530,23 @@ void remap_flux_graph(const hydro::Context& ctx, hydro::State& s,
             const auto len = std::min(static_cast<std::size_t>(fchunk),
                                       faces.size() - at);
             const std::span<const Index> chunk(faces.data() + at, len);
-            const par::TaskId t = graph.add(
-                [&, chunk] {
-                    ale::aleadvect_fluxes_chunk(body, s, ale, w, chunk);
+            const par::TaskId t = graph_.add(
+                [this, chunk] {
+                    ale::aleadvect_fluxes_chunk(ctx_, s_, ale_, w_, chunk);
                 },
                 false, util::Kernel::ale_fluxes);
-            if (needs_ghosts) graph.depend(t, t_finish);
+            if (needs_ghosts) graph_.depend(t, t_finish);
             for (const Index f : chunk)
                 task_of_face[static_cast<std::size_t>(f)] = t;
         }
     };
-    add_flux_chunks(interior, /*needs_ghosts=*/false);
-    add_flux_chunks(frontier, /*needs_ghosts=*/true);
+    add_flux_chunks(interior_, /*needs_ghosts=*/false);
+    add_flux_chunks(frontier_, /*needs_ghosts=*/true);
 
     // Cell and dual sweeps over owned-cell blocks, each gated only on the
     // flux tasks of its cells' own faces (unlisted faces keep the prelude
     // zero and gate nothing).
-    std::atomic<long> floored{0};
-    const Index cblock = par::detail::resolve_task_block(ctx.exec, n_owned);
+    const Index cblock = par::detail::resolve_task_block(run_exec_, n_owned);
     std::vector<par::TaskId> deps;
     for (Index begin = 0; begin < n_owned; begin += cblock) {
         const Index end = std::min(n_owned, begin + cblock);
@@ -539,31 +559,61 @@ void remap_flux_graph(const hydro::Context& ctx, hydro::State& s,
             }
         std::sort(deps.begin(), deps.end());
         deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-        const par::TaskId t_cells = graph.add(
-            [&, begin, end] { ale::aleadvect_cells(body, s, w, begin, end); },
+        const par::TaskId t_cells = graph_.add(
+            [this, begin, end] {
+                ale::aleadvect_cells(ctx_, s_, w_, begin, end);
+            },
             false, util::Kernel::ale_cells);
-        const par::TaskId t_dual = graph.add(
-            [&, begin, end] {
-                ale::aleadvect_dual(body, s, w, begin, end, floored);
+        const par::TaskId t_dual = graph_.add(
+            [this, begin, end] {
+                ale::aleadvect_dual(ctx_, s_, w_, begin, end, floored_);
             },
             false, util::Kernel::ale_dual);
         for (const par::TaskId d : deps) {
-            graph.depend(t_cells, d);
-            graph.depend(t_dual, d);
+            graph_.depend(t_cells, d);
+            graph_.depend(t_dual, d);
         }
     }
+}
 
-    graph.run(ctx.exec, ctx.profiler, ctx.graph_log);
-    if (floored.load() > 0)
-        util::log_warn("aleadvect: floored ", floored.load(),
+void FluxGraph::run() {
+    const auto& mesh = *ctx_.mesh;
+    // Prelude: the exact zero state the blocking overloads assign (ghost
+    // dflux slots the result exchange does not cover must read zero, as
+    // they do on the blocking schedule).
+    {
+        const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::aleadvect);
+        w_.mflux.assign(mesh.faces.size(), 0.0);
+        w_.eflux.assign(mesh.faces.size(), 0.0);
+        w_.dflux.assign(
+            static_cast<std::size_t>(mesh.n_cells()) * corners_per_cell, 0.0);
+    }
+
+    // Post the ghost-gradient exchange; the graph's finish task completes
+    // it.
+    static_assert(part::Subdomain::remap_grad_fields == 4);
+    {
+        const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::halo);
+        const util::ScopedTimer pack(*ctx_.profiler, util::Kernel::halo_pack);
+        grads_ = typhon::exchange_start(comm_, sub_.remap_cell_schedule,
+                                        {w_.grad_rho_x, w_.grad_rho_y,
+                                         w_.grad_e_x, w_.grad_e_y},
+                                        320, packing_);
+    }
+
+    floored_.store(0);
+    graph_.run(run_exec_, ctx_.profiler, ctx_.graph_log);
+    if (floored_.load() > 0)
+        util::log_warn("aleadvect: floored ", floored_.load(),
                        " negative corner masses");
 }
 
-} // namespace
-
-void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
-           ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub,
-           typhon::Packing packing) {
+/// The ghost-aware remap (see dist::remap) with phases 3b-4 on `graph`
+/// when the rank holds one, or on the blocking sequence when it is null.
+void remap_on(const hydro::Context& ctx, hydro::State& s,
+              const ale::Options& ale, ale::Workspace& w, typhon::Comm& comm,
+              const part::Subdomain& sub, typhon::Packing packing,
+              FluxGraph* graph) {
     // 1. Pre-remap state refresh: the corrector left ghost kinematics and
     // energy stale (fringe assemblies are incomplete); the remap reads
     // them everywhere, so run the same fused halo + ghost rebuild the
@@ -597,12 +647,11 @@ void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
     ale::aleadvect_centroids(ctx, s, w);
     ale::aleadvect_gradients(ctx, s, ale, w, sub.n_owned_cells);
 
-    if (ctx.exec.threaded() &&
-        ctx.exec.schedule == par::Schedule::taskgraph) {
+    if (graph != nullptr) {
         // 4. (graph) The exchange finish releases only the ghost-touching
         // face blocks; interior fluxes and per-block cell/dual sweeps
         // overlap the in-flight messages. Bitwise == the blocking branch.
-        remap_flux_graph(ctx, s, ale, w, comm, sub, packing);
+        graph->run();
     } else {
         static_assert(part::Subdomain::remap_grad_fields == 4);
         blocking_halo(ctx, [&] {
@@ -643,6 +692,14 @@ void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
     // full-range update is bitwise-serial even on ghosts.
     ale::aleadvect_nodes(ctx, s, w, sub.remap_nodes);
     ale::aleupdate(ctx, s, w);
+}
+
+} // namespace
+
+void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
+           ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub,
+           typhon::Packing packing) {
+    remap_on(ctx, s, ale, w, comm, sub, packing, nullptr);
 }
 
 namespace {
@@ -944,6 +1001,9 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
     // Corner gathers in serial deposition order (bitwise == serial).
     ctx.assembly_corners = &sub.assembly_corners;
     ale::Workspace ale_work;
+    // The remap-flux graph (pool + taskgraph schedule), built on this
+    // attempt's first remap and re-run on every remap after it.
+    std::optional<FluxGraph> flux_graph;
 
     core::Stepper::Hooks hooks;
     hooks.advance = [&](Real dt_local, bool reduce,
@@ -973,7 +1033,12 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
         dist_lagstep(ctx, s, dt, comm, sub, opts.packing);
     };
     hooks.remap = [&] {
-        remap(ctx, s, opts.ale, ale_work, comm, sub, opts.packing);
+        if (!flux_graph && exec.threaded() &&
+            exec.schedule == par::Schedule::taskgraph)
+            flux_graph.emplace(ctx, s, opts.ale, ale_work, comm, sub,
+                               opts.packing);
+        remap_on(ctx, s, opts.ale, ale_work, comm, sub, opts.packing,
+                 flux_graph ? &*flux_graph : nullptr);
     };
     // Every rank streams each closed window to rank 0 on tag 502 (rank 0
     // sends to itself through the same channel — one discipline).

@@ -201,7 +201,11 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
 ///      dflux} — ghost dual fluxes are not locally computable (their far
 ///      faces leave the subdomain) yet drive owned-node momentum.
 /// ctx.assembly_corners must point at sub.assembly_corners (dist::run
-/// arranges this) so the nodal gathers sum in serial order.
+/// arranges this) so the nodal gathers sum in serial order. Inside
+/// dist::run, a rank with a pool and the taskgraph schedule runs 3-4 on a
+/// remap-flux graph it builds once per attempt (the gradient exchange
+/// overlaps the interior fluxes); this entry point holds no graph and
+/// runs the blocking sequence, with bitwise the same result.
 void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
            ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub,
            typhon::Packing packing);

@@ -22,12 +22,7 @@ inline void geom_cell(const mesh::Mesh& mesh, State& s, Index c,
     const auto cv = geom::corner_volumes(quad);
     for (int k = 0; k < corners_per_cell; ++k)
         s.cnvol[State::cidx(c, k)] = cv[static_cast<std::size_t>(k)];
-    if (vol <= 0.0) {
-        Index seen = bad_cell.load(std::memory_order_relaxed);
-        while ((seen == no_index || c < seen) &&
-               !bad_cell.compare_exchange_weak(seen, c)) {
-        }
-    }
+    if (vol <= 0.0) par::record_lowest(bad_cell, c);
 }
 
 } // namespace

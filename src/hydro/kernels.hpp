@@ -22,6 +22,10 @@ namespace bookleaf::par {
 struct GraphRunLog;
 } // namespace bookleaf::par
 
+namespace bookleaf::ale {
+class AdvectGraph;
+} // namespace bookleaf::ale
+
 namespace bookleaf::hydro {
 
 class StepGraph;
@@ -52,18 +56,25 @@ struct Context {
     /// dist == serial contract. nullptr (the serial driver) means
     /// mesh->node_corners, whose rows are already in global order.
     const util::Csr* assembly_corners = nullptr;
-    /// Task-graph executor for the Lagrangian step, built by the owning
-    /// driver when `exec.schedule == Schedule::taskgraph` applies (pool
-    /// present, gather assembly). lagstep dispatches to it; nullptr (bare
-    /// contexts, the fork-join ablation, the scatter ablations) runs the
-    /// barrier-per-kernel sequence. Results are bitwise identical either
-    /// way.
+    /// Task-graph executor for the Lagrangian step, built once by the
+    /// owning driver when `exec.schedule == Schedule::taskgraph` applies
+    /// (pool present, gather assembly) and re-run every step. lagstep
+    /// dispatches to it; nullptr (bare contexts, the fork-join ablation,
+    /// the scatter ablations) runs the barrier-per-kernel sequence.
+    /// Results are bitwise identical either way.
     StepGraph* stepgraph = nullptr;
+    /// Task-graph executor for ALEADVECT, built once by the owning driver
+    /// beside `stepgraph` (taskgraph schedule, pool present, a remapping
+    /// mode) and re-run every remap. aleadvect dispatches to it; nullptr
+    /// runs the fork-join phases, with the same result.
+    ale::AdvectGraph* advectgraph = nullptr;
     /// Attribution collector: when the owning driver runs with telemetry
     /// active it attaches a par::GraphRunLog here and every task-graph
     /// execution (step graph, ALE advection graph, distributed remap-flux
     /// graph) appends its per-task spans + edges for obs::critical_path.
-    /// nullptr (the default, and all telemetry-off runs) records nothing.
+    /// Graphs copy the context when built, so the driver attaches the
+    /// collector before building any. nullptr (the default, and all
+    /// telemetry-off runs) records nothing.
     par::GraphRunLog* graph_log = nullptr;
 
     /// The corner gather CSR in effect (see assembly_corners).

@@ -53,6 +53,8 @@ StepGraph::StepGraph(const Context& ctx, State& s)
     // itself is scheduled on.
     ctx_.exec.pool = nullptr;
     ctx_.stepgraph = nullptr;
+    ctx_.advectgraph = nullptr;
+    const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::other);
     build();
 }
 

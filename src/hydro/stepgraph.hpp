@@ -33,7 +33,8 @@ public:
     /// Build the step graph for `ctx`/`s`. The context is copied; its
     /// `exec` keeps the pool for scheduling, while task bodies run with a
     /// serialized copy (kernel calls inside tasks must not re-dispatch to
-    /// the pool). The mesh, state and CSRs must outlive the graph.
+    /// the pool). The mesh, state and CSRs must outlive the graph. The
+    /// build is charged to Kernel::other.
     StepGraph(const Context& ctx, State& s);
 
     /// Execute one predictor-corrector Lagrangian step (bitwise identical

@@ -133,6 +133,18 @@ void for_each(const Exec& ex, Index n, Body&& body) {
     });
 }
 
+/// Keep the lowest index `i` a loop has flagged in `lowest` (no_index =
+/// none yet). for_each bodies must not throw — the pool carries no
+/// exception across threads — so a body records its offending entity here
+/// and the caller throws after the join, naming the same entity the
+/// serial loop would have stopped at.
+inline void record_lowest(std::atomic<Index>& lowest, Index i) {
+    Index seen = lowest.load(std::memory_order_relaxed);
+    while ((seen == no_index || i < seen) &&
+           !lowest.compare_exchange_weak(seen, i)) {
+    }
+}
+
 /// Result of a min-reduction with location (the Fortran MINVAL+MINLOC
 /// pair that getdt uses to report the controlling cell).
 struct MinLoc {

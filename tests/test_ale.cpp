@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "ale/remap.hpp"
 #include "geom/geometry.hpp"
 #include "hydro/kernels.hpp"
 #include "mesh/generator.hpp"
+#include "par/thread_pool.hpp"
+#include "util/error.hpp"
 #include "util/random.hpp"
 
 namespace ba = bookleaf::ale;
@@ -15,6 +18,7 @@ namespace bh = bookleaf::hydro;
 namespace bm = bookleaf::mesh;
 namespace be = bookleaf::eos;
 namespace bg = bookleaf::geom;
+namespace bp = bookleaf::par;
 namespace bu = bookleaf::util;
 using bookleaf::Index;
 using bookleaf::Real;
@@ -341,6 +345,74 @@ TEST(AleAdvect, ThrowsWhenBoundaryFaceSweeps) {
     ba::Options opts;
     opts.mode = ba::Mode::eulerian;
     EXPECT_THROW(ba::alestep(rig.ctx, rig.state, opts, rig.work), bu::Error);
+}
+
+namespace {
+
+/// The util::Error message `fn` throws ("" when it throws none).
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+    try {
+        fn();
+    } catch (const bu::Error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+/// Attach `pool` with one-item chunks, so even the 4x4 rig's loops split
+/// across the workers instead of running serially inside for_each.
+void attach(Rig& rig, bp::ThreadPool& pool) {
+    rig.ctx.exec.pool = &pool;
+    rig.ctx.exec.grain = 1;
+}
+
+} // namespace
+
+TEST(AleAdvect, ThrowsWhenBoundaryFaceSweepsThreaded) {
+    // The swept-volume sweep is a par::for_each: the worker that meets the
+    // bad face must not throw (the pool carries no exception across
+    // threads); the sweep throws after the join, with the serial message.
+    bp::ThreadPool pool(2);
+    Rig rig({.nx = 4, .ny = 4, .reflective_walls = false});
+    attach(rig, pool);
+    for (auto& x : rig.state.x) x += 0.01; // move EVERY node, walls included
+    rig.refresh_geometry();
+    ba::Options opts;
+    opts.mode = ba::Mode::eulerian;
+    EXPECT_EQ(
+        error_of([&] { ba::alestep(rig.ctx, rig.state, opts, rig.work); }),
+        "alegetfvol: boundary face swept volume (node left its wall)");
+}
+
+TEST(AleUpdate, NonPositiveVolumeThrowsAfterTheThreadedSweep) {
+    // A folded target mesh: the cell sweep runs on the workers, and the
+    // throw after the join names the same cell the serial sweep does.
+    const auto fold = [](Rig& rig) {
+        rig.work.xt.assign(rig.state.x.begin(), rig.state.x.end());
+        rig.work.yt.assign(rig.state.y.begin(), rig.state.y.end());
+        for (std::size_t n = 0; n < rig.work.xt.size(); ++n)
+            if (std::abs(rig.mesh.x[n] - 0.25) < 1e-9 &&
+                std::abs(rig.mesh.y[n] - 0.25) < 1e-9) {
+                rig.work.xt[n] = 0.9; // past its neighbours at 0.5
+                rig.work.yt[n] = 0.9;
+            }
+    };
+    Rig serial({.nx = 4, .ny = 4});
+    fold(serial);
+    const std::string expected = error_of(
+        [&] { ba::aleupdate(serial.ctx, serial.state, serial.work); });
+    ASSERT_EQ(expected.rfind("aleupdate: non-positive volume in cell ", 0), 0u)
+        << expected;
+
+    bp::ThreadPool pool(2);
+    Rig threaded({.nx = 4, .ny = 4});
+    attach(threaded, pool);
+    fold(threaded);
+    EXPECT_EQ(error_of([&] {
+                  ba::aleupdate(threaded.ctx, threaded.state, threaded.work);
+              }),
+              expected);
 }
 
 TEST(AleAdvect, LimiterOffAllowsSharperButUnclampedProfile) {

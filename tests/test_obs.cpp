@@ -335,6 +335,42 @@ TEST(ObsSerial, ReportShapeMatchesTheRun) {
     EXPECT_NE(bo::summary_table(report).find("Viscosity"), std::string::npos);
 }
 
+TEST(ObsSerial, WallTimeCoversStepDrivenRuns) {
+    // A loop that drives step() alone (as bookleaf_main does for all but
+    // its last steps) must still report the wall time of every step: the
+    // run's wall time is the sum of its step records' wall times.
+    auto problem = bs::sod(32, 2);
+    problem.telemetry.enabled = true;
+    bc::Hydro hydro(std::move(problem));
+    for (int i = 0; i < 12; ++i) hydro.step();
+    const auto report = hydro.telemetry_report();
+    const auto& steps = report.ranks.at(0).steps;
+    ASSERT_EQ(steps.size(), 12u);
+    double sum_us = 0.0;
+    for (const auto& s : steps) sum_us += s.wall_us;
+    EXPECT_GT(report.wall_s, 0.0);
+    EXPECT_NEAR(report.wall_s, 1e-6 * sum_us, 1e-12 + 1e-9 * report.wall_s);
+}
+
+TEST(ObsSerial, StepLoopEndingInRunPrintsTheSummaryOnce) {
+    // run() writes the telemetry sinks; a caller's final write with no
+    // step taken since must not print the summary a second time.
+    auto problem = bs::sod(32, 2);
+    problem.telemetry.enabled = true;
+    problem.telemetry.summary = true;
+    bc::Hydro hydro(std::move(problem));
+    testing::internal::CaptureStdout();
+    for (int i = 0; i < 5; ++i) hydro.step();
+    hydro.run(std::nullopt, 10);
+    hydro.write_telemetry();
+    const std::string out = testing::internal::GetCapturedStdout();
+    std::size_t summaries = 0;
+    for (auto at = out.find("telemetry: "); at != std::string::npos;
+         at = out.find("telemetry: ", at + 1))
+        ++summaries;
+    EXPECT_EQ(summaries, 1u) << out;
+}
+
 // ---------------------------------------------------------------------------
 // Distributed driver integration
 // ---------------------------------------------------------------------------

@@ -343,6 +343,30 @@ TEST(ResilRecovery, KillAtStepRecoversOnSurvivorsBitwise) {
     }
 }
 
+TEST(ResilRecovery, ThreadedEulerianRecoveryRebuildsTheFluxGraph) {
+    // Hybrid ranks build their remap-flux graph on an attempt's first
+    // remap and re-run it after. The recovery attempt runs on new
+    // subdomains, so the survivors must build new graphs (a graph kept
+    // from the failed attempt would flux the old face split) and still
+    // land on the uninterrupted run's bytes.
+    const auto p = sod_like(40, 2);
+    auto opts = base_opts(4, 0.03);
+    opts.ale.mode = bookleaf::ale::Mode::eulerian;
+    opts.n_threads = 2; // taskgraph schedule (the default)
+    const auto reference = run_dist(p, opts);
+
+    opts.supervise.enabled = true;
+    opts.supervise.snapshot_every = 5;
+    opts.faults.kills.push_back({.rank = 2, .at_step = 12});
+    const auto r = run_dist(p, opts);
+    ASSERT_EQ(r.recoveries.size(), 1u);
+    EXPECT_EQ(r.recoveries[0].failed_rank, 2);
+    EXPECT_EQ(r.recoveries[0].failed_step, 12);
+    EXPECT_EQ(r.recoveries[0].survivors, 3);
+    EXPECT_EQ(r.recoveries[0].resumed_step, 10);
+    EXPECT_TRUE(bd::bitwise_equal(reference, r));
+}
+
 TEST(ResilRecovery, KillBeforeFirstSnapshotRestartsFromBeginning) {
     // Nothing in the ring yet: the recovery replays the run from the
     // initial conditions on the survivors — still bitwise.

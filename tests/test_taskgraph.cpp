@@ -289,6 +289,57 @@ TEST(Sched, ExplicitTaskBlockSizesStayBitwise) {
     }
 }
 
+TEST(Sched, SetExecDropsTheCachedGraphs) {
+    // core::Hydro builds its step and advection graphs once and re-runs
+    // them, so set_exec must drop them: a graph that survived would keep
+    // running blocks sized for, and scheduled on, the pool it was built
+    // with. Every segment's graphs must report the current pool's width,
+    // and the interrupted run must land on the uninterrupted serial run's
+    // bytes.
+    const Real t_end = 0.03;
+    for (const auto mode : {ba::Mode::eulerian, ba::Mode::ale}) {
+        const auto ref =
+            run_core(deck(mode), t_end, nullptr, bp::Schedule::taskgraph);
+        auto problem = deck(mode);
+        problem.telemetry.enabled = true;
+        bc::Hydro h(std::move(problem));
+        bp::ThreadPool pool(2);
+        bp::ThreadPool wide_pool(4);
+        bp::Exec narrow;
+        narrow.pool = &pool;
+        bp::Exec wide;
+        wide.pool = &wide_pool;
+        wide.task_block = 7;
+        std::vector<int> widths; // expected graph width per step
+        const auto steps = [&](int n, int width) {
+            for (int i = 0; i < n; ++i) {
+                h.step();
+                widths.push_back(width);
+            }
+        };
+        h.set_exec(narrow);
+        steps(4, 2);
+        h.set_exec(wide);
+        steps(4, 4);
+        bp::Exec forkjoin = wide;
+        forkjoin.schedule = bp::Schedule::forkjoin;
+        h.set_exec(forkjoin);
+        steps(4, 0);
+        h.set_exec(wide);
+        const auto summary = h.run(t_end);
+        ASSERT_GT(summary.steps, 12) << mode_name(mode);
+        widths.resize(static_cast<std::size_t>(summary.steps), 4);
+
+        const std::string label = mode_name(mode);
+        expect_bitwise(serial_fields(h, summary.steps), ref, label);
+        const auto records = h.telemetry_report().ranks.at(0).steps;
+        ASSERT_EQ(records.size(), widths.size()) << label;
+        for (std::size_t i = 0; i < records.size(); ++i)
+            EXPECT_EQ(records[i].graph_workers, widths[i])
+                << label << ": step " << i;
+    }
+}
+
 namespace {
 
 bd::Result run_dist(const bs::Problem& p, Real t_end, int n_ranks,
