@@ -6,7 +6,6 @@
 #include <atomic>
 
 #include "ale/remap.hpp"
-#include "geom/geometry.hpp"
 #include "util/error.hpp"
 
 namespace bookleaf::ale {
@@ -25,16 +24,8 @@ void aleupdate(const hydro::Context& ctx, hydro::State& s, Workspace& w) {
     std::atomic<Index> bad_cell{no_index};
     par::for_each(ctx.exec, mesh.n_cells(), [&](Index c) {
         const auto ci = static_cast<std::size_t>(c);
-        const auto quad = geom::gather(mesh, s.x, s.y, c);
-        s.cache_geometry(c, quad); // remap moved the nodes
-        const Real vol = geom::quad_area(quad);
+        const Real vol = s.rebuild_geometry(mesh, c); // remap moved the nodes
         if (vol <= 0.0) par::record_lowest(bad_cell, c);
-        s.volume[ci] = vol;
-        s.char_len[ci] = geom::char_length(quad);
-        const auto cv = geom::corner_volumes(quad);
-        for (int k = 0; k < corners_per_cell; ++k)
-            s.cnvol[hydro::State::cidx(c, k)] = cv[static_cast<std::size_t>(k)];
-
         s.rho[ci] = s.cell_mass[ci] / vol;
         const Index r = mesh.cell_region[ci];
         s.pre[ci] = materials.pressure(r, s.rho[ci], s.ein[ci]);

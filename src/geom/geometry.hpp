@@ -5,9 +5,12 @@
 /// both with respect to node positions. The compatible discretisation
 /// (Barlow [27]) takes corner forces as pressure times these gradients, so
 /// getting them exactly right is what makes total-energy conservation
-/// exact.
+/// exact. The per-cell functions are defined inline: getgeom, aleupdate
+/// and the state rebuilds evaluate them once per cell per call.
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <span>
 
 #include "mesh/mesh.hpp"
@@ -25,23 +28,63 @@ struct QuadPts {
 };
 
 /// Gather corner positions of cell c from node coordinate arrays.
-[[nodiscard]] QuadPts gather(const mesh::Mesh& mesh, std::span<const Real> nx,
-                             std::span<const Real> ny, Index c);
+[[nodiscard]] inline QuadPts gather(const mesh::Mesh& mesh,
+                                    std::span<const Real> nx,
+                                    std::span<const Real> ny, Index c) {
+    QuadPts q;
+    for (int k = 0; k < corners_per_cell; ++k) {
+        const auto n = static_cast<std::size_t>(mesh.cn(c, k));
+        q.x[static_cast<std::size_t>(k)] = nx[n];
+        q.y[static_cast<std::size_t>(k)] = ny[n];
+    }
+    return q;
+}
 
 /// Signed shoelace area (positive for CCW quads).
-[[nodiscard]] Real quad_area(const QuadPts& q);
+[[nodiscard]] inline Real quad_area(const QuadPts& q) {
+    Real a = 0.0;
+    for (std::size_t k = 0; k < 4; ++k) {
+        const std::size_t k1 = (k + 1) % 4;
+        a += q.x[k] * q.y[k1] - q.x[k1] * q.y[k];
+    }
+    return Real(0.5) * a;
+}
 
 /// Arithmetic mean of the corners (the median-mesh cell centre).
-[[nodiscard]] Vec2 quad_centroid(const QuadPts& q);
+[[nodiscard]] inline Vec2 quad_centroid(const QuadPts& q) {
+    return {Real(0.25) * (q.x[0] + q.x[1] + q.x[2] + q.x[3]),
+            Real(0.25) * (q.y[0] + q.y[1] + q.y[2] + q.y[3])};
+}
 
 /// Gradient of the cell area w.r.t. each corner position:
 ///   dA/dx_i = (y_{i+1} - y_{i-1}) / 2,  dA/dy_i = (x_{i-1} - x_{i+1}) / 2.
-[[nodiscard]] std::array<Vec2, 4> area_gradients(const QuadPts& q);
+[[nodiscard]] inline std::array<Vec2, 4> area_gradients(const QuadPts& q) {
+    std::array<Vec2, 4> g;
+    for (std::size_t k = 0; k < 4; ++k) {
+        const std::size_t kp = (k + 1) % 4, km = (k + 3) % 4;
+        g[k] = {Real(0.5) * (q.y[kp] - q.y[km]),
+                Real(0.5) * (q.x[km] - q.x[kp])};
+    }
+    return g;
+}
 
 /// Median-mesh corner volumes: subzone i is the quad
 /// (p_i, midpoint(i,i+1), centroid, midpoint(i-1,i)). They tile the cell:
 /// sum_i corner_volume_i == quad_area exactly.
-[[nodiscard]] std::array<Real, 4> corner_volumes(const QuadPts& q);
+[[nodiscard]] inline std::array<Real, 4> corner_volumes(const QuadPts& q) {
+    const Vec2 c = quad_centroid(q);
+    std::array<Real, 4> v;
+    for (std::size_t i = 0; i < 4; ++i) {
+        const std::size_t ip = (i + 1) % 4, im = (i + 3) % 4;
+        const QuadPts sub{
+            .x = {q.x[i], Real(0.5) * (q.x[i] + q.x[ip]), c.x,
+                  Real(0.5) * (q.x[im] + q.x[i])},
+            .y = {q.y[i], Real(0.5) * (q.y[i] + q.y[ip]), c.y,
+                  Real(0.5) * (q.y[im] + q.y[i])}};
+        v[i] = quad_area(sub);
+    }
+    return v;
+}
 
 /// d(subzone_volume_i)/d(corner_j) for all i, j. Satisfies
 /// sum_i grad[i][j] == area_gradients()[j] (subzones tile the cell).
@@ -91,7 +134,13 @@ corner_volume_gradients(const QuadPts& q) {
 /// Characteristic length for the CFL condition. BookLeaf-style: cell area
 /// divided by the longest diagonal — reduces to ~h/sqrt(2) on squares and
 /// shrinks for needle-like cells.
-[[nodiscard]] Real char_length(const QuadPts& q);
+[[nodiscard]] inline Real char_length(const QuadPts& q) {
+    const Real d1 = std::hypot(q.x[2] - q.x[0], q.y[2] - q.y[0]);
+    const Real d2 = std::hypot(q.x[3] - q.x[1], q.y[3] - q.y[1]);
+    const Real dmax = std::max(d1, d2);
+    const Real area = std::abs(quad_area(q));
+    return dmax > tiny ? area / dmax : Real(0.0);
+}
 
 /// Shortest edge length.
 [[nodiscard]] Real min_edge_length(const QuadPts& q);

@@ -1,31 +1,9 @@
 #include <atomic>
 
-#include "geom/geometry.hpp"
 #include "hydro/kernels.hpp"
 #include "util/error.hpp"
 
 namespace bookleaf::hydro {
-
-namespace {
-
-/// Rebuild one cell's geometry (cache, volume, characteristic length,
-/// corner volumes); records a non-positive volume in `bad_cell` (lowest
-/// cell index wins, so the diagnostic is schedule-independent).
-inline void geom_cell(const mesh::Mesh& mesh, State& s, Index c,
-                      std::atomic<Index>& bad_cell) {
-    const auto quad = geom::gather(mesh, s.x, s.y, c);
-    s.cache_geometry(c, quad);
-    const Real vol = geom::quad_area(quad);
-    const auto ci = static_cast<std::size_t>(c);
-    s.volume[ci] = vol;
-    s.char_len[ci] = geom::char_length(quad);
-    const auto cv = geom::corner_volumes(quad);
-    for (int k = 0; k < corners_per_cell; ++k)
-        s.cnvol[State::cidx(c, k)] = cv[static_cast<std::size_t>(k)];
-    if (vol <= 0.0) par::record_lowest(bad_cell, c);
-}
-
-} // namespace
 
 void getgeom(const Context& ctx, State& s, std::span<const Real> wu,
              std::span<const Real> wv, Real dt_move) {
@@ -40,14 +18,16 @@ void getgeom(const Context& ctx, State& s, std::span<const Real> wu,
         s.y[ni] = s.y0[ni] + wv[ni] * dt_move;
     });
 
-    // Rebuild cell geometry; collect the first tangled cell (if any).
+    // Rebuild cell geometry; record the lowest tangled cell (if any), so
+    // the diagnostic is schedule-independent.
     // This is the one place the corner coordinates are gathered per step:
     // the quad and its area gradients are written to the state's
     // gathered-geometry cache, which getforce/getq/getdt then read
     // contiguously instead of re-gathering through cell_nodes.
     std::atomic<Index> bad_cell{no_index};
-    par::for_each(ctx.exec, mesh.n_cells(),
-                  [&](Index c) { geom_cell(mesh, s, c, bad_cell); });
+    par::for_each(ctx.exec, mesh.n_cells(), [&](Index c) {
+        if (s.rebuild_geometry(mesh, c) <= 0.0) par::record_lowest(bad_cell, c);
+    });
 
     // With health guards enabled a tangled mesh is not fatal here: the
     // bad volumes (and everything derived from them) flow deterministically
@@ -78,7 +58,8 @@ void getgeom_cells(const Context& ctx, State& s, Index begin, Index end,
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::getgeom,
                                   end - begin);
     const auto& mesh = *ctx.mesh;
-    for (Index c = begin; c < end; ++c) geom_cell(mesh, s, c, bad_cell);
+    for (Index c = begin; c < end; ++c)
+        if (s.rebuild_geometry(mesh, c) <= 0.0) par::record_lowest(bad_cell, c);
 }
 
 void getrho(const Context& ctx, State& s) {

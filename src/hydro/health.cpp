@@ -5,7 +5,6 @@
 #include <cmath>
 #include <string>
 
-#include "geom/geometry.hpp"
 #include "hydro/kernels.hpp"
 #include "util/error.hpp"
 
@@ -15,19 +14,12 @@ void rebuild_cells(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
                    State& s, Index begin, Index end, bool with_rho, bool strict,
                    const char* who) {
     for (Index c = begin; c < end; ++c) {
-        const auto quad = geom::gather(mesh, s.x, s.y, c);
-        s.cache_geometry(c, quad);
-        const Real vol = geom::quad_area(quad);
+        const Real vol = s.rebuild_geometry(mesh, c);
         if (strict && !(vol > 0.0))
             throw util::Error(std::string(who) +
                               ": non-positive volume in cell " +
                               std::to_string(c));
         const auto ci = static_cast<std::size_t>(c);
-        s.volume[ci] = vol;
-        s.char_len[ci] = geom::char_length(quad);
-        const auto cv = geom::corner_volumes(quad);
-        for (int k = 0; k < corners_per_cell; ++k)
-            s.cnvol[State::cidx(c, k)] = cv[static_cast<std::size_t>(k)];
         if (with_rho) s.rho[ci] = s.cell_mass[ci] / std::max(vol, tiny);
         const Index r = mesh.cell_region[ci];
         s.pre[ci] = materials.pressure(r, s.rho[ci], s.ein[ci]);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "geom/geometry.hpp"
 #include "util/error.hpp"
 
 namespace bookleaf::hydro {
@@ -56,29 +55,16 @@ void initialise(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
     util::require(s.n_cells() == n_cells, "initialise: state/mesh size mismatch");
 
     for (Index c = 0; c < n_cells; ++c) {
-        const auto q = geom::gather(mesh, s.x, s.y, c);
-        s.cache_geometry(c, q);
-        const Real vol = geom::quad_area(q);
+        const auto ci = static_cast<std::size_t>(c);
+        const Real vol = s.rebuild_geometry(mesh, c);
         util::require(vol > 0.0, "initialise: non-positive cell volume");
-        s.volume[static_cast<std::size_t>(c)] = vol;
-        s.char_len[static_cast<std::size_t>(c)] = geom::char_length(q);
-        s.cell_mass[static_cast<std::size_t>(c)] =
-            s.rho[static_cast<std::size_t>(c)] * vol;
+        s.cell_mass[ci] = s.rho[ci] * vol;
+        for (int k = 0; k < corners_per_cell; ++k)
+            s.cnmass[State::cidx(c, k)] = s.rho[ci] * s.cnvol[State::cidx(c, k)];
 
-        const auto cv = geom::corner_volumes(q);
-        for (int k = 0; k < corners_per_cell; ++k) {
-            s.cnvol[State::cidx(c, k)] = cv[static_cast<std::size_t>(k)];
-            s.cnmass[State::cidx(c, k)] =
-                s.rho[static_cast<std::size_t>(c)] * cv[static_cast<std::size_t>(k)];
-        }
-
-        const Index r = mesh.cell_region[static_cast<std::size_t>(c)];
-        s.pre[static_cast<std::size_t>(c)] =
-            materials.pressure(r, s.rho[static_cast<std::size_t>(c)],
-                               s.ein[static_cast<std::size_t>(c)]);
-        s.csqrd[static_cast<std::size_t>(c)] =
-            materials.sound_speed2(r, s.rho[static_cast<std::size_t>(c)],
-                                   s.ein[static_cast<std::size_t>(c)]);
+        const Index r = mesh.cell_region[ci];
+        s.pre[ci] = materials.pressure(r, s.rho[ci], s.ein[ci]);
+        s.csqrd[ci] = materials.sound_speed2(r, s.rho[ci], s.ein[ci]);
     }
 
     // Nodal masses: gather the corner masses of incident cells.

@@ -93,6 +93,23 @@ struct State {
             cngy[base + k] = grads[k].y;
         }
     }
+
+    /// Rebuild cell c's geometry from the current node positions: the
+    /// gathered cache, volume, characteristic length and corner volumes.
+    /// Returns the signed volume; each caller applies its own volume check
+    /// and derives density and the EoS from it.
+    Real rebuild_geometry(const mesh::Mesh& mesh, Index c) {
+        const auto quad = geom::gather(mesh, x, y, c);
+        cache_geometry(c, quad);
+        const auto ci = static_cast<std::size_t>(c);
+        const Real vol = geom::quad_area(quad);
+        volume[ci] = vol;
+        char_len[ci] = geom::char_length(quad);
+        const auto cv = geom::corner_volumes(quad);
+        const std::size_t base = cidx(c, 0);
+        for (std::size_t k = 0; k < 4; ++k) cnvol[base + k] = cv[k];
+        return vol;
+    }
 };
 
 /// Allocate every field for the mesh and zero-initialise.
