@@ -18,9 +18,10 @@
 /// incomplete.
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 
 #include "ale/remap.hpp"
+#include "geom/geometry.hpp"
 
 namespace bookleaf::ale {
 
@@ -101,19 +102,21 @@ void alegetmesh(const hydro::Context& ctx, const hydro::State& s,
     }
 
     // --- clamp the total displacement --------------------------------------
-    // Shortest incident edge per node; hypot is sign-symmetric, so the
-    // per-node gather sees the same edge lengths the owning rank does.
+    // Shortest incident edge per node. geom::length is bitwise symmetric
+    // under sign flips, so a ghost copy of a node, which may measure an
+    // edge from its other end, sees the same edge lengths as the owning
+    // rank and clamps to the same bytes.
     par::for_each(ctx.exec, mesh.n_nodes(), [&](Index n) {
         const auto ni = static_cast<std::size_t>(n);
         Real min_edge = std::numeric_limits<Real>::max();
         for (const Index nb : adj.row(n)) {
             const auto bi = static_cast<std::size_t>(nb);
             min_edge = std::min(
-                min_edge, std::hypot(s.x[ni] - s.x[bi], s.y[ni] - s.y[bi]));
+                min_edge, geom::length(s.x[ni] - s.x[bi], s.y[ni] - s.y[bi]));
         }
         const Real dx = w.xt[ni] - s.x[ni];
         const Real dy = w.yt[ni] - s.y[ni];
-        const Real d = std::hypot(dx, dy);
+        const Real d = geom::length(dx, dy);
         const Real dmax = opts.max_move_frac * min_edge;
         if (d > dmax && d > tiny) {
             const Real f = dmax / d;

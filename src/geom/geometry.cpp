@@ -1,7 +1,7 @@
 #include "geom/geometry.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 
 namespace bookleaf::geom {
 
@@ -10,7 +10,7 @@ Real min_edge_length(const QuadPts& q) {
     for (int k = 0; k < 4; ++k) {
         const auto k1 = static_cast<std::size_t>((k + 1) % 4);
         const auto kk = static_cast<std::size_t>(k);
-        mn = std::min(mn, std::hypot(q.x[k1] - q.x[kk], q.y[k1] - q.y[kk]));
+        mn = std::min(mn, length(q.x[k1] - q.x[kk], q.y[k1] - q.y[kk]));
     }
     return mn;
 }
@@ -30,7 +30,7 @@ Quality mesh_quality(const mesh::Mesh& mesh) {
         for (int k = 0; k < 4; ++k) {
             const auto k1 = static_cast<std::size_t>((k + 1) % 4);
             const auto kk = static_cast<std::size_t>(k);
-            const Real e = std::hypot(q.x[k1] - q.x[kk], q.y[k1] - q.y[kk]);
+            const Real e = length(q.x[k1] - q.x[kk], q.y[k1] - q.y[kk]);
             emin = std::min(emin, e);
             emax = std::max(emax, e);
         }

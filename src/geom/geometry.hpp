@@ -27,6 +27,26 @@ struct QuadPts {
     std::array<Real, 4> x{}, y{};
 };
 
+/// Euclidean length of (dx, dy), as std::sqrt(dx*dx + dy*dy): the one
+/// length function of the step (getq's edge length, char_length, the ALE
+/// clamp and the mesh-quality metrics). sqrt is correctly rounded under
+/// IEEE-754, so the result is within 1 ulp of libm's hypot and needs no
+/// libm call.
+///
+/// Range: components of magnitude 1e-150 to 1e150 (the squares stay
+/// normal and finite). Unlike hypot it does not rescale, so a component
+/// beyond ~1.3e154 overflows to inf and one below ~1e-154 loses precision
+/// to subnormal squares; mesh coordinates are nowhere near either.
+///
+/// Symmetry: length(dx, dy) is bitwise equal to length(-dx, dy),
+/// length(dx, -dy) and length(dy, dx) (squaring drops the sign exactly and
+/// IEEE addition commutes), and length(x, 0) == |x| exactly. A rank that
+/// measures an edge from its other end gets the owner's bytes; the
+/// distributed ALE clamp relies on this.
+[[nodiscard]] inline Real length(Real dx, Real dy) {
+    return std::sqrt(dx * dx + dy * dy);
+}
+
 /// Gather corner positions of cell c from node coordinate arrays.
 [[nodiscard]] inline QuadPts gather(const mesh::Mesh& mesh,
                                     std::span<const Real> nx,
@@ -135,8 +155,8 @@ corner_volume_gradients(const QuadPts& q) {
 /// divided by the longest diagonal — reduces to ~h/sqrt(2) on squares and
 /// shrinks for needle-like cells.
 [[nodiscard]] inline Real char_length(const QuadPts& q) {
-    const Real d1 = std::hypot(q.x[2] - q.x[0], q.y[2] - q.y[0]);
-    const Real d2 = std::hypot(q.x[3] - q.x[1], q.y[3] - q.y[1]);
+    const Real d1 = length(q.x[2] - q.x[0], q.y[2] - q.y[0]);
+    const Real d2 = length(q.x[3] - q.x[1], q.y[3] - q.y[1]);
     const Real dmax = std::max(d1, d2);
     const Real area = std::abs(quad_area(q));
     return dmax > tiny ? area / dmax : Real(0.0);

@@ -14,6 +14,7 @@
 #include <array>
 #include <cmath>
 
+#include "geom/geometry.hpp"
 #include "hydro/kernels.hpp"
 
 namespace bookleaf::hydro {
@@ -82,7 +83,7 @@ inline void q_cell(const mesh::Mesh& mesh, const Options& opts, State& s,
         const Real q_edge = (Real(1.0) - psi) * s.rho[ci] *
                             (cq * du2 + cl * cs * dunorm);
 
-        const Real edge_len = std::hypot(ex, ey);
+        const Real edge_len = geom::length(ex, ey);
         const Real mu = q_edge * edge_len / std::max(dunorm, tiny);
 
         // Equal-and-opposite dissipative pair force along du.
