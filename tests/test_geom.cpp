@@ -2,6 +2,7 @@
 // differences), corner-volume tiling, characteristic lengths, quality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -250,6 +251,50 @@ TEST(CornerVolumeGradients, BitwiseEqualToTheReferenceOnSignedZeros) {
     expect_same_bytes(
         {.x = {-0.0, -0.0, -0.0, -0.0}, .y = {-0.0, -0.0, -0.0, -0.0}},
         "all -0");
+}
+
+namespace {
+
+std::uint64_t bits(Real x) { return std::bit_cast<std::uint64_t>(x); }
+
+} // namespace
+
+TEST(Length, SymmetricExactOnAxesAndWithinOneUlpOfHypot) {
+    // Magnitudes log-uniform over the documented range [1e-150, 1e150],
+    // both signs. Every other pair draws dy within three decades of dx,
+    // where neither square is negligible next to the other.
+    bu::SplitMix64 rng(20261017);
+    const auto sample = [&](Real lo_exp, Real hi_exp) {
+        const Real mag = std::pow(10.0, rng.uniform(lo_exp, hi_exp));
+        return (rng.next_u64() & 1) != 0 ? -mag : mag;
+    };
+    std::uint64_t worst_ulps = 0;
+    for (int i = 0; i < 200000; ++i) {
+        const Real ex = rng.uniform(-150.0, 150.0);
+        const Real dx = sample(ex, ex);
+        const Real dy = i % 2 == 0 ? sample(-150.0, 150.0)
+                                   : sample(std::max(ex - 3.0, -150.0),
+                                            std::min(ex + 3.0, 150.0));
+        const Real len = bg::length(dx, dy);
+        // A ghost rank measures an edge from its other end: the bytes must
+        // not depend on the sign or the order of the components.
+        ASSERT_EQ(bits(len), bits(bg::length(-dx, dy))) << dx << " " << dy;
+        ASSERT_EQ(bits(len), bits(bg::length(dx, -dy))) << dx << " " << dy;
+        ASSERT_EQ(bits(len), bits(bg::length(dy, dx))) << dx << " " << dy;
+        const Real ref = std::hypot(dx, dy);
+        const std::uint64_t ulps =
+            bits(len) > bits(ref) ? bits(len) - bits(ref) : bits(ref) - bits(len);
+        ASSERT_LE(ulps, 1u) << dx << " " << dy << ": " << len << " vs " << ref;
+        worst_ulps = std::max(worst_ulps, ulps);
+        // Axis-aligned edges are exact.
+        ASSERT_EQ(bits(bg::length(dx, 0.0)), bits(std::abs(dx))) << dx;
+        ASSERT_EQ(bits(bg::length(0.0, dy)), bits(std::abs(dy))) << dy;
+    }
+    // The sqrt form is not hypot: some inputs must land one ulp away, or
+    // the sample missed the regime where the two differ.
+    EXPECT_EQ(worst_ulps, 1u);
+    EXPECT_EQ(bg::length(0.0, 0.0), 0.0);
+    EXPECT_EQ(bg::length(3.0, -4.0), 5.0);
 }
 
 TEST(CharLength, SquareAndNeedle) {
