@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave perfbench/ as checked out
 sys.path.insert(0, str(ROOT / "perfbench"))
 import run  # noqa: E402  (perfbench/run.py)
 

@@ -117,8 +117,8 @@ def main():
     if not complete:
         return 1
 
-    print(f"\n  {'metric':<12} {'n':>3}  {'parent median [q1, q3]':<30}"
-          f"{'change median [q1, q3]':<30}{'wins':>6} {'parent IQR':>11}"
+    print(f"\n  {'metric':<12} {'n':>3}  {'parent median [q1, q3]':<32} "
+          f"{'change median [q1, q3]':<32} {'wins':>5} {'parent IQR':>11}"
           "  verdict")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -143,9 +143,9 @@ def main():
             ratio = (f"  (change/parent {cmed / pmed:.3f})" if abs(rel) >= 1e-3
                      else f"  (relative change {rel:+.2e})")
         print(f"  {name:<12} {len(complete):>3}  "
-              f"{fmt(pmed) + ' [' + fmt(pq1) + ', ' + fmt(pq3) + ']':<30}"
-              f"{fmt(cmed) + ' [' + fmt(cq1) + ', ' + fmt(cq3) + ']':<30}"
-              f"{wins:>3}/{len(complete):<2} {fmt(iqr):>11}  {verdict}{ratio}")
+              f"{fmt(pmed) + ' [' + fmt(pq1) + ', ' + fmt(pq3) + ']':<32} "
+              f"{fmt(cmed) + ' [' + fmt(cq1) + ', ' + fmt(cq3) + ']':<32} "
+              f"{wins:>2}/{len(complete):<2} {fmt(iqr):>11}  {verdict}{ratio}")
     return 1 if bad else 0
 
 

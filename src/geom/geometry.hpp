@@ -28,10 +28,10 @@ struct QuadPts {
 };
 
 /// Euclidean length of (dx, dy), as std::sqrt(dx*dx + dy*dy): the one
-/// length function of the step (getq's edge length, char_length, the ALE
-/// clamp and the mesh-quality metrics). sqrt is correctly rounded under
-/// IEEE-754, so the result is within 1 ulp of libm's hypot and needs no
-/// libm call.
+/// length function of geom, hydro and ale (getq's edge length,
+/// char_length, the ALE clamp, the mesh-quality metrics). sqrt is
+/// correctly rounded under IEEE-754, so the result is within 1 ulp of
+/// libm's hypot and needs no libm call.
 ///
 /// Range: components of magnitude 1e-150 to 1e150 (the squares stay
 /// normal and finite). Unlike hypot it does not rescale, so a component

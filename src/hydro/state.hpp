@@ -45,13 +45,14 @@ struct State {
     Field cnvol;        ///< corner volumes
 
     // --- gathered-geometry cache [cell*4 + k] --------------------------------
-    // Corner coordinates and exact area gradients, written by getgeom (and
-    // initialise / aleupdate) alongside the volumes it already derives
-    // from the same gather. getforce, getq and getdt read these
-    // contiguously instead of re-gathering node coordinates per cell per
-    // invocation — the corrector hot path does no indirect coordinate
-    // loads at all. Always consistent with the state's x/y: every code
-    // path that moves nodes refreshes the cache before a kernel reads it.
+    // Corner coordinates and exact area gradients, written by
+    // rebuild_geometry (getgeom, initialise, aleupdate, the retry rebuild)
+    // alongside the volumes it already derives from the same gather.
+    // getforce, getq and getdt read these contiguously instead of
+    // re-gathering node coordinates per cell per invocation — the
+    // corrector hot path does no indirect coordinate loads at all. Always
+    // consistent with the state's x/y: every code path that moves nodes
+    // refreshes the cache before a kernel reads it.
     Field cnx, cny;     ///< corner positions (gathered)
     Field cngx, cngy;   ///< d(cell area)/d(corner position)
 
