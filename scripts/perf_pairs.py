@@ -16,9 +16,12 @@ side's median [q1, q3], the pairs the change wins and the parent's
 interquartile range, then a verdict by the benchmark's rules:
   gain           the change wins at least 9 pairs in 10 and its median is
                  better than the parent's by more than the parent's IQR;
-  no regression  the change's median is within the metric's bound, read
-                 as a fraction of the parent's median;
-  REGRESSION     otherwise.
+  REGRESSION     the change's median is worse than the parent's by more
+                 than the metric's bound, read as a fraction of the
+                 parent's median;
+  unresolved     within the bound, but the parent's IQR is wider than
+                 the bound and not every change run beats every parent run;
+  no regression  otherwise.
 It also reports failed/attempted operations per side and whether the two
 sides' digests agreed in every pair. --out writes every run's record.
 Exit status: 1 on a regression, a failed run or a failed operation.
@@ -130,13 +133,17 @@ def main():
         iqr = pq3 - pq1
         gap = (pmed - cmed) if lower else (cmed - pmed)
         worse = -gap
+        bound = m["bound"] * abs(pmed)
+        separated = max(c) < min(p) if lower else min(c) > max(p)
         if wins >= math.ceil(0.9 * len(complete)) and gap > iqr:
             verdict = "gain"
-        elif worse <= m["bound"] * abs(pmed):
-            verdict = "no regression"
-        else:
+        elif worse > bound:
             verdict = "REGRESSION"
             bad = True
+        elif iqr > bound and not separated:
+            verdict = "unresolved"
+        else:
+            verdict = "no regression"
         ratio = ""
         if pmed:
             rel = (cmed - pmed) / pmed
