@@ -264,17 +264,19 @@ TEST(Length, SymmetricExactOnAxesAndWithinOneUlpOfHypot) {
     // both signs. Every other pair draws dy within three decades of dx,
     // where neither square is negligible next to the other.
     bu::SplitMix64 rng(20261017);
-    const auto sample = [&](Real lo_exp, Real hi_exp) {
-        const Real mag = std::pow(10.0, rng.uniform(lo_exp, hi_exp));
+    const auto signed_pow10 = [&](Real exponent) {
+        const Real mag = std::pow(10.0, exponent);
         return (rng.next_u64() & 1) != 0 ? -mag : mag;
     };
     std::uint64_t worst_ulps = 0;
     for (int i = 0; i < 200000; ++i) {
         const Real ex = rng.uniform(-150.0, 150.0);
-        const Real dx = sample(ex, ex);
-        const Real dy = i % 2 == 0 ? sample(-150.0, 150.0)
-                                   : sample(std::max(ex - 3.0, -150.0),
-                                            std::min(ex + 3.0, 150.0));
+        const Real ey = i % 2 == 0
+                            ? rng.uniform(-150.0, 150.0)
+                            : rng.uniform(std::max(ex - 3.0, -150.0),
+                                          std::min(ex + 3.0, 150.0));
+        const Real dx = signed_pow10(ex);
+        const Real dy = signed_pow10(ey);
         const Real len = bg::length(dx, dy);
         // A ghost rank measures an edge from its other end: the bytes must
         // not depend on the sign or the order of the components.
