@@ -71,7 +71,7 @@ Sample run_once(const Rig& rig, par::ThreadPool* pool,
 } // namespace
 
 int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
+    const util::Cli cli(argc, argv, {"json"});
     const Rig rigs[] = {{"sod (lagrange)", sod_lagrange, 60},
                         {"sod (eulerian)", sod_eulerian, 40},
                         {"noh (lagrange)", noh_lagrange, 40}};

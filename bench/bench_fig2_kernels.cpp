@@ -51,7 +51,7 @@ void figure(const char* title, Kernel kernel,
 } // namespace
 
 int main(int argc, char** argv) {
-    const bookleaf::util::Cli cli(argc, argv);
+    const bookleaf::util::Cli cli(argc, argv, {"json"});
     figure("=== Figure 2a: viscosity calculation kernel (getq) ===",
            Kernel::getq, &PaperRow::viscosity);
     figure("=== Figure 2b: acceleration calculation kernel (getacc) ===",

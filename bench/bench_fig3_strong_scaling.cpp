@@ -16,7 +16,7 @@
 using namespace bookleaf::perfmodel;
 
 int main(int argc, char** argv) {
-    const bookleaf::util::Cli cli(argc, argv);
+    const bookleaf::util::Cli cli(argc, argv, {"json"});
     std::printf("=== Figure 3: Sod strong scaling, overall time ===\n\n");
     const std::vector<int> nodes = {8, 16, 32, 64};
 

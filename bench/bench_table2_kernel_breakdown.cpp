@@ -25,7 +25,7 @@ using namespace bookleaf::perfmodel;
 using util::Kernel;
 
 int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
+    const util::Cli cli(argc, argv, {"json", "calibrated"});
 
     std::printf("=== Table I: experimental configurations ===\n");
     std::printf("%-18s %-48s %-22s %s\n", "Config", "Hardware", "System",

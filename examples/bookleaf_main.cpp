@@ -26,8 +26,13 @@
 using namespace bookleaf;
 
 int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
     try {
+        const util::Cli cli(argc, argv,
+                            {"threads", "grain", "max_steps", "assembly",
+                             "banner-every", "vtk", "restart",
+                             "telemetry-report", "telemetry-trace",
+                             "telemetry-summary", "telemetry-window",
+                             "telemetry-live", "watchdog-factor"});
         setup::Problem problem =
             cli.positional().empty()
                 ? setup::sod()

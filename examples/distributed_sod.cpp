@@ -59,11 +59,13 @@
 #include "part/partition.hpp"
 #include "setup/problems.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 
 using namespace bookleaf;
 
-int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
+namespace {
+
+int run(const util::Cli& cli) {
     const int ranks = cli.get_int("ranks", 4);
     const auto nx = static_cast<Index>(cli.get_int("nx", 100));
     const auto partitioner = cli.get("partitioner", "rcb");
@@ -350,4 +352,23 @@ int main(int argc, char** argv) {
         return 1;
     }
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    try {
+        return run(util::Cli(
+            argc, argv,
+            {"ranks", "nx", "partitioner", "overlap", "packing", "mode",
+             "threads", "schedule", "tol", "dump", "save-prefix", "save-at",
+             "halt-after-save", "restart", "supervise", "ring-every",
+             "kill-rank", "kill-step", "delay-rank", "delay-every",
+             "slow-all-us", "telemetry-report", "telemetry-trace",
+             "telemetry-summary", "telemetry-window", "telemetry-live",
+             "watchdog-factor", "watchdog-grace-ms", "watchdog-escalate"}));
+    } catch (const util::Error& e) {
+        std::fprintf(stderr, "distributed_sod: error: %s\n", e.what());
+        return 2;
+    }
 }

@@ -19,7 +19,7 @@
 using namespace bookleaf;
 
 int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
+    const util::Cli cli(argc, argv, {"n", "t_end", "threads", "vtk"});
     const auto n = static_cast<Index>(cli.get_int("n", 50));
     const Real t_end = cli.get_real("t_end", 0.6);
     const int threads = cli.get_int("threads", 1);

@@ -17,7 +17,7 @@
 using namespace bookleaf;
 
 int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
+    const util::Cli cli(argc, argv, {"nx", "t_end", "vtk"});
     const auto nx = static_cast<Index>(cli.get_int("nx", 100));
     const Real t_end = cli.get_real("t_end", 0.2);
 

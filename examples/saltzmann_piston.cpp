@@ -20,7 +20,7 @@
 using namespace bookleaf;
 
 int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
+    const util::Cli cli(argc, argv, {"control", "t_end", "vtk"});
     const auto control = cli.get("control", "subzonal");
     const Real t_end = cli.get_real("t_end", 0.6);
 

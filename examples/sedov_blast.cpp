@@ -41,7 +41,7 @@ Real shock_radius(const core::Hydro& h) {
 } // namespace
 
 int main(int argc, char** argv) {
-    const util::Cli cli(argc, argv);
+    const util::Cli cli(argc, argv, {"n", "t_end", "vtk"});
     const auto n = static_cast<Index>(cli.get_int("n", 45));
     const Real t_end = cli.get_real("t_end", 1.0);
 

@@ -1,25 +1,47 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
-#include <string_view>
+#include <algorithm>
+#include <charconv>
+
+#include "util/error.hpp"
 
 namespace bookleaf::util {
 
-Cli::Cli(int argc, const char* const* argv) {
+namespace {
+
+/// The whole of `value` as a T, or util::Error naming the key.
+template <typename T>
+T parse_number(const std::string& key, const std::string& value,
+               const char* kind) {
+    T out{};
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+    if (value.empty() || ec != std::errc{} || ptr != end)
+        throw Error("--" + key + " expects " + kind + ", got '" + value + "'");
+    return out;
+}
+
+} // namespace
+
+Cli::Cli(int argc, const char* const* argv,
+         std::initializer_list<std::string_view> keys) {
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg(argv[i]);
         if (arg.rfind("--", 0) == 0) {
             const auto body = arg.substr(2);
             const auto eq = body.find('=');
+            const auto key = body.substr(0, eq);
+            if (std::find(keys.begin(), keys.end(), key) == keys.end())
+                throw Error("unknown option --" + std::string(key));
             if (eq != std::string_view::npos) {
-                options_.emplace(std::string(body.substr(0, eq)),
+                options_.emplace(std::string(key),
                                  std::string(body.substr(eq + 1)));
             } else if (i + 1 < argc &&
                        std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
-                options_.emplace(std::string(body), std::string(argv[i + 1]));
+                options_.emplace(std::string(key), std::string(argv[i + 1]));
                 ++i;
             } else {
-                options_.emplace(std::string(body), "");
+                options_.emplace(std::string(key), "");
             }
         } else {
             positional_.emplace_back(arg);
@@ -39,12 +61,12 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
 }
 
 int Cli::get_int(const std::string& key, int fallback) const {
-    if (const auto v = lookup(key)) return std::atoi(v->c_str());
+    if (const auto v = lookup(key)) return parse_number<int>(key, *v, "an integer");
     return fallback;
 }
 
 double Cli::get_real(const std::string& key, double fallback) const {
-    if (const auto v = lookup(key)) return std::atof(v->c_str());
+    if (const auto v = lookup(key)) return parse_number<double>(key, *v, "a number");
     return fallback;
 }
 

@@ -2,10 +2,14 @@
 /// \file cli.hpp
 /// Tiny command-line parser for examples and bench harnesses.
 /// Understands `--key=value`, `--key value`, bare `--flag`, and
-/// positional arguments.
+/// positional arguments. Strict: a key the program does not accept and a
+/// numeric value that is not wholly a number both throw util::Error, so
+/// a misspelt or retired flag fails loudly instead of running defaults.
 
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -13,7 +17,9 @@ namespace bookleaf::util {
 
 class Cli {
 public:
-    Cli(int argc, const char* const* argv);
+    /// `keys` lists every `--key` the program accepts.
+    Cli(int argc, const char* const* argv,
+        std::initializer_list<std::string_view> keys);
 
     [[nodiscard]] bool has(const std::string& key) const;
     [[nodiscard]] std::string get(const std::string& key,

@@ -43,21 +43,21 @@ TEST(Csr, EmptyCsrHasZeroRows) {
 
 TEST(Cli, ParsesKeyEqualsValue) {
     const char* argv[] = {"prog", "--nx=128", "--problem=sod"};
-    const bu::Cli cli(3, argv);
+    const bu::Cli cli(3, argv, {"nx", "problem"});
     EXPECT_EQ(cli.get_int("nx", 0), 128);
     EXPECT_EQ(cli.get("problem", ""), "sod");
 }
 
 TEST(Cli, ParsesKeySpaceValue) {
     const char* argv[] = {"prog", "--steps", "50", "--cfl", "0.25"};
-    const bu::Cli cli(5, argv);
+    const bu::Cli cli(5, argv, {"steps", "cfl"});
     EXPECT_EQ(cli.get_int("steps", 0), 50);
     EXPECT_DOUBLE_EQ(cli.get_real("cfl", 0.0), 0.25);
 }
 
 TEST(Cli, BareFlagAndPositional) {
     const char* argv[] = {"prog", "input.deck", "--verbose", "--out=x"};
-    const bu::Cli cli(4, argv);
+    const bu::Cli cli(4, argv, {"verbose", "quiet", "out"});
     EXPECT_TRUE(cli.has("verbose"));
     EXPECT_FALSE(cli.has("quiet"));
     ASSERT_EQ(cli.positional().size(), 1u);
@@ -66,10 +66,36 @@ TEST(Cli, BareFlagAndPositional) {
 
 TEST(Cli, FallbacksWhenMissing) {
     const char* argv[] = {"prog"};
-    const bu::Cli cli(1, argv);
+    const bu::Cli cli(1, argv, {"nx", "cfl", "problem"});
     EXPECT_EQ(cli.get_int("nx", 42), 42);
     EXPECT_DOUBLE_EQ(cli.get_real("cfl", 0.5), 0.5);
     EXPECT_EQ(cli.get("problem", "noh"), "noh");
+}
+
+TEST(Cli, UnknownKeyThrowsNamingIt) {
+    const char* argv[] = {"prog", "--threads", "2", "--packing", "perfield"};
+    try {
+        const bu::Cli cli(5, argv, {"threads"});
+        FAIL() << "an unknown key must throw";
+    } catch (const bu::Error& e) {
+        EXPECT_NE(std::string(e.what()).find("--packing"), std::string::npos)
+            << e.what();
+    }
+    const char* eq[] = {"prog", "--shedule=forkjoin"};
+    EXPECT_THROW(bu::Cli(2, eq, {"schedule"}), bu::Error);
+}
+
+TEST(Cli, NumbersMustBeWhole) {
+    for (const char* bad : {"four", "4x", ""}) {
+        const char* argv[] = {"prog", "--threads", bad, "--tol", bad};
+        const bu::Cli cli(5, argv, {"threads", "tol"});
+        EXPECT_THROW((void)cli.get_int("threads", 1), bu::Error) << bad;
+        EXPECT_THROW((void)cli.get_real("tol", 1.0), bu::Error) << bad;
+    }
+    const char* argv[] = {"prog", "--threads", "4", "--tol", "1e-8"};
+    const bu::Cli cli(5, argv, {"threads", "tol"});
+    EXPECT_EQ(cli.get_int("threads", 1), 4);
+    EXPECT_DOUBLE_EQ(cli.get_real("tol", 1.0), 1e-8);
 }
 
 TEST(Random, DeterministicForSeed) {
