@@ -5,8 +5,7 @@
 ///   * divergence: dt = div_sf / max_c |dV/dt| / V (volume-change limit);
 ///   * growth: dt <= dt_growth * previous dt, and dt <= dt_max.
 /// The min-reductions carry argmin (the Fortran MINVAL/MINLOC pair whose
-/// `workshare` behaviour the paper discusses); under the hybrid artefact
-/// (`exec.serial_reductions`) they run single-threaded.
+/// `workshare` behaviour the paper discusses).
 
 #include <cmath>
 

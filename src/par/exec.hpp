@@ -16,8 +16,6 @@
 ///   * `Assembly::colored_scatter` — a greedy conflict colouring
 ///     parallelises the scatter class-by-class (the "fix" the paper
 ///     alludes to); kept as an ablation baseline.
-/// `serial_reductions` mimics the `workshare` implementations that give
-/// all reduction work to a single thread (the MINVAL/MINLOC sites).
 
 #include <algorithm>
 #include <atomic>
@@ -53,7 +51,6 @@ struct Exec {
     ThreadPool* pool = nullptr;
     Assembly assembly = Assembly::gather;
     Schedule schedule = Schedule::taskgraph;
-    bool serial_reductions = false;
     /// Minimum iterations handed to a worker per chunk in for_each; 0
     /// selects an automatic grain (~4 chunks per worker for dynamic load
     /// balance on irregular meshes without starving the fast threads).
@@ -152,8 +149,7 @@ struct MinLoc {
     Index index = no_index;
 };
 
-/// Minimum of value_of(i) over [0, n) with argmin. Honors
-/// `serial_reductions` (the hybrid-model artefact). Partial results use a
+/// Minimum of value_of(i) over [0, n) with argmin. Partial results use a
 /// static block decomposition and combine in block order, so the result is
 /// identical at any thread count.
 template <typename ValueOf>
@@ -169,7 +165,7 @@ MinLoc reduce_min(const Exec& ex, Index n, ValueOf&& value_of) {
         }
         return r;
     };
-    if (!ex.threaded() || ex.serial_reductions || n < 2) return serial(0, n);
+    if (!ex.threaded() || n < 2) return serial(0, n);
 
     const int parts = ex.pool->size();
     std::vector<MinLoc> partial(static_cast<std::size_t>(parts),
@@ -183,27 +179,6 @@ MinLoc reduce_min(const Exec& ex, Index n, ValueOf&& value_of) {
         if (p.index != no_index && (best.index == no_index || p.value < best.value))
             best = p;
     return best;
-}
-
-/// Sum of value_of(i) over [0, n). Deterministic: partial sums are always
-/// combined in block order regardless of thread scheduling.
-template <typename ValueOf>
-Real reduce_sum(const Exec& ex, Index n, ValueOf&& value_of) {
-    auto serial = [&](Index begin, Index end) {
-        Real s = 0.0;
-        for (Index i = begin; i < end; ++i) s += value_of(i);
-        return s;
-    };
-    if (!ex.threaded() || ex.serial_reductions || n < 2) return serial(0, n);
-    const int parts = ex.pool->size();
-    std::vector<Real> partial(static_cast<std::size_t>(parts), 0.0);
-    ex.pool->run([&](int tid) {
-        const auto [begin, end] = detail::block(n, parts, tid);
-        partial[static_cast<std::size_t>(tid)] = serial(begin, end);
-    });
-    Real s = 0.0;
-    for (const Real p : partial) s += p;
-    return s;
 }
 
 } // namespace bookleaf::par

@@ -179,21 +179,6 @@ TEST(Exec, ReduceMinMatchesSerialReference) {
     EXPECT_EQ(got.index, ref.index);
 }
 
-TEST(Exec, ReduceMinSerialReductionArtefact) {
-    // With serial_reductions set the result must still be identical; only
-    // the execution path differs (one thread does all the work).
-    bp::ThreadPool pool(4);
-    bp::Exec ex;
-    ex.pool = &pool;
-    ex.serial_reductions = true;
-    std::vector<Real> v = {5.0, 3.0, 9.0, 1.0, 4.0};
-    const auto r = bp::reduce_min(ex, 5, [&](Index i) {
-        return v[static_cast<std::size_t>(i)];
-    });
-    EXPECT_DOUBLE_EQ(r.value, 1.0);
-    EXPECT_EQ(r.index, 3);
-}
-
 TEST(Exec, ReduceMinEmptyRange) {
     const bp::Exec ex;
     const auto r = bp::reduce_min(ex, 0, [](Index) { return 1.0; });
@@ -207,24 +192,6 @@ TEST(Exec, ReduceMinFirstOfTies) {
         return v[static_cast<std::size_t>(i)];
     });
     EXPECT_EQ(r.index, 1);
-}
-
-TEST(Exec, ReduceSumDeterministicAcrossWidths) {
-    bu::SplitMix64 rng(23);
-    std::vector<Real> v(4096);
-    for (auto& x : v) x = rng.uniform(0.0, 1.0);
-    const bp::Exec serial;
-    const Real ref = bp::reduce_sum(serial, static_cast<Index>(v.size()),
-                                    [&](Index i) { return v[static_cast<std::size_t>(i)]; });
-    bp::ThreadPool pool(4);
-    bp::Exec threaded;
-    threaded.pool = &pool;
-    const Real a = bp::reduce_sum(threaded, static_cast<Index>(v.size()),
-                                  [&](Index i) { return v[static_cast<std::size_t>(i)]; });
-    const Real b = bp::reduce_sum(threaded, static_cast<Index>(v.size()),
-                                  [&](Index i) { return v[static_cast<std::size_t>(i)]; });
-    EXPECT_DOUBLE_EQ(a, b);          // repeatable under the same width
-    EXPECT_NEAR(a, ref, 1e-12 * ref); // and consistent with serial
 }
 
 namespace {
