@@ -2,10 +2,9 @@
 /// Ablation for the acceleration kernel's data dependency (§IV-B): the
 /// corner-force scatter races under threading, so the reference OpenMP
 /// port leaves it serial; the fix the paper alludes to ("could be fixed
-/// by rewriting the kernel") is implemented here as a conflict-free
-/// colouring. This bench shows (a) the model-level effect on the hybrid
-/// column of Table II, and (b) the real kernel running both ways with
-/// identical results.
+/// by rewriting the kernel") is the default gather over nodes. This bench
+/// shows (a) the model-level effect on the hybrid column of Table II, and
+/// (b) the real kernel running both ways with identical results.
 
 #include <cmath>
 #include <cstdio>
@@ -33,19 +32,18 @@ int main() {
         const double hybrid_serial =
             cpu_kernel_seconds(platform, work_acc, table2_cells, table2_steps,
                                true);
-        const double hybrid_colored = cpu_kernel_seconds(
+        const double hybrid_gather = cpu_kernel_seconds(
             platform, fixed.at(Kernel::getacc), table2_cells, table2_steps,
             true);
         std::printf("%-40s flat %6.1fs | hybrid(serial scatter) %6.1fs | "
-                    "hybrid(colored) %6.1fs\n",
-                    platform.name.c_str(), flat, hybrid_serial, hybrid_colored);
+                    "hybrid(gather) %6.1fs\n",
+                    platform.name.c_str(), flat, hybrid_serial, hybrid_gather);
     }
 
-    // --- real kernels: the three assembly strategies, identical physics.
-    // serial scatter and colored scatter are the paper's §IV-B ablation
-    // baselines; the gather over the node->(cell, corner) CSR is the
-    // default production path (race-free, bitwise thread-count
-    // independent).
+    // --- real kernels: both assembly strategies, identical physics. The
+    // serial scatter is the paper's §IV-B ablation baseline; the gather
+    // over the node->(cell, corner) CSR is the default production path
+    // (race-free, bitwise thread-count independent).
     std::printf("\nreal kernel check (Noh 48x48, 40 steps, 2 threads):\n");
     auto run = [](par::Assembly assembly) {
         core::Hydro h(setup::noh(48));
@@ -59,18 +57,12 @@ int main() {
                               h.profiler().stats(Kernel::getacc).wall_s);
     };
     const auto [rho_serial, t_serial] = run(par::Assembly::serial_scatter);
-    const auto [rho_colored, t_colored] = run(par::Assembly::colored_scatter);
     const auto [rho_gather, t_gather] = run(par::Assembly::gather);
-    double max_colored = 0, max_gather = 0;
-    for (std::size_t c = 0; c < rho_serial.size(); ++c) {
-        max_colored =
-            std::max(max_colored, std::abs(rho_serial[c] - rho_colored[c]));
+    double max_gather = 0;
+    for (std::size_t c = 0; c < rho_serial.size(); ++c)
         max_gather =
             std::max(max_gather, std::abs(rho_serial[c] - rho_gather[c]));
-    }
     std::printf("  serial scatter:  getacc %.4f s\n", t_serial);
-    std::printf("  colored scatter: getacc %.4f s  (max |drho| %.3e)\n",
-                t_colored, max_colored);
     std::printf("  gather (default): getacc %.4f s  (max |drho| %.3e, "
                 "must be exactly 0)\n",
                 t_gather, max_gather);

@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
                 skl_h.at(Kernel::getacc) / skl.at(Kernel::getacc));
 
     // --- measured counterpart on this host: the acceleration kernel under
-    // the three assembly strategies (Fig. 2b's data dependency, and the
-    // gather that removes it). Noh 64x64, 30 steps per variant.
+    // both assembly strategies (Fig. 2b's data dependency, and the gather
+    // that removes it). Noh 64x64, 30 steps per variant.
     namespace bl = bookleaf;
     std::printf("\n=== Measured acceleration assembly on this host "
                 "(Noh 64x64, 30 steps, 2 threads) ===\n");
@@ -83,7 +83,6 @@ int main(int argc, char** argv) {
         return h.profiler().stats(Kernel::getacc).wall_s;
     };
     const double t_serial = measure(bl::par::Assembly::serial_scatter);
-    const double t_colored = measure(bl::par::Assembly::colored_scatter);
     const double t_gather = measure(bl::par::Assembly::gather);
 
     // One more instrumented run keeping the FULL kernel breakdown: its
@@ -100,8 +99,6 @@ int main(int argc, char** argv) {
         instrumented.run(std::nullopt, 30);
     }
     std::printf("%-28s %10.4f s\n", "serial scatter (paper)", t_serial);
-    std::printf("%-28s %10.4f s  (%.2fx vs serial)\n", "colored scatter",
-                t_colored, t_serial / std::max(t_colored, 1e-12));
     std::printf("%-28s %10.4f s  (%.2fx vs serial)\n", "gather (default)",
                 t_gather, t_serial / std::max(t_gather, 1e-12));
 
@@ -131,10 +128,7 @@ int main(int argc, char** argv) {
         auto& measured = doc["measured"];
         measured = obs::Json::object();
         measured["getacc_serial_scatter_s"] = obs::Json(t_serial);
-        measured["getacc_colored_scatter_s"] = obs::Json(t_colored);
         measured["getacc_gather_s"] = obs::Json(t_gather);
-        measured["speedup_colored"] =
-            obs::Json(t_serial / std::max(t_colored, 1e-12));
         measured["speedup_gather"] =
             obs::Json(t_serial / std::max(t_gather, 1e-12));
 

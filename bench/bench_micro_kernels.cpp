@@ -9,7 +9,6 @@
 #include "ale/remap.hpp"
 #include "hydro/kernels.hpp"
 #include "mesh/generator.hpp"
-#include "par/coloring.hpp"
 #include "setup/problems.hpp"
 #include "util/csr.hpp"
 
@@ -76,9 +75,8 @@ KERNEL_BENCH(lagstep, hydro::lagstep(rig.ctx, rig.state, 1e-5));
 
 // ---------------------------------------------------------------------------
 // Acceleration nodal-assembly strategies (the §IV-B data dependency):
-// serial scatter (paper-faithful) vs conflict-coloured scatter vs the
-// default gather, at 1 and 2 threads on the Noh rig. This is the
-// tentpole comparison BENCH_*.json tracks.
+// serial scatter (paper-faithful) vs the default gather, at 1 and 2
+// threads on the Noh rig.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -91,12 +89,6 @@ void assembly_bench(benchmark::State& bench_state, par::Assembly mode,
     if (threads > 1) exec.pool = &pool;
     exec.assembly = mode;
     rig.ctx.exec = exec;
-
-    par::Coloring coloring;
-    if (mode == par::Assembly::colored_scatter) {
-        coloring = par::build_scatter_coloring(rig.problem.mesh);
-        rig.ctx.scatter_coloring = &coloring;
-    }
 
     for (auto _ : bench_state) {
         hydro::getacc(rig.ctx, rig.state, 1e-4);
@@ -118,7 +110,6 @@ void assembly_bench(benchmark::State& bench_state, par::Assembly mode,
 
 ASSEMBLY_BENCH(scatter_serial_t1, par::Assembly::serial_scatter, 1);
 ASSEMBLY_BENCH(scatter_serial_t2, par::Assembly::serial_scatter, 2);
-ASSEMBLY_BENCH(scatter_colored_t2, par::Assembly::colored_scatter, 2);
 ASSEMBLY_BENCH(gather_t1, par::Assembly::gather, 1);
 ASSEMBLY_BENCH(gather_t2, par::Assembly::gather, 2);
 

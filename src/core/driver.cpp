@@ -189,11 +189,6 @@ void Hydro::maybe_checkpoint(Real t_before) {
 }
 
 void Hydro::set_assembly(par::Assembly assembly) {
-    if (assembly == par::Assembly::colored_scatter &&
-        ctx_.scatter_coloring == nullptr) {
-        coloring_ = par::build_scatter_coloring(problem_.mesh);
-        ctx_.scatter_coloring = &coloring_;
-    }
     ctx_.exec.assembly = assembly;
     chosen_assembly_ = assembly;
     assembly_chosen_ = true;

@@ -63,12 +63,7 @@ public:
         drop_graphs();
     }
     /// Select the acceleration nodal-assembly strategy (default: gather).
-    /// `colored_scatter` builds the conflict colouring on first use.
     void set_assembly(par::Assembly assembly);
-    /// Enable colour-parallel acceleration scatter (builds the colouring).
-    void enable_colored_scatter() {
-        set_assembly(par::Assembly::colored_scatter);
-    }
 
     /// One step of Algorithm 1. Returns the step record.
     StepInfo step();
@@ -147,7 +142,6 @@ private:
     /// of t, dt, total mass, internal and kinetic energy, plus a step-0
     /// baseline row. Null when disabled.
     std::unique_ptr<io::CsvWriter> history_;
-    par::Coloring coloring_;
     par::Assembly chosen_assembly_ = par::Assembly::gather;
     bool assembly_chosen_ = false;
     /// Set when a checkpoint was written and `halt_after` asks the run

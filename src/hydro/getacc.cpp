@@ -16,10 +16,9 @@
 /// node_mass/nfx/nfy into the assembly loop (the scatter paths must
 /// pre-zero in a separate parallel pass).
 ///
-/// The paper-faithful behaviours remain selectable through
-/// `Exec::assembly` as ablation baselines: `serial_scatter` (the reference
-/// data dependency) and `colored_scatter` (greedy conflict colouring, the
-/// "fix" §IV-B alludes to; requires `ctx.scatter_coloring`).
+/// The paper-faithful behaviour remains selectable through
+/// `Exec::assembly` as the §IV-B ablation baseline: `serial_scatter`, the
+/// reference data dependency.
 
 #include "hydro/kernels.hpp"
 #include "util/error.hpp"
@@ -65,35 +64,19 @@ void assemble_gather(const Context& ctx, State& s, Index n_nodes) {
                   [&](Index n) { gather_node(nc, s, n); });
 }
 
-/// Legacy scatter assembly (serial or coloured), for the §IV-B ablations.
+/// The reference serial scatter assembly, for the §IV-B ablation.
 void assemble_scatter(const Context& ctx, State& s, Index n_nodes,
                       Index n_cells) {
-    // Zero in parallel (the legacy paths previously paid three serial
-    // std::fill passes here even with a pool present).
+    // Zero in parallel; the scatter itself is the data dependency and
+    // stays serial.
     par::for_each(ctx.exec, n_nodes, [&](Index n) {
         const auto ni = static_cast<std::size_t>(n);
         s.node_mass[ni] = 0.0;
         s.nfx[ni] = 0.0;
         s.nfy[ni] = 0.0;
     });
-
-    const bool use_colors = ctx.exec.assembly == par::Assembly::colored_scatter &&
-                            ctx.scatter_coloring != nullptr &&
-                            ctx.exec.threaded();
-    if (use_colors) {
-        // Race-free parallel scatter: cells within a colour class share no
-        // node, classes run back-to-back.
-        for (const auto& cls : ctx.scatter_coloring->classes) {
-            par::for_each(ctx.exec, static_cast<Index>(cls.size()), [&](Index i) {
-                scatter_cell(*ctx.mesh, s, cls[static_cast<std::size_t>(i)],
-                             s.node_mass);
-            });
-        }
-    } else {
-        // The reference behaviour: serial scatter (data dependency).
-        for (Index c = 0; c < n_cells; ++c)
-            scatter_cell(*ctx.mesh, s, c, s.node_mass);
-    }
+    for (Index c = 0; c < n_cells; ++c)
+        scatter_cell(*ctx.mesh, s, c, s.node_mass);
 }
 
 } // namespace

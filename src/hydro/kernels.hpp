@@ -14,7 +14,6 @@
 #include "hydro/options.hpp"
 #include "hydro/state.hpp"
 #include "mesh/mesh.hpp"
-#include "par/coloring.hpp"
 #include "par/exec.hpp"
 #include "util/profiler.hpp"
 
@@ -31,9 +30,8 @@ namespace bookleaf::hydro {
 class StepGraph;
 
 /// Everything a kernel needs besides the state: mesh topology, materials,
-/// options, execution policy, profiler, and (optionally) the scatter
-/// colouring for the `Assembly::colored_scatter` ablation path of the
-/// acceleration kernel.
+/// options, execution policy, profiler, and the drivers' optional
+/// distributed-run overrides and task graphs.
 struct Context {
     const mesh::Mesh* mesh = nullptr;
     const eos::MaterialTable* materials = nullptr;
@@ -43,7 +41,6 @@ struct Context {
     /// (hand-built) contexts safe. Drivers overwrite it with their own
     /// per-run instance so concurrent runs never share stats.
     util::Profiler* profiler = &util::default_profiler();
-    const par::Coloring* scatter_coloring = nullptr;
     /// Distributed runs: number of *owned* cells (owned-first ordering).
     /// getdt reduces over these only, so the post-reduction global dt is
     /// identical to a serial run; no_index means "all cells".
@@ -125,8 +122,7 @@ void getforce(const Context& ctx, State& s, std::span<const Index> cells);
 /// velocities (ubar, vbar). The assembly strategy follows
 /// `exec.assembly`: the default gather over the node->(cell, corner) CSR
 /// is race-free and bitwise thread-count independent; `serial_scatter`
-/// and `colored_scatter` reproduce the paper's §IV-B behaviours (the
-/// latter needs `ctx.scatter_coloring`).
+/// reproduces the paper's §IV-B data dependency.
 void getacc(const Context& ctx, State& s, Real dt);
 
 /// Subrange pieces of the acceleration kernel for the distributed

@@ -12,10 +12,7 @@
 ///     deterministic at any thread count;
 ///   * `Assembly::serial_scatter` — the reference behaviour: the scatter
 ///     is a data dependency and runs serially even when a pool is present
-///     (the paper left the kernel unparallelised);
-///   * `Assembly::colored_scatter` — a greedy conflict colouring
-///     parallelises the scatter class-by-class (the "fix" the paper
-///     alludes to); kept as an ablation baseline.
+///     (the paper left the kernel unparallelised).
 
 #include <algorithm>
 #include <atomic>
@@ -32,7 +29,6 @@ namespace bookleaf::par {
 enum class Assembly {
     gather,          ///< node-centred gather (default; race-free, bitwise)
     serial_scatter,  ///< paper-faithful serial corner scatter
-    colored_scatter, ///< conflict-coloured parallel scatter (ablation)
 };
 
 /// Step-level scheduling strategy. `taskgraph` expresses the Lagrangian

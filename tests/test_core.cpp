@@ -428,25 +428,21 @@ TEST(Driver, ProfilerCoversAllLagrangianKernels) {
 }
 
 TEST(Driver, ThreadedRunMatchesSerialOnFullProblem) {
-    auto run_with = [](bookleaf::par::ThreadPool* pool, bool colored) {
+    auto run_with = [](bookleaf::par::ThreadPool* pool) {
         bc::Hydro h(bs::sod(64, 2));
         if (pool) {
             bookleaf::par::Exec ex;
             ex.pool = pool;
             h.set_exec(ex);
-            if (colored) h.enable_colored_scatter();
         }
         h.run(0.05);
         return h.state().rho;
     };
-    const auto serial = run_with(nullptr, false);
+    const auto serial = run_with(nullptr);
     bookleaf::par::ThreadPool pool(4);
-    const auto hybrid = run_with(&pool, false);
-    const auto colored = run_with(&pool, true);
-    for (std::size_t c = 0; c < serial.size(); ++c) {
+    const auto hybrid = run_with(&pool);
+    for (std::size_t c = 0; c < serial.size(); ++c)
         EXPECT_DOUBLE_EQ(hybrid[c], serial[c]);
-        EXPECT_NEAR(colored[c], serial[c], 1e-10);
-    }
 }
 
 // ---------------------------------------------------------------------------

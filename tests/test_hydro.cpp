@@ -8,9 +8,7 @@
 
 #include "hydro/kernels.hpp"
 #include "mesh/generator.hpp"
-#include "par/coloring.hpp"
 #include "setup/problems.hpp"
-#include "util/csr.hpp"
 #include "util/random.hpp"
 
 namespace bh = bookleaf::hydro;
@@ -48,13 +46,6 @@ struct Rig {
 
     void reinit() { bh::initialise(mesh, materials, state); }
 };
-
-bu::Csr cell_nodes_csr(const bm::Mesh& mesh) {
-    std::vector<std::pair<Index, Index>> pairs;
-    for (Index c = 0; c < mesh.n_cells(); ++c)
-        for (int k = 0; k < 4; ++k) pairs.emplace_back(c, mesh.cn(c, k));
-    return bu::Csr::from_pairs(mesh.n_cells(), pairs);
-}
 
 } // namespace
 
@@ -249,43 +240,6 @@ TEST(GetQ, ViscousForcesConserveMomentumPerCell) {
 // ---------------------------------------------------------------------------
 // getacc: scatter equivalence (the paper's data-dependency artefact)
 // ---------------------------------------------------------------------------
-
-TEST(GetAcc, ColoredScatterMatchesSerialScatter) {
-    Rig rig({.nx = 12, .ny = 9}, 1.4, 1.0, 2.5);
-    bu::SplitMix64 rng(5);
-    for (auto& u : rig.state.u) u = rng.uniform(-0.2, 0.2);
-    for (auto& v : rig.state.v) v = rng.uniform(-0.2, 0.2);
-    rig.state.u0 = rig.state.u;
-    rig.state.v0 = rig.state.v;
-    bh::getq(rig.ctx, rig.state);
-    bh::getforce(rig.ctx, rig.state);
-
-    // Serial scatter reference.
-    rig.ctx.exec.assembly = bp::Assembly::serial_scatter;
-    bh::getacc(rig.ctx, rig.state, 1e-3);
-    const auto u_ref = rig.state.u;
-    const auto v_ref = rig.state.v;
-    const auto nm_ref = rig.state.node_mass;
-
-    // Colored parallel scatter.
-    const auto csr = cell_nodes_csr(rig.mesh);
-    const auto coloring = bp::greedy_color(csr, rig.mesh.n_nodes());
-    ASSERT_TRUE(bp::coloring_is_valid(coloring, csr, rig.mesh.n_nodes()));
-    bp::ThreadPool pool(4);
-    rig.ctx.exec.pool = &pool;
-    rig.ctx.exec.grain = 1; // force real parallel scatter on a small mesh
-    rig.ctx.exec.assembly = bp::Assembly::colored_scatter;
-    rig.ctx.scatter_coloring = &coloring;
-    rig.state.u = rig.state.u0;
-    rig.state.v = rig.state.v0;
-    bh::getacc(rig.ctx, rig.state, 1e-3);
-
-    for (std::size_t i = 0; i < u_ref.size(); ++i) {
-        EXPECT_NEAR(rig.state.u[i], u_ref[i], 1e-13);
-        EXPECT_NEAR(rig.state.v[i], v_ref[i], 1e-13);
-        EXPECT_NEAR(rig.state.node_mass[i], nm_ref[i], 1e-13);
-    }
-}
 
 TEST(GetAcc, GatherMatchesSerialScatterBitwiseAcrossThreadCounts) {
     // The tentpole guarantee: the gather-based assembly reproduces the
