@@ -77,8 +77,7 @@ bench_dist_remap(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
             hydro::getgeom(ctx, s, s.u, s.v, 0.0);
             hydro::getrho(ctx, s);
             hydro::getpc(ctx, s);
-            dist::remap(ctx, s, aopts, w, comm, sub,
-                        typhon::Packing::coalesced);
+            dist::remap(ctx, s, aopts, w, comm, sub);
         }
     });
 

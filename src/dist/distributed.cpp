@@ -25,8 +25,8 @@
 /// consumes dt. Because every kernel piece involved is per-item
 /// independent, the exchanged bytes are identical and the reduction is
 /// rank-order deterministic, the two schedules are bitwise identical at
-/// every rank count — for either halo wire format (Options::packing:
-/// one coalesced message per peer, or the per-field ablation).
+/// every rank count. Every exchange posts one message per peer, the
+/// fields' slices back-to-back.
 
 #include "dist/distributed.hpp"
 
@@ -103,31 +103,26 @@ void blocking_halo(const hydro::Context& ctx, Start&& start) {
 /// The fused pre-step state halo: node kinematics {x, y, u, v} and ghost
 /// internal energy {ein} as ONE wire exchange — where a peer appears in
 /// both schedules (the common case: a rank owning our ghost cells
-/// usually owns nodes of ours too) the coalesced packing ships a single
-/// message carrying both groups' slices, collapsing the per-step
-/// pre-exchange from two messages per peer to one.
+/// usually owns nodes of ours too) a single message carries both groups'
+/// slices, collapsing the per-step pre-exchange from two messages per
+/// peer to one.
 [[nodiscard]] typhon::PendingExchange
 start_state_halo(hydro::State& s, typhon::Comm& comm,
-                 const part::Subdomain& sub, typhon::Packing packing) {
-    // Field lists and the Subdomain wire-format metadata must change
-    // together (messages_per_step's accounting rests on them).
-    static_assert(part::Subdomain::node_exchange_fields == 4 &&
-                  part::Subdomain::cell_exchange_fields == 1);
+                 const part::Subdomain& sub) {
     const std::array<typhon::FieldGroup, 2> groups{
         typhon::FieldGroup{&sub.node_schedule, {std::span<Real>(s.x),
                                                 std::span<Real>(s.y),
                                                 std::span<Real>(s.u),
                                                 std::span<Real>(s.v)}},
         typhon::FieldGroup{&sub.cell_schedule, {std::span<Real>(s.ein)}}};
-    return typhon::exchange_start(comm, groups, 100, packing);
+    return typhon::exchange_start(comm, groups, 100);
 }
 
 /// Pre-step halo: refresh ghost node kinematics and ghost internal energy,
 /// then rebuild the ghost dependent state.
 void refresh_ghosts(const hydro::Context& ctx, hydro::State& s,
-                    typhon::Comm& comm, const part::Subdomain& sub,
-                    typhon::Packing packing) {
-    blocking_halo(ctx, [&] { return start_state_halo(s, comm, sub, packing); });
+                    typhon::Comm& comm, const part::Subdomain& sub) {
+    blocking_halo(ctx, [&] { return start_state_halo(s, comm, sub); });
     rebuild_ghost_state(ctx, s, sub);
 }
 
@@ -135,8 +130,7 @@ void refresh_ghosts(const hydro::Context& ctx, hydro::State& s,
 /// Mirrors hydro::lagstep exactly, with typhon traffic inserted where the
 /// paper's Algorithm 1 places it.
 void dist_lagstep(const hydro::Context& ctx, hydro::State& s, Real dt,
-                  typhon::Comm& comm, const part::Subdomain& sub,
-                  typhon::Packing packing) {
+                  typhon::Comm& comm, const part::Subdomain& sub) {
     snapshot(ctx, s);
     const Real half_dt = Real(0.5) * dt;
 
@@ -154,10 +148,9 @@ void dist_lagstep(const hydro::Context& ctx, hydro::State& s, Real dt,
     // Pre-acceleration halo: ghost corner forces from their owners. After
     // this, the gather at any node of an owned cell sees exactly the
     // corner forces a serial run would.
-    static_assert(part::Subdomain::corner_exchange_fields == 2);
     blocking_halo(ctx, [&] {
         return typhon::exchange_start(comm, sub.corner_schedule,
-                                      {s.fx, s.fy}, 200, packing);
+                                      {s.fx, s.fy}, 200);
     });
     hydro::getacc(ctx, s, dt);
     hydro::getgeom(ctx, s, s.ubar, s.vbar, dt);
@@ -185,8 +178,7 @@ void dist_lagstep(const hydro::Context& ctx, hydro::State& s, Real dt,
 /// buckets remain comparable and are what the overlap ablation reports.
 void overlap_step(const hydro::Context& ctx, hydro::State& s, Real dt_local,
                   bool reduce, const core::Stepper::Settle& settle,
-                  typhon::Comm& comm, const part::Subdomain& sub,
-                  typhon::Packing packing) {
+                  typhon::Comm& comm, const part::Subdomain& sub) {
     const std::span<const Index> interior(sub.interior_cells);
     const std::span<const Index> boundary(sub.boundary_cells);
 
@@ -209,7 +201,7 @@ void overlap_step(const hydro::Context& ctx, hydro::State& s, Real dt_local,
     {
         const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
         const util::ScopedTimer pack(*ctx.profiler, util::Kernel::halo_pack);
-        state_halo = start_state_halo(s, comm, sub, packing);
+        state_halo = start_state_halo(s, comm, sub);
     }
     hydro::getq(ctx, s, interior);
     hydro::getforce(ctx, s, interior);
@@ -246,11 +238,10 @@ void overlap_step(const hydro::Context& ctx, hydro::State& s, Real dt_local,
     hydro::getforce(ctx, s, boundary);
     typhon::PendingExchange corner_halo;
     {
-        static_assert(part::Subdomain::corner_exchange_fields == 2);
         const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
         const util::ScopedTimer pack(*ctx.profiler, util::Kernel::halo_pack);
         corner_halo = typhon::exchange_start(comm, sub.corner_schedule,
-                                             {s.fx, s.fy}, 200, packing);
+                                             {s.fx, s.fy}, 200);
     }
     hydro::getq(ctx, s, interior);
     hydro::getforce(ctx, s, interior);
@@ -453,7 +444,7 @@ public:
     /// graph. The build is charged to Kernel::other.
     FluxGraph(const hydro::Context& ctx, hydro::State& s,
               const ale::Options& ale, ale::Workspace& w, typhon::Comm& comm,
-              const part::Subdomain& sub, typhon::Packing packing);
+              const part::Subdomain& sub);
     /// Task bodies hold the addresses of this object's members.
     FluxGraph(const FluxGraph&) = delete;
     FluxGraph& operator=(const FluxGraph&) = delete;
@@ -472,7 +463,6 @@ private:
     ale::Workspace& w_;
     typhon::Comm& comm_;
     const part::Subdomain& sub_;
-    typhon::Packing packing_;
     /// The remap faces split by whether they read a ghost gradient; the
     /// flux tasks hold spans into them.
     std::vector<Index> interior_, frontier_;
@@ -484,10 +474,9 @@ private:
 
 FluxGraph::FluxGraph(const hydro::Context& ctx, hydro::State& s,
                      const ale::Options& ale, ale::Workspace& w,
-                     typhon::Comm& comm, const part::Subdomain& sub,
-                     typhon::Packing packing)
+                     typhon::Comm& comm, const part::Subdomain& sub)
     : run_exec_(ctx.exec), ctx_(ctx), s_(s), ale_(ale), w_(w), comm_(comm),
-      sub_(sub), packing_(packing) {
+      sub_(sub) {
     // Task bodies run the serial kernel paths (no nested pool dispatch).
     ctx_.exec.pool = nullptr;
     const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::other);
@@ -591,14 +580,13 @@ void FluxGraph::run() {
 
     // Post the ghost-gradient exchange; the graph's finish task completes
     // it.
-    static_assert(part::Subdomain::remap_grad_fields == 4);
     {
         const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::halo);
         const util::ScopedTimer pack(*ctx_.profiler, util::Kernel::halo_pack);
         grads_ = typhon::exchange_start(comm_, sub_.remap_cell_schedule,
                                         {w_.grad_rho_x, w_.grad_rho_y,
                                          w_.grad_e_x, w_.grad_e_y},
-                                        320, packing_);
+                                        320);
     }
 
     floored_.store(0);
@@ -612,26 +600,23 @@ void FluxGraph::run() {
 /// when the rank holds one, or on the blocking sequence when it is null.
 void remap_on(const hydro::Context& ctx, hydro::State& s,
               const ale::Options& ale, ale::Workspace& w, typhon::Comm& comm,
-              const part::Subdomain& sub, typhon::Packing packing,
-              FluxGraph* graph) {
+              const part::Subdomain& sub, FluxGraph* graph) {
     // 1. Pre-remap state refresh: the corrector left ghost kinematics and
     // energy stale (fringe assemblies are incomplete); the remap reads
     // them everywhere, so run the same fused halo + ghost rebuild the
     // next step would.
-    refresh_ghosts(ctx, s, comm, sub, packing);
+    refresh_ghosts(ctx, s, comm, sub);
 
     // 2. Target mesh. ALE smoothing needs one node-position halo per
     // Jacobi pass (and one after the clamp): a fringe node's local
     // adjacency is incomplete, so its owner's value overwrites it before
     // the next pass reads it. Eulerian targets are exact locally.
     if (ale.mode == ale::Mode::ale) {
-        static_assert(part::Subdomain::remap_mesh_fields == 2);
         ale::alegetmesh(ctx, s, ale, w,
                         [&](std::vector<Real>& xt, std::vector<Real>& yt) {
                             blocking_halo(ctx, [&] {
                                 return typhon::exchange_start(
-                                    comm, sub.node_schedule, {xt, yt}, 300,
-                                    packing);
+                                    comm, sub.node_schedule, {xt, yt}, 300);
                             });
                         });
     } else {
@@ -653,12 +638,11 @@ void remap_on(const hydro::Context& ctx, hydro::State& s,
         // overlap the in-flight messages. Bitwise == the blocking branch.
         graph->run();
     } else {
-        static_assert(part::Subdomain::remap_grad_fields == 4);
         blocking_halo(ctx, [&] {
             return typhon::exchange_start(comm, sub.remap_cell_schedule,
                                           {w.grad_rho_x, w.grad_rho_y,
                                            w.grad_e_x, w.grad_e_y},
-                                          320, packing);
+                                          320);
         });
 
         // 4. Fluxes on the remap faces; cell and dual sweeps over owned
@@ -674,8 +658,6 @@ void remap_on(const hydro::Context& ctx, hydro::State& s,
     // ghost corner masses every step, and the nodal remap below needs the
     // dual fluxes of ghost cells, which their far faces make impossible
     // to compute here.
-    static_assert(part::Subdomain::remap_cell_result_fields == 2 &&
-                  part::Subdomain::remap_dual_fields == 2);
     const std::array<typhon::FieldGroup, 2> results{
         typhon::FieldGroup{&sub.cell_schedule, {std::span<Real>(s.cell_mass),
                                                 std::span<Real>(s.ein)}},
@@ -683,7 +665,7 @@ void remap_on(const hydro::Context& ctx, hydro::State& s,
                            {std::span<Real>(s.cnmass),
                             std::span<Real>(w.dflux)}}};
     blocking_halo(ctx, [&] {
-        return typhon::exchange_start(comm, results, 340, packing);
+        return typhon::exchange_start(comm, results, 340);
     });
 
     // 6. Nodal (dual-mesh) remap over the stencil-complete nodes, then
@@ -697,9 +679,8 @@ void remap_on(const hydro::Context& ctx, hydro::State& s,
 } // namespace
 
 void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
-           ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub,
-           typhon::Packing packing) {
-    remap_on(ctx, s, ale, w, comm, sub, packing, nullptr);
+           ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub) {
+    remap_on(ctx, s, ale, w, comm, sub, nullptr);
 }
 
 namespace {
@@ -1009,14 +990,13 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
     hooks.advance = [&](Real dt_local, bool reduce,
                         const core::Stepper::Settle& settle) {
         if (opts.overlap) {
-            overlap_step(ctx, s, dt_local, reduce, settle, comm, sub,
-                         opts.packing);
+            overlap_step(ctx, s, dt_local, reduce, settle, comm, sub);
             return;
         }
         const Real dt =
             settle(reduce ? timed_min(comm, profiler, dt_local) : dt_local);
-        refresh_ghosts(ctx, s, comm, sub, opts.packing);
-        dist_lagstep(ctx, s, dt, comm, sub, opts.packing);
+        refresh_ghosts(ctx, s, comm, sub);
+        dist_lagstep(ctx, s, dt, comm, sub);
     };
     // Every rank checks its owned entities (their union is the global set
     // and owned bytes are bitwise-serial), so the min-reduced verdict is
@@ -1029,15 +1009,14 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
     // Retries replay the step on the blocking schedule (bitwise == overlap
     // by contract).
     hooks.retake = [&](Real dt) {
-        refresh_ghosts(ctx, s, comm, sub, opts.packing);
-        dist_lagstep(ctx, s, dt, comm, sub, opts.packing);
+        refresh_ghosts(ctx, s, comm, sub);
+        dist_lagstep(ctx, s, dt, comm, sub);
     };
     hooks.remap = [&] {
         if (!flux_graph && exec.threaded() &&
             exec.schedule == par::Schedule::taskgraph)
-            flux_graph.emplace(ctx, s, opts.ale, ale_work, comm, sub,
-                               opts.packing);
-        remap_on(ctx, s, opts.ale, ale_work, comm, sub, opts.packing,
+            flux_graph.emplace(ctx, s, opts.ale, ale_work, comm, sub);
+        remap_on(ctx, s, opts.ale, ale_work, comm, sub,
                  flux_graph ? &*flux_graph : nullptr);
     };
     // Every rank streams each closed window to rank 0 on tag 502 (rank 0
@@ -1143,12 +1122,9 @@ obs::WireCheck check_wire(const Run& run, const Attempt& a,
             if (s.remapped) ++remaps;
         const auto n_steps = static_cast<long long>(rr.evicted.steps) +
                              static_cast<long long>(rr.steps.size());
-        expected += static_cast<long long>(
-                        sub.messages_per_step(opts.packing)) *
-                    n_steps;
-        expected += static_cast<long long>(
-                        sub.messages_per_remap(opts.packing, n_mesh)) *
-                    remaps;
+        expected += static_cast<long long>(sub.messages_per_step()) * n_steps;
+        expected +=
+            static_cast<long long>(sub.messages_per_remap(n_mesh)) * remaps;
         // Plus the rank's tag-502 live-window sends.
         expected += static_cast<long long>(rr.windows.size());
     }
@@ -1179,8 +1155,6 @@ obs::RunReport telemetry_report(const Run& run, Attempt& a) {
     report.mode = "distributed";
     report.n_ranks = a.n_ranks;
     report.overlap = opts.overlap;
-    report.packing = opts.packing == typhon::Packing::coalesced ? "coalesced"
-                                                                 : "per_field";
     report.steps = result.steps;
     report.t_final = result.t_final;
     report.wall_s = run.timer.elapsed();
@@ -1197,7 +1171,6 @@ obs::RunReport telemetry_report(const Run& run, Attempt& a) {
     report.config.n_threads = opts.n_threads;
     report.config.n_ranks = a.n_ranks;
     report.config.overlap = opts.overlap;
-    report.config.packing = report.packing;
     report.work = perfmodel::telemetry_work_model(opts.n_threads);
 
     // Attach the Hub's per-peer send tallies and the trace/critical-path

@@ -270,7 +270,6 @@ struct RunConfig {
     int n_threads = 1;    ///< pool width per rank
     int n_ranks = 1;
     bool overlap = false;
-    std::string packing;  ///< "" when serial
 };
 
 /// Static work descriptor for one kernel: flops/bytes per swept entity,
@@ -321,7 +320,6 @@ struct RunReport {
     std::string mode;     ///< "serial" or "distributed"
     int n_ranks = 1;
     bool overlap = false;
-    std::string packing;  ///< "coalesced" / "per_field" ("" when serial)
     long steps = 0;
     double t_final = 0.0;
     double wall_s = 0.0;  ///< whole-run wall time on rank 0 / the driver

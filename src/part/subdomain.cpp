@@ -18,7 +18,7 @@ Index Subdomain::n_sending_peers(const typhon::ExchangeSchedule& schedule) {
 namespace {
 
 /// Sending peers of a fused two-schedule exchange: the union of the two
-/// sending peer sets (one coalesced message per union peer).
+/// sending peer sets (one message per union peer).
 Index n_union_sending_peers(const typhon::ExchangeSchedule& a,
                             const typhon::ExchangeSchedule& b) {
     std::vector<int> ranks;
@@ -42,33 +42,17 @@ Index Subdomain::n_owned_nodes() const {
     return n;
 }
 
-Index Subdomain::messages_per_step(typhon::Packing packing) const {
-    const Index node_peers = n_sending_peers(node_schedule);
-    const Index cell_peers = n_sending_peers(cell_schedule);
-    const Index corner_peers = n_sending_peers(corner_schedule);
-    if (packing == typhon::Packing::coalesced)
-        return n_state_peers() + corner_peers;
-    return node_exchange_fields * node_peers +
-           cell_exchange_fields * cell_peers +
-           corner_exchange_fields * corner_peers;
+Index Subdomain::messages_per_step() const {
+    return n_state_peers() + n_sending_peers(corner_schedule);
 }
 
-Index Subdomain::messages_per_remap(typhon::Packing packing,
-                                    int n_mesh_exchanges) const {
-    const Index node_peers = n_sending_peers(node_schedule);
-    const Index cell_peers = n_sending_peers(cell_schedule);
-    const Index grad_peers = n_sending_peers(remap_cell_schedule);
-    const Index dual_peers = n_sending_peers(remap_dual_schedule);
-    if (packing == typhon::Packing::coalesced)
-        // Pre-remap fused state refresh + per-sync target-mesh halo +
-        // gradient halo + fused {cell results, dual-mesh results}.
-        return n_state_peers() + n_mesh_exchanges * node_peers + grad_peers +
-               n_union_sending_peers(cell_schedule, remap_dual_schedule);
-    return (node_exchange_fields * node_peers + cell_exchange_fields * cell_peers) +
-           n_mesh_exchanges * remap_mesh_fields * node_peers +
-           remap_grad_fields * grad_peers +
-           (remap_cell_result_fields * cell_peers +
-            remap_dual_fields * dual_peers);
+Index Subdomain::messages_per_remap(int n_mesh_exchanges) const {
+    // Pre-remap fused state refresh + per-sync target-mesh halo +
+    // gradient halo + fused {cell results, dual-mesh results}.
+    return n_state_peers() +
+           n_mesh_exchanges * n_sending_peers(node_schedule) +
+           n_sending_peers(remap_cell_schedule) +
+           n_union_sending_peers(cell_schedule, remap_dual_schedule);
 }
 
 std::vector<Subdomain> decompose(const mesh::Mesh& global,

@@ -92,30 +92,20 @@ struct Subdomain {
     std::vector<Index> boundary_cells, interior_cells;
     std::vector<Index> boundary_nodes, interior_nodes;
 
-    // --- schedule field-count metadata ------------------------------------
-    // How many fields each of the distributed driver's exchanges carries —
-    // i.e. how many item slices a coalesced per-peer message packs
-    // back-to-back. Per step: the fused state halo {x, y, u, v} + {ein}
-    // (node and cell groups of ONE wire exchange) and the corner halo
-    // {fx, fy}. Per remap: the same fused state refresh, the target-mesh
-    // halo {xt, yt} per smoothing sync, the gradient halo {grad_rho_x,
-    // grad_rho_y, grad_e_x, grad_e_y}, and the fused result exchange
-    // {cell_mass, ein} + {cnmass, dflux}. The driver's exchange calls
-    // static_assert against these at the field lists themselves, and the
-    // coalescing ablation bench + DistPacking/DistRemap tests check the
-    // Hub's measured message counts against messages_per_step() /
-    // messages_per_remap() at runtime, so the metadata cannot silently
-    // drift from the real wire format.
-    static constexpr int node_exchange_fields = 4;
-    static constexpr int cell_exchange_fields = 1;
-    static constexpr int corner_exchange_fields = 2;
-    static constexpr int remap_mesh_fields = 2;
-    static constexpr int remap_grad_fields = 4;
-    static constexpr int remap_cell_result_fields = 2;
-    static constexpr int remap_dual_fields = 2;
+    // --- wire metadata -----------------------------------------------------
+    // Every exchange of the distributed driver posts one message per
+    // sending peer, whatever its field count. Per step: the fused state
+    // halo {x, y, u, v} + {ein} (node and cell groups of ONE wire
+    // exchange) and the corner halo {fx, fy}. Per remap: the same fused
+    // state refresh, the target-mesh halo {xt, yt} per smoothing sync, the
+    // gradient halo, and the fused result exchange {cell_mass, ein} +
+    // {cnmass, dflux}. The DistPacking/DistRemap tests and the telemetry
+    // wire check hold the Hub's measured message counts to
+    // messages_per_step() / messages_per_remap(), so the metadata cannot
+    // silently drift from the real wire format.
 
     /// Schedule entries that actually send (non-empty send_items) — the
-    /// messages one coalesced exchange posts from this rank.
+    /// messages one exchange posts from this rank.
     [[nodiscard]] static Index n_sending_peers(
         const typhon::ExchangeSchedule& schedule);
 
@@ -130,19 +120,17 @@ struct Subdomain {
     /// wherever the peer sets align, and alone where they do not).
     [[nodiscard]] Index n_state_peers() const;
 
-    /// Point-to-point messages this rank posts per Lagrangian step:
-    /// coalesced packing posts one message per union peer of the fused
-    /// state halo plus one per sending peer of the corner halo; per-field
-    /// packing falls back to one message per field per peer per schedule.
-    [[nodiscard]] Index messages_per_step(typhon::Packing packing) const;
+    /// Point-to-point messages this rank posts per Lagrangian step: one
+    /// per union peer of the fused state halo plus one per sending peer of
+    /// the corner halo.
+    [[nodiscard]] Index messages_per_step() const;
 
     /// Point-to-point messages this rank posts per ALE/Eulerian remap.
     /// `n_mesh_exchanges` is the number of target-mesh {xt, yt} syncs the
     /// remap performs: 0 in Eulerian mode (the target is the original
     /// mesh, exact everywhere locally), smoothing_passes + 1 in ALE mode
     /// (one per Jacobi pass plus the post-clamp sync).
-    [[nodiscard]] Index messages_per_remap(typhon::Packing packing,
-                                           int n_mesh_exchanges) const;
+    [[nodiscard]] Index messages_per_remap(int n_mesh_exchanges) const;
 };
 
 /// Split the global mesh into n_parts subdomains. `part[c]` is the rank

@@ -408,129 +408,94 @@ void require_unique_peer(std::vector<int>& seen_peers, int rank,
 } // namespace
 
 PendingExchange exchange_start(Comm& comm, std::span<const FieldGroup> groups,
-                               int base_tag, Packing packing) {
+                               int tag) {
     PendingExchange pending;
     bool any_fields = false;
     for (const auto& group : groups) any_fields |= !group.fields.empty();
     if (!any_fields) return pending;
 
-    if (packing == Packing::coalesced) {
-        // One message per peer rank appearing (with data) in any group:
-        // the buffer lays the groups' slices back-to-back in group order,
-        // each group's fields field-major, on base_tag. Post all sends
-        // first (buffered), then the receives: deadlock-free for any
-        // peering topology. Empty schedule sides post nothing at all — a
-        // schedule may hold separate send-only and recv-only entries for
-        // the same peer (the partitioner builds them that way), and
-        // skipping the empties keeps each (peer, tag) channel down to at
-        // most one in-flight message per exchange, so a pending receive
-        // can never pop a message meant for another slot. Both sides
-        // derive the same per-peer layout because the schedules are
-        // pairwise consistent: a group has send items for a peer exactly
-        // when the peer's copy has recv items for it.
-        // Peer ranks with data on the given side, in first-appearance
-        // order, with the one-entry-per-peer precondition enforced per
-        // group (entries for the same peer across *different* groups are
-        // exactly what fusing combines).
-        const auto ranks_with = [&](const bool sends) {
-            std::vector<int> ranks;
-            for (const auto& group : groups) {
-                if (group.fields.empty()) continue;
-                std::vector<int> seen;
-                for (const auto& peer : group.schedule->peers) {
-                    const auto& items =
-                        sends ? peer.send_items : peer.recv_items;
-                    if (items.empty()) continue;
-                    require_unique_peer(seen, peer.rank,
-                                        sends ? "sending" : "receiving");
-                    if (std::find(ranks.begin(), ranks.end(), peer.rank) ==
-                        ranks.end())
-                        ranks.push_back(peer.rank);
-                }
-            }
-            return ranks;
-        };
-        const auto find_entry = [](const FieldGroup& group, const int rank,
-                                   const bool sends)
-            -> const ExchangeSchedule::Peer* {
+    // One message per peer rank appearing (with data) in any group: the
+    // buffer lays the groups' slices back-to-back in group order, each
+    // group's fields field-major, on `tag`. Post all sends first
+    // (buffered), then the receives: deadlock-free for any peering
+    // topology. Empty schedule sides post nothing at all — a schedule may
+    // hold separate send-only and recv-only entries for the same peer (the
+    // partitioner builds them that way), and skipping the empties keeps
+    // each (peer, tag) channel down to at most one in-flight message per
+    // exchange, so a pending receive can never pop a message meant for
+    // another slot. Both sides derive the same per-peer layout because the
+    // schedules are pairwise consistent: a group has send items for a peer
+    // exactly when the peer's copy has recv items for it.
+    // Peer ranks with data on the given side, in first-appearance order,
+    // with the one-entry-per-peer precondition enforced per group (entries
+    // for the same peer across *different* groups are exactly what fusing
+    // combines).
+    const auto ranks_with = [&](const bool sends) {
+        std::vector<int> ranks;
+        for (const auto& group : groups) {
+            if (group.fields.empty()) continue;
+            std::vector<int> seen;
             for (const auto& peer : group.schedule->peers) {
                 const auto& items = sends ? peer.send_items : peer.recv_items;
-                if (peer.rank == rank && !items.empty()) return &peer;
+                if (items.empty()) continue;
+                require_unique_peer(seen, peer.rank,
+                                    sends ? "sending" : "receiving");
+                if (std::find(ranks.begin(), ranks.end(), peer.rank) ==
+                    ranks.end())
+                    ranks.push_back(peer.rank);
             }
-            return nullptr;
-        };
-        for (const int rank : ranks_with(true)) {
-            // Pack straight into the vector the transport will own: the
-            // move overload of send avoids a second full-payload copy.
-            std::vector<Real> pack;
-            std::size_t total = 0;
-            for (const auto& group : groups)
-                if (const auto* entry =
-                        group.fields.empty() ? nullptr
-                                             : find_entry(group, rank, true))
-                    total += group.fields.size() * entry->send_items.size();
-            pack.reserve(total);
-            for (const auto& group : groups) {
-                if (group.fields.empty()) continue;
-                const auto* entry = find_entry(group, rank, true);
-                if (entry == nullptr) continue;
-                for (const auto field : group.fields)
-                    for (const Index i : entry->send_items)
-                        pack.push_back(field[static_cast<std::size_t>(i)]);
-            }
-            comm.send(rank, base_tag, std::move(pack));
         }
-        for (const int rank : ranks_with(false)) {
-            PendingExchange::Slot slot;
-            slot.request = comm.irecv(rank, base_tag);
-            for (const auto& group : groups) {
-                if (group.fields.empty()) continue;
-                const auto* entry = find_entry(group, rank, false);
-                if (entry == nullptr) continue;
-                slot.sections.push_back({&entry->recv_items, group.fields});
-            }
-            pending.slots_.push_back(std::move(slot));
+        return ranks;
+    };
+    const auto find_entry = [](const FieldGroup& group, const int rank,
+                               const bool sends)
+        -> const ExchangeSchedule::Peer* {
+        for (const auto& peer : group.schedule->peers) {
+            const auto& items = sends ? peer.send_items : peer.recv_items;
+            if (peer.rank == rank && !items.empty()) return &peer;
         }
-        return pending;
-    }
-
-    // Packing::per_field (ablation baseline): one message per field per
-    // peer on consecutive tags across the groups in order. Same posting
-    // discipline as above.
-    int tag = base_tag;
-    for (const auto& group : groups) {
-        const auto& schedule = *group.schedule;
-        for (const auto field : group.fields) {
-            std::vector<int> sending_peers;
-            for (const auto& peer : schedule.peers) {
-                if (peer.send_items.empty()) continue;
-                require_unique_peer(sending_peers, peer.rank, "sending");
-                std::vector<Real> pack;
-                pack.reserve(peer.send_items.size());
-                for (const Index i : peer.send_items)
+        return nullptr;
+    };
+    for (const int rank : ranks_with(true)) {
+        // Pack straight into the vector the transport will own: the move
+        // overload of send avoids a second full-payload copy.
+        std::vector<Real> pack;
+        std::size_t total = 0;
+        for (const auto& group : groups)
+            if (const auto* entry = group.fields.empty()
+                                        ? nullptr
+                                        : find_entry(group, rank, true))
+                total += group.fields.size() * entry->send_items.size();
+        pack.reserve(total);
+        for (const auto& group : groups) {
+            if (group.fields.empty()) continue;
+            const auto* entry = find_entry(group, rank, true);
+            if (entry == nullptr) continue;
+            for (const auto field : group.fields)
+                for (const Index i : entry->send_items)
                     pack.push_back(field[static_cast<std::size_t>(i)]);
-                comm.send(peer.rank, tag, std::move(pack));
-            }
-            std::vector<int> receiving_peers;
-            for (const auto& peer : schedule.peers) {
-                if (peer.recv_items.empty()) continue;
-                require_unique_peer(receiving_peers, peer.rank, "receiving");
-                PendingExchange::Slot slot;
-                slot.request = comm.irecv(peer.rank, tag);
-                slot.sections.push_back({&peer.recv_items, {field}});
-                pending.slots_.push_back(std::move(slot));
-            }
-            ++tag;
         }
+        comm.send(rank, tag, std::move(pack));
+    }
+    for (const int rank : ranks_with(false)) {
+        PendingExchange::Slot slot;
+        slot.request = comm.irecv(rank, tag);
+        for (const auto& group : groups) {
+            if (group.fields.empty()) continue;
+            const auto* entry = find_entry(group, rank, false);
+            if (entry == nullptr) continue;
+            slot.sections.push_back({&entry->recv_items, group.fields});
+        }
+        pending.slots_.push_back(std::move(slot));
     }
     return pending;
 }
 
 PendingExchange exchange_start(Comm& comm, const ExchangeSchedule& schedule,
                                std::initializer_list<std::span<Real>> fields,
-                               int base_tag, Packing packing) {
+                               int tag) {
     FieldGroup group{&schedule, {fields.begin(), fields.end()}};
-    return exchange_start(comm, {&group, 1}, base_tag, packing);
+    return exchange_start(comm, {&group, 1}, tag);
 }
 
 PendingExchange::~PendingExchange() {
@@ -588,8 +553,7 @@ void PendingExchange::finish(util::Profiler* profiler) {
                     data.size() == expected,
                     "typhon::exchange: schedule mismatch between peers");
                 // Dispatch the payload's slices back to the bound fields:
-                // sections in group order, field-major within each (one
-                // section of one field in per-field packing).
+                // sections in group order, field-major within each.
                 charge(util::Kernel::halo_unpack, [&] {
                     std::size_t offset = 0;
                     for (const auto& section : slot.sections) {
@@ -634,15 +598,13 @@ void exchange(Comm& comm, const ExchangeSchedule& schedule,
 }
 
 void exchange_all(Comm& comm, const ExchangeSchedule& schedule,
-                  std::initializer_list<std::span<Real>> fields, int base_tag,
-                  Packing packing) {
-    auto pending = exchange_start(comm, schedule, fields, base_tag, packing);
+                  std::initializer_list<std::span<Real>> fields, int tag) {
+    auto pending = exchange_start(comm, schedule, fields, tag);
     pending.finish();
 }
 
-void exchange_all(Comm& comm, std::span<const FieldGroup> groups, int base_tag,
-                  Packing packing) {
-    auto pending = exchange_start(comm, groups, base_tag, packing);
+void exchange_all(Comm& comm, std::span<const FieldGroup> groups, int tag) {
+    auto pending = exchange_start(comm, groups, tag);
     pending.finish();
 }
 

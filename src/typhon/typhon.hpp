@@ -21,12 +21,11 @@
 /// split a ghost exchange into a post phase and a completion phase so the
 /// distributed driver can overlap interior kernels with in-flight halos.
 ///
-/// A multi-field exchange *coalesces* by default: one contiguous buffer per
-/// peer per exchange, the fields' item slices laid out back-to-back in
-/// schedule order, so the per-exchange message count is the peer count
-/// rather than fields x peers (the latency-bound regime of small strong-
-/// scaled subdomains). The one-message-per-field layout is retained as
-/// `Packing::per_field` for ablation. Collectives gain a nonblocking form:
+/// A multi-field exchange *coalesces*: one contiguous buffer per peer per
+/// exchange, the fields' item slices laid out back-to-back in schedule
+/// order, so the per-exchange message count is the peer count rather than
+/// fields x peers (the latency-bound regime of small strong-scaled
+/// subdomains). Collectives gain a nonblocking form:
 /// `Comm::iallreduce_min` returns a `CollRequest` that can be finished
 /// later, letting the dt reduction fly concurrently with a halo exchange.
 
@@ -66,8 +65,7 @@ struct PeerTraffic {
 
 /// Aggregate point-to-point traffic moved through a transport over one
 /// `typhon::run` (every posted send counts once; `reals` is the summed
-/// payload length). What the message-coalescing ablation measures. The
-/// per-peer breakdown (ascending (src, dst), zero pairs omitted) sums to
+/// payload length). The per-peer breakdown (ascending (src, dst), zero pairs omitted) sums to
 /// the totals — the obs/ telemetry report slices it per rank.
 struct Traffic {
     long messages = 0;
@@ -444,8 +442,7 @@ private:
 /// peers blocked on its traffic or at a rendezvous wake with
 /// detail::AbortError instead of hanging the join — the *original* rank
 /// error is what gets wrapped, never the secondary aborts. Returns the
-/// aggregate point-to-point traffic of the run (what the coalescing
-/// ablation counts). An optional FaultInjector scripts deterministic
+/// aggregate point-to-point traffic of the run. An optional FaultInjector scripts deterministic
 /// failures into the transport (see fault.hpp); null means no fault hooks
 /// are even consulted.
 Traffic run(int n_ranks, const std::function<void(Comm&)>& rank_fn,
@@ -454,18 +451,6 @@ Traffic run(int n_ranks, const std::function<void(Comm&)>& rank_fn,
 // ---------------------------------------------------------------------------
 // Ghost (halo) exchange schedules — the "quant" layer of Typhon.
 // ---------------------------------------------------------------------------
-
-/// Wire layout of a multi-field exchange.
-///
-/// * `coalesced` (default): one message per peer per exchange. The buffer
-///   holds each field's send_items slice back-to-back in schedule order
-///   (field-major), and the matching receive dispatches the slices into
-///   the bound fields. Message count: peers-with-data, independent of the
-///   field count. Uses only `base_tag`.
-/// * `per_field`: the historical layout — one message per field per peer
-///   on consecutive tags from base_tag. Kept as the coalescing ablation
-///   baseline; lands bitwise-identical bytes in every field.
-enum class Packing { coalesced, per_field };
 
 /// For one peer rank: which local items to pack and send, and which local
 /// (ghost) items to fill from the matching receive. Schedules on the two
@@ -492,8 +477,8 @@ struct ExchangeSchedule {
 
 /// One schedule together with the fields exchanged over its item lists —
 /// the unit a *fused* exchange composes. Several groups may share one
-/// wire exchange: in coalesced packing the per-peer message concatenates
-/// every group's field slices (group-major, then field-major), so two
+/// wire exchange: the per-peer message concatenates every group's field
+/// slices (group-major, then field-major), so two
 /// halos whose peer sets overlap (e.g. the pre-step node kinematics and
 /// the ghost cell energy) collapse to a single message per peer instead
 /// of one per schedule.
@@ -537,18 +522,17 @@ public:
 private:
     friend PendingExchange exchange_start(Comm& comm,
                                           std::span<const FieldGroup> groups,
-                                          int base_tag, Packing packing);
+                                          int tag);
     /// One slice run of a pending message: the recv_items of one group and
     /// the fields unpacked from that group's part of the payload.
     struct Section {
         const std::vector<Index>* recv_items = nullptr;
         std::vector<std::span<Real>> fields;
     };
-    /// One pending receive and the sections its payload unpacks into: a
-    /// fused coalesced message carries one section per group with data for
-    /// this peer (payload = sum over sections of fields.size() *
-    /// recv_items->size() Reals, group-major then field-major); a
-    /// per-field message carries exactly one section with one field.
+    /// One pending receive and the sections its payload unpacks into: one
+    /// section per group with data for this peer (payload = sum over
+    /// sections of fields.size() * recv_items->size() Reals, group-major
+    /// then field-major).
     struct Slot {
         Request request;
         std::vector<Section> sections;
@@ -556,47 +540,39 @@ private:
     std::vector<Slot> slots_;
 };
 
-/// Start exchanging several fields: pack each peer's send_items (one
-/// coalesced buffer per peer by default, or one message per field per
-/// peer with Packing::per_field — see Packing for the wire formats), post
-/// all sends and receives, and return the pending completion. Interior
-/// work can run between start and finish while the messages are in
-/// flight. Tag usage: coalesced consumes base_tag only; per_field
-/// consumes base_tag .. base_tag + n_fields - 1.
+/// Start exchanging several fields: pack each peer's send_items into one
+/// buffer per peer — each field's slice back-to-back in schedule order
+/// (field-major) — post all sends and receives, and return the pending
+/// completion, which dispatches the slices back into the bound fields.
+/// Interior work can run between start and finish while the messages are
+/// in flight. One message per peer with data, on `tag`.
 [[nodiscard]] PendingExchange
 exchange_start(Comm& comm, const ExchangeSchedule& schedule,
-               std::initializer_list<std::span<Real>> fields, int base_tag,
-               Packing packing = Packing::coalesced);
+               std::initializer_list<std::span<Real>> fields, int tag);
 
 /// Fused form: start several (schedule, fields) groups as ONE wire
-/// exchange. Coalesced packing posts a single message per peer rank that
-/// appears (with data) in any group — the payload lays the groups'
-/// slices back-to-back in group order, each group field-major — so halos
-/// with aligned peer sets cost one message per peer total rather than
-/// one per schedule. Peers present in only some groups simply omit the
-/// other groups' slices (schedules are pairwise consistent, so both
-/// sides agree on the layout). per_field packing degenerates to the
-/// historical one-message-per-field-per-peer baseline, consuming one tag
-/// per field across all groups in order (base_tag .. base_tag +
-/// total_fields - 1); coalesced consumes base_tag only.
+/// exchange. A single message goes to each peer rank that appears (with
+/// data) in any group — the payload lays the groups' slices back-to-back
+/// in group order, each group field-major — so halos with aligned peer
+/// sets cost one message per peer total rather than one per schedule.
+/// Peers present in only some groups simply omit the other groups'
+/// slices (schedules are pairwise consistent, so both sides agree on the
+/// layout).
 [[nodiscard]] PendingExchange exchange_start(Comm& comm,
                                              std::span<const FieldGroup> groups,
-                                             int base_tag, Packing packing);
+                                             int tag);
 
 /// Exchange one field: pack send_items, post all sends, then receive and
-/// unpack recv_items. (With one field the two packings are the same wire
-/// format.) Tags partition the field space so multiple exchanges can run
-/// back to back.
+/// unpack recv_items. Tags partition the field space so multiple
+/// exchanges can run back to back.
 void exchange(Comm& comm, const ExchangeSchedule& schedule,
               std::span<Real> field, int tag);
 
 /// Blocking multi-field exchange: exchange_start + finish.
 void exchange_all(Comm& comm, const ExchangeSchedule& schedule,
-                  std::initializer_list<std::span<Real>> fields, int base_tag,
-                  Packing packing = Packing::coalesced);
+                  std::initializer_list<std::span<Real>> fields, int tag);
 
 /// Blocking fused multi-group exchange: exchange_start + finish.
-void exchange_all(Comm& comm, std::span<const FieldGroup> groups, int base_tag,
-                  Packing packing = Packing::coalesced);
+void exchange_all(Comm& comm, std::span<const FieldGroup> groups, int tag);
 
 } // namespace bookleaf::typhon

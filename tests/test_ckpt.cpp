@@ -502,22 +502,19 @@ void expect_bitwise(const bd::Result& r, const GatheredRef& ref,
 }
 
 bd::Options dist_options(const bs::Problem& p, int n_ranks, Real t_end,
-                         bool overlap = true,
-                         bt::Packing packing = bt::Packing::coalesced) {
+                         bool overlap = true) {
     bd::Options opts;
     opts.n_ranks = n_ranks;
     opts.t_end = t_end;
     opts.hydro = p.hydro;
     opts.ale = p.ale;
     opts.overlap = overlap;
-    opts.packing = packing;
     return opts;
 }
 
 /// Checkpoint a distributed run at `save_ranks` (halting there), then
-/// restart at several rank counts and under every (overlap x packing)
-/// combination; everything must land bitwise on the uninterrupted serial
-/// run.
+/// restart at several rank counts on either schedule; everything must
+/// land bitwise on the uninterrupted serial run.
 void rank_elastic_roundtrip(const bs::Problem& problem, Real t_save,
                             Real t_end, int save_ranks,
                             const std::string& label) {
@@ -537,21 +534,15 @@ void rank_elastic_roundtrip(const bs::Problem& problem, Real t_save,
 
     // Rank-elastic restarts: N -> 1, N -> N, N -> 2N.
     for (const int restart_ranks : {1, save_ranks, 2 * save_ranks})
-        for (const bool overlap : {true, false})
-            for (const auto packing :
-                 {bt::Packing::coalesced, bt::Packing::per_field}) {
-                const auto tag =
-                    label + ": " + std::to_string(save_ranks) + " -> " +
-                    std::to_string(restart_ranks) +
-                    (overlap ? " overlap" : " blocking") +
-                    (packing == bt::Packing::coalesced ? " coalesced"
-                                                       : " per-field");
-                const auto r = bd::run(
-                    problem.mesh, problem.materials, snap,
-                    dist_options(problem, restart_ranks, t_end, overlap,
-                                 packing));
-                expect_bitwise(r, ref, tag);
-            }
+        for (const bool overlap : {true, false}) {
+            const auto tag = label + ": " + std::to_string(save_ranks) +
+                             " -> " + std::to_string(restart_ranks) +
+                             (overlap ? " overlap" : " blocking");
+            const auto r = bd::run(
+                problem.mesh, problem.materials, snap,
+                dist_options(problem, restart_ranks, t_end, overlap));
+            expect_bitwise(r, ref, tag);
+        }
 
     // The serial driver restores the distributed snapshot too.
     auto serial_problem = problem;

@@ -441,20 +441,15 @@ TEST(ObsDist, PeerCountersSumToHubTraffic) {
 
 TEST(ObsDist, WireCheckCoversRemapAndPerFieldPacking) {
     const auto p = sod_like(40, 2);
-    for (const auto packing : {bookleaf::typhon::Packing::coalesced,
-                               bookleaf::typhon::Packing::per_field}) {
-        auto opts = base_opts(3, 0.02);
-        opts.ale.mode = bookleaf::ale::Mode::ale;
-        opts.ale.frequency = 3;
-        opts.packing = packing;
-        opts.telemetry.enabled = true;
-        const auto r = run_dist(p, opts);
-        ASSERT_TRUE(r.telemetry.wire.checked);
-        EXPECT_TRUE(r.telemetry.wire.match)
-            << "packing " << static_cast<int>(packing) << ": expected "
-            << r.telemetry.wire.expected << ", measured "
-            << r.telemetry.wire.measured;
-    }
+    auto opts = base_opts(3, 0.02);
+    opts.ale.mode = bookleaf::ale::Mode::ale;
+    opts.ale.frequency = 3;
+    opts.telemetry.enabled = true;
+    const auto r = run_dist(p, opts);
+    ASSERT_TRUE(r.telemetry.wire.checked);
+    EXPECT_TRUE(r.telemetry.wire.match)
+        << "expected " << r.telemetry.wire.expected << ", measured "
+        << r.telemetry.wire.measured;
 }
 
 TEST(ObsDist, ImbalanceFlagsTheSlowedRank) {

@@ -313,33 +313,26 @@ TEST(ResilGuard, RetryDecisionBitwiseAgreedAcrossRanks) {
 TEST(ResilRecovery, KillAtStepRecoversOnSurvivorsBitwise) {
     // The tentpole contract: a 4-rank run loses rank 2 mid-flight, rolls
     // back to the newest ring snapshot, resumes on 3 survivors — and the
-    // gathered result is bitwise identical to the uninterrupted run,
-    // under every (overlap x packing) combination.
+    // gathered result is bitwise identical to the uninterrupted run, on
+    // either schedule.
     const auto p = sod_like(40, 2);
     const auto reference = run_dist(p, base_opts(4, 0.03));
 
     for (const bool overlap : {true, false}) {
-        for (const auto packing :
-             {bt::Packing::coalesced, bt::Packing::per_field}) {
-            auto opts = base_opts(4, 0.03);
-            opts.overlap = overlap;
-            opts.packing = packing;
-            opts.supervise.enabled = true;
-            opts.supervise.snapshot_every = 5;
-            opts.faults.kills.push_back({.rank = 2, .at_step = 12});
-            const auto r = run_dist(p, opts);
-            const std::string label =
-                std::string("overlap ") + (overlap ? "on" : "off") +
-                ", packing " +
-                (packing == bt::Packing::coalesced ? "coalesced"
-                                                   : "per_field");
-            ASSERT_EQ(r.recoveries.size(), 1u) << label;
-            EXPECT_EQ(r.recoveries[0].failed_rank, 2) << label;
-            EXPECT_EQ(r.recoveries[0].failed_step, 12) << label;
-            EXPECT_EQ(r.recoveries[0].survivors, 3) << label;
-            EXPECT_EQ(r.recoveries[0].resumed_step, 10) << label;
-            EXPECT_TRUE(bd::bitwise_equal(reference, r)) << label;
-        }
+        auto opts = base_opts(4, 0.03);
+        opts.overlap = overlap;
+        opts.supervise.enabled = true;
+        opts.supervise.snapshot_every = 5;
+        opts.faults.kills.push_back({.rank = 2, .at_step = 12});
+        const auto r = run_dist(p, opts);
+        const std::string label =
+            std::string("overlap ") + (overlap ? "on" : "off");
+        ASSERT_EQ(r.recoveries.size(), 1u) << label;
+        EXPECT_EQ(r.recoveries[0].failed_rank, 2) << label;
+        EXPECT_EQ(r.recoveries[0].failed_step, 12) << label;
+        EXPECT_EQ(r.recoveries[0].survivors, 3) << label;
+        EXPECT_EQ(r.recoveries[0].resumed_step, 10) << label;
+        EXPECT_TRUE(bd::bitwise_equal(reference, r)) << label;
     }
 }
 

@@ -509,8 +509,9 @@ TEST(TyphonCoalesced, MatchesPerFieldBitwiseOnRingExchange) {
     bt::run(4, [](bt::Comm& comm) {
         const int r = comm.rank();
         const auto sched = ring_schedule(r);
-        // Three fields with distinct per-rank values; exchange under both
-        // wire formats and require bitwise-identical results.
+        // Three fields with distinct per-rank values; one coalesced
+        // exchange must land exactly the bytes of one single-field
+        // exchange per field.
         std::vector<std::vector<Real>> coalesced, per_field;
         for (int f = 0; f < 3; ++f) {
             coalesced.push_back({static_cast<Real>(r * 10 + f), -1.0, -1.0});
@@ -520,12 +521,10 @@ TEST(TyphonCoalesced, MatchesPerFieldBitwiseOnRingExchange) {
                          {std::span<Real>(coalesced[0]),
                           std::span<Real>(coalesced[1]),
                           std::span<Real>(coalesced[2])},
-                         300, bt::Packing::coalesced);
-        bt::exchange_all(comm, sched,
-                         {std::span<Real>(per_field[0]),
-                          std::span<Real>(per_field[1]),
-                          std::span<Real>(per_field[2])},
-                         310, bt::Packing::per_field);
+                         300);
+        for (int f = 0; f < 3; ++f)
+            bt::exchange(comm, sched, per_field[static_cast<std::size_t>(f)],
+                         310 + f);
         for (int f = 0; f < 3; ++f)
             for (int i = 0; i < 3; ++i)
                 EXPECT_EQ(coalesced[static_cast<std::size_t>(f)]
@@ -546,35 +545,28 @@ TEST(TyphonCoalesced, MatchesPerFieldBitwiseOnRingExchange) {
 }
 
 TEST(TyphonCoalesced, OneMessagePerPeerRegardlessOfFieldCount) {
-    // 2 ranks, 3 fields each way. Per-field: 3 messages per rank;
-    // coalesced: 1 per rank, 3x the payload.
-    for (const auto packing :
-         {bt::Packing::coalesced, bt::Packing::per_field}) {
-        const auto traffic = bt::run(2, [packing](bt::Comm& comm) {
-            const int r = comm.rank();
-            std::vector<Real> f1 = {static_cast<Real>(r + 1), 0.0};
-            std::vector<Real> f2 = {static_cast<Real>((r + 1) * 10), 0.0};
-            std::vector<Real> f3 = {static_cast<Real>((r + 1) * 100), 0.0};
-            bt::ExchangeSchedule sched;
-            bt::ExchangeSchedule::Peer p;
-            p.rank = 1 - r;
-            p.send_items = {0};
-            p.recv_items = {1};
-            sched.peers = {p};
-            bt::exchange_all(comm, sched,
-                             {std::span<Real>(f1), std::span<Real>(f2),
-                              std::span<Real>(f3)},
-                             20, packing);
-            EXPECT_DOUBLE_EQ(f1[1], static_cast<Real>(2 - r));
-            EXPECT_DOUBLE_EQ(f2[1], static_cast<Real>((2 - r) * 10));
-            EXPECT_DOUBLE_EQ(f3[1], static_cast<Real>((2 - r) * 100));
-        });
-        const long expected =
-            packing == bt::Packing::coalesced ? 2 : 2 * 3;
-        EXPECT_EQ(traffic.messages, expected);
-        // Same total payload either way: 3 Reals per rank.
-        EXPECT_EQ(traffic.reals, 6);
-    }
+    // 2 ranks, 3 fields each way: 1 message per rank carrying all three.
+    const auto traffic = bt::run(2, [](bt::Comm& comm) {
+        const int r = comm.rank();
+        std::vector<Real> f1 = {static_cast<Real>(r + 1), 0.0};
+        std::vector<Real> f2 = {static_cast<Real>((r + 1) * 10), 0.0};
+        std::vector<Real> f3 = {static_cast<Real>((r + 1) * 100), 0.0};
+        bt::ExchangeSchedule sched;
+        bt::ExchangeSchedule::Peer p;
+        p.rank = 1 - r;
+        p.send_items = {0};
+        p.recv_items = {1};
+        sched.peers = {p};
+        bt::exchange_all(comm, sched,
+                         {std::span<Real>(f1), std::span<Real>(f2),
+                          std::span<Real>(f3)},
+                         20);
+        EXPECT_DOUBLE_EQ(f1[1], static_cast<Real>(2 - r));
+        EXPECT_DOUBLE_EQ(f2[1], static_cast<Real>((2 - r) * 10));
+        EXPECT_DOUBLE_EQ(f3[1], static_cast<Real>((2 - r) * 100));
+    });
+    EXPECT_EQ(traffic.messages, 2);
+    EXPECT_EQ(traffic.reals, 6); // 3 Reals per rank
 }
 
 TEST(TyphonCoalesced, SendOnlyAndRecvOnlyEntriesCoalesce) {
@@ -598,8 +590,7 @@ TEST(TyphonCoalesced, SendOnlyAndRecvOnlyEntriesCoalesce) {
             p.recv_items = {2, 3};
         sched.peers = {p};
         auto pending = bt::exchange_start(
-            comm, sched, {std::span<Real>(f1), std::span<Real>(f2)}, 30,
-            bt::Packing::coalesced);
+            comm, sched, {std::span<Real>(f1), std::span<Real>(f2)}, 30);
         pending.finish();
         if (comm.rank() == 1) {
             EXPECT_DOUBLE_EQ(f1[2], 11.5);
@@ -616,10 +607,8 @@ TEST(TyphonCoalesced, EmptySchedulesAndEmptyFieldListsPostNothing) {
     const auto traffic = bt::run(2, [](bt::Comm& comm) {
         std::vector<Real> f = {1.0, 2.0};
         const bt::ExchangeSchedule empty;
-        bt::exchange_all(comm, empty, {std::span<Real>(f)}, 40,
-                         bt::Packing::coalesced);
-        bt::exchange_all(comm, empty, {std::span<Real>(f)}, 41,
-                         bt::Packing::per_field);
+        bt::exchange_all(comm, empty, {std::span<Real>(f)}, 40);
+        bt::exchange(comm, empty, f, 41);
         // Non-empty schedule, zero fields: nothing to move either.
         bt::ExchangeSchedule::Peer p;
         p.rank = 1 - comm.rank();
@@ -637,11 +626,11 @@ TEST(TyphonCoalesced, EmptySchedulesAndEmptyFieldListsPostNothing) {
 }
 
 TEST(TyphonCoalesced, SingleFieldIsSameWireFormatInBothPackings) {
-    // With one field the two packings must both send exactly one message
-    // per sending peer with the same payload.
-    for (const auto packing :
-         {bt::Packing::coalesced, bt::Packing::per_field}) {
-        const auto traffic = bt::run(2, [packing](bt::Comm& comm) {
+    // With one field a one-field exchange_all and the single-field
+    // exchange() are the same wire format: exactly one message per
+    // sending peer with the same payload.
+    for (const bool single : {false, true}) {
+        const auto traffic = bt::run(2, [single](bt::Comm& comm) {
             const int r = comm.rank();
             std::vector<Real> f = {static_cast<Real>(r + 1), 0.0};
             bt::ExchangeSchedule sched;
@@ -650,7 +639,10 @@ TEST(TyphonCoalesced, SingleFieldIsSameWireFormatInBothPackings) {
             p.send_items = {0};
             p.recv_items = {1};
             sched.peers = {p};
-            bt::exchange_all(comm, sched, {std::span<Real>(f)}, 50, packing);
+            if (single)
+                bt::exchange(comm, sched, f, 50);
+            else
+                bt::exchange_all(comm, sched, {std::span<Real>(f)}, 50);
             EXPECT_DOUBLE_EQ(f[1], static_cast<Real>(2 - r));
         });
         EXPECT_EQ(traffic.messages, 2);
@@ -676,7 +668,7 @@ TEST(TyphonCoalesced, MismatchedScheduleThrowsWithFieldCount) {
                     sched.peers = {p};
                     bt::exchange_all(comm, sched,
                                      {std::span<Real>(f1), std::span<Real>(f2)},
-                                     55, bt::Packing::coalesced);
+                                     55);
                 }),
         bu::Error);
 }
@@ -731,8 +723,7 @@ TEST(TyphonCollective, IallreduceMinCorrectUnderConcurrentHaloTraffic) {
             const Real contribution = static_cast<Real>(r + round);
             field[0] = static_cast<Real>(r * 1000 + round);
             auto reduce = comm.iallreduce_min(contribution);
-            auto halo = bt::exchange_start(comm, sched, {field}, 400,
-                                           bt::Packing::coalesced);
+            auto halo = bt::exchange_start(comm, sched, {field}, 400);
             halo.finish();
             const Real got = reduce.wait();
             EXPECT_DOUBLE_EQ(got, static_cast<Real>(round)) << "round "
