@@ -3,13 +3,10 @@
 /// the mesh is partitioned (RCB or the multilevel METIS-substitute),
 /// each rank runs the kernel sequence with the paper's two halo
 /// exchanges per step and one global dt reduction, and the gathered
-/// result is compared against a serial run. By default the halo
-/// exchanges overlap with interior kernels (nonblocking typhon); the
-/// blocking schedule is kept as an ablation and the two are checked to
-/// be bitwise identical.
+/// result is compared against a serial run. The halo exchanges overlap
+/// with interior kernels (nonblocking typhon).
 ///
 ///   ./distributed_sod [--ranks 4] [--nx 100] [--partitioner rcb|multilevel]
-///                     [--overlap on|off]
 ///                     [--threads 1] [--schedule taskgraph|forkjoin]
 ///                     [--mode lagrange|eulerian|ale] [--dump fields.csv]
 ///                     [--tol 1e-8]
@@ -25,9 +22,8 @@
 ///                     [--delay-rank R [--delay-every N]] [--slow-all-us US]
 ///
 /// Exits nonzero if the distributed result drifts from the serial
-/// reference by more than --tol, or if the other schedule (overlap vs
-/// blocking) disagrees bitwise — which makes it a self-checking smoke test
-/// for CI.
+/// reference by more than --tol — which makes it a self-checking smoke
+/// test for CI.
 /// With --mode eulerian the run exercises the distributed remap (the
 /// sod_eulerian.in configuration) and additionally cross-checks the
 /// gathered fields bitwise against a serial core::Hydro run.
@@ -35,7 +31,7 @@
 /// Checkpoint/restart smoke: --save-at T writes a checkpoint at the first
 /// natural step past T (--halt-after-save stops the run there);
 /// --restart continues a saved snapshot at the requested rank count —
-/// every self-check (overlap ablation, serial reference) then
+/// every self-check (the serial reference) then
 /// restarts from the same snapshot, so the bitwise gates also hold the
 /// rank-elastic restart contract.
 ///
@@ -69,7 +65,6 @@ int run(const util::Cli& cli) {
     const int ranks = cli.get_int("ranks", 4);
     const auto nx = static_cast<Index>(cli.get_int("nx", 100));
     const auto partitioner = cli.get("partitioner", "rcb");
-    const auto overlap_arg = cli.get("overlap", "on");
     const auto mode_arg = cli.get("mode", "lagrange");
     const int threads = cli.get_int("threads", 1);
     const auto schedule_arg = cli.get("schedule", "taskgraph");
@@ -101,7 +96,6 @@ int run(const util::Cli& cli) {
     opts.t_end = 0.2;
     opts.hydro = problem.hydro;
     opts.ale = problem.ale;
-    opts.overlap = overlap_arg != "off";
     opts.n_threads = threads;
     opts.schedule = schedule_arg == "forkjoin" ? par::Schedule::forkjoin
                                                : par::Schedule::taskgraph;
@@ -176,11 +170,10 @@ int run(const util::Cli& cli) {
     const auto part = opts.partitioner ? opts.partitioner(problem.mesh, ranks)
                                        : part::rcb(problem.mesh, ranks);
     const auto quality = part::quality(problem.mesh, part, ranks);
-    std::printf("Sod %dx4 (%s) on %d ranks x %d threads (%s, overlap %s, "
-                "schedule %s): edge cut %d, imbalance %.3f\n",
+    std::printf("Sod %dx4 (%s) on %d ranks x %d threads (%s, schedule %s): "
+                "edge cut %d, imbalance %.3f\n",
                 nx, mode_arg.c_str(), ranks, threads, partitioner.c_str(),
-                opts.overlap ? "on" : "off", schedule_arg.c_str(),
-                quality.edge_cut, quality.imbalance);
+                schedule_arg.c_str(), quality.edge_cut, quality.imbalance);
 
     const auto distributed = run_dist(opts);
     for (const auto& rec : distributed.recoveries)
@@ -200,16 +193,6 @@ int run(const util::Cli& cli) {
                     last.imbalance.max_over_mean,
                     last.imbalance.slowest_rank);
     }
-
-    // Ablation cross-check: the other schedule must agree bitwise (same
-    // ghost bytes, only the kernel order changes).
-    dist::Options other = opts;
-    other.overlap = !opts.overlap;
-    other.telemetry = {};
-    const auto cross = run_dist(other);
-    const bool bitwise = dist::bitwise_equal(distributed, cross);
-    std::printf("overlap vs blocking: %s\n",
-                bitwise ? "bitwise identical" : "MISMATCH");
 
     // Hybrid runs: the other intra-rank schedule must agree bitwise too
     // (task-graph vs fork-join only reorders per-item-independent work).
@@ -310,10 +293,6 @@ int run(const util::Cli& cli) {
         std::printf("wrote %s\n", path.c_str());
     }
 
-    if (!bitwise) {
-        std::fprintf(stderr, "FAIL: overlap and blocking schedules disagree\n");
-        return 1;
-    }
     if (!bitwise_schedule) {
         std::fprintf(stderr,
                      "FAIL: taskgraph and forkjoin schedules disagree\n");
@@ -338,8 +317,8 @@ int main(int argc, char** argv) {
     try {
         return run(util::Cli(
             argc, argv,
-            {"ranks", "nx", "partitioner", "overlap", "mode", "threads",
-             "schedule", "tol", "dump", "save-prefix", "save-at",
+            {"ranks", "nx", "partitioner", "mode", "threads", "schedule",
+             "tol", "dump", "save-prefix", "save-at",
              "halt-after-save", "restart", "supervise", "ring-every",
              "kill-rank", "kill-step", "delay-rank", "delay-every",
              "slow-all-us", "telemetry-report", "telemetry-trace",

@@ -72,7 +72,6 @@ Stepper::Hooks Hydro::serial_hooks() {
     hooks.advance = [this](Real dt_local, bool, const Stepper::Settle& settle) {
         hydro::lagstep(ctx_, state_, settle(dt_local));
     };
-    hooks.retake = [this](Real dt) { hydro::lagstep(ctx_, state_, dt); };
     hooks.remap = [this] {
         ale::alestep(ctx_, state_, problem_.ale, ale_work_);
     };

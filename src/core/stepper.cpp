@@ -77,7 +77,7 @@ StepInfo Stepper::step(Real t_end) {
                           "at step " + std::to_string(clock_.steps + 1));
             hydro::restore_step(ctx_, s_, backup_);
             dt = dt_try;
-            hooks_.retake(dt);
+            hooks_.advance(dt, /*reduce=*/false, [](Real d) { return d; });
         }
         if (retries > 0) {
             clock_.dt = dt;

@@ -72,14 +72,15 @@ public:
         /// Take the step from this rank's controller candidate. Must call
         /// `settle` exactly once, with the agreed dt, before the predictor
         /// first reads dt. `reduce` is false on step 0, where every rank
-        /// holds the same dt_initial and there is nothing to agree.
+        /// holds the same dt_initial and there is nothing to agree, and
+        /// on a health-guard retry, which replays the step from the
+        /// restored loop-top state with an already agreed dt and an
+        /// identity `settle`.
         std::function<void(Real dt_local, bool reduce, const Settle& settle)>
             advance;
         /// Combine the health verdicts of every rank (default: this
         /// rank's verdict alone).
         std::function<bool(bool ok)> agree = [](bool ok) { return ok; };
-        /// Retake a rejected step from the restored loop-top state.
-        std::function<void(Real dt)> retake;
         /// The ALE/Eulerian remap of a remap-due step.
         std::function<void()> remap;
         /// A monitoring window closed (telemetry with window_steps > 0).

@@ -14,19 +14,18 @@
 /// cadence, step records) is core::Stepper's, shared with the serial
 /// driver; this file supplies the per-rank mechanics as its hooks.
 ///
-/// Two schedules implement the step. The *blocking* schedule is the
-/// paper's: reduce, exchange, compute, exchange, compute. The *overlap*
-/// schedule (default, Options::overlap) posts each exchange through
-/// typhon's request layer and runs the interior work — cells whose
-/// stencils see no halo-refreshed data, nodes whose assembly reads no
-/// ghost corner — while the messages are in flight; only the boundary
-/// finish waits. The dt min-reduction is likewise posted nonblocking
-/// before the pre-step halo and finished just before the predictor
-/// consumes dt. Because every kernel piece involved is per-item
-/// independent, the exchanged bytes are identical and the reduction is
-/// rank-order deterministic, the two schedules are bitwise identical at
-/// every rank count. Every exchange posts one message per peer, the
-/// fields' slices back-to-back.
+/// The step overlaps both exchanges with interior work: it posts each
+/// exchange through typhon's request layer and runs the interior work —
+/// cells whose stencils see no halo-refreshed data, nodes whose assembly
+/// reads no ghost corner — while the messages are in flight; only the
+/// boundary finish waits. The dt min-reduction is likewise posted
+/// nonblocking before the pre-step halo and finished just before the
+/// predictor consumes dt. Every kernel piece involved is per-item
+/// independent, the exchanged bytes are the serial ones and the reduction
+/// is rank-order deterministic, so the gathered fields equal the serial
+/// driver's bit for bit at every rank count. Every exchange posts one
+/// message per peer, the fields' slices back-to-back. A health-guard
+/// retry replays the same step from the restored loop-top state.
 
 #include "dist/distributed.hpp"
 
@@ -97,7 +96,7 @@ void blocking_halo(const hydro::Context& ctx, Start&& start) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocking schedule (ablation baseline, Options::overlap = false)
+// The step: halo exchanges hide behind interior work
 // ---------------------------------------------------------------------------
 
 /// The fused pre-step state halo: node kinematics {x, y, u, v} and ghost
@@ -118,50 +117,13 @@ start_state_halo(hydro::State& s, typhon::Comm& comm,
     return typhon::exchange_start(comm, groups, 100);
 }
 
-/// Pre-step halo: refresh ghost node kinematics and ghost internal energy,
-/// then rebuild the ghost dependent state.
+/// Blocking pre-remap halo: refresh ghost node kinematics and ghost
+/// internal energy, then rebuild the ghost dependent state.
 void refresh_ghosts(const hydro::Context& ctx, hydro::State& s,
                     typhon::Comm& comm, const part::Subdomain& sub) {
     blocking_halo(ctx, [&] { return start_state_halo(s, comm, sub); });
     rebuild_ghost_state(ctx, s, sub);
 }
-
-/// One rank's Lagrangian step with the mid-step corner-force exchange.
-/// Mirrors hydro::lagstep exactly, with typhon traffic inserted where the
-/// paper's Algorithm 1 places it.
-void dist_lagstep(const hydro::Context& ctx, hydro::State& s, Real dt,
-                  typhon::Comm& comm, const part::Subdomain& sub) {
-    snapshot(ctx, s);
-    const Real half_dt = Real(0.5) * dt;
-
-    // --- predictor ---------------------------------------------------------
-    hydro::getq(ctx, s);
-    hydro::getforce(ctx, s);
-    hydro::getgeom(ctx, s, s.u0, s.v0, half_dt);
-    hydro::getrho(ctx, s);
-    hydro::getein(ctx, s, s.u0, s.v0, half_dt);
-    hydro::getpc(ctx, s);
-
-    // --- corrector ----------------------------------------------------------
-    hydro::getq(ctx, s);
-    hydro::getforce(ctx, s);
-    // Pre-acceleration halo: ghost corner forces from their owners. After
-    // this, the gather at any node of an owned cell sees exactly the
-    // corner forces a serial run would.
-    blocking_halo(ctx, [&] {
-        return typhon::exchange_start(comm, sub.corner_schedule,
-                                      {s.fx, s.fy}, 200);
-    });
-    hydro::getacc(ctx, s, dt);
-    hydro::getgeom(ctx, s, s.ubar, s.vbar, dt);
-    hydro::getrho(ctx, s);
-    hydro::getein(ctx, s, s.ubar, s.vbar, dt);
-    hydro::getpc(ctx, s);
-}
-
-// ---------------------------------------------------------------------------
-// Overlap schedule (default): halo exchanges hide behind interior work
-// ---------------------------------------------------------------------------
 
 /// One step with both exchanges overlapped, plus the dt reduction. Covers
 /// getdt's reduce + refresh + lagstep: the global min-reduce of
@@ -172,10 +134,10 @@ void dist_lagstep(const hydro::Context& ctx, hydro::State& s, Real dt,
 /// predictor and the corner-force exchange spans the corrector's interior
 /// viscosity/force/assembly work.
 /// Note on profiles: each subrange piece charges the profiler separately,
-/// so per-kernel *call counts* differ from the blocking schedule (e.g.
-/// two getq calls per sweep instead of one, halo split into post and
-/// finish scopes, reduce split into post and wait); the wall-second
-/// buckets remain comparable and are what the overlap ablation reports.
+/// so per-kernel *call counts* differ from the serial driver's (e.g. two
+/// getq calls per sweep instead of one, halo split into post and finish
+/// scopes, reduce split into post and wait); the wall-second buckets
+/// remain comparable.
 void overlap_step(const hydro::Context& ctx, hydro::State& s, Real dt_local,
                   bool reduce, const core::Stepper::Settle& settle,
                   typhon::Comm& comm, const part::Subdomain& sub) {
@@ -185,13 +147,13 @@ void overlap_step(const hydro::Context& ctx, hydro::State& s, Real dt_local,
     // --- dt reduce + pre-step state halo, overlapped with the interior
     // predictor. The reduce is posted first: every rank's contribution is
     // this step's local controller value, the result is the deterministic
-    // rank-ordered min (bitwise what the blocking allreduce returns), and
+    // rank-ordered min (bitwise what a blocking allreduce returns), and
     // nothing before the first half_dt use reads dt — so the collective
     // rides for free under the state exchange. Sends pack owned values,
     // so they post immediately; interior cells read no halo node, no
     // ghost state and no snapshot array, so running their predictor
-    // viscosity/forces here computes bit-for-bit what the blocking
-    // schedule computes after the exchange.
+    // viscosity/forces here computes bit-for-bit what they would compute
+    // after the exchange.
     typhon::CollRequest dt_reduce;
     if (reduce) {
         const util::ScopedTimer timer(*ctx.profiler, util::Kernel::reduce);
@@ -569,7 +531,7 @@ void FluxGraph::run() {
     const auto& mesh = *ctx_.mesh;
     // Prelude: the exact zero state the blocking overloads assign (ghost
     // dflux slots the result exchange does not cover must read zero, as
-    // they do on the blocking schedule).
+    // they do in the sequential remap).
     {
         const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::aleadvect);
         w_.mflux.assign(mesh.faces.size(), 0.0);
@@ -989,14 +951,7 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
     core::Stepper::Hooks hooks;
     hooks.advance = [&](Real dt_local, bool reduce,
                         const core::Stepper::Settle& settle) {
-        if (opts.overlap) {
-            overlap_step(ctx, s, dt_local, reduce, settle, comm, sub);
-            return;
-        }
-        const Real dt =
-            settle(reduce ? timed_min(comm, profiler, dt_local) : dt_local);
-        refresh_ghosts(ctx, s, comm, sub);
-        dist_lagstep(ctx, s, dt, comm, sub);
+        overlap_step(ctx, s, dt_local, reduce, settle, comm, sub);
     };
     // Every rank checks its owned entities (their union is the global set
     // and owned bytes are bitwise-serial), so the min-reduced verdict is
@@ -1005,12 +960,6 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
     hooks.agree = [&](bool ok) {
         return timed_min(comm, profiler, ok ? Real(1.0) : Real(0.0)) >
                Real(0.5);
-    };
-    // Retries replay the step on the blocking schedule (bitwise == overlap
-    // by contract).
-    hooks.retake = [&](Real dt) {
-        refresh_ghosts(ctx, s, comm, sub);
-        dist_lagstep(ctx, s, dt, comm, sub);
     };
     hooks.remap = [&] {
         if (!flux_graph && exec.threaded() &&
@@ -1154,7 +1103,6 @@ obs::RunReport telemetry_report(const Run& run, Attempt& a) {
     report.label = opts.telemetry.label;
     report.mode = "distributed";
     report.n_ranks = a.n_ranks;
-    report.overlap = opts.overlap;
     report.steps = result.steps;
     report.t_final = result.t_final;
     report.wall_s = run.timer.elapsed();
@@ -1170,7 +1118,6 @@ obs::RunReport telemetry_report(const Run& run, Attempt& a) {
     report.config.grain = par::Exec{}.grain;
     report.config.n_threads = opts.n_threads;
     report.config.n_ranks = a.n_ranks;
-    report.config.overlap = opts.overlap;
     report.work = perfmodel::telemetry_work_model(opts.n_threads);
 
     // Attach the Hub's per-peer send tallies and the trace/critical-path

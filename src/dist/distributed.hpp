@@ -45,17 +45,6 @@ struct Options {
     /// nullptr selects recursive coordinate bisection (part::rcb).
     Partitioner partitioner;
     int max_steps = std::numeric_limits<int>::max();
-    /// Overlap halo exchanges with interior kernels (the nonblocking
-    /// typhon path): both per-step exchanges are posted early and interior
-    /// cells/nodes compute while the messages are in flight, and the
-    /// global dt min-reduction is posted nonblocking alongside the
-    /// pre-step state halo (it is finished before the predictor consumes
-    /// dt). false selects the paper's blocking schedule as an ablation
-    /// baseline. Contract: the two schedules are bitwise identical at
-    /// every rank count — the ghost inputs are the same bytes and the
-    /// rank-ordered reduction gives the same dt, only the execution order
-    /// of per-item-independent kernels changes.
-    bool overlap = true;
     /// Worker threads per rank (the hybrid MPI+OpenMP analogue). 1 keeps
     /// the flat-MPI model: each rank runs its subdomain serially. > 1
     /// attaches a per-rank par::ThreadPool, so every hydro/ALE kernel runs
@@ -167,7 +156,7 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
 /// rebuilds the derived state, and steps from (snapshot.t,
 /// snapshot.steps) with the snapshot's unclamped dt growth reference.
 /// Contract: the gathered result at t_end is bitwise identical to the
-/// uninterrupted run at any rank count, on either schedule. Throws util::Error if the snapshot does not match the
+/// uninterrupted run at any rank count. Throws util::Error if the snapshot does not match the
 /// mesh.
 Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
            const ckpt::Snapshot& snapshot, const Options& opts);
@@ -201,10 +190,9 @@ void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
            ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub);
 
 /// True when every gathered field of the two results is bitwise equal
-/// (and the step counts match). The single definition of the
-/// overlap==blocking contract check — used by the tests, the ablation
-/// bench and the distributed_sod example, so a field added to Result only
-/// needs comparing here.
+/// (and the step counts match). The single definition of the bitwise
+/// contract check — used by the tests and the distributed_sod example,
+/// so a field added to Result only needs comparing here.
 [[nodiscard]] bool bitwise_equal(const Result& a, const Result& b);
 
 } // namespace bookleaf::dist

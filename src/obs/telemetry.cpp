@@ -207,7 +207,6 @@ Json to_json(const RunReport& report) {
     root["label"] = Json(report.label);
     root["mode"] = Json(report.mode);
     root["n_ranks"] = Json(report.n_ranks);
-    if (report.mode == "distributed") root["overlap"] = Json(report.overlap);
     root["steps"] = Json(report.steps);
     root["t_final"] = Json(report.t_final);
     root["wall_s"] = Json(report.wall_s);
@@ -218,7 +217,6 @@ Json to_json(const RunReport& report) {
     cfg["grain"] = Json(report.config.grain);
     cfg["n_threads"] = Json(report.config.n_threads);
     cfg["n_ranks"] = Json(report.config.n_ranks);
-    cfg["overlap"] = Json(report.config.overlap);
 
     if (report.work.present) {
         Json& work = root["work_model"];

@@ -269,7 +269,6 @@ struct RunConfig {
     long grain = 0;       ///< fork-join partition grain (0 = default)
     int n_threads = 1;    ///< pool width per rank
     int n_ranks = 1;
-    bool overlap = false;
 };
 
 /// Static work descriptor for one kernel: flops/bytes per swept entity,
@@ -319,7 +318,6 @@ struct RunReport {
     std::string label;
     std::string mode;     ///< "serial" or "distributed"
     int n_ranks = 1;
-    bool overlap = false;
     long steps = 0;
     double t_final = 0.0;
     double wall_s = 0.0;  ///< whole-run wall time on rank 0 / the driver

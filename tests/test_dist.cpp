@@ -168,17 +168,44 @@ namespace bt = bookleaf::typhon;
 bd::Result run_mode(const bm::Mesh& mesh, const be::MaterialTable& materials,
                     const std::vector<Real>& rho, const std::vector<Real>& ein,
                     const std::vector<Real>& u, const std::vector<Real>& v,
-                    int n_ranks, Real t_end, bool overlap) {
+                    int n_ranks, Real t_end) {
     bd::Options opts;
     opts.n_ranks = n_ranks;
     opts.t_end = t_end;
     opts.hydro.dt_initial = 1e-4;
-    opts.overlap = overlap;
     return bd::run(mesh, materials, rho, ein, u, v, opts);
 }
 
-/// Bitwise comparison of two gathered results (the overlap contract:
-/// ghost inputs are identical bytes, only the kernel schedule changes).
+/// The serial core::Hydro run of run_mode's inputs and options, gathered
+/// into a dist::Result.
+bd::Result serial_run(const bm::Mesh& mesh, const be::MaterialTable& materials,
+                      const std::vector<Real>& rho,
+                      const std::vector<Real>& ein, const std::vector<Real>& u,
+                      const std::vector<Real>& v, Real t_end) {
+    bookleaf::setup::Problem problem;
+    problem.mesh = mesh;
+    problem.materials = materials;
+    problem.rho = rho;
+    problem.ein = ein;
+    problem.u = u;
+    problem.v = v;
+    problem.hydro.dt_initial = 1e-4;
+    bookleaf::core::Hydro h(std::move(problem));
+    h.run(t_end);
+    const auto& s = h.state();
+    bd::Result r;
+    r.steps = h.steps();
+    r.rho.assign(s.rho.begin(), s.rho.end());
+    r.ein.assign(s.ein.begin(), s.ein.end());
+    r.u.assign(s.u.begin(), s.u.end());
+    r.v.assign(s.v.begin(), s.v.end());
+    r.x.assign(s.x.begin(), s.x.end());
+    r.y.assign(s.y.begin(), s.y.end());
+    return r;
+}
+
+/// Bitwise comparison of two gathered results (ghost inputs are the
+/// serial bytes, only the kernel order changes).
 void expect_bitwise_equal(const bd::Result& a, const bd::Result& b,
                           const std::string& label) {
     ASSERT_EQ(a.steps, b.steps) << label;
@@ -201,13 +228,16 @@ void expect_bitwise_equal(const bd::Result& a, const bd::Result& b,
 } // namespace
 
 TEST(DistOverlap, BitwiseIdenticalToBlockingOnSod) {
+    // The overlapped step lands the serial driver's bytes at every rank
+    // count: the ghost inputs are the serial bytes and the rank-ordered
+    // reduction gives the serial dt.
     const auto p = sod_like(48, 4);
+    const auto serial =
+        serial_run(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, 0.04);
     for (const int n_ranks : {1, 2, 4}) {
-        const auto blocking = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u,
-                                       p.v, n_ranks, 0.04, false);
-        const auto overlap = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u,
-                                      p.v, n_ranks, 0.04, true);
-        expect_bitwise_equal(blocking, overlap,
+        const auto r = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v,
+                                n_ranks, 0.04);
+        expect_bitwise_equal(serial, r,
                              "sod " + std::to_string(n_ranks) + " ranks");
     }
 }
@@ -216,26 +246,25 @@ TEST(DistOverlap, BitwiseIdenticalToBlockingOnNoh) {
     // Noh exercises the subzonal/hourglass force terms and a 2-D front
     // crossing the partition boundaries.
     auto p = bookleaf::setup::noh(20);
+    const auto serial =
+        serial_run(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, 0.05);
     for (const int n_ranks : {1, 2, 4}) {
-        const auto blocking = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u,
-                                       p.v, n_ranks, 0.05, false);
-        const auto overlap = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u,
-                                      p.v, n_ranks, 0.05, true);
-        expect_bitwise_equal(blocking, overlap,
+        const auto r = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v,
+                                n_ranks, 0.05);
+        expect_bitwise_equal(serial, r,
                              "noh " + std::to_string(n_ranks) + " ranks");
     }
 }
 
 TEST(DistOverlap, OverlapMatchesSingleRankToRoundoff) {
-    // Rank-count invariance (round-off class, as for the blocking path):
-    // the overlapped run at any rank count stays within summation-order
-    // round-off of the 1-rank run.
+    // Rank-count invariance: the run at any rank count stays within
+    // summation-order round-off of the 1-rank run.
     const auto p = sod_like(40, 4);
     const auto ref = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, 1,
-                              0.03, true);
+                              0.03);
     for (const int n_ranks : {2, 4}) {
         const auto r = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v,
-                                n_ranks, 0.03, true);
+                                n_ranks, 0.03);
         ASSERT_EQ(r.steps, ref.steps);
         for (std::size_t c = 0; c < ref.rho.size(); ++c)
             EXPECT_NEAR(r.rho[c], ref.rho[c], 1e-9) << n_ranks << " ranks";
@@ -245,7 +274,7 @@ TEST(DistOverlap, OverlapMatchesSingleRankToRoundoff) {
 TEST(DistOverlap, HaloProfileStillPopulated) {
     const auto p = sod_like(24, 2);
     const auto r = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, 2,
-                            0.01, true);
+                            0.01);
     for (const auto& prof : r.profiles) {
         EXPECT_GT(prof[static_cast<std::size_t>(bookleaf::util::Kernel::halo)]
                       .calls,
@@ -271,13 +300,10 @@ TEST(DistPacking, MessageCountIsPeersNotFieldsTimesPeers) {
     const auto subs = bp::decompose(p.mesh, part, n_ranks);
     long per_step = 0;
     for (const auto& sub : subs) per_step += sub.messages_per_step();
-    for (const bool overlap : {true, false}) {
-        const auto r = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v,
-                                n_ranks, 0.02, overlap);
-        ASSERT_GT(r.steps, 0);
-        EXPECT_EQ(r.traffic.messages, static_cast<long>(r.steps) * per_step)
-            << (overlap ? "overlap" : "blocking");
-    }
+    const auto r = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v,
+                            n_ranks, 0.02);
+    ASSERT_GT(r.steps, 0);
+    EXPECT_EQ(r.traffic.messages, static_cast<long>(r.steps) * per_step);
 }
 
 // ---------------------------------------------------------------------------
@@ -338,14 +364,13 @@ void expect_bitwise_serial(const bd::Result& r, const SerialFields& ref,
             label + ", rank " + std::to_string(rank.rank));
 }
 
-bd::Result run_deck(const bookleaf::setup::Problem& p, int n_ranks, Real t_end,
-                    bool overlap) {
+bd::Result run_deck(const bookleaf::setup::Problem& p, int n_ranks,
+                    Real t_end) {
     bd::Options opts;
     opts.n_ranks = n_ranks;
     opts.t_end = t_end;
     opts.hydro = p.hydro;
     opts.ale = p.ale;
-    opts.overlap = overlap;
     opts.telemetry.enabled = true;
     return bd::run(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, opts);
 }
@@ -356,7 +381,7 @@ TEST(DistRemap, EulerianSodBitwiseMatchesSerialDriver) {
     // The sod_eulerian.in configuration at test scale: remap back to the
     // generation mesh every step. Gathered rho/ein/u/v/x/y must be
     // bitwise identical to the serial core::Hydro run on owned entities
-    // at every rank count, on either schedule.
+    // at every rank count.
     const Real t_end = 0.03;
     auto problem = bookleaf::setup::sod(48, 4);
     problem.ale.mode = ba::Mode::eulerian;
@@ -374,12 +399,9 @@ TEST(DistRemap, EulerianSodBitwiseMatchesSerialDriver) {
     EXPECT_NE(ref.rho, ref_eul.rho);
 
     for (const int n_ranks : {1, 2, 4})
-        for (const bool overlap : {true, false}) {
-            const auto label = "eulerian sod " + std::to_string(n_ranks) +
-                               " ranks " + (overlap ? "overlap" : "blocking");
-            const auto r = run_deck(problem, n_ranks, t_end, overlap);
-            expect_bitwise_serial(r, ref_eul, label);
-        }
+        expect_bitwise_serial(run_deck(problem, n_ranks, t_end), ref_eul,
+                              "eulerian sod " + std::to_string(n_ranks) +
+                                  " ranks");
 }
 
 TEST(DistRemap, AleNohBitwiseMatchesSerialDriver) {
@@ -397,12 +419,8 @@ TEST(DistRemap, AleNohBitwiseMatchesSerialDriver) {
     ASSERT_GT(ref.steps, 0);
 
     for (const int n_ranks : {1, 2, 4})
-        for (const bool overlap : {true, false}) {
-            const auto label = "ale noh " + std::to_string(n_ranks) +
-                               " ranks " + (overlap ? "overlap" : "blocking");
-            const auto r = run_deck(problem, n_ranks, t_end, overlap);
-            expect_bitwise_serial(r, ref, label);
-        }
+        expect_bitwise_serial(run_deck(problem, n_ranks, t_end), ref,
+                              "ale noh " + std::to_string(n_ranks) + " ranks");
 }
 
 TEST(DistRemap, LagrangeIsNowBitwiseRankInvariantToo) {
@@ -413,7 +431,7 @@ TEST(DistRemap, LagrangeIsNowBitwiseRankInvariantToo) {
     const auto problem = bookleaf::setup::sod(40, 4);
     const auto ref = serial_reference(bookleaf::setup::sod(40, 4), t_end);
     for (const int n_ranks : {2, 4}) {
-        const auto r = run_deck(problem, n_ranks, t_end, true);
+        const auto r = run_deck(problem, n_ranks, t_end);
         expect_bitwise_serial(r, ref,
                               "lagrange sod " + std::to_string(n_ranks));
     }

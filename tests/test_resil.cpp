@@ -82,19 +82,14 @@ TEST(FaultPlan, DelaysAndSlowsDoNotChangeResultsOrTraffic) {
     const auto p = sod_like(40, 2);
     const auto clean = run_dist(p, base_opts(4, 0.02));
 
-    for (const bool overlap : {true, false}) {
-        auto opts = base_opts(4, 0.02);
-        opts.overlap = overlap;
-        opts.faults.delays.push_back({.rank = 1, .every = 3});
-        opts.faults.slows.push_back({.rank = 2, .microseconds = 20});
-        opts.faults.seed = 7;
-        const auto faulty = run_dist(p, opts);
-        EXPECT_TRUE(bd::bitwise_equal(clean, faulty)) << "overlap " << overlap;
-        EXPECT_EQ(clean.traffic.messages, faulty.traffic.messages)
-            << "overlap " << overlap;
-        EXPECT_EQ(clean.traffic.reals, faulty.traffic.reals)
-            << "overlap " << overlap;
-    }
+    auto opts = base_opts(4, 0.02);
+    opts.faults.delays.push_back({.rank = 1, .every = 3});
+    opts.faults.slows.push_back({.rank = 2, .microseconds = 20});
+    opts.faults.seed = 7;
+    const auto faulty = run_dist(p, opts);
+    EXPECT_TRUE(bd::bitwise_equal(clean, faulty));
+    EXPECT_EQ(clean.traffic.messages, faulty.traffic.messages);
+    EXPECT_EQ(clean.traffic.reals, faulty.traffic.reals);
 }
 
 TEST(FaultPlan, KillAtStepReportsRankAndStep) {
@@ -173,19 +168,14 @@ TEST(ResilGuard, HealthyRunUnperturbedByGuardsDistributed) {
     // message count must be unchanged too (the health vote is a
     // collective, which the traffic accounting deliberately excludes).
     const auto p = sod_like(40, 2);
-    for (const bool overlap : {true, false}) {
-        auto plain_opts = base_opts(4, 0.02);
-        plain_opts.overlap = overlap;
-        const auto plain = run_dist(p, plain_opts);
-        auto guarded_opts = plain_opts;
-        guarded_opts.hydro.guard.enabled = true;
-        const auto guarded = run_dist(p, guarded_opts);
-        EXPECT_TRUE(bd::bitwise_equal(plain, guarded)) << "overlap " << overlap;
-        EXPECT_EQ(plain.traffic.messages, guarded.traffic.messages)
-            << "overlap " << overlap;
-        EXPECT_EQ(plain.traffic.reals, guarded.traffic.reals)
-            << "overlap " << overlap;
-    }
+    const auto plain_opts = base_opts(4, 0.02);
+    const auto plain = run_dist(p, plain_opts);
+    auto guarded_opts = plain_opts;
+    guarded_opts.hydro.guard.enabled = true;
+    const auto guarded = run_dist(p, guarded_opts);
+    EXPECT_TRUE(bd::bitwise_equal(plain, guarded));
+    EXPECT_EQ(plain.traffic.messages, guarded.traffic.messages);
+    EXPECT_EQ(plain.traffic.reals, guarded.traffic.reals);
 }
 
 TEST(ResilGuard, OversizedInitialDtRecoversSerial) {
@@ -248,8 +238,10 @@ TEST(ResilGuard, RetryDecisionBitwiseAgreedAcrossRanks) {
     // The oversized-dt recovery in the distributed driver: the health
     // verdict is a collective min-reduction over owned entities and the
     // backoff sequence evolves from globally-agreed values only, so every
-    // rank count and both schedules land the serial driver's fields and
-    // step clock bit for bit, retries and re-growth ceiling included.
+    // rank count — with or without a per-rank pool — lands the serial
+    // driver's fields and step clock bit for bit, retries (each a replay
+    // of the rank's step through its advance hook) and re-growth ceiling
+    // included.
     const auto p = sod_like(40, 2);
     auto opts = base_opts(1, 0.05);
     opts.hydro.dt_initial = 0.5;
@@ -289,20 +281,21 @@ TEST(ResilGuard, RetryDecisionBitwiseAgreedAcrossRanks) {
         return bookleaf::obs::dt_reason_name(r.dt_reason) == "regrow";
     }));
 
-    for (const int n_ranks : {1, 2, 4}) {
-        for (const bool overlap : {true, false}) {
-            opts.n_ranks = n_ranks;
-            opts.overlap = overlap;
-            const auto r = run_dist(p, opts);
-            const std::string label = std::to_string(n_ranks) +
-                                      " ranks, overlap " +
-                                      (overlap ? "on" : "off");
-            EXPECT_TRUE(bd::bitwise_equal(reference, r)) << label;
-            for (const auto& rank : r.telemetry.ranks)
-                bookleaf::test::expect_same_steps(
-                    rank.steps, records, n_ranks == 1,
-                    label + ", rank " + std::to_string(rank.rank));
-        }
+    struct Shape {
+        int ranks, threads;
+    };
+    for (const auto shape : {Shape{1, 1}, Shape{2, 1}, Shape{4, 1},
+                             Shape{2, 2}}) {
+        opts.n_ranks = shape.ranks;
+        opts.n_threads = shape.threads;
+        const auto r = run_dist(p, opts);
+        const std::string label = std::to_string(shape.ranks) + " ranks x " +
+                                  std::to_string(shape.threads) + " threads";
+        EXPECT_TRUE(bd::bitwise_equal(reference, r)) << label;
+        for (const auto& rank : r.telemetry.ranks)
+            bookleaf::test::expect_same_steps(
+                rank.steps, records, shape.ranks == 1,
+                label + ", rank " + std::to_string(rank.rank));
     }
 }
 
@@ -313,27 +306,21 @@ TEST(ResilGuard, RetryDecisionBitwiseAgreedAcrossRanks) {
 TEST(ResilRecovery, KillAtStepRecoversOnSurvivorsBitwise) {
     // The tentpole contract: a 4-rank run loses rank 2 mid-flight, rolls
     // back to the newest ring snapshot, resumes on 3 survivors — and the
-    // gathered result is bitwise identical to the uninterrupted run, on
-    // either schedule.
+    // gathered result is bitwise identical to the uninterrupted run.
     const auto p = sod_like(40, 2);
     const auto reference = run_dist(p, base_opts(4, 0.03));
 
-    for (const bool overlap : {true, false}) {
-        auto opts = base_opts(4, 0.03);
-        opts.overlap = overlap;
-        opts.supervise.enabled = true;
-        opts.supervise.snapshot_every = 5;
-        opts.faults.kills.push_back({.rank = 2, .at_step = 12});
-        const auto r = run_dist(p, opts);
-        const std::string label =
-            std::string("overlap ") + (overlap ? "on" : "off");
-        ASSERT_EQ(r.recoveries.size(), 1u) << label;
-        EXPECT_EQ(r.recoveries[0].failed_rank, 2) << label;
-        EXPECT_EQ(r.recoveries[0].failed_step, 12) << label;
-        EXPECT_EQ(r.recoveries[0].survivors, 3) << label;
-        EXPECT_EQ(r.recoveries[0].resumed_step, 10) << label;
-        EXPECT_TRUE(bd::bitwise_equal(reference, r)) << label;
-    }
+    auto opts = base_opts(4, 0.03);
+    opts.supervise.enabled = true;
+    opts.supervise.snapshot_every = 5;
+    opts.faults.kills.push_back({.rank = 2, .at_step = 12});
+    const auto r = run_dist(p, opts);
+    ASSERT_EQ(r.recoveries.size(), 1u);
+    EXPECT_EQ(r.recoveries[0].failed_rank, 2);
+    EXPECT_EQ(r.recoveries[0].failed_step, 12);
+    EXPECT_EQ(r.recoveries[0].survivors, 3);
+    EXPECT_EQ(r.recoveries[0].resumed_step, 10);
+    EXPECT_TRUE(bd::bitwise_equal(reference, r));
 }
 
 TEST(ResilRecovery, ThreadedEulerianRecoveryRebuildsTheFluxGraph) {
