@@ -7,7 +7,7 @@
 /// with interior kernels (nonblocking typhon).
 ///
 ///   ./distributed_sod [--ranks 4] [--nx 100] [--partitioner rcb|multilevel]
-///                     [--threads 1] [--schedule taskgraph|forkjoin]
+///                     [--threads 1]
 ///                     [--mode lagrange|eulerian|ale] [--dump fields.csv]
 ///                     [--tol 1e-8]
 ///                     [--save-prefix ck --save-at 0.1 [--halt-after-save]]
@@ -41,9 +41,7 @@
 /// S. The run rolls back to the newest ring snapshot, re-decomposes over
 /// the survivors and finishes — and every bitwise gate below still holds,
 /// including against the serial reference (use R >= 1 so the 1-rank
-/// reference, where rank R does not exist, runs undisturbed; the ablation
-/// cross-checks at the full rank count recover from the same scripted
-/// kill and must agree bitwise anyway).
+/// reference, where rank R does not exist, runs undisturbed).
 
 #include <cmath>
 #include <cstdio>
@@ -67,15 +65,7 @@ int run(const util::Cli& cli) {
     const auto partitioner = cli.get("partitioner", "rcb");
     const auto mode_arg = cli.get("mode", "lagrange");
     const int threads = cli.get_int("threads", 1);
-    const auto schedule_arg = cli.get("schedule", "taskgraph");
     const Real tol = cli.get_real("tol", 1e-8);
-    if (schedule_arg != "taskgraph" && schedule_arg != "forkjoin") {
-        std::fprintf(stderr,
-                     "distributed_sod: unknown --schedule '%s' (expected "
-                     "taskgraph or forkjoin)\n",
-                     schedule_arg.c_str());
-        return 2;
-    }
 
     auto problem = setup::sod(nx, 4);
     if (mode_arg == "eulerian") {
@@ -97,8 +87,6 @@ int run(const util::Cli& cli) {
     opts.hydro = problem.hydro;
     opts.ale = problem.ale;
     opts.n_threads = threads;
-    opts.schedule = schedule_arg == "forkjoin" ? par::Schedule::forkjoin
-                                               : par::Schedule::taskgraph;
     if (partitioner == "multilevel")
         opts.partitioner = [](const mesh::Mesh& m, int n) {
             return part::multilevel(m, n);
@@ -137,8 +125,8 @@ int run(const util::Cli& cli) {
             opts.faults.slows.push_back(slow);
         }
     }
-    // Telemetry sinks apply to the main run only (the ablation
-    // cross-checks below clear them — they'd overwrite the files).
+    // Telemetry sinks apply to the main run only (the serial reference
+    // below clears them — it would overwrite the files).
     opts.telemetry.report = cli.get("telemetry-report", "");
     opts.telemetry.trace = cli.get("telemetry-trace", "");
     opts.telemetry.summary = cli.has("telemetry-summary");
@@ -150,8 +138,8 @@ int run(const util::Cli& cli) {
     opts.telemetry.watchdog_grace_ms = cli.get_int("watchdog-grace-ms", 250);
     opts.telemetry.watchdog_escalate = cli.has("watchdog-escalate");
     opts.telemetry.label = "sod_" + mode_arg;
-    // Restart source: every run below (the main run, the ablation
-    // cross-checks and the serial references) starts from this snapshot.
+    // Restart source: every run below (the main run and the serial
+    // references) starts from this snapshot.
     ckpt::Snapshot snapshot;
     const bool restarting = cli.has("restart");
     if (restarting) {
@@ -170,10 +158,10 @@ int run(const util::Cli& cli) {
     const auto part = opts.partitioner ? opts.partitioner(problem.mesh, ranks)
                                        : part::rcb(problem.mesh, ranks);
     const auto quality = part::quality(problem.mesh, part, ranks);
-    std::printf("Sod %dx4 (%s) on %d ranks x %d threads (%s, schedule %s): "
-                "edge cut %d, imbalance %.3f\n",
+    std::printf("Sod %dx4 (%s) on %d ranks x %d threads (%s): edge cut %d, "
+                "imbalance %.3f\n",
                 nx, mode_arg.c_str(), ranks, threads, partitioner.c_str(),
-                schedule_arg.c_str(), quality.edge_cut, quality.imbalance);
+                quality.edge_cut, quality.imbalance);
 
     const auto distributed = run_dist(opts);
     for (const auto& rec : distributed.recoveries)
@@ -192,20 +180,6 @@ int run(const util::Cli& cli) {
                     static_cast<long>(distributed.windows.size()),
                     last.imbalance.max_over_mean,
                     last.imbalance.slowest_rank);
-    }
-
-    // Hybrid runs: the other intra-rank schedule must agree bitwise too
-    // (task-graph vs fork-join only reorders per-item-independent work).
-    bool bitwise_schedule = true;
-    if (threads > 1) {
-        dist::Options resched = opts;
-        resched.schedule = opts.schedule == par::Schedule::taskgraph
-                               ? par::Schedule::forkjoin
-                               : par::Schedule::taskgraph;
-        resched.telemetry = {};
-        bitwise_schedule = dist::bitwise_equal(distributed, run_dist(resched));
-        std::printf("taskgraph vs forkjoin: %s\n",
-                    bitwise_schedule ? "bitwise identical" : "MISMATCH");
     }
 
     // Serial reference (restarts restore the same snapshot at 1 rank).
@@ -293,11 +267,6 @@ int run(const util::Cli& cli) {
         std::printf("wrote %s\n", path.c_str());
     }
 
-    if (!bitwise_schedule) {
-        std::fprintf(stderr,
-                     "FAIL: taskgraph and forkjoin schedules disagree\n");
-        return 1;
-    }
     if (!bitwise_serial) {
         std::fprintf(stderr,
                      "FAIL: distributed remap drifts from serial driver\n");
@@ -317,13 +286,13 @@ int main(int argc, char** argv) {
     try {
         return run(util::Cli(
             argc, argv,
-            {"ranks", "nx", "partitioner", "mode", "threads", "schedule",
-             "tol", "dump", "save-prefix", "save-at",
-             "halt-after-save", "restart", "supervise", "ring-every",
-             "kill-rank", "kill-step", "delay-rank", "delay-every",
-             "slow-all-us", "telemetry-report", "telemetry-trace",
-             "telemetry-summary", "telemetry-window", "telemetry-live",
-             "watchdog-factor", "watchdog-grace-ms", "watchdog-escalate"}));
+            {"ranks", "nx", "partitioner", "mode", "threads", "tol", "dump",
+             "save-prefix", "save-at", "halt-after-save", "restart",
+             "supervise", "ring-every", "kill-rank", "kill-step",
+             "delay-rank", "delay-every", "slow-all-us", "telemetry-report",
+             "telemetry-trace", "telemetry-summary", "telemetry-window",
+             "telemetry-live", "watchdog-factor", "watchdog-grace-ms",
+             "watchdog-escalate"}));
     } catch (const util::Error& e) {
         std::fprintf(stderr, "distributed_sod: error: %s\n", e.what());
         return 2;

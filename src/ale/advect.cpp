@@ -489,14 +489,12 @@ void aleadvect_nodes_resize(const mesh::Mesh& mesh, Workspace& w) {
 
 void aleadvect(const hydro::Context& ctx, hydro::State& s, const Options& opts,
                Workspace& w) {
-    // Task-graph schedule: the same phases as (kernel, block) tasks with
-    // footprint-derived dependencies — a cell block's fluxes start as soon
-    // as the gradients they read are ready. The driver builds the graph
-    // once and re-runs it every remap; without one the fork-join sequence
-    // below runs. Bitwise identical either way (see advect_graph.hpp).
-    if (ctx.advectgraph != nullptr &&
-        ctx.exec.schedule == par::Schedule::taskgraph &&
-        ctx.advectgraph->binds(s, opts, w)) {
+    // The same phases as (kernel, block) tasks with footprint-derived
+    // dependencies — a cell block's fluxes start as soon as the gradients
+    // they read are ready. The driver builds the graph once and re-runs
+    // it every remap; without one the fork-join sequence below runs.
+    // Bitwise identical either way (see advect_graph.hpp).
+    if (ctx.advectgraph != nullptr && ctx.advectgraph->binds(s, opts, w)) {
         ctx.advectgraph->run();
         return;
     }

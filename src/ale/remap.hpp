@@ -198,10 +198,9 @@ void aleadvect_nodes_resize(const mesh::Mesh& mesh, Workspace& w);
 
 /// Advect independent variables: the full composition of the phases above
 /// over every cell, face and node. When the driver holds an AdvectGraph
-/// for (s, opts, w) in ctx.advectgraph (Schedule::taskgraph with a pool,
-/// see advect_graph.hpp) this re-runs it; otherwise — bare contexts, the
-/// fork-join ablation — the phases run in sequence. Bitwise identical
-/// either way.
+/// for (s, opts, w) in ctx.advectgraph (a pool is present, see
+/// advect_graph.hpp) this re-runs it; otherwise — bare contexts, no-pool
+/// runs — the phases run in sequence. Bitwise identical either way.
 void aleadvect(const hydro::Context& ctx, hydro::State& s, const Options& opts,
                Workspace& w);
 

@@ -204,14 +204,13 @@ void Hydro::drop_graphs() {
 }
 
 /// Build the task graphs the current execution policy wants, once: both
-/// need a pool and the taskgraph schedule; the step graph also needs the
-/// default gather assembly (the scatter ablations deliberately keep the
-/// reference fork-join shape), the advection graph a remapping mode.
-/// set_exec and set_assembly drop them, so a graph never outlives the
-/// policy it was built for.
+/// need a threaded pool; the step graph also needs the default gather
+/// assembly (the serial scatter deliberately keeps the reference
+/// fork-join shape), the advection graph a remapping mode. set_exec and
+/// set_assembly drop them, so a graph never outlives the policy it was
+/// built for.
 void Hydro::ensure_graphs() {
-    const bool graphs = ctx_.exec.threaded() &&
-                        ctx_.exec.schedule == par::Schedule::taskgraph;
+    const bool graphs = ctx_.exec.threaded();
     if (graphs && ctx_.exec.assembly == par::Assembly::gather && !stepgraph_)
         stepgraph_ = std::make_unique<hydro::StepGraph>(ctx_, state_);
     if (graphs && problem_.ale.mode != ale::Mode::lagrange && !advectgraph_)
@@ -245,9 +244,6 @@ obs::RunReport Hydro::telemetry_report() const {
     report.steps = steps();
     report.t_final = time();
     report.wall_s = stepper_.wall_s();
-    report.config.schedule =
-        ctx_.exec.schedule == par::Schedule::taskgraph ? "taskgraph"
-                                                       : "forkjoin";
     report.config.task_block = ctx_.exec.task_block;
     report.config.grain = ctx_.exec.grain;
     report.config.n_threads = ctx_.exec.width();

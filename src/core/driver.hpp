@@ -131,10 +131,10 @@ private:
     hydro::State state_;
     hydro::Context ctx_;
     ale::Workspace ale_work_;
-    /// Lagrangian-step task graph (Schedule::taskgraph with a pool and
-    /// gather assembly) and ALE advection graph (Schedule::taskgraph with
-    /// a pool, remapping mode); built on the first step after set_exec or
-    /// set_assembly and re-run every step / remap after that.
+    /// Lagrangian-step task graph (threaded pool and gather assembly) and
+    /// ALE advection graph (threaded pool, remapping mode); built on the
+    /// first step after set_exec or set_assembly and re-run every step /
+    /// remap after that.
     std::unique_ptr<hydro::StepGraph> stepgraph_;
     std::unique_ptr<ale::AdvectGraph> advectgraph_;
     util::Profiler profiler_;

@@ -62,7 +62,7 @@ StepInfo Stepper::step(Real t_end) {
     int retries = 0;
     if (guard.enabled) {
         // Health-guard retry: a step that left non-finite or non-physical
-        // fields anywhere is rolled back and retaken with a smaller dt.
+        // fields anywhere is rolled back and replayed with a smaller dt.
         // The accepted dt becomes the growth reference and arms the
         // re-growth ceiling, so the controller climbs back gradually.
         while (!hooks_.agree(hydro::step_healthy(s_, n_cells_, node_owned_))) {

@@ -384,7 +384,7 @@ void restore_rank_state(const part::Subdomain& sub,
     s.ein0 = s.ein;
 }
 
-/// Remap phases 3b-4 as a task graph (per-rank pool + taskgraph schedule):
+/// Remap phases 3b-4 as a task graph (ranks with a pool):
 /// the ghost-gradient exchange finish becomes a main-thread graph node, so
 /// *interior* face fluxes — both sides owned, gradients locally exact —
 /// compute while the exchange is in flight, and only the *frontier* face
@@ -911,7 +911,6 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
     // blocks the threaded kernels sweep.
     std::unique_ptr<par::ThreadPool> pool;
     par::Exec exec;
-    exec.schedule = opts.schedule;
     if (opts.n_threads > 1) {
         pool = std::make_unique<par::ThreadPool>(opts.n_threads);
         exec.pool = pool.get();
@@ -944,8 +943,8 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
     // Corner gathers in serial deposition order (bitwise == serial).
     ctx.assembly_corners = &sub.assembly_corners;
     ale::Workspace ale_work;
-    // The remap-flux graph (pool + taskgraph schedule), built on this
-    // attempt's first remap and re-run on every remap after it.
+    // The remap-flux graph (ranks with a pool), built on this attempt's
+    // first remap and re-run on every remap after it.
     std::optional<FluxGraph> flux_graph;
 
     core::Stepper::Hooks hooks;
@@ -962,8 +961,7 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
                Real(0.5);
     };
     hooks.remap = [&] {
-        if (!flux_graph && exec.threaded() &&
-            exec.schedule == par::Schedule::taskgraph)
+        if (!flux_graph && exec.threaded())
             flux_graph.emplace(ctx, s, opts.ale, ale_work, comm, sub);
         remap_on(ctx, s, opts.ale, ale_work, comm, sub,
                  flux_graph ? &*flux_graph : nullptr);
@@ -1109,11 +1107,8 @@ obs::RunReport telemetry_report(const Run& run, Attempt& a) {
     for (const auto& rec : result.recoveries)
         report.recoveries.push_back(event_of(rec));
     // The executed configuration, so the report reproduces the run without
-    // the invoking script. task_block mirrors the per-rank Exec the rank
-    // bodies build (default blocking).
-    report.config.schedule = opts.schedule == par::Schedule::taskgraph
-                                 ? "taskgraph"
-                                 : "forkjoin";
+    // the invoking script. task_block and grain mirror the per-rank Exec
+    // the rank bodies build (automatic sizes).
     report.config.task_block = par::Exec{}.task_block;
     report.config.grain = par::Exec{}.grain;
     report.config.n_threads = opts.n_threads;

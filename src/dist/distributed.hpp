@@ -51,14 +51,11 @@ struct Options {
     /// its existing threaded path over the subdomain and state allocation
     /// first-touches pages in the same blocks the kernels sweep. Bitwise
     /// invariant at any (n_ranks x n_threads): the threaded kernels are
-    /// schedule-independent by construction.
+    /// schedule-independent by construction. With a pool, each rank runs
+    /// the remap's flux, cell and dual sweeps as a task graph whose
+    /// ghost-gradient exchange finish releases only the ghost-touching
+    /// face blocks.
     int n_threads = 1;
-    /// Intra-rank scheduling strategy (only meaningful with n_threads > 1):
-    /// taskgraph runs the ALE advection phases as a dependency graph over
-    /// entity blocks — and lets remap() release ghost-touching face blocks
-    /// from the gradient-exchange finish instead of a full barrier —
-    /// forkjoin is the barrier-per-kernel ablation. Bitwise identical.
-    par::Schedule schedule = par::Schedule::taskgraph;
     /// ALE/remap configuration carried over from the source deck. All
     /// three modes run distributed: after the Lagrangian corrector of a
     /// remap-due step, each rank executes the ghost-aware ALE step (see
@@ -182,10 +179,10 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
 ///      faces leave the subdomain) yet drive owned-node momentum.
 /// ctx.assembly_corners must point at sub.assembly_corners (dist::run
 /// arranges this) so the nodal gathers sum in serial order. Inside
-/// dist::run, a rank with a pool and the taskgraph schedule runs 3-4 on a
-/// remap-flux graph it builds once per attempt (the gradient exchange
-/// overlaps the interior fluxes); this entry point holds no graph and
-/// runs the blocking sequence, with bitwise the same result.
+/// dist::run, a rank with a pool runs 3-4 on a remap-flux graph it builds
+/// once per attempt (the gradient exchange overlaps the interior fluxes);
+/// this entry point holds no graph and runs the blocking sequence, with
+/// bitwise the same result.
 void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
            ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub);
 

@@ -54,16 +54,16 @@ struct Context {
     /// mesh->node_corners, whose rows are already in global order.
     const util::Csr* assembly_corners = nullptr;
     /// Task-graph executor for the Lagrangian step, built once by the
-    /// owning driver when `exec.schedule == Schedule::taskgraph` applies
-    /// (pool present, gather assembly) and re-run every step. lagstep
-    /// dispatches to it; nullptr (bare contexts, the fork-join ablation,
-    /// the scatter ablations) runs the barrier-per-kernel sequence.
-    /// Results are bitwise identical either way.
+    /// serial driver when it applies (threaded pool, gather assembly) and
+    /// re-run every step. lagstep dispatches to it; nullptr (bare
+    /// contexts, no-pool runs, the serial scatter, distributed ranks)
+    /// runs the barrier-per-kernel sequence. Results are bitwise
+    /// identical either way.
     StepGraph* stepgraph = nullptr;
-    /// Task-graph executor for ALEADVECT, built once by the owning driver
-    /// beside `stepgraph` (taskgraph schedule, pool present, a remapping
-    /// mode) and re-run every remap. aleadvect dispatches to it; nullptr
-    /// runs the fork-join phases, with the same result.
+    /// Task-graph executor for ALEADVECT, built once by the serial driver
+    /// beside `stepgraph` (threaded pool, a remapping mode) and re-run
+    /// every remap. aleadvect dispatches to it; nullptr runs the
+    /// fork-join phases, with the same result.
     ale::AdvectGraph* advectgraph = nullptr;
     /// Attribution collector: when the owning driver runs with telemetry
     /// active it attaches a par::GraphRunLog here and every task-graph

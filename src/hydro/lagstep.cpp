@@ -12,14 +12,12 @@
 namespace bookleaf::hydro {
 
 void lagstep(const Context& ctx, State& s, Real dt) {
-    // Task-graph schedule: the same kernel sequence expressed as a
-    // dependency graph over cell/node blocks (see stepgraph.hpp), bitwise
-    // identical to the fork-join sequence below. The driver builds the
-    // graph only when it applies (threaded pool, gather assembly,
-    // Schedule::taskgraph) — a null pointer falls through to fork-join.
-    if (ctx.stepgraph != nullptr &&
-        ctx.exec.schedule == par::Schedule::taskgraph &&
-        ctx.stepgraph->state() == &s) {
+    // The same kernel sequence expressed as a dependency graph over
+    // cell/node blocks (see stepgraph.hpp), bitwise identical to the
+    // fork-join sequence below. The driver builds the graph only when it
+    // applies (threaded pool, gather assembly) — a null pointer falls
+    // through to fork-join.
+    if (ctx.stepgraph != nullptr && ctx.stepgraph->state() == &s) {
         ctx.stepgraph->run(dt);
         return;
     }

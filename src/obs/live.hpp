@@ -31,7 +31,7 @@
 /// (drivers skip every hook), monitoring ON is bitwise passive — records
 /// are folded after the physics of a step commits and the tag-502 stream
 /// never carries state, so a live-on run is bitwise identical to a
-/// live-off run at every (ranks x schedule x overlap x packing).
+/// live-off run at every rank count and mode.
 
 #include <array>
 #include <atomic>

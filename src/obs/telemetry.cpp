@@ -212,7 +212,6 @@ Json to_json(const RunReport& report) {
     root["wall_s"] = Json(report.wall_s);
 
     Json& cfg = root["config"];
-    cfg["schedule"] = Json(report.config.schedule);
     cfg["task_block"] = Json(report.config.task_block);
     cfg["grain"] = Json(report.config.grain);
     cfg["n_threads"] = Json(report.config.n_threads);

@@ -100,7 +100,7 @@ struct StepRecord {
     bool remapped = false; ///< an ALE/Eulerian remap ran this step
 
     // Task-graph attribution (zero when the step ran no graphs — e.g.
-    // fork-join schedule, serial width, or non-remap dist steps).
+    // serial width or non-remap dist steps).
     double cp_us = 0.0;       ///< Σ critical-path length over graph runs
     double graph_busy_us = 0.0;     ///< Σ task durations over graph runs
     double graph_makespan_us = 0.0; ///< Σ graph makespans
@@ -261,10 +261,9 @@ struct RecoveryEvent {
 };
 
 /// The full run configuration, recorded so a report is reproducible
-/// without the invoking script: which schedule ran, at what width, with
-/// which blocking/comm knobs.
+/// without the invoking script: at what width, with which block and
+/// chunk sizes.
 struct RunConfig {
-    std::string schedule = "forkjoin"; ///< "forkjoin" / "taskgraph"
     long task_block = 0;  ///< resolved task-graph block size (0 = n/a)
     long grain = 0;       ///< fork-join partition grain (0 = default)
     int n_threads = 1;    ///< pool width per rank

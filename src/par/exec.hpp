@@ -4,7 +4,11 @@
 /// paper's programming-model space:
 ///   * serial           — pool == nullptr (one rank of the flat-MPI model)
 ///   * threaded         — pool != nullptr (the OpenMP-analogue)
-/// plus the nodal-assembly strategy for the acceleration kernel, the
+/// A driver with a threaded pool runs its step and remap as task graphs
+/// over entity blocks (par::TaskGraph); the kernels' fork-join bodies
+/// (for_each below) serve the runs and kernels no graph covers. Both
+/// give bitwise-identical results. Beside the pool sits the nodal-assembly
+/// strategy for the acceleration kernel, the
 /// structural artefact §IV-B documents for the OpenMP port:
 ///   * `Assembly::gather`  (default) — the corner-force scatter is
 ///     transposed into a race-free gather over nodes via the mesh's
@@ -31,22 +35,9 @@ enum class Assembly {
     serial_scatter,  ///< paper-faithful serial corner scatter
 };
 
-/// Step-level scheduling strategy. `taskgraph` expresses the Lagrangian
-/// step and the ALE advection phases as dependency graphs over cell/node
-/// blocks so independent subranges from adjacent kernels overlap;
-/// `forkjoin` is the pre-graph behaviour (a full pool barrier between
-/// kernels), kept as an ablation mode. Both produce bitwise-identical
-/// results: every cross-entity reduction replays the serial deposition
-/// order regardless of task completion order.
-enum class Schedule {
-    taskgraph, ///< dependency-graph executor over entity blocks (default)
-    forkjoin,  ///< barrier-per-kernel ablation baseline
-};
-
 struct Exec {
     ThreadPool* pool = nullptr;
     Assembly assembly = Assembly::gather;
-    Schedule schedule = Schedule::taskgraph;
     /// Minimum iterations handed to a worker per chunk in for_each; 0
     /// selects an automatic grain (~4 chunks per worker for dynamic load
     /// balance on irregular meshes without starving the fast threads).

@@ -3,7 +3,7 @@
 /// graphs (obs::critical_path), the attribution fields of the telemetry
 /// report, the anomaly detectors, and — the load-bearing contract — that
 /// attribution-on runs are bitwise identical to attribution-off at every
-/// (ranks x threads x schedule) combination.
+/// (ranks x threads) combination.
 
 #include <gtest/gtest.h>
 
@@ -275,12 +275,10 @@ TEST(Attrib, SerialReportCarriesAttributionConfigAndWorkModel) {
     bp::ThreadPool pool(2);
     bp::Exec exec;
     exec.pool = &pool;
-    exec.schedule = bp::Schedule::taskgraph;
     hydro.set_exec(exec);
     hydro.run(std::nullopt, 20);
 
     const auto report = hydro.telemetry_report();
-    EXPECT_EQ(report.config.schedule, "taskgraph");
     EXPECT_EQ(report.config.n_threads, 2);
     EXPECT_EQ(report.config.n_ranks, 1);
     ASSERT_TRUE(report.work.present);
@@ -345,29 +343,22 @@ TEST(Attrib, AttributionOnIsBitwisePassiveAcrossRanksAndSchedules) {
             const auto clean = bd::run(p.mesh, p.materials, p.rho, p.ein,
                                        p.u, p.v, clean_opts);
 
-            for (const auto schedule :
-                 {bp::Schedule::taskgraph, bp::Schedule::forkjoin}) {
-                auto tel_opts = clean_opts;
-                tel_opts.schedule = schedule;
-                tel_opts.telemetry.enabled = true;
-                const auto tel = bd::run(p.mesh, p.materials, p.rho, p.ein,
-                                         p.u, p.v, tel_opts);
-                EXPECT_TRUE(bd::bitwise_equal(clean, tel))
-                    << name << " on " << n_ranks << " ranks, "
-                    << (schedule == bp::Schedule::taskgraph ? "taskgraph"
-                                                            : "forkjoin");
-                EXPECT_EQ(tel.telemetry.config.n_ranks, n_ranks);
-                EXPECT_EQ(tel.telemetry.config.n_threads, 2);
-                EXPECT_TRUE(tel.telemetry.work.present);
+            auto tel_opts = clean_opts;
+            tel_opts.telemetry.enabled = true;
+            const auto tel = bd::run(p.mesh, p.materials, p.rho, p.ein, p.u,
+                                     p.v, tel_opts);
+            EXPECT_TRUE(bd::bitwise_equal(clean, tel))
+                << name << " on " << n_ranks << " ranks";
+            EXPECT_EQ(tel.telemetry.config.n_ranks, n_ranks);
+            EXPECT_EQ(tel.telemetry.config.n_threads, 2);
+            EXPECT_TRUE(tel.telemetry.work.present);
 
-                // Remap-bearing taskgraph runs must carry graph analyses.
-                if (schedule == bp::Schedule::taskgraph &&
-                    mode != bookleaf::ale::Mode::lagrange) {
-                    long graphs = 0;
-                    for (const auto& r : tel.telemetry.ranks)
-                        graphs += r.attrib.graphs;
-                    EXPECT_GT(graphs, 0) << name;
-                }
+            // Remap-bearing runs must carry graph analyses.
+            if (mode != bookleaf::ale::Mode::lagrange) {
+                long graphs = 0;
+                for (const auto& r : tel.telemetry.ranks)
+                    graphs += r.attrib.graphs;
+                EXPECT_GT(graphs, 0) << name;
             }
         }
     }
@@ -406,7 +397,6 @@ TEST(Attrib, TraceCarriesCriticalPathFlowArrows) {
     opts.t_end = 0.01;
     opts.hydro.dt_initial = 1e-4;
     opts.ale.mode = bookleaf::ale::Mode::eulerian;
-    opts.schedule = bp::Schedule::taskgraph;
     opts.telemetry.trace = path;
     const auto r = bd::run(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, opts);
     ASSERT_GT(r.steps, 0);

@@ -180,7 +180,7 @@ TEST(ResilGuard, HealthyRunUnperturbedByGuardsDistributed) {
 
 TEST(ResilGuard, OversizedInitialDtRecoversSerial) {
     // An absurd dt_initial tangles the mesh. Without guards that is a
-    // hard error; with guards the step is rolled back and retaken with a
+    // hard error; with guards the step is rolled back and replayed with a
     // backed-off dt until healthy, the run completes, and conservation
     // holds: mass exactly (Lagrangian cell masses never change), total
     // energy to round-off accumulation (the compatible-hydro property is
@@ -332,7 +332,7 @@ TEST(ResilRecovery, ThreadedEulerianRecoveryRebuildsTheFluxGraph) {
     const auto p = sod_like(40, 2);
     auto opts = base_opts(4, 0.03);
     opts.ale.mode = bookleaf::ale::Mode::eulerian;
-    opts.n_threads = 2; // taskgraph schedule (the default)
+    opts.n_threads = 2; // a pool per rank: the remap runs its flux graph
     const auto reference = run_dist(p, opts);
 
     opts.supervise.enabled = true;

@@ -1,7 +1,7 @@
-/// Tests for the task-graph executor (par::TaskGraph) and the schedule
-/// ablation contract: Schedule::taskgraph is bitwise identical to
-/// Schedule::forkjoin — and to the serial run — on the serial driver and
-/// the distributed driver, at every thread count, rank count and mode.
+/// Tests for the task-graph executor (par::TaskGraph) and its contract:
+/// a driver with a pool runs its graphs and lands the serial run's bytes —
+/// on the serial driver and the distributed driver, at every thread
+/// count, rank count and mode.
 
 #include <gtest/gtest.h>
 
@@ -171,7 +171,7 @@ TEST(TaskGraph, TaskExceptionPropagatesAndCancels) {
 }
 
 // ---------------------------------------------------------------------------
-// Schedule ablation: taskgraph == forkjoin == serial, bitwise
+// Task graphs == serial, bitwise
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -193,13 +193,11 @@ Fields serial_fields(bc::Hydro& h, int steps) {
     return f;
 }
 
-/// Run a deck on the serial driver under the given pool/schedule.
-Fields run_core(bs::Problem problem, Real t_end, bp::ThreadPool* pool,
-                bp::Schedule schedule) {
+/// Run a deck on the serial driver on the given pool (nullptr: serial).
+Fields run_core(bs::Problem problem, Real t_end, bp::ThreadPool* pool) {
     bc::Hydro h(std::move(problem));
     bp::Exec ex;
     ex.pool = pool;
-    ex.schedule = schedule;
     h.set_exec(ex);
     const auto summary = h.run(t_end);
     return serial_fields(h, summary.steps);
@@ -250,21 +248,13 @@ TEST(Sched, TaskgraphBitwiseMatchesForkjoinAndSerialAllModes) {
     const Real t_end = 0.03;
     for (const auto mode :
          {ba::Mode::lagrange, ba::Mode::eulerian, ba::Mode::ale}) {
-        const auto ref =
-            run_core(deck(mode), t_end, nullptr, bp::Schedule::taskgraph);
+        const auto ref = run_core(deck(mode), t_end, nullptr);
         ASSERT_GT(ref.steps, 0) << mode_name(mode);
         for (const int threads : {2, 4}) {
             bp::ThreadPool pool(threads);
-            for (const auto schedule :
-                 {bp::Schedule::taskgraph, bp::Schedule::forkjoin}) {
-                const std::string label =
-                    std::string(mode_name(mode)) + " " +
-                    std::to_string(threads) + " threads " +
-                    (schedule == bp::Schedule::taskgraph ? "taskgraph"
-                                                         : "forkjoin");
-                const auto got = run_core(deck(mode), t_end, &pool, schedule);
-                expect_bitwise(got, ref, label);
-            }
+            expect_bitwise(run_core(deck(mode), t_end, &pool), ref,
+                           std::string(mode_name(mode)) + " " +
+                               std::to_string(threads) + " threads");
         }
     }
 }
@@ -272,15 +262,12 @@ TEST(Sched, TaskgraphBitwiseMatchesForkjoinAndSerialAllModes) {
 TEST(Sched, ExplicitTaskBlockSizesStayBitwise) {
     // The block-size knob changes the graph's shape, never its result.
     const Real t_end = 0.02;
-    const auto ref =
-        run_core(deck(ba::Mode::eulerian), t_end, nullptr,
-                 bp::Schedule::taskgraph);
+    const auto ref = run_core(deck(ba::Mode::eulerian), t_end, nullptr);
     bp::ThreadPool pool(4);
     for (const bookleaf::Index block : {1, 7, 64, 100000}) {
         bc::Hydro h(deck(ba::Mode::eulerian));
         bp::Exec ex;
         ex.pool = &pool;
-        ex.schedule = bp::Schedule::taskgraph;
         ex.task_block = block;
         h.set_exec(ex);
         const auto summary = h.run(t_end);
@@ -293,13 +280,12 @@ TEST(Sched, SetExecDropsTheCachedGraphs) {
     // core::Hydro builds its step and advection graphs once and re-runs
     // them, so set_exec must drop them: a graph that survived would keep
     // running blocks sized for, and scheduled on, the pool it was built
-    // with. Every segment's graphs must report the current pool's width,
-    // and the interrupted run must land on the uninterrupted serial run's
-    // bytes.
+    // with. Every segment's graphs must report the current pool's width —
+    // none in the no-pool segment — and the interrupted run must land on
+    // the uninterrupted serial run's bytes.
     const Real t_end = 0.03;
     for (const auto mode : {ba::Mode::eulerian, ba::Mode::ale}) {
-        const auto ref =
-            run_core(deck(mode), t_end, nullptr, bp::Schedule::taskgraph);
+        const auto ref = run_core(deck(mode), t_end, nullptr);
         auto problem = deck(mode);
         problem.telemetry.enabled = true;
         bc::Hydro h(std::move(problem));
@@ -321,9 +307,7 @@ TEST(Sched, SetExecDropsTheCachedGraphs) {
         steps(4, 2);
         h.set_exec(wide);
         steps(4, 4);
-        bp::Exec forkjoin = wide;
-        forkjoin.schedule = bp::Schedule::forkjoin;
-        h.set_exec(forkjoin);
+        h.set_exec(bp::Exec{});
         steps(4, 0);
         h.set_exec(wide);
         const auto summary = h.run(t_end);
@@ -343,14 +327,13 @@ TEST(Sched, SetExecDropsTheCachedGraphs) {
 namespace {
 
 bd::Result run_dist(const bs::Problem& p, Real t_end, int n_ranks,
-                    int n_threads, bp::Schedule schedule) {
+                    int n_threads) {
     bd::Options opts;
     opts.n_ranks = n_ranks;
     opts.t_end = t_end;
     opts.hydro = p.hydro;
     opts.ale = p.ale;
     opts.n_threads = n_threads;
-    opts.schedule = schedule;
     return bd::run(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, opts);
 }
 
@@ -375,47 +358,29 @@ void expect_dist_bitwise(const bd::Result& r, const Fields& ref,
 TEST(Sched, DistHybridRanksTimesThreadsBitwiseOnEulerianSod) {
     // The remap-due steps drive the distributed flux graph: the
     // ghost-gradient exchange finish releases frontier face blocks while
-    // interior fluxes overlap the messages. Every (ranks x threads x
-    // schedule) cell must gather the serial driver's bytes.
+    // interior fluxes overlap the messages. Every (ranks x threads) cell
+    // must gather the serial driver's bytes.
     const Real t_end = 0.02;
     const auto problem = deck(ba::Mode::eulerian);
-    const auto ref =
-        run_core(deck(ba::Mode::eulerian), t_end, nullptr,
-                 bp::Schedule::taskgraph);
+    const auto ref = run_core(deck(ba::Mode::eulerian), t_end, nullptr);
     ASSERT_GT(ref.steps, 0);
     for (const int n_ranks : {1, 2, 4})
-        for (const int n_threads : {1, 2, 4}) {
-            const auto r = run_dist(problem, t_end, n_ranks, n_threads,
-                                    bp::Schedule::taskgraph);
-            expect_dist_bitwise(r, ref,
+        for (const int n_threads : {1, 2, 4})
+            expect_dist_bitwise(run_dist(problem, t_end, n_ranks, n_threads),
+                                ref,
                                 std::to_string(n_ranks) + " ranks x " +
-                                    std::to_string(n_threads) +
-                                    " threads taskgraph");
-        }
-    // Fork-join ablation at the largest hybrid configuration.
-    const auto fj = run_dist(problem, t_end, 4, 4, bp::Schedule::forkjoin);
-    expect_dist_bitwise(fj, ref, "4 ranks x 4 threads forkjoin");
+                                    std::to_string(n_threads) + " threads");
 }
 
 TEST(Sched, DistHybridBitwiseOnAleNoh) {
     // ALE adds the smoothing-pass node halos around the same flux graph.
     const Real t_end = 0.03;
     const auto problem = deck(ba::Mode::ale);
-    const auto ref = run_core(deck(ba::Mode::ale), t_end, nullptr,
-                              bp::Schedule::taskgraph);
+    const auto ref = run_core(deck(ba::Mode::ale), t_end, nullptr);
     ASSERT_GT(ref.steps, 0);
-    for (const int n_ranks : {2, 4}) {
-        const auto tg = run_dist(problem, t_end, n_ranks, 4,
-                                 bp::Schedule::taskgraph);
-        expect_dist_bitwise(tg, ref,
-                            std::to_string(n_ranks) +
-                                " ranks x 4 threads taskgraph");
-        const auto fj = run_dist(problem, t_end, n_ranks, 4,
-                                 bp::Schedule::forkjoin);
-        expect_dist_bitwise(fj, ref,
-                            std::to_string(n_ranks) +
-                                " ranks x 4 threads forkjoin");
-    }
+    for (const int n_ranks : {2, 4})
+        expect_dist_bitwise(run_dist(problem, t_end, n_ranks, 4), ref,
+                            std::to_string(n_ranks) + " ranks x 4 threads");
 }
 
 TEST(Sched, DistRejectsNonPositiveThreadCount) {

@@ -512,10 +512,10 @@ TEST(TyphonCoalesced, MatchesPerFieldBitwiseOnRingExchange) {
         // Three fields with distinct per-rank values; one coalesced
         // exchange must land exactly the bytes of one single-field
         // exchange per field.
-        std::vector<std::vector<Real>> coalesced, per_field;
+        std::vector<std::vector<Real>> coalesced, one_by_one;
         for (int f = 0; f < 3; ++f) {
             coalesced.push_back({static_cast<Real>(r * 10 + f), -1.0, -1.0});
-            per_field.push_back(coalesced.back());
+            one_by_one.push_back(coalesced.back());
         }
         bt::exchange_all(comm, sched,
                          {std::span<Real>(coalesced[0]),
@@ -523,13 +523,13 @@ TEST(TyphonCoalesced, MatchesPerFieldBitwiseOnRingExchange) {
                           std::span<Real>(coalesced[2])},
                          300);
         for (int f = 0; f < 3; ++f)
-            bt::exchange(comm, sched, per_field[static_cast<std::size_t>(f)],
+            bt::exchange(comm, sched, one_by_one[static_cast<std::size_t>(f)],
                          310 + f);
         for (int f = 0; f < 3; ++f)
             for (int i = 0; i < 3; ++i)
                 EXPECT_EQ(coalesced[static_cast<std::size_t>(f)]
                                    [static_cast<std::size_t>(i)],
-                          per_field[static_cast<std::size_t>(f)]
+                          one_by_one[static_cast<std::size_t>(f)]
                                    [static_cast<std::size_t>(i)])
                     << "field " << f << " slot " << i;
         // Ghost values are the neighbours' slot-0 values in every field.

@@ -81,8 +81,8 @@ TEST(Cli, UnknownKeyThrowsNamingIt) {
         EXPECT_NE(std::string(e.what()).find("--packing"), std::string::npos)
             << e.what();
     }
-    const char* eq[] = {"prog", "--shedule=forkjoin"};
-    EXPECT_THROW(bu::Cli(2, eq, {"schedule"}), bu::Error);
+    const char* eq[] = {"prog", "--treads=4"};
+    EXPECT_THROW(bu::Cli(2, eq, {"threads"}), bu::Error);
 }
 
 TEST(Cli, NumbersMustBeWhole) {
