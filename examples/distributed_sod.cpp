@@ -7,9 +7,8 @@
 /// with interior kernels (nonblocking typhon).
 ///
 ///   ./distributed_sod [--ranks 4] [--nx 100] [--partitioner rcb|multilevel]
-///                     [--threads 1]
-///                     [--mode lagrange|eulerian|ale] [--dump fields.csv]
-///                     [--tol 1e-8]
+///                     [--threads 1] [--mode lagrange|eulerian|ale]
+///                     [--dump fields.csv] [--tol 1e-8]
 ///                     [--save-prefix ck --save-at 0.1 [--halt-after-save]]
 ///                     [--restart ck_<step>.ckpt]
 ///                     [--supervise [--ring-every 10]]
@@ -23,17 +22,15 @@
 ///
 /// Exits nonzero if the distributed result drifts from the serial
 /// reference by more than --tol — which makes it a self-checking smoke
-/// test for CI.
-/// With --mode eulerian the run exercises the distributed remap (the
+/// test for CI. With --mode eulerian the run exercises the distributed remap (the
 /// sod_eulerian.in configuration) and additionally cross-checks the
 /// gathered fields bitwise against a serial core::Hydro run.
 ///
 /// Checkpoint/restart smoke: --save-at T writes a checkpoint at the first
 /// natural step past T (--halt-after-save stops the run there);
 /// --restart continues a saved snapshot at the requested rank count —
-/// every self-check (the serial reference) then
-/// restarts from the same snapshot, so the bitwise gates also hold the
-/// rank-elastic restart contract.
+/// the serial references then restart from the same snapshot, so the
+/// bitwise gates also hold the rank-elastic restart contract.
 ///
 /// Fault-injection smoke: --supervise arms in-flight recovery (with
 /// --ring-every N feeding the in-memory rollback ring every N steps) and

@@ -13,7 +13,7 @@
 /// parallel, no colouring barriers, and bitwise identical to the serial
 /// scatter at any thread count because CSR rows list corners in exactly
 /// the scatter's deposition order. The gather also fuses the zeroing of
-/// node_mass/nfx/nfy into the assembly loop (the scatter paths must
+/// node_mass/nfx/nfy into the assembly loop (the serial scatter must
 /// pre-zero in a separate parallel pass).
 ///
 /// The paper-faithful behaviour remains selectable through

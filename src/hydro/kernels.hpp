@@ -128,7 +128,7 @@ void getacc(const Context& ctx, State& s, Real dt);
 /// Subrange pieces of the acceleration kernel for the distributed
 /// driver's halo/compute overlap. `getacc_assemble` gathers nodal mass and
 /// force for an explicit node list (always the race-free gather; the
-/// scatter ablations make no sense over subsets); nodes not incident to
+/// serial scatter makes no sense over subsets); nodes not incident to
 /// any ghost cell can be assembled while ghost corner forces are still in
 /// flight. `getacc_advance` performs the remaining whole-range work of
 /// getacc (velocity advance, boundary conditions, time-centred

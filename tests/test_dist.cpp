@@ -25,15 +25,13 @@ using bookleaf::Real;
 
 namespace {
 
-struct Problem {
-    bm::Mesh mesh;
-    be::MaterialTable materials;
-    std::vector<Real> rho, ein, u, v;
-};
+using Problem = bookleaf::setup::Problem;
 
-/// A miniature Sod-like two-state problem on a strip.
+/// A miniature Sod-like two-state problem on a strip, with the drivers'
+/// default options and dt_initial = 1e-4.
 Problem sod_like(Index nx, Index ny) {
     Problem p;
+    p.hydro.dt_initial = 1e-4;
     bm::RectSpec spec{.x0 = 0, .x1 = 1, .y0 = 0, .y1 = 0.1,
                       .nx = nx, .ny = ny};
     spec.region_of = [](Real cx, Real) { return cx < 0.5 ? 0 : 1; };
@@ -163,160 +161,13 @@ TEST(Distributed, ProfilerSeesHaloAndReduce) {
 
 namespace {
 
-namespace bt = bookleaf::typhon;
-
-bd::Result run_mode(const bm::Mesh& mesh, const be::MaterialTable& materials,
-                    const std::vector<Real>& rho, const std::vector<Real>& ein,
-                    const std::vector<Real>& u, const std::vector<Real>& v,
-                    int n_ranks, Real t_end) {
-    bd::Options opts;
-    opts.n_ranks = n_ranks;
-    opts.t_end = t_end;
-    opts.hydro.dt_initial = 1e-4;
-    return bd::run(mesh, materials, rho, ein, u, v, opts);
-}
-
-/// The serial core::Hydro run of run_mode's inputs and options, gathered
-/// into a dist::Result.
-bd::Result serial_run(const bm::Mesh& mesh, const be::MaterialTable& materials,
-                      const std::vector<Real>& rho,
-                      const std::vector<Real>& ein, const std::vector<Real>& u,
-                      const std::vector<Real>& v, Real t_end) {
-    bookleaf::setup::Problem problem;
-    problem.mesh = mesh;
-    problem.materials = materials;
-    problem.rho = rho;
-    problem.ein = ein;
-    problem.u = u;
-    problem.v = v;
-    problem.hydro.dt_initial = 1e-4;
-    bookleaf::core::Hydro h(std::move(problem));
-    h.run(t_end);
-    const auto& s = h.state();
-    bd::Result r;
-    r.steps = h.steps();
-    r.rho.assign(s.rho.begin(), s.rho.end());
-    r.ein.assign(s.ein.begin(), s.ein.end());
-    r.u.assign(s.u.begin(), s.u.end());
-    r.v.assign(s.v.begin(), s.v.end());
-    r.x.assign(s.x.begin(), s.x.end());
-    r.y.assign(s.y.begin(), s.y.end());
-    return r;
-}
-
-/// Bitwise comparison of two gathered results (ghost inputs are the
-/// serial bytes, only the kernel order changes).
-void expect_bitwise_equal(const bd::Result& a, const bd::Result& b,
-                          const std::string& label) {
-    ASSERT_EQ(a.steps, b.steps) << label;
-    ASSERT_EQ(a.rho.size(), b.rho.size());
-    for (std::size_t c = 0; c < a.rho.size(); ++c) {
-        EXPECT_EQ(a.rho[c], b.rho[c]) << label << ": cell " << c;
-        EXPECT_EQ(a.ein[c], b.ein[c]) << label << ": cell " << c;
-    }
-    for (std::size_t n = 0; n < a.u.size(); ++n) {
-        EXPECT_EQ(a.u[n], b.u[n]) << label << ": node " << n;
-        EXPECT_EQ(a.v[n], b.v[n]) << label << ": node " << n;
-        EXPECT_EQ(a.x[n], b.x[n]) << label << ": node " << n;
-        EXPECT_EQ(a.y[n], b.y[n]) << label << ": node " << n;
-    }
-    // The shared contract predicate must agree with the element-wise
-    // expectations above (it is what the bench and example use).
-    EXPECT_TRUE(bd::bitwise_equal(a, b)) << label;
-}
-
-} // namespace
-
-TEST(DistOverlap, BitwiseIdenticalToBlockingOnSod) {
-    // The overlapped step lands the serial driver's bytes at every rank
-    // count: the ghost inputs are the serial bytes and the rank-ordered
-    // reduction gives the serial dt.
-    const auto p = sod_like(48, 4);
-    const auto serial =
-        serial_run(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, 0.04);
-    for (const int n_ranks : {1, 2, 4}) {
-        const auto r = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v,
-                                n_ranks, 0.04);
-        expect_bitwise_equal(serial, r,
-                             "sod " + std::to_string(n_ranks) + " ranks");
-    }
-}
-
-TEST(DistOverlap, BitwiseIdenticalToBlockingOnNoh) {
-    // Noh exercises the subzonal/hourglass force terms and a 2-D front
-    // crossing the partition boundaries.
-    auto p = bookleaf::setup::noh(20);
-    const auto serial =
-        serial_run(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, 0.05);
-    for (const int n_ranks : {1, 2, 4}) {
-        const auto r = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v,
-                                n_ranks, 0.05);
-        expect_bitwise_equal(serial, r,
-                             "noh " + std::to_string(n_ranks) + " ranks");
-    }
-}
-
-TEST(DistOverlap, OverlapMatchesSingleRankToRoundoff) {
-    // Rank-count invariance: the run at any rank count stays within
-    // summation-order round-off of the 1-rank run.
-    const auto p = sod_like(40, 4);
-    const auto ref = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, 1,
-                              0.03);
-    for (const int n_ranks : {2, 4}) {
-        const auto r = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v,
-                                n_ranks, 0.03);
-        ASSERT_EQ(r.steps, ref.steps);
-        for (std::size_t c = 0; c < ref.rho.size(); ++c)
-            EXPECT_NEAR(r.rho[c], ref.rho[c], 1e-9) << n_ranks << " ranks";
-    }
-}
-
-TEST(DistOverlap, HaloProfileStillPopulated) {
-    const auto p = sod_like(24, 2);
-    const auto r = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, 2,
-                            0.01);
-    for (const auto& prof : r.profiles) {
-        EXPECT_GT(prof[static_cast<std::size_t>(bookleaf::util::Kernel::halo)]
-                      .calls,
-                  0);
-        EXPECT_GT(prof[static_cast<std::size_t>(bookleaf::util::Kernel::getacc)]
-                      .calls,
-                  0);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Coalesced per-peer halo packing: message counts
-// ---------------------------------------------------------------------------
-
-TEST(DistPacking, MessageCountIsPeersNotFieldsTimesPeers) {
-    // Every exchange posts one message per sending peer, whatever its
-    // field count. Subdomain::messages_per_step is the single
-    // written-down statement of that wire format; the Hub's traffic
-    // counter must agree exactly.
-    const auto p = sod_like(40, 4);
-    const int n_ranks = 4;
-    const auto part = bp::rcb(p.mesh, n_ranks);
-    const auto subs = bp::decompose(p.mesh, part, n_ranks);
-    long per_step = 0;
-    for (const auto& sub : subs) per_step += sub.messages_per_step();
-    const auto r = run_mode(p.mesh, p.materials, p.rho, p.ein, p.u, p.v,
-                            n_ranks, 0.02);
-    ASSERT_GT(r.steps, 0);
-    EXPECT_EQ(r.traffic.messages, static_cast<long>(r.steps) * per_step);
-}
-
-// ---------------------------------------------------------------------------
-// Distributed ALE/Eulerian remap (bitwise == serial core::Hydro contract)
-// ---------------------------------------------------------------------------
-
-namespace {
-
 namespace ba = bookleaf::ale;
+namespace bt = bookleaf::typhon;
 
 /// Run the serial reference driver on a problem and collect the fields
 /// the distributed result gathers, plus its per-step records. The
-/// distributed remap's contract is bitwise equality against exactly this.
+/// distributed driver's contract is bitwise equality against exactly
+/// this.
 struct SerialFields {
     int steps = 0;
     std::vector<Real> rho, ein, u, v, x, y;
@@ -376,6 +227,85 @@ bd::Result run_deck(const bookleaf::setup::Problem& p, int n_ranks,
 }
 
 } // namespace
+
+TEST(DistOverlap, BitwiseIdenticalToBlockingOnSod) {
+    // The overlapped step lands the serial driver's bytes at every rank
+    // count: the ghost inputs are the serial bytes and the rank-ordered
+    // reduction gives the serial dt.
+    const auto p = sod_like(48, 4);
+    const auto ref = serial_reference(p, 0.04);
+    const auto one = run_deck(p, 1, 0.04);
+    expect_bitwise_serial(one, ref, "sod 1 rank");
+    for (const int n_ranks : {2, 4}) {
+        const auto r = run_deck(p, n_ranks, 0.04);
+        const auto label = "sod " + std::to_string(n_ranks) + " ranks";
+        expect_bitwise_serial(r, ref, label);
+        // The shared contract predicate the example uses agrees.
+        EXPECT_TRUE(bd::bitwise_equal(one, r)) << label;
+    }
+}
+
+TEST(DistOverlap, BitwiseIdenticalToBlockingOnNoh) {
+    // Noh exercises the subzonal/hourglass force terms and a 2-D front
+    // crossing the partition boundaries.
+    auto p = bookleaf::setup::noh(20);
+    p.hydro = {};
+    p.hydro.dt_initial = 1e-4;
+    const auto ref = serial_reference(p, 0.05);
+    for (const int n_ranks : {1, 2, 4})
+        expect_bitwise_serial(run_deck(p, n_ranks, 0.05), ref,
+                              "noh " + std::to_string(n_ranks) + " ranks");
+}
+
+TEST(DistOverlap, OverlapMatchesSingleRankToRoundoff) {
+    // Rank-count invariance: the run at any rank count stays within
+    // summation-order round-off of the 1-rank run.
+    const auto p = sod_like(40, 4);
+    const auto ref = run_ranks(p, 1, 0.03);
+    for (const int n_ranks : {2, 4}) {
+        const auto r = run_ranks(p, n_ranks, 0.03);
+        ASSERT_EQ(r.steps, ref.steps);
+        for (std::size_t c = 0; c < ref.rho.size(); ++c)
+            EXPECT_NEAR(r.rho[c], ref.rho[c], 1e-9) << n_ranks << " ranks";
+    }
+}
+
+TEST(DistOverlap, HaloProfileStillPopulated) {
+    const auto p = sod_like(24, 2);
+    const auto r = run_ranks(p, 2, 0.01);
+    for (const auto& prof : r.profiles) {
+        EXPECT_GT(prof[static_cast<std::size_t>(bookleaf::util::Kernel::halo)]
+                      .calls,
+                  0);
+        EXPECT_GT(prof[static_cast<std::size_t>(bookleaf::util::Kernel::getacc)]
+                      .calls,
+                  0);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Coalesced per-peer halo packing: message counts
+// ---------------------------------------------------------------------------
+
+TEST(DistPacking, MessageCountIsPeersNotFieldsTimesPeers) {
+    // Every exchange posts one message per sending peer, whatever its
+    // field count. Subdomain::messages_per_step is the single
+    // written-down statement of that wire format; the Hub's traffic
+    // counter must agree exactly.
+    const auto p = sod_like(40, 4);
+    const int n_ranks = 4;
+    const auto part = bp::rcb(p.mesh, n_ranks);
+    const auto subs = bp::decompose(p.mesh, part, n_ranks);
+    long per_step = 0;
+    for (const auto& sub : subs) per_step += sub.messages_per_step();
+    const auto r = run_ranks(p, n_ranks, 0.02);
+    ASSERT_GT(r.steps, 0);
+    EXPECT_EQ(r.traffic.messages, static_cast<long>(r.steps) * per_step);
+}
+
+// ---------------------------------------------------------------------------
+// Distributed ALE/Eulerian remap (bitwise == serial core::Hydro contract)
+// ---------------------------------------------------------------------------
 
 TEST(DistRemap, EulerianSodBitwiseMatchesSerialDriver) {
     // The sod_eulerian.in configuration at test scale: remap back to the
