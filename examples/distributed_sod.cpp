@@ -22,9 +22,10 @@
 ///
 /// Exits nonzero if the distributed result drifts from the serial
 /// reference by more than --tol — which makes it a self-checking smoke
-/// test for CI. With --mode eulerian the run exercises the distributed remap (the
-/// sod_eulerian.in configuration) and additionally cross-checks the
-/// gathered fields bitwise against a serial core::Hydro run.
+/// test for CI. With --mode eulerian the run exercises the distributed
+/// remap (the sod_eulerian.in configuration) and additionally
+/// cross-checks the gathered fields bitwise against a serial core::Hydro
+/// run.
 ///
 /// Checkpoint/restart smoke: --save-at T writes a checkpoint at the first
 /// natural step past T (--halt-after-save stops the run there);

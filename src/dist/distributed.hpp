@@ -153,8 +153,8 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
 /// rebuilds the derived state, and steps from (snapshot.t,
 /// snapshot.steps) with the snapshot's unclamped dt growth reference.
 /// Contract: the gathered result at t_end is bitwise identical to the
-/// uninterrupted run at any rank count. Throws util::Error if the snapshot does not match the
-/// mesh.
+/// uninterrupted run at any rank count. Throws util::Error if the
+/// snapshot does not match the mesh.
 Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
            const ckpt::Snapshot& snapshot, const Options& opts);
 

@@ -65,8 +65,9 @@ struct PeerTraffic {
 
 /// Aggregate point-to-point traffic moved through a transport over one
 /// `typhon::run` (every posted send counts once; `reals` is the summed
-/// payload length). The per-peer breakdown (ascending (src, dst), zero pairs omitted) sums to
-/// the totals — the obs/ telemetry report slices it per rank.
+/// payload length). The per-peer breakdown (ascending (src, dst), zero
+/// pairs omitted) sums to the totals — the obs/ telemetry report slices
+/// it per rank.
 struct Traffic {
     long messages = 0;
     long long reals = 0;
@@ -442,9 +443,9 @@ private:
 /// peers blocked on its traffic or at a rendezvous wake with
 /// detail::AbortError instead of hanging the join — the *original* rank
 /// error is what gets wrapped, never the secondary aborts. Returns the
-/// aggregate point-to-point traffic of the run. An optional FaultInjector scripts deterministic
-/// failures into the transport (see fault.hpp); null means no fault hooks
-/// are even consulted.
+/// aggregate point-to-point traffic of the run. An optional FaultInjector
+/// scripts deterministic failures into the transport (see fault.hpp);
+/// null means no fault hooks are even consulted.
 Traffic run(int n_ranks, const std::function<void(Comm&)>& rank_fn,
             FaultInjector* fault = nullptr);
 

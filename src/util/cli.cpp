@@ -61,12 +61,14 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
 }
 
 int Cli::get_int(const std::string& key, int fallback) const {
-    if (const auto v = lookup(key)) return parse_number<int>(key, *v, "an integer");
+    if (const auto v = lookup(key))
+        return parse_number<int>(key, *v, "an integer");
     return fallback;
 }
 
 double Cli::get_real(const std::string& key, double fallback) const {
-    if (const auto v = lookup(key)) return parse_number<double>(key, *v, "a number");
+    if (const auto v = lookup(key))
+        return parse_number<double>(key, *v, "a number");
     return fallback;
 }
 
