@@ -3,6 +3,7 @@
 // and the distributed ALE/Eulerian remap (bitwise == serial core::Hydro).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "core/driver.hpp"
@@ -284,8 +285,149 @@ TEST(DistOverlap, HaloProfileStillPopulated) {
 }
 
 // ---------------------------------------------------------------------------
-// Coalesced per-peer halo packing: message counts
+// Coalesced per-peer halo packing: wire format and message counts
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// How a rank moves the step's halos: the fused state halo {x, y, u, v} +
+/// {ein} and the corner-force halo {fx, fy}.
+enum class HaloForm {
+    coalesced, ///< the driver's form: one message per peer per halo, both
+               ///< halos in flight before either finishes
+    per_field, ///< one single-field exchange per field
+    blocking,  ///< exchange_all: each halo finishes before the next starts
+};
+
+constexpr std::array<const char*, 3> halo_form_names{"coalesced", "per-field",
+                                                     "blocking"};
+
+constexpr int n_halo_fields = 7; // x, y, u, v | ein | fx, fy
+using HaloFields = std::array<std::vector<Real>, n_halo_fields>;
+
+/// A distinct value for global entity `id` of halo field `f`, so a ghost
+/// filled from the wrong entity, or from another field's slice of a
+/// coalesced message, shows.
+Real halo_value(int f, Index id) {
+    const auto x = static_cast<Real>(id);
+    return x + 0.125 * f + 1.0 / (x + 3.0);
+}
+
+/// The halo fields of `sub`: every owned slot holds halo_value of its
+/// global id; every ghost slot does too when `ghosts` is set, and holds -1
+/// otherwise.
+HaloFields halo_fields(const bp::Subdomain& sub, bool ghosts) {
+    constexpr int cpc = bookleaf::corners_per_cell;
+    HaloFields h;
+    for (int f = 0; f < 4; ++f) {
+        auto& field = h[static_cast<std::size_t>(f)];
+        field.assign(sub.local_nodes.size(), -1.0);
+        for (std::size_t ln = 0; ln < field.size(); ++ln)
+            if (ghosts || sub.node_owned[ln])
+                field[ln] = halo_value(f, sub.local_nodes[ln]);
+    }
+    h[4].assign(sub.local_cells.size(), -1.0);
+    h[5].assign(sub.local_cells.size() * cpc, -1.0);
+    h[6] = h[5];
+    const auto n_filled = ghosts ? sub.local_cells.size()
+                                 : static_cast<std::size_t>(sub.n_owned_cells);
+    for (std::size_t lc = 0; lc < n_filled; ++lc) {
+        const Index gc = sub.local_cells[lc];
+        h[4][lc] = halo_value(4, gc);
+        for (int k = 0; k < cpc; ++k) {
+            const auto li = lc * cpc + static_cast<std::size_t>(k);
+            h[5][li] = halo_value(5, gc * cpc + k);
+            h[6][li] = halo_value(6, gc * cpc + k);
+        }
+    }
+    return h;
+}
+
+void move_halos(bt::Comm& comm, const bp::Subdomain& sub, HaloFields& h,
+                HaloForm form) {
+    const std::array<bt::FieldGroup, 2> state{
+        bt::FieldGroup{&sub.node_schedule, {h[0], h[1], h[2], h[3]}},
+        bt::FieldGroup{&sub.cell_schedule, {h[4]}}};
+    switch (form) {
+    case HaloForm::coalesced: {
+        auto state_halo = bt::exchange_start(comm, state, 100);
+        auto corner_halo =
+            bt::exchange_start(comm, sub.corner_schedule, {h[5], h[6]}, 200);
+        corner_halo.finish();
+        state_halo.finish();
+        break;
+    }
+    case HaloForm::per_field:
+        for (int f = 0; f < n_halo_fields; ++f) {
+            const auto& schedule = f < 4    ? sub.node_schedule
+                                   : f == 4 ? sub.cell_schedule
+                                            : sub.corner_schedule;
+            bt::exchange(comm, schedule, h[static_cast<std::size_t>(f)],
+                         100 + f);
+        }
+        break;
+    case HaloForm::blocking:
+        bt::exchange_all(comm, state, 100);
+        bt::exchange_all(comm, sub.corner_schedule, {h[5], h[6]}, 200);
+        break;
+    }
+}
+
+/// Move the step's halos over `p`'s decomposition at 1, 2 and 4 ranks in
+/// every HaloForm. All three land the same bytes, every ghost slot its
+/// owner's value, and the coalesced forms post messages_per_step()
+/// messages for the payload the per-field form spreads over more.
+void expect_halo_forms_agree(const Problem& p, const std::string& name) {
+    for (const int n_ranks : {1, 2, 4}) {
+        const auto label = name + " " + std::to_string(n_ranks) + " ranks";
+        const auto subs =
+            bp::decompose(p.mesh, bp::rcb(p.mesh, n_ranks), n_ranks);
+        long per_step = 0;
+        for (const auto& sub : subs) per_step += sub.messages_per_step();
+        std::array<bt::Traffic, 3> traffic;
+        for (const auto form :
+             {HaloForm::coalesced, HaloForm::per_field, HaloForm::blocking}) {
+            const auto fi = static_cast<std::size_t>(form);
+            std::vector<HaloFields> moved(subs.size());
+            traffic[fi] = bt::run(n_ranks, [&](bt::Comm& comm) {
+                const auto r = static_cast<std::size_t>(comm.rank());
+                moved[r] = halo_fields(subs[r], false);
+                move_halos(comm, subs[r], moved[r], form);
+            });
+            for (std::size_t r = 0; r < subs.size(); ++r) {
+                const auto want = halo_fields(subs[r], true);
+                for (std::size_t f = 0; f < want.size(); ++f)
+                    EXPECT_EQ(moved[r][f], want[f])
+                        << label << " " << halo_form_names[fi] << ": rank "
+                        << r << ", field " << f;
+            }
+        }
+        const auto& coalesced = traffic[0];
+        const auto& per_field = traffic[1];
+        const auto& blocking = traffic[2];
+        EXPECT_EQ(coalesced.messages, per_step) << label;
+        EXPECT_EQ(blocking.messages, per_step) << label;
+        EXPECT_EQ(per_field.reals, coalesced.reals) << label;
+        EXPECT_EQ(blocking.reals, coalesced.reals) << label;
+        if (n_ranks > 1) {
+            EXPECT_GT(coalesced.reals, 0) << label;
+            EXPECT_LT(coalesced.messages, per_field.messages) << label;
+        }
+    }
+}
+
+} // namespace
+
+TEST(DistPacking, CoalescedEqualsPerFieldEqualsBlockingOnSod) {
+    // The driver's coalesced, overlapped halos against one exchange per
+    // field and against blocking exchanges, on the step's real schedules.
+    expect_halo_forms_agree(sod_like(48, 4), "sod");
+}
+
+TEST(DistPacking, CoalescedEqualsPerFieldEqualsBlockingOnNoh) {
+    // Noh's 2-D partition: ghost nodes and corners on both cut directions.
+    expect_halo_forms_agree(bookleaf::setup::noh(20), "noh");
+}
 
 TEST(DistPacking, MessageCountIsPeersNotFieldsTimesPeers) {
     // Every exchange posts one message per sending peer, whatever its
