@@ -72,7 +72,7 @@ Mesh permute(const Mesh& mesh, util::SplitMix64& rng) {
     const Index n_cells = mesh.n_cells();
     const Index n_nodes = mesh.n_nodes();
 
-    // Fisher-Yates permutations for cells and nodes.
+    // Fisher-Yates permutations (new -> old) for cells and nodes.
     std::vector<Index> cell_perm(static_cast<std::size_t>(n_cells));
     std::vector<Index> node_perm(static_cast<std::size_t>(n_nodes));
     std::iota(cell_perm.begin(), cell_perm.end(), 0);
@@ -84,36 +84,22 @@ Mesh permute(const Mesh& mesh, util::SplitMix64& rng) {
         std::swap(node_perm[static_cast<std::size_t>(i)],
                   node_perm[rng.uniform_index(static_cast<std::uint64_t>(i) + 1)]);
 
-    // node_perm[old] = position of old node in source ordering; we want
-    // new_id[old]. Treat node_perm as new->old and invert.
-    std::vector<Index> node_new_id(static_cast<std::size_t>(n_nodes));
-    for (Index new_id = 0; new_id < n_nodes; ++new_id)
-        node_new_id[static_cast<std::size_t>(node_perm[static_cast<std::size_t>(new_id)])] =
-            new_id;
-
+    // The permuted mesh is a fresh caller numbering: label the primary
+    // storage with its new ids, so that renumbering into them composes to
+    // the identity and leaves the ids empty.
     Mesh out;
-    out.x.resize(static_cast<std::size_t>(n_nodes));
-    out.y.resize(static_cast<std::size_t>(n_nodes));
-    out.node_bc.resize(static_cast<std::size_t>(n_nodes));
-    for (Index old = 0; old < n_nodes; ++old) {
-        const auto nid = static_cast<std::size_t>(node_new_id[static_cast<std::size_t>(old)]);
-        out.x[nid] = mesh.x[static_cast<std::size_t>(old)];
-        out.y[nid] = mesh.y[static_cast<std::size_t>(old)];
-        out.node_bc[nid] = mesh.node_bc[static_cast<std::size_t>(old)];
-    }
-
-    out.cell_nodes.resize(static_cast<std::size_t>(n_cells) * corners_per_cell);
-    out.cell_region.resize(static_cast<std::size_t>(n_cells));
-    for (Index new_c = 0; new_c < n_cells; ++new_c) {
-        const Index old_c = cell_perm[static_cast<std::size_t>(new_c)];
-        for (int k = 0; k < corners_per_cell; ++k)
-            out.cell_nodes[static_cast<std::size_t>(new_c) * corners_per_cell + k] =
-                node_new_id[static_cast<std::size_t>(mesh.cn(old_c, k))];
-        out.cell_region[static_cast<std::size_t>(new_c)] =
-            mesh.cell_region[static_cast<std::size_t>(old_c)];
-    }
-
-    build_connectivity(out);
+    out.x = mesh.x;
+    out.y = mesh.y;
+    out.node_bc = mesh.node_bc;
+    out.cell_nodes = mesh.cell_nodes;
+    out.cell_region = mesh.cell_region;
+    out.cell_ids.resize(cell_perm.size());
+    out.node_ids.resize(node_perm.size());
+    for (std::size_t i = 0; i < cell_perm.size(); ++i)
+        out.cell_ids[static_cast<std::size_t>(cell_perm[i])] = static_cast<Index>(i);
+    for (std::size_t i = 0; i < node_perm.size(); ++i)
+        out.node_ids[static_cast<std::size_t>(node_perm[i])] = static_cast<Index>(i);
+    renumber(out, cell_perm, node_perm);
     return out;
 }
 

@@ -42,8 +42,9 @@ Mesh generate_rect(const RectSpec& spec);
 std::pair<Real, Real> saltzmann_map(Real xi, Real eta);
 
 /// Randomly permute cell and node numbering (preserving geometry and
-/// region/bc data), then rebuild connectivity. Kernels must be invariant
-/// to this relabelling — used by property tests.
+/// region/bc data) through `renumber`. The result is a new caller
+/// numbering: its canonical ids are empty. Kernels must be invariant to
+/// this relabelling — used by property tests and the benchmark.
 Mesh permute(const Mesh& mesh, util::SplitMix64& rng);
 
 } // namespace bookleaf::mesh

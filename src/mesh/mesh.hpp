@@ -3,12 +3,22 @@
 /// Unstructured 2-D quadrilateral mesh.
 ///
 /// Storage is fully unstructured: cells are lists of four node indices in
-/// counter-clockwise order, faces are discovered by hashing node pairs, and
-/// node valence is arbitrary (node->cell adjacency is CSR). The staggered
-/// discretisation places thermodynamic state on cells and kinematic state
-/// on nodes (paper §III-A).
+/// counter-clockwise order, faces are discovered through the node->corner
+/// adjacency, and node valence is arbitrary (node->cell adjacency is CSR).
+/// The staggered discretisation places thermodynamic state on cells and
+/// kinematic state on nodes (paper §III-A).
+///
+/// A mesh may be stored in another order than its caller numbered it
+/// (`renumber`; both drivers store theirs in locality order). It then
+/// keeps the caller's numbering as *canonical ids*, and every
+/// order-sensitive table follows them: face orientation, the node_corners
+/// and node_cells row orders. Those are the only places where numbering
+/// reaches a floating-point result, so a renumbered mesh computes the
+/// bytes of the caller's.
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "util/csr.hpp"
@@ -25,7 +35,8 @@ inline constexpr std::uint8_t piston = 4; ///< driven node (Saltzmann)
 } // namespace bc
 
 /// A unique mesh face. Orientation: traversing a->b keeps the *left* cell
-/// on the left; for boundary faces `right == no_index`.
+/// on the left; for boundary faces `right == no_index`. An interior face's
+/// left cell is the one with the lower canonical id.
 struct Face {
     Index a = no_index;     ///< first node
     Index b = no_index;     ///< second node
@@ -43,19 +54,27 @@ struct Mesh {
     std::vector<Index> cell_region;    ///< material region per cell
     std::vector<std::uint8_t> node_bc; ///< boundary-condition mask per node
 
+    // --- canonical ids ------------------------------------------------------
+    /// Storage id -> the caller's (canonical) id, per cell and per node.
+    /// Empty means identity (the generator, setup and `permute` output).
+    /// A subdomain's local mesh holds the global ids here.
+    std::vector<Index> cell_ids, node_ids;
+
     // --- derived connectivity (filled by build_connectivity) -------------
     std::vector<Index> cell_neigh; ///< 4 * n_cells; neighbour across local
                                    ///< face k (nodes k, k+1 mod 4)
     std::vector<Index> cell_face;  ///< 4 * n_cells; global face id of local face k
     std::vector<Face> faces;       ///< unique faces
-    util::Csr node_cells;          ///< node -> incident cells
+    /// Node -> incident cells, each row ascending by canonical cell id.
+    util::Csr node_cells;
     /// Node -> incident (cell, corner) pairs, packed as the flat corner id
     /// `cell * corners_per_cell + k` (the same index that addresses the
-    /// corner arrays in hydro::State). Row order is ascending flat id, i.e.
-    /// ascending (cell, corner) — so a gather over a row visits corner
-    /// contributions in exactly the order a cell-loop scatter would deposit
-    /// them, making the gather-based nodal assembly bitwise identical to
-    /// the serial scatter at any thread count.
+    /// corner arrays in hydro::State). Each row ascends by *canonical* flat
+    /// id `cell_id(cell) * corners_per_cell + k` — so a gather over a row
+    /// visits corner contributions in exactly the order a scatter over the
+    /// caller's cells would deposit them, making the gather-based nodal
+    /// assembly bitwise identical to the serial scatter at any thread
+    /// count, in any storage order and on any subdomain.
     util::Csr node_corners;
     /// Viscosity-limiter continuation table (getq), two entries per cell
     /// edge. Edge k of cell c runs from cn(c, k) to cn(c, k+1); its
@@ -72,6 +91,15 @@ struct Mesh {
         return static_cast<Index>(cell_nodes.size() / corners_per_cell);
     }
     [[nodiscard]] Index n_faces() const { return static_cast<Index>(faces.size()); }
+
+    /// Canonical (caller's) id of storage cell c.
+    [[nodiscard]] Index cell_id(Index c) const {
+        return cell_ids.empty() ? c : cell_ids[static_cast<std::size_t>(c)];
+    }
+    /// Canonical (caller's) id of storage node n.
+    [[nodiscard]] Index node_id(Index n) const {
+        return node_ids.empty() ? n : node_ids[static_cast<std::size_t>(n)];
+    }
 
     /// Node id of local corner k (0..3) of cell c.
     [[nodiscard]] Index cn(Index c, int k) const {
@@ -115,13 +143,46 @@ struct Mesh {
 };
 
 /// Populate `cell_neigh`, `cell_face`, `faces`, `node_cells`,
-/// `node_corners` and `continuation` from the primary storage. Throws
-/// util::Error if a face is shared by more than two cells or a cell is
-/// degenerate.
+/// `node_corners` and `continuation` from the primary storage and the
+/// canonical ids. Faces are numbered in storage order of first sighting.
+/// Throws util::Error if a face is shared by more than two cells or a cell
+/// is degenerate.
 void build_connectivity(Mesh& mesh);
 
+/// Renumber the mesh: storage cell i becomes old cell `cell_order[i]` and
+/// storage node i old node `node_order[i]` (each order a permutation).
+/// Permutes the primary storage, composes the canonical ids (so they keep
+/// naming the caller's entities; ids that come out as the identity are
+/// cleared) and rebuilds the connectivity.
+void renumber(Mesh& mesh, std::span<const Index> cell_order,
+              std::span<const Index> node_order);
+
+/// Hilbert-curve key of each cell's centroid on a 2^16 x 2^16 grid over
+/// the nodes' bounding box.
+[[nodiscard]] std::vector<std::uint64_t> hilbert_keys(const Mesh& mesh);
+
+/// New-to-old orders for `renumber`.
+struct Order {
+    std::vector<Index> cells, nodes;
+};
+
+/// The locality order: cells sorted by Hilbert key (ties to the lower
+/// canonical id), nodes numbered in the order those cells first touch
+/// them.
+[[nodiscard]] Order locality_order(const Mesh& mesh);
+
+/// Nodes in the order `cells` (a list of cell ids) first touch them.
+[[nodiscard]] std::vector<Index> first_touch_nodes(
+    const Mesh& mesh, std::span<const Index> cells);
+
+/// Storage ids in ascending canonical id, for `ids` as in Mesh::cell_ids
+/// over `n` entities (the identity when `ids` is empty).
+[[nodiscard]] std::vector<Index> canonical_order(std::span<const Index> ids,
+                                                 Index n);
+
 /// Sanity-check invariants (consistent sizes, valid indices, reciprocal
-/// neighbour links, node_corners and continuation tables that match the
+/// neighbour links, face orientation and row orders that follow the
+/// canonical ids, node_corners and continuation tables that match the
 /// topology). Returns a human-readable description of the first
 /// violation, or an empty string when the mesh is consistent.
 [[nodiscard]] std::string check_consistency(const Mesh& mesh);
