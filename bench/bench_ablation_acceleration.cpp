@@ -66,5 +66,10 @@ int main() {
     std::printf("  gather (default): getacc %.4f s  (max |drho| %.3e, "
                 "must be exactly 0)\n",
                 t_gather, max_gather);
+    if (max_gather != 0.0) {
+        std::fprintf(stderr, "bench_ablation_acceleration: the serial scatter "
+                             "and the gather disagree\n");
+        return 1;
+    }
     return 0;
 }

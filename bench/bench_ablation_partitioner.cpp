@@ -34,7 +34,7 @@ int main() {
             const auto subs = part::decompose(m, part, parts);
             std::size_t ghosts = 0;
             for (const auto& sub : subs)
-                ghosts += sub.local_cells.size() -
+                ghosts += sub.local.cell_ids.size() -
                           static_cast<std::size_t>(sub.n_owned_cells);
             std::printf("%-12s %8d %10d %10.3f %12zu %12.2f\n", name, parts,
                         q.edge_cut, q.imbalance, ghosts, ms);

@@ -41,8 +41,8 @@ bench_dist_remap(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
     typhon::run(n_ranks, [&](typhon::Comm& comm) {
         const auto& sub = subs[static_cast<std::size_t>(comm.rank())];
         hydro::State s = hydro::allocate(sub.local);
-        for (std::size_t lc = 0; lc < sub.local_cells.size(); ++lc) {
-            const auto gc = static_cast<std::size_t>(sub.local_cells[lc]);
+        for (std::size_t lc = 0; lc < sub.local.cell_ids.size(); ++lc) {
+            const auto gc = static_cast<std::size_t>(sub.local.cell_ids[lc]);
             s.rho[lc] = rho[gc];
             s.ein[lc] = ein[gc];
         }
@@ -52,7 +52,6 @@ bench_dist_remap(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
         ctx.materials = &materials;
         ctx.profiler = &profilers[static_cast<std::size_t>(comm.rank())];
         ctx.dt_cells = sub.n_owned_cells;
-        ctx.assembly_corners = &sub.assembly_corners;
 
         ale::Options aopts;
         aopts.mode = ale::Mode::eulerian;

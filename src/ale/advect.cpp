@@ -19,7 +19,7 @@
 /// dual -> nodes), each per-entity independent, with every cross-entity
 /// accumulation written as a *gather in ascending global order*: cells
 /// gather their own four faces, nodes gather their incident corners via
-/// ctx.corner_gather(). The distributed remap runs the same phases over
+/// the mesh's node_corners. The distributed remap runs the same phases over
 /// subranges with ghost exchanges in between and lands bitwise-identical
 /// owned results; aleadvect() below is the full-mesh composition.
 
@@ -441,7 +441,7 @@ void aleadvect_nodes(const hydro::Context& ctx, hydro::State& s, Workspace& w) {
     const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_nodes,
                                   ctx.mesh->n_nodes());
     const auto& mesh = *ctx.mesh;
-    const auto& corners = ctx.corner_gather();
+    const auto& corners = ctx.mesh->node_corners;
     nodes_resize(mesh, w);
     for (Index n = 0; n < mesh.n_nodes(); ++n)
         node_gather(mesh, s, corners, w, n);
@@ -456,7 +456,7 @@ void aleadvect_nodes(const hydro::Context& ctx, hydro::State& s, Workspace& w,
     const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_nodes,
                                   static_cast<long long>(nodes.size()));
     const auto& mesh = *ctx.mesh;
-    const auto& corners = ctx.corner_gather();
+    const auto& corners = ctx.mesh->node_corners;
     nodes_resize(mesh, w);
     for (const Index n : nodes) node_gather(mesh, s, corners, w, n);
     for (const Index n : nodes) node_write(s, w, n);
@@ -469,7 +469,7 @@ void aleadvect_node_gather(const hydro::Context& ctx, const hydro::State& s,
                                   end - begin);
     const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_nodes,
                                   end - begin);
-    const auto& corners = ctx.corner_gather();
+    const auto& corners = ctx.mesh->node_corners;
     for (Index n = begin; n < end; ++n)
         node_gather(*ctx.mesh, s, corners, w, n);
 }

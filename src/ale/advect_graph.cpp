@@ -2,7 +2,7 @@
 /// Builds the ALEADVECT task graph (see advect_graph.hpp). Per-entity
 /// writes are disjoint across concurrent tasks, every cross-entity
 /// accumulation is a gather replaying the serial order (cells walk their
-/// own faces in local face order, nodes walk ctx.corner_gather() rows),
+/// own faces in local face order, nodes walk the mesh's node_corners rows),
 /// the floored-corner count is a commutative integer sum, and the
 /// kinematic BC fixup runs as one serial task exactly where the fork-join
 /// sequence applies it.
@@ -93,7 +93,7 @@ void AdvectGraph::build() {
     // faces_cb[cb]:    face blocks holding any face of a cell in cb.
     // cells_fb[fb]:    cell blocks holding either side of a face in fb.
     // touch_cb[nb]:    cell blocks whose corners a node in nb gathers
-    //                  (ctx.corner_gather(): flat corner id / 4 = cell).
+    //                  (ctx.mesh->node_corners: flat corner id / 4 = cell).
     // adj_nb[nb]:      node blocks sharing a cell with a node in nb — the
     //                  upwind-velocity stencil (symmetric, includes nb).
     std::vector<std::vector<int>> face_nb_cb(cells.size());
@@ -127,7 +127,7 @@ void AdvectGraph::build() {
         }
         sort_unique(cbs);
     }
-    const auto& gather = ctx_.corner_gather();
+    const auto& gather = ctx_.mesh->node_corners;
     for (int nb = 0; nb < n_nb; ++nb) {
         auto& touch = touch_cb[static_cast<std::size_t>(nb)];
         auto& adj = adj_nb[static_cast<std::size_t>(nb)];

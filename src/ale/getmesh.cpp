@@ -8,11 +8,11 @@
 /// regime).
 ///
 /// The smoothing is a per-node *gather* over the cached node adjacency
-/// (rows ascending by node id): each pass reads only the previous pass's
-/// positions, so nodes are independent (each pass, like the clamp, is a
-/// par::for_each), and the neighbour sum order is the global-id order on
-/// every rank — the property the distributed remap's bitwise contract
-/// rests on. The ghost-aware overload calls the TargetSync hook after each
+/// (rows ascending by canonical node id): each pass reads only the
+/// previous pass's positions, so nodes are independent (each pass, like
+/// the clamp, is a par::for_each), and the neighbour sum order is the
+/// caller's-id order in any storage order and on every rank — the
+/// property the distributed remap's bitwise contract rests on. The ghost-aware overload calls the TargetSync hook after each
 /// pass (and after the clamp) to overwrite non-owned entries with their
 /// owners' values, since a fringe node's local adjacency row is
 /// incomplete.
@@ -27,7 +27,8 @@ namespace bookleaf::ale {
 
 namespace {
 
-/// Build (lazily) the node -> edge-neighbour adjacency, rows ascending.
+/// Build (lazily) the node -> edge-neighbour adjacency, each row
+/// ascending by canonical node id.
 const util::Csr& node_adjacency(const mesh::Mesh& mesh, Workspace& w) {
     if (w.node_adj.n_rows() != mesh.n_nodes()) {
         std::vector<std::pair<Index, Index>> pairs;
@@ -36,8 +37,15 @@ const util::Csr& node_adjacency(const mesh::Mesh& mesh, Workspace& w) {
             pairs.emplace_back(f.a, f.b);
             pairs.emplace_back(f.b, f.a);
         }
-        std::sort(pairs.begin(), pairs.end());
         w.node_adj = util::Csr::from_pairs(mesh.n_nodes(), pairs);
+        auto& adj = w.node_adj;
+        for (Index n = 0; n < mesh.n_nodes(); ++n)
+            std::sort(adj.items.begin() + adj.offsets[static_cast<std::size_t>(n)],
+                      adj.items.begin() +
+                          adj.offsets[static_cast<std::size_t>(n) + 1],
+                      [&](Index a, Index b) {
+                          return mesh.node_id(a) < mesh.node_id(b);
+                      });
     }
     return w.node_adj;
 }

@@ -68,12 +68,13 @@ struct Workspace {
     /// for ghost cells (their far faces leave the subdomain, so their
     /// dual fluxes are not locally computable).
     std::vector<Real> dflux;
-    /// Node -> edge-connected neighbours, each row ascending by node id
-    /// (built lazily from the mesh faces). Ascending order makes the
-    /// Jacobi average sum in global-id order on every rank: subdomain
-    /// node numbering is global-ascending, so local rows are the global
-    /// rows restricted — same contributions, same order, bitwise-equal
-    /// averages wherever the stencil is complete.
+    /// Node -> edge-connected neighbours, each row ascending by canonical
+    /// node id (built lazily from the mesh faces). That order makes the
+    /// Jacobi average sum in the caller's-id order in any storage order
+    /// and on every rank: a subdomain's canonical ids are the global ids,
+    /// so local rows are the global rows restricted — same contributions,
+    /// same order, bitwise-equal averages wherever the stencil is
+    /// complete.
     util::Csr node_adj;
     std::vector<Real> next_x, next_y; ///< Jacobi pass scratch
 };
@@ -175,8 +176,8 @@ void aleadvect_dual(const hydro::Context& ctx, hydro::State& s, Workspace& w,
                     Index begin, Index end, std::atomic<long>& floored);
 
 /// Dual-mesh nodal remap: gather the remapped corner masses and the
-/// upwind dual-flux momentum transfers at each node (rows from
-/// ctx.corner_gather(), i.e. ascending global corner order), then form
+/// upwind dual-flux momentum transfers at each node (rows from the mesh's
+/// node_corners, i.e. ascending canonical corner order), then form
 /// the new nodal velocities and re-apply the kinematic BCs.
 void aleadvect_nodes(const hydro::Context& ctx, hydro::State& s, Workspace& w);
 /// Subrange overload: only the listed nodes are remapped (the distributed

@@ -25,7 +25,7 @@ void aleupdate(const hydro::Context& ctx, hydro::State& s, Workspace& w) {
     par::for_each(ctx.exec, mesh.n_cells(), [&](Index c) {
         const auto ci = static_cast<std::size_t>(c);
         const Real vol = s.rebuild_geometry(mesh, c); // remap moved the nodes
-        if (vol <= 0.0) par::record_lowest(bad_cell, c);
+        if (vol <= 0.0) par::record_lowest(bad_cell, mesh.cell_id(c));
         s.rho[ci] = s.cell_mass[ci] / vol;
         const Index r = mesh.cell_region[ci];
         s.pre[ci] = materials.pressure(r, s.rho[ci], s.ein[ci]);

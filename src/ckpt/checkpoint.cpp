@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <utility>
 
 #include "hydro/kernels.hpp"
@@ -57,6 +58,31 @@ T get(std::istream& in, const std::string& path, const char* what) {
     return v;
 }
 
+/// `in` (`width` values per storage entity) in canonical order: the
+/// values of storage entity i land at canonical slot ids[i].
+template <typename T>
+std::vector<T> to_canonical(std::span<const T> in,
+                            const std::vector<Index>& ids,
+                            std::size_t width = 1) {
+    std::vector<T> out(in.begin(), in.end());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        for (std::size_t k = 0; k < width; ++k)
+            out[static_cast<std::size_t>(ids[i]) * width + k] =
+                in[i * width + k];
+    return out;
+}
+
+/// The inverse of to_canonical, into a state field.
+void from_canonical(const std::vector<Real>& in,
+                    const std::vector<Index>& ids, hydro::Field& out,
+                    std::size_t width = 1) {
+    out.assign(in.begin(), in.end());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        for (std::size_t k = 0; k < width; ++k)
+            out[i * width + k] =
+                in[static_cast<std::size_t>(ids[i]) * width + k];
+}
+
 std::size_t expected_count(Kind kind, std::int64_t n_nodes,
                            std::int64_t n_cells) {
     switch (kind) {
@@ -81,11 +107,15 @@ std::uint64_t mesh_hash(const mesh::Mesh& mesh) {
     const auto over = [&](const auto& vec) {
         h = util::fnv1a(h, vec.data(), vec.size() * sizeof(vec[0]));
     };
-    over(mesh.x);
-    over(mesh.y);
-    over(mesh.cell_nodes);
-    over(mesh.cell_region);
-    over(mesh.node_bc);
+    // The caller's mesh: every table in canonical order and numbering.
+    std::vector<Index> cell_nodes(mesh.cell_nodes.size());
+    for (std::size_t i = 0; i < cell_nodes.size(); ++i)
+        cell_nodes[i] = mesh.node_id(mesh.cell_nodes[i]);
+    over(to_canonical<Real>(mesh.x, mesh.node_ids));
+    over(to_canonical<Real>(mesh.y, mesh.node_ids));
+    over(to_canonical<Index>(cell_nodes, mesh.cell_ids, corners_per_cell));
+    over(to_canonical<Index>(mesh.cell_region, mesh.cell_ids));
+    over(to_canonical<std::uint8_t>(mesh.node_bc, mesh.node_ids));
     return h;
 }
 
@@ -254,16 +284,18 @@ Snapshot capture(const mesh::Mesh& mesh, const hydro::State& s, Real t,
     snap.t = t;
     snap.dt = dt;
     snap.regrow = regrow;
-    snap.x.assign(s.x.begin(), s.x.end());
-    snap.y.assign(s.y.begin(), s.y.end());
-    snap.u.assign(s.u.begin(), s.u.end());
-    snap.v.assign(s.v.begin(), s.v.end());
-    snap.node_mass.assign(s.node_mass.begin(), s.node_mass.end());
-    snap.rho.assign(s.rho.begin(), s.rho.end());
-    snap.ein.assign(s.ein.begin(), s.ein.end());
-    snap.q.assign(s.q.begin(), s.q.end());
-    snap.cell_mass.assign(s.cell_mass.begin(), s.cell_mass.end());
-    snap.cnmass.assign(s.cnmass.begin(), s.cnmass.end());
+    const auto& nodes = mesh.node_ids;
+    const auto& cells = mesh.cell_ids;
+    snap.x = to_canonical<Real>(s.x, nodes);
+    snap.y = to_canonical<Real>(s.y, nodes);
+    snap.u = to_canonical<Real>(s.u, nodes);
+    snap.v = to_canonical<Real>(s.v, nodes);
+    snap.node_mass = to_canonical<Real>(s.node_mass, nodes);
+    snap.rho = to_canonical<Real>(s.rho, cells);
+    snap.ein = to_canonical<Real>(s.ein, cells);
+    snap.q = to_canonical<Real>(s.q, cells);
+    snap.cell_mass = to_canonical<Real>(s.cell_mass, cells);
+    snap.cnmass = to_canonical<Real>(s.cnmass, cells, corners_per_cell);
     return snap;
 }
 
@@ -284,16 +316,18 @@ void restore(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
     util::require(snapshot.n_nodes() == mesh.n_nodes() &&
                       snapshot.n_cells() == mesh.n_cells(),
                   "ckpt: snapshot entity counts disagree with the mesh");
-    s.x.assign(snapshot.x.begin(), snapshot.x.end());
-    s.y.assign(snapshot.y.begin(), snapshot.y.end());
-    s.u.assign(snapshot.u.begin(), snapshot.u.end());
-    s.v.assign(snapshot.v.begin(), snapshot.v.end());
-    s.node_mass.assign(snapshot.node_mass.begin(), snapshot.node_mass.end());
-    s.rho.assign(snapshot.rho.begin(), snapshot.rho.end());
-    s.ein.assign(snapshot.ein.begin(), snapshot.ein.end());
-    s.q.assign(snapshot.q.begin(), snapshot.q.end());
-    s.cell_mass.assign(snapshot.cell_mass.begin(), snapshot.cell_mass.end());
-    s.cnmass.assign(snapshot.cnmass.begin(), snapshot.cnmass.end());
+    const auto& nodes = mesh.node_ids;
+    const auto& cells = mesh.cell_ids;
+    from_canonical(snapshot.x, nodes, s.x);
+    from_canonical(snapshot.y, nodes, s.y);
+    from_canonical(snapshot.u, nodes, s.u);
+    from_canonical(snapshot.v, nodes, s.v);
+    from_canonical(snapshot.node_mass, nodes, s.node_mass);
+    from_canonical(snapshot.rho, cells, s.rho);
+    from_canonical(snapshot.ein, cells, s.ein);
+    from_canonical(snapshot.q, cells, s.q);
+    from_canonical(snapshot.cell_mass, cells, s.cell_mass);
+    from_canonical(snapshot.cnmass, cells, s.cnmass, corners_per_cell);
     rebuild_derived(mesh, materials, s);
     // Seed the step-start scratch as initialise does; every step rewrites
     // these before reading them.

@@ -109,9 +109,10 @@ struct Config {
 };
 
 /// Identity hash of the generating mesh (FNV-1a over counts, coordinates,
-/// connectivity, regions and BC masks) — the snapshot's "deck hash". A
-/// restore against a mesh with a different hash is rejected: the global
-/// entity order the fields are laid out in would not match.
+/// connectivity, regions and BC masks, all in canonical order) — the
+/// snapshot's "deck hash". A renumbered mesh hashes like its caller's
+/// numbering. A restore against a mesh with a different hash is rejected:
+/// the global entity order the fields are laid out in would not match.
 [[nodiscard]] std::uint64_t mesh_hash(const mesh::Mesh& mesh);
 
 /// FNV-1a over raw bytes (the per-field checksum).
@@ -129,9 +130,10 @@ void write(const std::string& path, const Snapshot& snapshot);
 /// file size before any count from the header is trusted.
 [[nodiscard]] Snapshot read(const std::string& path);
 
-/// Capture a snapshot from a (serial, global-numbering) state. `regrow`
-/// is the driver's health-guard re-growth ceiling (0 when inactive) — it
-/// is part of the exact continuation state.
+/// Capture a snapshot from a whole-mesh state, in canonical order (the
+/// state itself may be in any storage order of `mesh`). `regrow` is the
+/// driver's health-guard re-growth ceiling (0 when inactive) — it is part
+/// of the exact continuation state.
 [[nodiscard]] Snapshot capture(const mesh::Mesh& mesh, const hydro::State& s,
                                Real t, Real dt, std::int64_t steps,
                                Real regrow = 0.0);
@@ -144,10 +146,10 @@ void write(const std::string& path, const Snapshot& snapshot);
 void rebuild_derived(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
                      hydro::State& s);
 
-/// Restore a full (global-numbering) state from a snapshot: validates the
-/// mesh hash and entity counts, copies the primary fields, rebuilds the
-/// derived state and seeds the step-start scratch copies. The state must
-/// already be allocated for `mesh`.
+/// Restore a whole-mesh state from a snapshot: validates the mesh hash and
+/// entity counts, copies the primary fields from canonical into `mesh`'s
+/// storage order, rebuilds the derived state and seeds the step-start
+/// scratch copies. The state must already be allocated for `mesh`.
 void restore(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
              const Snapshot& snapshot, hydro::State& s);
 

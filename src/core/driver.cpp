@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "perfmodel/calibrate.hpp"
+#include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -23,9 +24,33 @@ std::string history_header_line() {
     return line;
 }
 
+/// field[i] := field[order[i]] (an empty field stays empty).
+void reorder(std::vector<Real>& field, const std::vector<Index>& order) {
+    if (field.empty()) return;
+    util::require(field.size() == order.size(),
+                  "Hydro: initial-condition size disagrees with the mesh");
+    std::vector<Real> out(order.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        out[i] = field[static_cast<std::size_t>(order[i])];
+    field = std::move(out);
+}
+
+/// Store the problem in locality order: the mesh along the Hilbert curve
+/// of its cell centroids (mesh::locality_order), the initial conditions
+/// with it. The mesh keeps the caller's numbering as its canonical ids.
+void store_in_locality_order(setup::Problem& p) {
+    const auto order = mesh::locality_order(p.mesh);
+    mesh::renumber(p.mesh, order.cells, order.nodes);
+    reorder(p.rho, order.cells);
+    reorder(p.ein, order.cells);
+    reorder(p.u, order.nodes);
+    reorder(p.v, order.nodes);
+}
+
 } // namespace
 
 Hydro::Hydro(setup::Problem problem) : problem_(std::move(problem)) {
+    store_in_locality_order(problem_);
     state_ = hydro::allocate(problem_.mesh);
     state_.rho.assign(problem_.rho.begin(), problem_.rho.end());
     state_.ein.assign(problem_.ein.begin(), problem_.ein.end());
@@ -40,6 +65,7 @@ Hydro::Hydro(setup::Problem problem) : problem_(std::move(problem)) {
 
 Hydro::Hydro(setup::Problem problem, const ckpt::Snapshot& snapshot)
     : problem_(std::move(problem)) {
+    store_in_locality_order(problem_);
     state_ = hydro::allocate(problem_.mesh);
     ckpt::restore(problem_.mesh, problem_.materials, snapshot, state_);
 

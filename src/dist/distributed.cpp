@@ -244,7 +244,7 @@ constexpr int live_tag = 502;
 /// Pack this rank's owned entities for the checkpoint gather: the
 /// snapshot's node fields (x, y, u, v, node_mass), cell fields (rho, ein,
 /// q, cell_mass) and corner field (cnmass), field-major, each field's
-/// owned items in ascending local (= ascending global) order.
+/// owned items in local order.
 std::vector<Real> pack_owned(const part::Subdomain& sub,
                              const hydro::State& s) {
     std::vector<Real> out;
@@ -252,7 +252,7 @@ std::vector<Real> pack_owned(const part::Subdomain& sub,
     const auto owned_cells = static_cast<std::size_t>(sub.n_owned_cells);
     out.reserve(5 * owned_nodes + (4 + corners_per_cell) * owned_cells);
     const auto nodes = [&](std::span<const Real> f) {
-        for (std::size_t ln = 0; ln < sub.local_nodes.size(); ++ln)
+        for (std::size_t ln = 0; ln < sub.node_owned.size(); ++ln)
             if (sub.node_owned[ln]) out.push_back(f[ln]);
     };
     nodes(s.x);
@@ -274,16 +274,16 @@ std::vector<Real> pack_owned(const part::Subdomain& sub,
 }
 
 /// Scatter one rank's packed owned slice into the global snapshot arrays
-/// (the exact inverse of pack_owned, routed through the subdomain's
-/// local->global maps).
+/// (the exact inverse of pack_owned, routed through the local mesh's
+/// global ids).
 void unpack_owned(const part::Subdomain& sub, std::span<const Real> payload,
                   ckpt::Snapshot& snap) {
+    const auto& lm = sub.local;
     std::size_t pos = 0;
     const auto nodes = [&](std::vector<Real>& f) {
-        for (std::size_t ln = 0; ln < sub.local_nodes.size(); ++ln)
-            if (sub.node_owned[ln])
-                f[static_cast<std::size_t>(sub.local_nodes[ln])] =
-                    payload[pos++];
+        for (Index ln = 0; ln < lm.n_nodes(); ++ln)
+            if (sub.node_owned[static_cast<std::size_t>(ln)])
+                f[static_cast<std::size_t>(lm.node_id(ln))] = payload[pos++];
     };
     nodes(snap.x);
     nodes(snap.y);
@@ -292,19 +292,16 @@ void unpack_owned(const part::Subdomain& sub, std::span<const Real> payload,
     nodes(snap.node_mass);
     const auto cells = [&](std::vector<Real>& f) {
         for (Index lc = 0; lc < sub.n_owned_cells; ++lc)
-            f[static_cast<std::size_t>(
-                sub.local_cells[static_cast<std::size_t>(lc)])] =
-                payload[pos++];
+            f[static_cast<std::size_t>(lm.cell_id(lc))] = payload[pos++];
     };
     cells(snap.rho);
     cells(snap.ein);
     cells(snap.q);
     cells(snap.cell_mass);
-    for (Index lc = 0; lc < sub.n_owned_cells; ++lc) {
-        const Index gc = sub.local_cells[static_cast<std::size_t>(lc)];
+    for (Index lc = 0; lc < sub.n_owned_cells; ++lc)
         for (int k = 0; k < corners_per_cell; ++k)
-            snap.cnmass[hydro::State::cidx(gc, k)] = payload[pos++];
-    }
+            snap.cnmass[hydro::State::cidx(lm.cell_id(lc), k)] =
+                payload[pos++];
     util::require(pos == payload.size(),
                   "dist: checkpoint gather payload size mismatch");
 }
@@ -358,16 +355,17 @@ std::optional<ckpt::Snapshot> gather_snapshot(
 void restore_rank_state(const part::Subdomain& sub,
                         const eos::MaterialTable& materials,
                         const ckpt::Snapshot& snap, hydro::State& s) {
-    for (std::size_t ln = 0; ln < sub.local_nodes.size(); ++ln) {
-        const auto gn = static_cast<std::size_t>(sub.local_nodes[ln]);
+    const auto& lm = sub.local;
+    for (std::size_t ln = 0; ln < lm.node_ids.size(); ++ln) {
+        const auto gn = static_cast<std::size_t>(lm.node_ids[ln]);
         s.x[ln] = snap.x[gn];
         s.y[ln] = snap.y[gn];
         s.u[ln] = snap.u[gn];
         s.v[ln] = snap.v[gn];
         s.node_mass[ln] = snap.node_mass[gn];
     }
-    for (std::size_t lc = 0; lc < sub.local_cells.size(); ++lc) {
-        const auto gc = static_cast<std::size_t>(sub.local_cells[lc]);
+    for (std::size_t lc = 0; lc < lm.cell_ids.size(); ++lc) {
+        const auto gc = static_cast<std::size_t>(lm.cell_ids[lc]);
         s.rho[lc] = snap.rho[gc];
         s.ein[lc] = snap.ein[gc];
         s.q[lc] = snap.q[gc];
@@ -920,13 +918,13 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
     if (a.start != nullptr) {
         restore_rank_state(sub, run.materials, *a.start, s);
     } else {
-        for (std::size_t lc = 0; lc < sub.local_cells.size(); ++lc) {
-            const auto gc = static_cast<std::size_t>(sub.local_cells[lc]);
+        for (std::size_t lc = 0; lc < sub.local.cell_ids.size(); ++lc) {
+            const auto gc = static_cast<std::size_t>(sub.local.cell_ids[lc]);
             s.rho[lc] = run.initial->rho[gc];
             s.ein[lc] = run.initial->ein[gc];
         }
-        for (std::size_t ln = 0; ln < sub.local_nodes.size(); ++ln) {
-            const auto gn = static_cast<std::size_t>(sub.local_nodes[ln]);
+        for (std::size_t ln = 0; ln < sub.local.node_ids.size(); ++ln) {
+            const auto gn = static_cast<std::size_t>(sub.local.node_ids[ln]);
             s.u[ln] = run.initial->u[gn];
             s.v[ln] = run.initial->v[gn];
         }
@@ -940,8 +938,6 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
     ctx.exec = exec;
     ctx.profiler = &profiler;
     ctx.dt_cells = sub.n_owned_cells; // dt over owned cells only
-    // Corner gathers in serial deposition order (bitwise == serial).
-    ctx.assembly_corners = &sub.assembly_corners;
     ale::Workspace ale_work;
     // The remap-flux graph (ranks with a pool), built on this attempt's
     // first remap and re-run on every remap after it.
@@ -1008,13 +1004,13 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
     Result& result = run.result;
     for (Index lc = 0; lc < sub.n_owned_cells; ++lc) {
         const auto l = static_cast<std::size_t>(lc);
-        const auto gc = static_cast<std::size_t>(sub.local_cells[l]);
+        const auto gc = static_cast<std::size_t>(sub.local.cell_id(lc));
         result.rho[gc] = s.rho[l];
         result.ein[gc] = s.ein[l];
     }
-    for (std::size_t ln = 0; ln < sub.local_nodes.size(); ++ln) {
+    for (std::size_t ln = 0; ln < sub.node_owned.size(); ++ln) {
         if (!sub.node_owned[ln]) continue;
-        const auto gn = static_cast<std::size_t>(sub.local_nodes[ln]);
+        const auto gn = static_cast<std::size_t>(sub.local.node_ids[ln]);
         result.u[gn] = s.u[ln];
         result.v[gn] = s.v[ln];
         result.x[gn] = s.x[ln];

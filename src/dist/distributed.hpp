@@ -10,10 +10,12 @@
 ///
 /// Rank-count invariance is *bitwise*: every owned cell and every node of
 /// an owned cell sees the same input bytes as a serial run (ghost data
-/// comes from its owning rank), and every cross-entity reduction gathers
-/// in ascending global order (Subdomain::assembly_corners), so the
-/// gathered fields equal the serial core::Hydro run bit for bit at any
-/// rank count — Lagrange, ALE and Eulerian alike.
+/// comes from its owning rank), and every order-sensitive table of a
+/// local mesh follows its canonical ids, which are the global ids (face
+/// orientation, corner-gather and smoothing row orders), so the gathered
+/// fields equal the serial core::Hydro run bit for bit at any rank count
+/// — Lagrange, ALE and Eulerian alike. Results, errors and checkpoints
+/// name entities by their id in the caller's global mesh.
 
 #include <functional>
 #include <string>
@@ -177,9 +179,7 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
 ///      results {cell_mass, ein} and the dual-mesh results {cnmass,
 ///      dflux} — ghost dual fluxes are not locally computable (their far
 ///      faces leave the subdomain) yet drive owned-node momentum.
-/// ctx.assembly_corners must point at sub.assembly_corners (dist::run
-/// arranges this) so the nodal gathers sum in serial order. Inside
-/// dist::run, a rank with a pool runs 3-4 on a remap-flux graph it builds
+/// Inside dist::run, a rank with a pool runs 3-4 on a remap-flux graph it builds
 /// once per attempt (the gradient exchange overlaps the interior fluxes);
 /// this entry point holds no graph and runs the blocking sequence, with
 /// bitwise the same result.

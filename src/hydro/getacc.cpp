@@ -55,16 +55,18 @@ inline void gather_node(const util::Csr& nc, State& s, Index n) {
 }
 
 /// Gather-based assembly: one pass over nodes, zero+accumulate fused.
-/// Rows come from ctx.corner_gather(): the mesh CSR in serial runs, the
-/// subdomain's globally-ordered permutation in distributed runs (same
-/// sums, serial deposition order — bitwise identical to the serial run).
+/// Rows ascend by canonical corner id, so on a renumbered mesh and on a
+/// subdomain alike the sums run in the serial deposition order — bitwise
+/// identical to the serial run.
 void assemble_gather(const Context& ctx, State& s, Index n_nodes) {
-    const auto& nc = ctx.corner_gather();
+    const auto& nc = ctx.mesh->node_corners;
     par::for_each(ctx.exec, n_nodes,
                   [&](Index n) { gather_node(nc, s, n); });
 }
 
-/// The reference serial scatter assembly, for the §IV-B ablation.
+/// The reference serial scatter assembly, for the §IV-B ablation. Cells
+/// deposit in ascending canonical id (the caller's cell order), the order
+/// the gather's rows replay, so the two stay bitwise equal.
 void assemble_scatter(const Context& ctx, State& s, Index n_nodes,
                       Index n_cells) {
     // Zero in parallel; the scatter itself is the data dependency and
@@ -75,7 +77,7 @@ void assemble_scatter(const Context& ctx, State& s, Index n_nodes,
         s.nfx[ni] = 0.0;
         s.nfy[ni] = 0.0;
     });
-    for (Index c = 0; c < n_cells; ++c)
+    for (const Index c : mesh::canonical_order(ctx.mesh->cell_ids, n_cells))
         scatter_cell(*ctx.mesh, s, c, s.node_mass);
 }
 
@@ -85,7 +87,7 @@ void getacc_assemble(const Context& ctx, State& s,
                      std::span<const Index> nodes) {
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::getacc,
                                   static_cast<long long>(nodes.size()));
-    const auto& nc = ctx.corner_gather();
+    const auto& nc = ctx.mesh->node_corners;
     par::for_each(ctx.exec, static_cast<Index>(nodes.size()), [&](Index i) {
         gather_node(nc, s, nodes[static_cast<std::size_t>(i)]);
     });
@@ -94,7 +96,7 @@ void getacc_assemble(const Context& ctx, State& s,
 void getacc_assemble(const Context& ctx, State& s, Index begin, Index end) {
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::getacc,
                                   end - begin);
-    const auto& nc = ctx.corner_gather();
+    const auto& nc = ctx.mesh->node_corners;
     for (Index n = begin; n < end; ++n) gather_node(nc, s, n);
 }
 

@@ -23,6 +23,9 @@ DtResult getdt(const Context& ctx, const State& s, Real dt_prev) {
     const auto& opts = ctx.opts;
     const Index n_cells =
         ctx.dt_cells >= 0 ? ctx.dt_cells : mesh.n_cells();
+    // Equal candidates resolve to the lowest canonical id: the cell the
+    // caller's numbering names, in any storage order.
+    const auto canonical = [&](Index c) { return mesh.cell_id(c); };
 
     // --- CFL in squared space: minimise L^2 / c_eff^2 ----------------------
     const auto cfl = par::reduce_min(ctx.exec, n_cells, [&](Index c) {
@@ -31,7 +34,7 @@ DtResult getdt(const Context& ctx, const State& s, Real dt_prev) {
         const Real ceff2 = s.csqrd[ci] + Real(2.0) * s.q[ci] / rho;
         const Real l = s.char_len[ci];
         return l * l / std::max(ceff2, opts.cutoffs.ccut);
-    });
+    }, canonical);
 
     // --- divergence (volume-change rate) limit ------------------------------
     // dV/dt = sum_i u_i . dV/dx_i exactly for shoelace volumes; minimise
@@ -48,11 +51,11 @@ DtResult getdt(const Context& ctx, const State& s, Real dt_prev) {
         }
         const auto ci = static_cast<std::size_t>(c);
         return -std::abs(dvdt) / std::max(s.volume[ci], tiny);
-    });
+    }, canonical);
 
     DtResult result;
     result.dt = opts.cfl_sf * std::sqrt(std::max(cfl.value, Real(0.0)));
-    result.cell = cfl.index;
+    result.cell = cfl.index == no_index ? no_index : canonical(cfl.index);
     result.reason = "CFL";
 
     const Real max_div = -negdiv.value;
@@ -60,7 +63,7 @@ DtResult getdt(const Context& ctx, const State& s, Real dt_prev) {
         const Real dt_div = opts.div_sf / max_div;
         if (dt_div < result.dt) {
             result.dt = dt_div;
-            result.cell = negdiv.index;
+            result.cell = canonical(negdiv.index);
             result.reason = "divergence";
         }
     }

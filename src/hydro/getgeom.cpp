@@ -18,15 +18,16 @@ void getgeom(const Context& ctx, State& s, std::span<const Real> wu,
         s.y[ni] = s.y0[ni] + wv[ni] * dt_move;
     });
 
-    // Rebuild cell geometry; record the lowest tangled cell (if any), so
-    // the diagnostic is schedule-independent.
+    // Rebuild cell geometry; record the lowest canonical id of a tangled
+    // cell (if any), so the diagnostic is schedule-independent.
     // This is the one place the corner coordinates are gathered per step:
     // the quad and its area gradients are written to the state's
     // gathered-geometry cache, which getforce/getq/getdt then read
     // contiguously instead of re-gathering through cell_nodes.
     std::atomic<Index> bad_cell{no_index};
     par::for_each(ctx.exec, mesh.n_cells(), [&](Index c) {
-        if (s.rebuild_geometry(mesh, c) <= 0.0) par::record_lowest(bad_cell, c);
+        if (s.rebuild_geometry(mesh, c) <= 0.0)
+            par::record_lowest(bad_cell, mesh.cell_id(c));
     });
 
     // With health guards enabled a tangled mesh is not fatal here: the
@@ -59,7 +60,8 @@ void getgeom_cells(const Context& ctx, State& s, Index begin, Index end,
                                   end - begin);
     const auto& mesh = *ctx.mesh;
     for (Index c = begin; c < end; ++c)
-        if (s.rebuild_geometry(mesh, c) <= 0.0) par::record_lowest(bad_cell, c);
+        if (s.rebuild_geometry(mesh, c) <= 0.0)
+            par::record_lowest(bad_cell, mesh.cell_id(c));
 }
 
 void getrho(const Context& ctx, State& s) {

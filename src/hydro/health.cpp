@@ -18,7 +18,7 @@ void rebuild_cells(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
         if (strict && !(vol > 0.0))
             throw util::Error(std::string(who) +
                               ": non-positive volume in cell " +
-                              std::to_string(c));
+                              std::to_string(mesh.cell_id(c)));
         const auto ci = static_cast<std::size_t>(c);
         if (with_rho) s.rho[ci] = s.cell_mass[ci] / std::max(vol, tiny);
         const Index r = mesh.cell_region[ci];

@@ -31,7 +31,10 @@ class StepGraph;
 
 /// Everything a kernel needs besides the state: mesh topology, materials,
 /// options, execution policy, profiler, and the drivers' optional
-/// distributed-run overrides and task graphs.
+/// distributed-run override and task graphs. Every corner->node gather
+/// (the acceleration assembly, the dual-mesh remap) reads
+/// mesh->node_corners, whose rows follow the canonical ids: the serial
+/// deposition order on any storage order and on every subdomain.
 struct Context {
     const mesh::Mesh* mesh = nullptr;
     const eos::MaterialTable* materials = nullptr;
@@ -45,14 +48,6 @@ struct Context {
     /// getdt reduces over these only, so the post-reduction global dt is
     /// identical to a serial run; no_index means "all cells".
     Index dt_cells = no_index;
-    /// Distributed runs: overrides mesh->node_corners for every
-    /// corner->node gather (the acceleration assembly and the dual-mesh
-    /// remap). part::decompose permutes each row to ascending *global*
-    /// flat corner id, so the gathers sum a boundary node's corner
-    /// contributions in exactly the serial deposition order — the bitwise
-    /// dist == serial contract. nullptr (the serial driver) means
-    /// mesh->node_corners, whose rows are already in global order.
-    const util::Csr* assembly_corners = nullptr;
     /// Task-graph executor for the Lagrangian step, built once by the
     /// serial driver when it applies (threaded pool, gather assembly) and
     /// re-run every step. lagstep dispatches to it; nullptr (bare
@@ -73,12 +68,6 @@ struct Context {
     /// collector before building any. nullptr (the default, and all
     /// telemetry-off runs) records nothing.
     par::GraphRunLog* graph_log = nullptr;
-
-    /// The corner gather CSR in effect (see assembly_corners).
-    [[nodiscard]] const util::Csr& corner_gather() const {
-        return assembly_corners != nullptr ? *assembly_corners
-                                           : mesh->node_corners;
-    }
 };
 
 /// Move nodes to x0 + w*dt_move and rebuild geometry (volumes, corner
@@ -156,8 +145,9 @@ void getgeom_move(const Context& ctx, State& s, std::span<const Real> wu,
                   std::span<const Real> wv, Real dt_move, Index begin,
                   Index end);
 /// The cell-geometry half of getgeom over cells [begin, end). A tangled
-/// cell is recorded in `bad_cell` (lowest index wins) instead of throwing;
-/// the graph's check task (or the caller) owns the throw decision.
+/// cell's canonical id is recorded in `bad_cell` (lowest id wins) instead
+/// of throwing; the graph's check task (or the caller) owns the throw
+/// decision.
 void getgeom_cells(const Context& ctx, State& s, Index begin, Index end,
                    std::atomic<Index>& bad_cell);
 /// getrho over cells [begin, end).
@@ -177,7 +167,8 @@ void getacc_advance_velocity(const Context& ctx, State& s, Real dt,
 void getacc_centered(const Context& ctx, State& s, Index begin, Index end);
 
 /// Timestep-controller result. `reason` names the active constraint and
-/// `cell` the controlling cell (BookLeaf's MINLOC diagnostic).
+/// `cell` the controlling cell's canonical id (BookLeaf's MINLOC
+/// diagnostic; among equal candidates, the lowest id).
 struct DtResult {
     Real dt = 0.0;
     Index cell = no_index;
@@ -221,7 +212,8 @@ void apply_velocity_bc(const mesh::Mesh& mesh, const Options& opts,
 /// recomputed first as cell_mass / max(volume, tiny) — the ghost-refresh
 /// semantics; without it the stored rho is kept (the checkpoint-restore
 /// semantics, where rho is a primary). `strict` throws util::Error
-/// ("<who>: non-positive volume in cell N") on a tangled cell; tolerant
+/// ("<who>: non-positive volume in cell N", N the canonical id) on a
+/// tangled cell; tolerant
 /// mode lets bad values flow through (the step-retry rollback path, where
 /// loop-top ghost geometry may legitimately be tangled). The single
 /// definition shared by ckpt::restore, the distributed ghost refresh and

@@ -85,19 +85,18 @@ void initialise(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
 
 Totals totals(const mesh::Mesh& mesh, const State& s) {
     Totals t;
-    for (Index c = 0; c < s.n_cells(); ++c) {
+    for (const Index c : mesh::canonical_order(mesh.cell_ids, s.n_cells())) {
         const auto ci = static_cast<std::size_t>(c);
         t.mass += s.cell_mass[ci];
         t.internal_energy += s.cell_mass[ci] * s.ein[ci];
     }
-    for (Index n = 0; n < s.n_nodes(); ++n) {
+    for (const Index n : mesh::canonical_order(mesh.node_ids, s.n_nodes())) {
         const auto ni = static_cast<std::size_t>(n);
         t.momentum_x += s.node_mass[ni] * s.u[ni];
         t.momentum_y += s.node_mass[ni] * s.v[ni];
         t.kinetic_energy += Real(0.5) * s.node_mass[ni] *
                             (s.u[ni] * s.u[ni] + s.v[ni] * s.v[ni]);
     }
-    (void)mesh;
     return t;
 }
 

@@ -141,7 +141,8 @@ struct Totals {
 };
 
 /// Compute conserved totals. Kinetic energy uses nodal masses; internal
-/// energy is mass-weighted specific internal energy.
+/// energy is mass-weighted specific internal energy. The sums run in
+/// canonical order, so a renumbered mesh gives the caller's bytes.
 [[nodiscard]] Totals totals(const mesh::Mesh& mesh, const State& state);
 
 } // namespace bookleaf::hydro

@@ -9,7 +9,7 @@
 ///   * getein / getforce / the geometry rebuild read their own cells'
 ///     nodes — the "own" coupling;
 ///   * the acceleration assembly gathers a node's incident corners via
-///     ctx.corner_gather() — the "touch" coupling (and its serial
+///     the mesh's node_corners — the "touch" coupling (and its serial
 ///     deposition order is what keeps the reduction bitwise).
 /// Redundant edges already implied by transitivity are mostly avoided,
 /// but correctness never relies on a chain longer than the comments in
@@ -78,7 +78,7 @@ void StepGraph::build() {
     // wide_nb[cb]: own_nb plus the nodes of face-neighbour cells (getq's
     //              continuation stencil reads u,v there).
     // touch_cb[nb]: cell blocks whose corners a node in nb gathers
-    //              (via ctx.corner_gather(): flat corner id / 4 = cell).
+    //              (via ctx.mesh->node_corners: flat corner id / 4 = cell).
     // wide_reader_cb[nb]: transpose of wide_nb — the cell blocks whose
     //              getq reads u,v of a node in nb.
     std::vector<std::vector<int>> own_nb(cells.size());
@@ -105,7 +105,7 @@ void StepGraph::build() {
         for (const int nb : wide)
             wide_reader_cb[static_cast<std::size_t>(nb)].push_back(cb);
     }
-    const auto& gather = ctx_.corner_gather();
+    const auto& gather = ctx_.mesh->node_corners;
     for (int nb = 0; nb < n_nb; ++nb) {
         auto& touch = touch_cb[static_cast<std::size_t>(nb)];
         for (Index n = nodes[static_cast<std::size_t>(nb)].begin;

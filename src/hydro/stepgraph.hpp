@@ -12,7 +12,7 @@
 /// Bitwise contract: the graph changes only *when* work runs, never what
 /// it computes. Every task writes slots no concurrent task touches, every
 /// cross-entity reduction is a gather replaying the serial deposition
-/// order (ctx.corner_gather()), and the two boundary-condition fixups run
+/// order (the mesh's node_corners), and the two boundary-condition fixups run
 /// as single serial tasks exactly where the fork-join sequence applies
 /// them — so graph results are bitwise identical to the fork-join path at
 /// any thread count and block size.

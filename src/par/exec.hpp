@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -117,11 +118,12 @@ void for_each(const Exec& ex, Index n, Body&& body) {
     });
 }
 
-/// Keep the lowest index `i` a loop has flagged in `lowest` (no_index =
-/// none yet). for_each bodies must not throw — the pool carries no
-/// exception across threads — so a body records its offending entity here
-/// and the caller throws after the join, naming the same entity the
-/// serial loop would have stopped at.
+/// Keep the lowest id `i` a loop has flagged in `lowest` (no_index = none
+/// yet). for_each bodies must not throw — the pool carries no exception
+/// across threads — so a body records its offending entity here and the
+/// caller throws after the join. Kernels record the entity's canonical id
+/// (mesh::Mesh::cell_id), so the error names the caller's entity, the
+/// same one at any thread count, storage order and rank count.
 inline void record_lowest(std::atomic<Index>& lowest, Index i) {
     Index seen = lowest.load(std::memory_order_relaxed);
     while ((seen == no_index || i < seen) &&
@@ -136,16 +138,23 @@ struct MinLoc {
     Index index = no_index;
 };
 
-/// Minimum of value_of(i) over [0, n) with argmin. Partial results use a
-/// static block decomposition and combine in block order, so the result is
-/// identical at any thread count.
-template <typename ValueOf>
-MinLoc reduce_min(const Exec& ex, Index n, ValueOf&& value_of) {
+/// Minimum of value_of(i) over [0, n) with argmin; among equal minima
+/// the lowest key_of(i) wins (by default the lowest i). Partial results
+/// use a static block decomposition and combine in block order, so the
+/// result is identical at any thread count.
+template <typename ValueOf, typename KeyOf = std::identity>
+MinLoc reduce_min(const Exec& ex, Index n, ValueOf&& value_of,
+                  KeyOf&& key_of = {}) {
+    // Does (v, i) beat r? Ties go to the lower key.
+    auto beats = [&](Real v, Index i, const MinLoc& r) {
+        return v < r.value || (v == r.value && r.index != no_index &&
+                               key_of(i) < key_of(r.index));
+    };
     auto serial = [&](Index begin, Index end) {
         MinLoc r{std::numeric_limits<Real>::max(), no_index};
         for (Index i = begin; i < end; ++i) {
             const Real v = value_of(i);
-            if (v < r.value) {
+            if (beats(v, i, r)) {
                 r.value = v;
                 r.index = i;
             }
@@ -163,7 +172,8 @@ MinLoc reduce_min(const Exec& ex, Index n, ValueOf&& value_of) {
     });
     MinLoc best = partial[0];
     for (const auto& p : partial)
-        if (p.index != no_index && (best.index == no_index || p.value < best.value))
+        if (p.index != no_index &&
+            (best.index == no_index || beats(p.value, p.index, best)))
             best = p;
     return best;
 }

@@ -61,6 +61,9 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
     const Index n_nodes = global.n_nodes();
     util::require(part.size() == static_cast<std::size_t>(n_cells),
                   "decompose: partition size mismatch");
+    util::require(global.cell_ids.empty() && global.node_ids.empty(),
+                  "decompose: the global mesh must be in its caller's "
+                  "numbering");
 
     // Node owners: min part over incident cells.
     std::vector<Index> node_owner(static_cast<std::size_t>(n_nodes),
@@ -73,11 +76,20 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
 
     std::vector<Subdomain> subs(static_cast<std::size_t>(n_parts));
 
-    // Owned cell lists (ascending global id by construction).
+    // Every local mesh is stored in the serial driver's locality order:
+    // owned cells by the Hilbert key of their centroid over the global
+    // bounding box, ghosts by (owner, key), ties to the lower global id.
+    const auto key = mesh::hilbert_keys(global);
+    const auto by_key = [&](Index a, Index b) {
+        const auto ka = key[static_cast<std::size_t>(a)];
+        const auto kb = key[static_cast<std::size_t>(b)];
+        return ka != kb ? ka < kb : a < b;
+    };
     std::vector<std::vector<Index>> owned(static_cast<std::size_t>(n_parts));
     for (Index c = 0; c < n_cells; ++c)
         owned[static_cast<std::size_t>(part[static_cast<std::size_t>(c)])]
             .push_back(c);
+    for (auto& own : owned) std::sort(own.begin(), own.end(), by_key);
 
     // Global cell -> owner-local id (owned cells are numbered first).
     std::vector<Index> owner_local(static_cast<std::size_t>(n_cells));
@@ -85,6 +97,10 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
         for (std::size_t i = 0; i < owned[static_cast<std::size_t>(r)].size(); ++i)
             owner_local[static_cast<std::size_t>(
                 owned[static_cast<std::size_t>(r)][i])] = static_cast<Index>(i);
+
+    // Global node -> local node of the rank being built (no_index between
+    // ranks: only the entries a rank sets are reset).
+    std::vector<Index> node_local(static_cast<std::size_t>(n_nodes), no_index);
 
     for (int r = 0; r < n_parts; ++r) {
         auto& sub = subs[static_cast<std::size_t>(r)];
@@ -107,55 +123,45 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
                         }
                 }
         }
-        std::sort(ghosts.begin(), ghosts.end(),
-                  [&](Index a, Index b) {
-                      const Index pa = part[static_cast<std::size_t>(a)];
-                      const Index pb = part[static_cast<std::size_t>(b)];
-                      return pa != pb ? pa < pb : a < b;
-                  });
+        std::sort(ghosts.begin(), ghosts.end(), [&](Index a, Index b) {
+            const Index pa = part[static_cast<std::size_t>(a)];
+            const Index pb = part[static_cast<std::size_t>(b)];
+            return pa != pb ? pa < pb : by_key(a, b);
+        });
 
-        sub.local_cells = own;
-        sub.local_cells.insert(sub.local_cells.end(), ghosts.begin(),
-                               ghosts.end());
-
-        // Local nodes: union of the local cells' nodes, sorted by global id.
-        {
-            std::vector<Index> nodes;
-            nodes.reserve(sub.local_cells.size() * corners_per_cell);
-            for (const Index c : sub.local_cells)
-                for (int k = 0; k < corners_per_cell; ++k)
-                    nodes.push_back(global.cn(c, k));
-            std::sort(nodes.begin(), nodes.end());
-            nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-            sub.local_nodes = std::move(nodes);
-        }
-
-        std::unordered_map<Index, Index> node_g2l;
-        node_g2l.reserve(sub.local_nodes.size());
-        for (std::size_t i = 0; i < sub.local_nodes.size(); ++i)
-            node_g2l.emplace(sub.local_nodes[i], static_cast<Index>(i));
-
-        // Local mesh.
+        // Local mesh: cells owned-first, nodes in first-touch order; the
+        // canonical ids are the global ids.
         auto& lm = sub.local;
-        lm.x.resize(sub.local_nodes.size());
-        lm.y.resize(sub.local_nodes.size());
-        lm.node_bc.resize(sub.local_nodes.size());
-        sub.node_owned.resize(sub.local_nodes.size());
-        for (std::size_t i = 0; i < sub.local_nodes.size(); ++i) {
-            const auto g = static_cast<std::size_t>(sub.local_nodes[i]);
+        lm.cell_ids = own;
+        lm.cell_ids.insert(lm.cell_ids.end(), ghosts.begin(), ghosts.end());
+        lm.node_ids = mesh::first_touch_nodes(global, lm.cell_ids);
+        const auto n_local_cells = static_cast<Index>(lm.cell_ids.size());
+        const auto n_local_nodes = static_cast<Index>(lm.node_ids.size());
+        for (Index ln = 0; ln < n_local_nodes; ++ln)
+            node_local[static_cast<std::size_t>(lm.node_ids[static_cast<std::size_t>(ln)])] = ln;
+
+        lm.x.resize(lm.node_ids.size());
+        lm.y.resize(lm.node_ids.size());
+        lm.node_bc.resize(lm.node_ids.size());
+        sub.node_owned.resize(lm.node_ids.size());
+        for (std::size_t i = 0; i < lm.node_ids.size(); ++i) {
+            const auto g = static_cast<std::size_t>(lm.node_ids[i]);
             lm.x[i] = global.x[g];
             lm.y[i] = global.y[g];
             lm.node_bc[i] = global.node_bc[g];
             sub.node_owned[i] = node_owner[g] == r ? 1 : 0;
         }
-        lm.cell_nodes.reserve(sub.local_cells.size() * corners_per_cell);
-        lm.cell_region.reserve(sub.local_cells.size());
-        for (const Index c : sub.local_cells) {
+        lm.cell_nodes.reserve(lm.cell_ids.size() * corners_per_cell);
+        lm.cell_region.reserve(lm.cell_ids.size());
+        for (const Index c : lm.cell_ids) {
             for (int k = 0; k < corners_per_cell; ++k)
-                lm.cell_nodes.push_back(node_g2l.at(global.cn(c, k)));
+                lm.cell_nodes.push_back(
+                    node_local[static_cast<std::size_t>(global.cn(c, k))]);
             lm.cell_region.push_back(
                 global.cell_region[static_cast<std::size_t>(c)]);
         }
+        for (const Index g : lm.node_ids)
+            node_local[static_cast<std::size_t>(g)] = no_index;
         mesh::build_connectivity(lm);
 
         // --- boundary/interior overlap sets --------------------------------
@@ -164,8 +170,6 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
         // node halo (a non-owned node is always incident to a ghost cell:
         // the foreign owned cell that makes it non-owned is node-adjacent
         // to an owned cell here, hence in the ghost layer).
-        const auto n_local_cells = static_cast<Index>(sub.local_cells.size());
-        const auto n_local_nodes = static_cast<Index>(sub.local_nodes.size());
         std::vector<std::uint8_t> node_near_ghost(
             static_cast<std::size_t>(n_local_nodes), 0);
         for (Index lc = sub.n_owned_cells; lc < n_local_cells; ++lc)
@@ -218,53 +222,20 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
         // nodal (dual-mesh) remap is evaluated exactly for these. Every
         // node of an owned cell qualifies (the ghost layer is
         // node-complete around owned cells); fringe nodes do not.
-        for (Index ln = 0; ln < n_local_nodes; ++ln) {
-            const auto gn =
-                static_cast<std::size_t>(sub.local_nodes[static_cast<std::size_t>(ln)]);
+        for (Index ln = 0; ln < n_local_nodes; ++ln)
             if (lm.node_cells.row(ln).size() ==
-                global.node_cells.row(static_cast<Index>(gn)).size())
+                global.node_cells.row(lm.node_id(ln)).size())
                 sub.remap_nodes.push_back(ln);
-        }
-
-        // Corner gather CSR in *global* deposition order: local numbering
-        // is owned-first, so a boundary node's local node_corners row
-        // visits its corners in a different order than the global mesh;
-        // re-sorting each row by global flat corner id makes every
-        // corner->node gather sum in exactly the serial order (the bitwise
-        // dist == serial contract). Entries stay local flat ids.
-        sub.assembly_corners = lm.node_corners;
-        for (Index ln = 0; ln < n_local_nodes; ++ln) {
-            const auto lo = static_cast<std::size_t>(
-                sub.assembly_corners.offsets[static_cast<std::size_t>(ln)]);
-            const auto hi = static_cast<std::size_t>(
-                sub.assembly_corners.offsets[static_cast<std::size_t>(ln) + 1]);
-            std::sort(sub.assembly_corners.items.begin() +
-                          static_cast<std::ptrdiff_t>(lo),
-                      sub.assembly_corners.items.begin() +
-                          static_cast<std::ptrdiff_t>(hi),
-                      [&](Index a, Index b) {
-                          const Index ga =
-                              sub.local_cells[static_cast<std::size_t>(
-                                  a / corners_per_cell)] * corners_per_cell +
-                              a % corners_per_cell;
-                          const Index gb =
-                              sub.local_cells[static_cast<std::size_t>(
-                                  b / corners_per_cell)] * corners_per_cell +
-                              b % corners_per_cell;
-                          return ga < gb;
-                      });
-        }
     }
 
     // --- exchange schedules --------------------------------------------------
-    // Cell/corner: ghost cells of r owned by o; both sides ordered by global
-    // cell id (the ghost list is already (owner, id)-sorted).
+    // Cell/corner: ghost cells of r owned by o, in r's ghost order; both
+    // sides are built from that one item list.
     for (int r = 0; r < n_parts; ++r) {
         auto& sub = subs[static_cast<std::size_t>(r)];
         std::map<int, std::vector<std::pair<Index, Index>>> by_owner; // owner -> (global, local)
-        for (Index lc = sub.n_owned_cells;
-             lc < static_cast<Index>(sub.local_cells.size()); ++lc) {
-            const Index gc = sub.local_cells[static_cast<std::size_t>(lc)];
+        for (Index lc = sub.n_owned_cells; lc < sub.local.n_cells(); ++lc) {
+            const Index gc = sub.local.cell_id(lc);
             by_owner[static_cast<int>(part[static_cast<std::size_t>(gc)])]
                 .emplace_back(gc, lc);
         }
@@ -278,7 +249,6 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
             return false;
         };
         for (auto& [o, items] : by_owner) {
-            // items already sorted by global id (ghost ordering).
             typhon::ExchangeSchedule::Peer recv_peer;
             recv_peer.rank = o;
             typhon::ExchangeSchedule::Peer send_peer;
@@ -326,15 +296,15 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
     // header) now that both sides of every corner peering exist.
     for (auto& sub : subs) sub.remap_dual_schedule = sub.corner_schedule;
 
-    // Node schedule: ghost nodes of r receive from their owner o. Both
-    // sides ordered by global node id.
+    // Node schedule: ghost nodes of r receive from their owner o, in r's
+    // local node order; both sides are built from that one item list.
     {
         // Per-rank local node lookup.
         std::vector<std::unordered_map<Index, Index>> g2l(
             static_cast<std::size_t>(n_parts));
         for (int r = 0; r < n_parts; ++r) {
             auto& m = g2l[static_cast<std::size_t>(r)];
-            const auto& ln = subs[static_cast<std::size_t>(r)].local_nodes;
+            const auto& ln = subs[static_cast<std::size_t>(r)].local.node_ids;
             m.reserve(ln.size());
             for (std::size_t i = 0; i < ln.size(); ++i)
                 m.emplace(ln[i], static_cast<Index>(i));
@@ -342,8 +312,8 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
         for (int r = 0; r < n_parts; ++r) {
             auto& sub = subs[static_cast<std::size_t>(r)];
             std::map<int, std::vector<Index>> by_owner; // owner -> global node
-            for (std::size_t i = 0; i < sub.local_nodes.size(); ++i) {
-                const Index gn = sub.local_nodes[i];
+            for (std::size_t i = 0; i < sub.local.node_ids.size(); ++i) {
+                const Index gn = sub.local.node_ids[i];
                 const auto o = static_cast<int>(
                     node_owner[static_cast<std::size_t>(gn)]);
                 if (o != r) by_owner[o].push_back(gn);

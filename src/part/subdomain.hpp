@@ -7,6 +7,13 @@
 /// corner-force assembly at any node of an owned cell is complete locally
 /// once ghost corner forces are exchanged (the paper's pre-acceleration
 /// halo exchange).
+///
+/// Each local mesh is stored in the serial driver's locality order (owned
+/// cells by the Hilbert key of their centroid, ghosts by owner and key,
+/// nodes in first-touch order) and carries the global ids as its
+/// canonical ids. Its face orientation and corner-gather rows therefore
+/// follow the global numbering, which is what keeps every owned entity
+/// bitwise equal to the serial run.
 
 #include <vector>
 
@@ -19,10 +26,9 @@ namespace bookleaf::part {
 
 struct Subdomain {
     int rank = -1;
-    mesh::Mesh local; ///< owned cells in [0, n_owned_cells), ghosts after
-
-    std::vector<Index> local_cells; ///< local cell -> global cell
-    std::vector<Index> local_nodes; ///< local node -> global node
+    /// Owned cells in [0, n_owned_cells), ghosts after; `local.cell_ids`
+    /// and `local.node_ids` map local entities to global ones.
+    mesh::Mesh local;
     Index n_owned_cells = 0;
     std::vector<std::uint8_t> node_owned; ///< 1 if this rank owns the node
 
@@ -64,16 +70,6 @@ struct Subdomain {
     /// fringe, whose owners compute them and whose state the next
     /// pre-step halo refreshes.
     std::vector<Index> remap_nodes;
-    /// node -> (cell, corner) gather CSR with each row permuted to
-    /// ascending *global* flat corner id. Local cell numbering is
-    /// owned-first, so the local mesh's node_corners rows visit a
-    /// boundary node's corners in a different order than the global mesh
-    /// — summing in that order would make nodal assembly differ from the
-    /// serial run in round-off. hydro::Context::assembly_corners points
-    /// here in distributed runs, making the corner->node gathers (getacc
-    /// and the dual-mesh remap) bitwise identical to serial.
-    util::Csr assembly_corners;
-
     // --- halo/compute overlap sets (local ids, ascending) -----------------
     // boundary_cells / interior_cells partition all local cells. A cell is
     // *boundary* when its kernel stencil (the cell itself plus its face

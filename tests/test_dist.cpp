@@ -179,14 +179,17 @@ SerialFields serial_reference(bookleaf::setup::Problem problem, Real t_end) {
     problem.telemetry.enabled = true;
     bookleaf::core::Hydro h(std::move(problem));
     const auto summary = h.run(t_end);
+    // The snapshot holds the fields in the caller's numbering, as the
+    // distributed result does.
+    const auto snap = h.snapshot();
     SerialFields f;
     f.steps = summary.steps;
-    f.rho.assign(h.state().rho.begin(), h.state().rho.end());
-    f.ein.assign(h.state().ein.begin(), h.state().ein.end());
-    f.u.assign(h.state().u.begin(), h.state().u.end());
-    f.v.assign(h.state().v.begin(), h.state().v.end());
-    f.x.assign(h.state().x.begin(), h.state().x.end());
-    f.y.assign(h.state().y.begin(), h.state().y.end());
+    f.rho = snap.rho;
+    f.ein = snap.ein;
+    f.u = snap.u;
+    f.v = snap.v;
+    f.x = snap.x;
+    f.y = snap.y;
     f.records = h.telemetry_report().ranks.at(0).steps;
     return f;
 }
@@ -321,18 +324,18 @@ HaloFields halo_fields(const bp::Subdomain& sub, bool ghosts) {
     HaloFields h;
     for (int f = 0; f < 4; ++f) {
         auto& field = h[static_cast<std::size_t>(f)];
-        field.assign(sub.local_nodes.size(), -1.0);
+        field.assign(sub.local.node_ids.size(), -1.0);
         for (std::size_t ln = 0; ln < field.size(); ++ln)
             if (ghosts || sub.node_owned[ln])
-                field[ln] = halo_value(f, sub.local_nodes[ln]);
+                field[ln] = halo_value(f, sub.local.node_ids[ln]);
     }
-    h[4].assign(sub.local_cells.size(), -1.0);
-    h[5].assign(sub.local_cells.size() * cpc, -1.0);
+    h[4].assign(sub.local.cell_ids.size(), -1.0);
+    h[5].assign(sub.local.cell_ids.size() * cpc, -1.0);
     h[6] = h[5];
-    const auto n_filled = ghosts ? sub.local_cells.size()
+    const auto n_filled = ghosts ? sub.local.cell_ids.size()
                                  : static_cast<std::size_t>(sub.n_owned_cells);
     for (std::size_t lc = 0; lc < n_filled; ++lc) {
-        const Index gc = sub.local_cells[lc];
+        const Index gc = sub.local.cell_ids[lc];
         h[4][lc] = halo_value(4, gc);
         for (int k = 0; k < cpc; ++k) {
             const auto li = lc * cpc + static_cast<std::size_t>(k);
@@ -644,15 +647,15 @@ TEST(DistRemap, ConservationPerRemapExactAtEveryRankCount) {
             bt::run(n_ranks, [&](bt::Comm& comm) {
                 const auto& sub = subs[static_cast<std::size_t>(comm.rank())];
                 bh::State s = bh::allocate(sub.local);
-                for (std::size_t lc = 0; lc < sub.local_cells.size(); ++lc) {
+                for (std::size_t lc = 0; lc < sub.local.cell_ids.size(); ++lc) {
                     const auto gc =
-                        static_cast<std::size_t>(sub.local_cells[lc]);
+                        static_cast<std::size_t>(sub.local.cell_ids[lc]);
                     s.rho[lc] = rig.rho[gc];
                     s.ein[lc] = rig.ein[gc];
                 }
-                for (std::size_t ln = 0; ln < sub.local_nodes.size(); ++ln) {
+                for (std::size_t ln = 0; ln < sub.local.node_ids.size(); ++ln) {
                     const auto gn =
-                        static_cast<std::size_t>(sub.local_nodes[ln]);
+                        static_cast<std::size_t>(sub.local.node_ids[ln]);
                     s.u[ln] = rig.u[gn];
                     s.v[ln] = rig.v[gn];
                 }
@@ -663,22 +666,21 @@ TEST(DistRemap, ConservationPerRemapExactAtEveryRankCount) {
                 lctx.profiler =
                     &profs[static_cast<std::size_t>(comm.rank())];
                 lctx.dt_cells = sub.n_owned_cells;
-                lctx.assembly_corners = &sub.assembly_corners;
-                rig.prepare(lctx, s, sub.local_nodes);
+                rig.prepare(lctx, s, sub.local.node_ids);
 
                 ba::Workspace lw;
                 bd::remap(lctx, s, aopts, lw, comm, sub);
 
                 for (Index lc = 0; lc < sub.n_owned_cells; ++lc) {
                     const auto gc = static_cast<std::size_t>(
-                        sub.local_cells[static_cast<std::size_t>(lc)]);
+                        sub.local.cell_ids[static_cast<std::size_t>(lc)]);
                     g_mass[gc] = s.cell_mass[static_cast<std::size_t>(lc)];
                     g_ein[gc] = s.ein[static_cast<std::size_t>(lc)];
                 }
-                for (std::size_t ln = 0; ln < sub.local_nodes.size(); ++ln) {
+                for (std::size_t ln = 0; ln < sub.local.node_ids.size(); ++ln) {
                     if (!sub.node_owned[ln]) continue;
                     const auto gn =
-                        static_cast<std::size_t>(sub.local_nodes[ln]);
+                        static_cast<std::size_t>(sub.local.node_ids[ln]);
                     g_nmass[gn] = s.node_mass[ln];
                     g_u[gn] = s.u[ln];
                     g_v[gn] = s.v[ln];
@@ -772,8 +774,8 @@ TEST(DistRemap, GhostGradientExchangeMatchesSerial) {
     bt::run(2, [&](bt::Comm& comm) {
         const auto& sub = subs[static_cast<std::size_t>(comm.rank())];
         bh::State s = bh::allocate(sub.local);
-        for (std::size_t lc = 0; lc < sub.local_cells.size(); ++lc) {
-            const auto gc = static_cast<std::size_t>(sub.local_cells[lc]);
+        for (std::size_t lc = 0; lc < sub.local.cell_ids.size(); ++lc) {
+            const auto gc = static_cast<std::size_t>(sub.local.cell_ids[lc]);
             s.rho[lc] = rho[gc];
             s.ein[lc] = ein[gc];
         }
@@ -792,7 +794,7 @@ TEST(DistRemap, GhostGradientExchangeMatchesSerial) {
 
         // Every owned cell matches serial outright; every face-adjacent
         // ghost matches through the exchange.
-        const auto n_local = static_cast<Index>(sub.local_cells.size());
+        const auto n_local = static_cast<Index>(sub.local.cell_ids.size());
         std::vector<std::uint8_t> got(static_cast<std::size_t>(n_local), 0);
         for (Index lc = 0; lc < sub.n_owned_cells; ++lc)
             got[static_cast<std::size_t>(lc)] = 1;
@@ -802,7 +804,7 @@ TEST(DistRemap, GhostGradientExchangeMatchesSerial) {
         for (Index lc = 0; lc < n_local; ++lc) {
             if (!got[static_cast<std::size_t>(lc)]) continue;
             const auto gc = static_cast<std::size_t>(
-                sub.local_cells[static_cast<std::size_t>(lc)]);
+                sub.local.cell_ids[static_cast<std::size_t>(lc)]);
             const auto li = static_cast<std::size_t>(lc);
             EXPECT_EQ(lw.grad_rho_x[li], sw.grad_rho_x[gc])
                 << "rank " << comm.rank() << " cell " << gc;

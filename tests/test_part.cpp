@@ -129,7 +129,7 @@ TEST(Subdomain, OwnedCellsPartitionGlobalMesh) {
     for (const auto& sub : subs)
         for (Index lc = 0; lc < sub.n_owned_cells; ++lc)
             owned_count[static_cast<std::size_t>(
-                sub.local_cells[static_cast<std::size_t>(lc)])]++;
+                sub.local.cell_ids[static_cast<std::size_t>(lc)])]++;
     for (const int c : owned_count) EXPECT_EQ(c, 1);
 }
 
@@ -141,7 +141,7 @@ TEST(Subdomain, LocalMeshesAreConsistent) {
         EXPECT_EQ(bm::check_consistency(sub.local), "");
         EXPECT_GT(sub.n_owned_cells, 0);
         // Ghosts exist for any multi-part decomposition of a connected mesh.
-        EXPECT_GT(sub.local_cells.size(),
+        EXPECT_GT(sub.local.cell_ids.size(),
                   static_cast<std::size_t>(sub.n_owned_cells));
     }
 }
@@ -153,12 +153,12 @@ TEST(Subdomain, GhostLayerIsNodeComplete) {
     const auto part = bp::rcb(m, 4);
     const auto subs = bp::decompose(m, part, 4);
     for (const auto& sub : subs) {
-        std::set<Index> local_cell_set(sub.local_cells.begin(),
-                                       sub.local_cells.end());
+        std::set<Index> local_cell_set(sub.local.cell_ids.begin(),
+                                       sub.local.cell_ids.end());
         for (Index lc = 0; lc < sub.n_owned_cells; ++lc) {
             for (int k = 0; k < 4; ++k) {
                 const Index ln = sub.local.cn(lc, k);
-                const Index gn = sub.local_nodes[static_cast<std::size_t>(ln)];
+                const Index gn = sub.local.node_ids[static_cast<std::size_t>(ln)];
                 for (const Index gc : m.node_cells.row(gn))
                     EXPECT_TRUE(local_cell_set.count(gc))
                         << "rank " << sub.rank << " missing ghost " << gc;
@@ -173,9 +173,9 @@ TEST(Subdomain, NodeOwnershipIsExclusiveAndComplete) {
     const auto subs = bp::decompose(m, part, 4);
     std::vector<int> owners(static_cast<std::size_t>(m.n_nodes()), 0);
     for (const auto& sub : subs)
-        for (std::size_t ln = 0; ln < sub.local_nodes.size(); ++ln)
+        for (std::size_t ln = 0; ln < sub.local.node_ids.size(); ++ln)
             if (sub.node_owned[ln])
-                owners[static_cast<std::size_t>(sub.local_nodes[ln])]++;
+                owners[static_cast<std::size_t>(sub.local.node_ids[ln])]++;
     for (const int o : owners) EXPECT_EQ(o, 1);
 }
 
@@ -212,9 +212,9 @@ TEST(Subdomain, SchedulesAreMutuallyConsistent) {
             ASSERT_NE(match, nullptr);
             ASSERT_EQ(match->send_items.size(), peer.recv_items.size());
             for (std::size_t i = 0; i < peer.recv_items.size(); ++i) {
-                const Index g_recv = sub.local_cells[static_cast<std::size_t>(
+                const Index g_recv = sub.local.cell_ids[static_cast<std::size_t>(
                     peer.recv_items[i])];
-                const Index g_send = other.local_cells[static_cast<std::size_t>(
+                const Index g_send = other.local.cell_ids[static_cast<std::size_t>(
                     match->send_items[i])];
                 EXPECT_EQ(g_recv, g_send);
             }
@@ -227,9 +227,9 @@ TEST(Subdomain, BcMasksSurviveExtraction) {
     const auto part = bp::rcb(m, 2);
     const auto subs = bp::decompose(m, part, 2);
     for (const auto& sub : subs)
-        for (std::size_t ln = 0; ln < sub.local_nodes.size(); ++ln)
+        for (std::size_t ln = 0; ln < sub.local.node_ids.size(); ++ln)
             EXPECT_EQ(sub.local.node_bc[ln],
-                      m.node_bc[static_cast<std::size_t>(sub.local_nodes[ln])]);
+                      m.node_bc[static_cast<std::size_t>(sub.local.node_ids[ln])]);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,14 +241,14 @@ TEST(SubdomainOverlapSets, CellsAndNodesArePartitioned) {
     const auto part = bp::rcb(m, 4);
     const auto subs = bp::decompose(m, part, 4);
     for (const auto& sub : subs) {
-        std::vector<int> cell_seen(sub.local_cells.size(), 0);
+        std::vector<int> cell_seen(sub.local.cell_ids.size(), 0);
         for (const Index c : sub.boundary_cells)
             cell_seen[static_cast<std::size_t>(c)]++;
         for (const Index c : sub.interior_cells)
             cell_seen[static_cast<std::size_t>(c)]++;
         for (const int s : cell_seen) EXPECT_EQ(s, 1);
 
-        std::vector<int> node_seen(sub.local_nodes.size(), 0);
+        std::vector<int> node_seen(sub.local.node_ids.size(), 0);
         for (const Index n : sub.boundary_nodes)
             node_seen[static_cast<std::size_t>(n)]++;
         for (const Index n : sub.interior_nodes)
@@ -267,9 +267,9 @@ TEST(SubdomainOverlapSets, InteriorCellsAreOwnedAndStencilClosed) {
     const auto subs = bp::decompose(m, part, 3);
     for (const auto& sub : subs) {
         const auto& lm = sub.local;
-        std::vector<std::uint8_t> node_near_ghost(sub.local_nodes.size(), 0);
+        std::vector<std::uint8_t> node_near_ghost(sub.local.node_ids.size(), 0);
         for (Index c = sub.n_owned_cells;
-             c < static_cast<Index>(sub.local_cells.size()); ++c)
+             c < static_cast<Index>(sub.local.cell_ids.size()); ++c)
             for (int k = 0; k < 4; ++k)
                 node_near_ghost[static_cast<std::size_t>(lm.cn(c, k))] = 1;
         auto near = [&](Index c) {
