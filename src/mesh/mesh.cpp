@@ -105,30 +105,24 @@ void build_connectivity(Mesh& mesh) {
         util::require(n >= 0 && n < n_nodes,
                       "mesh: cell corner index out of range");
 
-    // Node -> (cell, corner) by counting sort (rows come out ascending by
-    // storage flat id), then each row into canonical order. node_cells
-    // is the same CSR with the corner dropped.
+    // Node -> (cell, corner) by counting sort, filled in canonical cell
+    // order so every row comes out ascending by canonical flat id.
+    // node_cells is the same CSR with the corner dropped.
     auto& nc = mesh.node_corners;
     nc.offsets.assign(static_cast<std::size_t>(n_nodes) + 1, 0);
-    for (const Index n : mesh.cell_nodes) ++nc.offsets[static_cast<std::size_t>(n) + 1];
+    for (const Index n : mesh.cell_nodes)
+        ++nc.offsets[static_cast<std::size_t>(n) + 1];
     for (std::size_t n = 0; n < static_cast<std::size_t>(n_nodes); ++n)
         nc.offsets[n + 1] += nc.offsets[n];
     nc.items.resize(nk);
     {
         std::vector<Index> cursor(nc.offsets.begin(), nc.offsets.end() - 1);
-        for (std::size_t ck = 0; ck < nk; ++ck)
-            nc.items[static_cast<std::size_t>(
-                cursor[static_cast<std::size_t>(mesh.cell_nodes[ck])]++)] =
-                static_cast<Index>(ck);
+        for (const Index c : canonical_order(mesh.cell_ids, n_cells))
+            for (int k = 0; k < corners_per_cell; ++k)
+                nc.items[static_cast<std::size_t>(
+                    cursor[static_cast<std::size_t>(mesh.cn(c, k))]++)] =
+                    c * corners_per_cell + k;
     }
-    if (!mesh.cell_ids.empty())
-        for (Index n = 0; n < n_nodes; ++n)
-            std::sort(nc.items.begin() + nc.offsets[static_cast<std::size_t>(n)],
-                      nc.items.begin() + nc.offsets[static_cast<std::size_t>(n) + 1],
-                      [&](Index p, Index q) {
-                          return canonical_corner(mesh, p) <
-                                 canonical_corner(mesh, q);
-                      });
     mesh.node_cells.offsets = nc.offsets;
     mesh.node_cells.items.resize(nk);
     for (std::size_t i = 0; i < nk; ++i)
@@ -261,23 +255,24 @@ std::vector<std::uint64_t> hilbert_keys(const Mesh& mesh) {
             cx += mesh.x[n];
             cy += mesh.y[n];
         }
+        const auto d = hilbert_d(cell_of(Real(0.25) * cx, *x_lo, *x_hi),
+                                 cell_of(Real(0.25) * cy, *y_lo, *y_hi));
         keys[static_cast<std::size_t>(c)] =
-            hilbert_d(cell_of(Real(0.25) * cx, *x_lo, *x_hi),
-                      cell_of(Real(0.25) * cy, *y_lo, *y_hi));
+            d << 32 | static_cast<std::uint32_t>(mesh.cell_id(c));
     }
     return keys;
 }
 
 Order locality_order(const Mesh& mesh) {
     const auto keys = hilbert_keys(mesh);
+    std::vector<std::pair<std::uint64_t, Index>> sorted(keys.size());
+    for (std::size_t c = 0; c < keys.size(); ++c)
+        sorted[c] = {keys[c], static_cast<Index>(c)};
+    std::sort(sorted.begin(), sorted.end());
     Order order;
     order.cells.resize(keys.size());
-    std::iota(order.cells.begin(), order.cells.end(), 0);
-    std::sort(order.cells.begin(), order.cells.end(), [&](Index a, Index b) {
-        const auto ka = keys[static_cast<std::size_t>(a)];
-        const auto kb = keys[static_cast<std::size_t>(b)];
-        return ka != kb ? ka < kb : mesh.cell_id(a) < mesh.cell_id(b);
-    });
+    for (std::size_t i = 0; i < sorted.size(); ++i)
+        order.cells[i] = sorted[i].second;
     order.nodes = first_touch_nodes(mesh, order.cells);
     return order;
 }

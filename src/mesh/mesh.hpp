@@ -157,8 +157,10 @@ void build_connectivity(Mesh& mesh);
 void renumber(Mesh& mesh, std::span<const Index> cell_order,
               std::span<const Index> node_order);
 
-/// Hilbert-curve key of each cell's centroid on a 2^16 x 2^16 grid over
-/// the nodes' bounding box.
+/// Locality key of each cell: the Hilbert-curve index of its centroid on a
+/// 2^16 x 2^16 grid over the nodes' bounding box in the high 32 bits, its
+/// canonical id in the low 32. Keys are distinct, and cells whose
+/// centroids share a grid point order by canonical id.
 [[nodiscard]] std::vector<std::uint64_t> hilbert_keys(const Mesh& mesh);
 
 /// New-to-old orders for `renumber`.

@@ -78,18 +78,19 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
 
     // Every local mesh is stored in the serial driver's locality order:
     // owned cells by the Hilbert key of their centroid over the global
-    // bounding box, ghosts by (owner, key), ties to the lower global id.
+    // bounding box, ghosts by (owner, key). The key's low half is the
+    // global id, so sorting keys sorts cells.
     const auto key = mesh::hilbert_keys(global);
-    const auto by_key = [&](Index a, Index b) {
-        const auto ka = key[static_cast<std::size_t>(a)];
-        const auto kb = key[static_cast<std::size_t>(b)];
-        return ka != kb ? ka < kb : a < b;
-    };
     std::vector<std::vector<Index>> owned(static_cast<std::size_t>(n_parts));
-    for (Index c = 0; c < n_cells; ++c)
-        owned[static_cast<std::size_t>(part[static_cast<std::size_t>(c)])]
-            .push_back(c);
-    for (auto& own : owned) std::sort(own.begin(), own.end(), by_key);
+    {
+        auto sorted = key;
+        std::sort(sorted.begin(), sorted.end());
+        for (const auto k : sorted) {
+            const auto c = static_cast<Index>(k & 0xffffffffu);
+            owned[static_cast<std::size_t>(part[static_cast<std::size_t>(c)])]
+                .push_back(c);
+        }
+    }
 
     // Global cell -> owner-local id (owned cells are numbered first).
     std::vector<Index> owner_local(static_cast<std::size_t>(n_cells));
@@ -126,7 +127,9 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
         std::sort(ghosts.begin(), ghosts.end(), [&](Index a, Index b) {
             const Index pa = part[static_cast<std::size_t>(a)];
             const Index pb = part[static_cast<std::size_t>(b)];
-            return pa != pb ? pa < pb : by_key(a, b);
+            return pa != pb ? pa < pb
+                            : key[static_cast<std::size_t>(a)] <
+                                  key[static_cast<std::size_t>(b)];
         });
 
         // Local mesh: cells owned-first, nodes in first-touch order; the

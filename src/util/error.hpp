@@ -20,6 +20,11 @@ public:
 inline void require(bool cond, const std::string& msg) {
     if (!cond) throw Error(msg);
 }
+/// As above for a literal message, which builds no string unless the
+/// check fails (set-up loops check every mesh entity).
+inline void require(bool cond, const char* msg) {
+    if (!cond) throw Error(msg);
+}
 
 } // namespace bookleaf::util
 
