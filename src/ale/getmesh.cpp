@@ -12,10 +12,10 @@
 /// previous pass's positions, so nodes are independent (each pass, like
 /// the clamp, is a par::for_each), and the neighbour sum order is the
 /// caller's-id order in any storage order and on every rank — the
-/// property the distributed remap's bitwise contract rests on. The ghost-aware overload calls the TargetSync hook after each
-/// pass (and after the clamp) to overwrite non-owned entries with their
-/// owners' values, since a fringe node's local adjacency row is
-/// incomplete.
+/// property the distributed remap's bitwise contract rests on. The
+/// ghost-aware overload calls the TargetSync hook after each pass (and
+/// after the clamp) to overwrite non-owned entries with their owners'
+/// values, since a fringe node's local adjacency row is incomplete.
 
 #include <algorithm>
 #include <limits>
@@ -39,13 +39,13 @@ const util::Csr& node_adjacency(const mesh::Mesh& mesh, Workspace& w) {
         }
         w.node_adj = util::Csr::from_pairs(mesh.n_nodes(), pairs);
         auto& adj = w.node_adj;
+        const auto row_begin = [&](Index n) {
+            return adj.items.begin() + adj.offsets[static_cast<std::size_t>(n)];
+        };
         for (Index n = 0; n < mesh.n_nodes(); ++n)
-            std::sort(adj.items.begin() + adj.offsets[static_cast<std::size_t>(n)],
-                      adj.items.begin() +
-                          adj.offsets[static_cast<std::size_t>(n) + 1],
-                      [&](Index a, Index b) {
-                          return mesh.node_id(a) < mesh.node_id(b);
-                      });
+            std::sort(row_begin(n), row_begin(n + 1), [&](Index a, Index b) {
+                return mesh.node_id(a) < mesh.node_id(b);
+            });
     }
     return w.node_adj;
 }

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "perfmodel/calibrate.hpp"
-#include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -24,27 +23,16 @@ std::string history_header_line() {
     return line;
 }
 
-/// field[i] := field[order[i]] (an empty field stays empty).
-void reorder(std::vector<Real>& field, const std::vector<Index>& order) {
-    if (field.empty()) return;
-    util::require(field.size() == order.size(),
-                  "Hydro: initial-condition size disagrees with the mesh");
-    std::vector<Real> out(order.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        out[i] = field[static_cast<std::size_t>(order[i])];
-    field = std::move(out);
-}
-
 /// Store the problem in locality order: the mesh along the Hilbert curve
 /// of its cell centroids (mesh::locality_order), the initial conditions
 /// with it. The mesh keeps the caller's numbering as its canonical ids.
 void store_in_locality_order(setup::Problem& p) {
     const auto order = mesh::locality_order(p.mesh);
     mesh::renumber(p.mesh, order.cells, order.nodes);
-    reorder(p.rho, order.cells);
-    reorder(p.ein, order.cells);
-    reorder(p.u, order.nodes);
-    reorder(p.v, order.nodes);
+    p.rho = mesh::reordered(p.rho, order.cells);
+    p.ein = mesh::reordered(p.ein, order.cells);
+    p.u = mesh::reordered(p.u, order.nodes);
+    p.v = mesh::reordered(p.v, order.nodes);
 }
 
 } // namespace

@@ -6,6 +6,12 @@
 /// dist::run shares; this driver supplies the serial step mechanics and
 /// owns the state, the kernel context, the ALE workspace, the per-run
 /// profiler and the run's outputs (history CSV, checkpoints, telemetry).
+///
+/// The driver stores its problem in locality order (mesh::locality_order)
+/// and keeps the caller's numbering as the mesh's canonical ids. The
+/// trajectory is bitwise the caller's-order one; snapshots, checkpoints,
+/// totals and reported cell ids are in the caller's numbering, while
+/// state(), mesh() and problem() are in storage order.
 
 #include <memory>
 #include <optional>
@@ -34,7 +40,8 @@ struct RunSummary {
 
 class Hydro {
 public:
-    /// Takes ownership of the problem (mesh, materials, IC, options).
+    /// Takes ownership of the problem (mesh, materials, IC, options) and
+    /// renumbers its mesh and initial conditions into locality order.
     explicit Hydro(setup::Problem problem);
 
     /// Restore from a checkpoint: the problem supplies the mesh, materials
@@ -75,7 +82,7 @@ public:
 
     /// Capture the current state + clock as a Snapshot (including the
     /// unclamped dt growth reference and the health-guard re-growth
-    /// ceiling).
+    /// ceiling), in the caller's numbering.
     [[nodiscard]] ckpt::Snapshot snapshot() const {
         const Clock& c = stepper_.clock();
         return ckpt::capture(problem_.mesh, state_, c.t, c.dt, c.steps,
@@ -98,6 +105,8 @@ public:
     /// that ends in run() and then writes again reports once.
     void write_telemetry() const;
 
+    /// The state, mesh and problem in storage (locality) order;
+    /// mesh().cell_ids and mesh().node_ids name each entity's caller id.
     [[nodiscard]] const hydro::State& state() const { return state_; }
     [[nodiscard]] hydro::State& state() { return state_; }
     [[nodiscard]] const mesh::Mesh& mesh() const { return problem_.mesh; }

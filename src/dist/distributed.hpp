@@ -179,10 +179,10 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
 ///      results {cell_mass, ein} and the dual-mesh results {cnmass,
 ///      dflux} — ghost dual fluxes are not locally computable (their far
 ///      faces leave the subdomain) yet drive owned-node momentum.
-/// Inside dist::run, a rank with a pool runs 3-4 on a remap-flux graph it builds
-/// once per attempt (the gradient exchange overlaps the interior fluxes);
-/// this entry point holds no graph and runs the blocking sequence, with
-/// bitwise the same result.
+/// Inside dist::run, a rank with a pool runs 3-4 on a remap-flux graph it
+/// builds once per attempt (the gradient exchange overlaps the interior
+/// fluxes); this entry point holds no graph and runs the blocking
+/// sequence, with bitwise the same result.
 void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
            ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub);
 

@@ -12,10 +12,10 @@
 /// Bitwise contract: the graph changes only *when* work runs, never what
 /// it computes. Every task writes slots no concurrent task touches, every
 /// cross-entity reduction is a gather replaying the serial deposition
-/// order (the mesh's node_corners), and the two boundary-condition fixups run
-/// as single serial tasks exactly where the fork-join sequence applies
-/// them — so graph results are bitwise identical to the fork-join path at
-/// any thread count and block size.
+/// order (the mesh's node_corners), and the two boundary-condition
+/// fixups run as single serial tasks exactly where the fork-join sequence
+/// applies them — so graph results are bitwise identical to the fork-join
+/// path at any thread count and block size.
 ///
 /// The graph is built once per (mesh, exec) configuration — the driver
 /// rebuilds it when the execution policy changes — and re-run every step

@@ -96,9 +96,11 @@ Mesh permute(const Mesh& mesh, util::SplitMix64& rng) {
     out.cell_ids.resize(cell_perm.size());
     out.node_ids.resize(node_perm.size());
     for (std::size_t i = 0; i < cell_perm.size(); ++i)
-        out.cell_ids[static_cast<std::size_t>(cell_perm[i])] = static_cast<Index>(i);
+        out.cell_ids[static_cast<std::size_t>(cell_perm[i])] =
+            static_cast<Index>(i);
     for (std::size_t i = 0; i < node_perm.size(); ++i)
-        out.node_ids[static_cast<std::size_t>(node_perm[i])] = static_cast<Index>(i);
+        out.node_ids[static_cast<std::size_t>(node_perm[i])] =
+            static_cast<Index>(i);
     renumber(out, cell_perm, node_perm);
     return out;
 }

@@ -57,17 +57,6 @@ std::uint64_t hilbert_d(std::uint32_t x, std::uint32_t y) {
     return d;
 }
 
-/// out[i] = in[order[i]].
-template <typename T>
-std::vector<T> gathered(const std::vector<T>& in,
-                        std::span<const Index> order) {
-    if (in.empty()) return {};
-    std::vector<T> out(order.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        out[i] = in[static_cast<std::size_t>(order[i])];
-    return out;
-}
-
 /// Composed canonical ids of a renumbering, cleared when the identity.
 std::vector<Index> composed_ids(std::span<const Index> order,
                                 const auto& id_of) {
@@ -226,11 +215,11 @@ void renumber(Mesh& mesh, std::span<const Index> cell_order,
                 new_node[static_cast<std::size_t>(mesh.cn(old, k))];
     }
 
-    mesh.x = gathered(mesh.x, node_order);
-    mesh.y = gathered(mesh.y, node_order);
-    mesh.node_bc = gathered(mesh.node_bc, node_order);
+    mesh.x = reordered(mesh.x, node_order);
+    mesh.y = reordered(mesh.y, node_order);
+    mesh.node_bc = reordered(mesh.node_bc, node_order);
     mesh.cell_nodes = std::move(cell_nodes);
-    mesh.cell_region = gathered(mesh.cell_region, cell_order);
+    mesh.cell_region = reordered(mesh.cell_region, cell_order);
     mesh.cell_ids =
         composed_ids(cell_order, [&](Index c) { return mesh.cell_id(c); });
     mesh.node_ids =
@@ -292,22 +281,23 @@ std::vector<Index> first_touch_nodes(const Mesh& mesh,
 }
 
 std::vector<Index> canonical_order(std::span<const Index> ids, Index n) {
-    std::vector<Index> order(static_cast<std::size_t>(n), no_index);
+    std::vector<Index> order(static_cast<std::size_t>(n));
+    std::iota(order.begin(), order.end(), 0);
+    if (ids.empty()) return order;
     // A permutation of [0, n) (a whole mesh) inverts in one pass; other
     // ids (a subdomain's global ids) sort.
-    bool dense = !ids.empty();
+    std::vector<Index> inverse(order.size(), no_index);
+    bool dense = true;
     for (std::size_t i = 0; dense && i < ids.size(); ++i) {
-        const Index id = ids[i];
-        dense = id >= 0 && id < n && order[static_cast<std::size_t>(id)] == no_index;
-        if (dense) order[static_cast<std::size_t>(id)] = static_cast<Index>(i);
+        const auto id = static_cast<std::size_t>(ids[i]);
+        dense = id < inverse.size() && inverse[id] == no_index;
+        if (dense) inverse[id] = static_cast<Index>(i);
     }
-    if (dense) return order;
-    std::iota(order.begin(), order.end(), 0);
-    if (!ids.empty())
-        std::sort(order.begin(), order.end(), [&](Index a, Index b) {
-            return ids[static_cast<std::size_t>(a)] <
-                   ids[static_cast<std::size_t>(b)];
-        });
+    if (dense) return inverse;
+    std::sort(order.begin(), order.end(), [&](Index a, Index b) {
+        return ids[static_cast<std::size_t>(a)] <
+               ids[static_cast<std::size_t>(b)];
+    });
     return order;
 }
 

@@ -11,10 +11,11 @@
 /// A mesh may be stored in another order than its caller numbered it
 /// (`renumber`; both drivers store theirs in locality order). It then
 /// keeps the caller's numbering as *canonical ids*, and every
-/// order-sensitive table follows them: face orientation, the node_corners
-/// and node_cells row orders. Those are the only places where numbering
-/// reaches a floating-point result, so a renumbered mesh computes the
-/// bytes of the caller's.
+/// order-sensitive table follows them: face orientation and the
+/// node_corners and node_cells row orders here, the ALE smoothing's
+/// adjacency rows in ale::Workspace. Those are the only places where
+/// numbering reaches a floating-point result, so a renumbered mesh
+/// computes the bytes of the caller's.
 
 #include <cstdint>
 #include <span>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "util/csr.hpp"
+#include "util/error.hpp"
 #include "util/types.hpp"
 
 namespace bookleaf::mesh {
@@ -156,6 +158,20 @@ void build_connectivity(Mesh& mesh);
 /// cleared) and rebuilds the connectivity.
 void renumber(Mesh& mesh, std::span<const Index> cell_order,
               std::span<const Index> node_order);
+
+/// A per-entity field carried through `renumber`: out[i] = field[order[i]]
+/// for the same `order`. An empty field stays empty.
+template <typename T>
+[[nodiscard]] std::vector<T> reordered(const std::vector<T>& field,
+                                       std::span<const Index> order) {
+    if (field.empty()) return {};
+    util::require(field.size() == order.size(),
+                  "reordered: field size disagrees with the order");
+    std::vector<T> out(order.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        out[i] = field[static_cast<std::size_t>(order[i])];
+    return out;
+}
 
 /// Locality key of each cell: the Hilbert-curve index of its centroid on a
 /// 2^16 x 2^16 grid over the nodes' bounding box in the high 32 bits, its

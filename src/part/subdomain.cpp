@@ -141,7 +141,7 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
         const auto n_local_cells = static_cast<Index>(lm.cell_ids.size());
         const auto n_local_nodes = static_cast<Index>(lm.node_ids.size());
         for (Index ln = 0; ln < n_local_nodes; ++ln)
-            node_local[static_cast<std::size_t>(lm.node_ids[static_cast<std::size_t>(ln)])] = ln;
+            node_local[static_cast<std::size_t>(lm.node_id(ln))] = ln;
 
         lm.x.resize(lm.node_ids.size());
         lm.y.resize(lm.node_ids.size());

@@ -860,3 +860,52 @@ TEST(DistRemap, MessageCountMatchesMetadata) {
             << (cs.mode == ba::Mode::eulerian ? "eulerian" : "ale");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Errors name the caller's cell in both drivers
+// ---------------------------------------------------------------------------
+
+TEST(DistErrors, TangledCellIsNamedByItsCallerIdInBothDrivers) {
+    // Noh 8x8 with its top-right corner node thrown far across the only
+    // cell it belongs to: the first predictor tangles exactly that cell.
+    auto p = bookleaf::setup::noh(8);
+    Index corner = bookleaf::no_index;
+    for (Index n = 0; n < p.mesh.n_nodes(); ++n)
+        if (p.mesh.x[static_cast<std::size_t>(n)] == 1.0 &&
+            p.mesh.y[static_cast<std::size_t>(n)] == 1.0)
+            corner = n;
+    ASSERT_NE(corner, bookleaf::no_index);
+    ASSERT_EQ(p.mesh.node_cells.row(corner).size(), 1u);
+    const Index cell = p.mesh.node_cells.row(corner)[0];
+    p.u[static_cast<std::size_t>(corner)] = -1e6;
+    p.v[static_cast<std::size_t>(corner)] = -1e6;
+    const std::string expected =
+        "non-positive volume in cell " + std::to_string(cell) + " ";
+
+    bookleaf::core::Hydro h(p);
+    // The serial driver stores the cell under another id.
+    Index stored = bookleaf::no_index;
+    for (Index c = 0; c < h.mesh().n_cells(); ++c)
+        if (h.mesh().cell_id(c) == cell) stored = c;
+    ASSERT_NE(stored, cell);
+    try {
+        h.step();
+        FAIL() << "expected a tangled-cell error";
+    } catch (const bookleaf::util::Error& e) {
+        EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+            << e.what();
+    }
+
+    bd::Options opts;
+    opts.n_ranks = 2;
+    opts.t_end = p.t_end;
+    opts.max_steps = 1;
+    opts.hydro = p.hydro;
+    try {
+        (void)bd::run(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, opts);
+        FAIL() << "expected a tangled-cell error";
+    } catch (const bookleaf::util::Error& e) {
+        EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+            << e.what();
+    }
+}

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
 #include <set>
 #include <string>
 
@@ -147,7 +149,24 @@ TEST(MeshConnectivity, NodeCornersCoverEveryCornerExactlyOnce) {
 TEST(MeshConsistency, DetectsCorruptNodeCorners) {
     auto m = bm::generate_rect({.nx = 3, .ny = 2});
     ASSERT_EQ(check_consistency(m), "");
-    std::swap(m.node_corners.items[0], m.node_corners.items[1]);
+    auto swapped = m;
+    std::swap(swapped.node_corners.items[0], swapped.node_corners.items[1]);
+    EXPECT_NE(check_consistency(swapped), "");
+
+    // On a renumbered mesh: two entries of one row swapped stay under the
+    // right node but leave canonical order.
+    bu::SplitMix64 rng(11);
+    m = bm::permute(m, rng);
+    const auto order = bm::locality_order(m);
+    bm::renumber(m, order.cells, order.nodes);
+    ASSERT_EQ(check_consistency(m), "");
+    Index interior = bookleaf::no_index;
+    for (Index n = 0; n < m.n_nodes(); ++n)
+        if (m.node_corners.row(n).size() == 4) interior = n;
+    ASSERT_NE(interior, bookleaf::no_index);
+    const auto at = static_cast<std::size_t>(
+        m.node_corners.offsets[static_cast<std::size_t>(interior)]);
+    std::swap(m.node_corners.items[at], m.node_corners.items[at + 1]);
     EXPECT_NE(check_consistency(m), "");
 }
 
@@ -330,6 +349,204 @@ TEST(MeshConsistency, DetectsCorruptContinuationTable) {
     EXPECT_NE(check_consistency(boundary), "");
     m.continuation.pop_back();
     EXPECT_NE(check_consistency(m), "");
+}
+
+// ---------------------------------------------------------------------------
+// Renumbering: canonical ids, face orientation, row orders
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A uniformly random permutation of [0, n).
+std::vector<Index> random_order(Index n, bu::SplitMix64& rng) {
+    std::vector<Index> order(static_cast<std::size_t>(n));
+    std::iota(order.begin(), order.end(), 0);
+    for (Index i = n - 1; i > 0; --i)
+        std::swap(order[static_cast<std::size_t>(i)],
+                  order[rng.uniform_index(static_cast<std::uint64_t>(i) + 1)]);
+    return order;
+}
+
+std::vector<Index> inverse(const std::vector<Index>& order) {
+    std::vector<Index> inv(order.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        inv[static_cast<std::size_t>(order[i])] = static_cast<Index>(i);
+    return inv;
+}
+
+/// The raw bytes of a table, for byte-for-byte comparisons.
+template <typename T>
+std::string bytes(const std::vector<T>& v) {
+    std::string out(v.size() * sizeof(T), '\0');
+    if (!v.empty()) std::memcpy(out.data(), v.data(), out.size());
+    return out;
+}
+
+bm::Mesh skewed_mesh() {
+    bm::RectSpec spec{.x0 = 0, .x1 = 1, .y0 = 0, .y1 = 0.1, .nx = 20, .ny = 10};
+    spec.map = bm::saltzmann_map;
+    return bm::generate_rect(spec);
+}
+
+} // namespace
+
+TEST(MeshRenumber, RandomOrdersKeepTheCanonicalContract) {
+    for (const auto& original :
+         {bm::generate_rect({.nx = 11, .ny = 8}), skewed_mesh()}) {
+        for (const std::uint64_t seed : {5, 6, 7}) {
+            bu::SplitMix64 rng(seed);
+            auto m = original;
+            const auto cells = random_order(m.n_cells(), rng);
+            const auto nodes = random_order(m.n_nodes(), rng);
+            bm::renumber(m, cells, nodes);
+            const std::string what = "seed " + std::to_string(seed);
+            ASSERT_EQ(check_consistency(m), "") << what;
+            for (Index c = 0; c < m.n_cells(); ++c)
+                ASSERT_EQ(m.cell_id(c), cells[static_cast<std::size_t>(c)]);
+            for (Index n = 0; n < m.n_nodes(); ++n)
+                ASSERT_EQ(m.node_id(n), nodes[static_cast<std::size_t>(n)]);
+
+            // Every interior face is oriented from the lower canonical id,
+            // and is the caller's face with the caller's orientation.
+            for (const auto& f : m.faces) {
+                const Index left = m.cell_id(f.left);
+                const auto& g = original.faces[static_cast<std::size_t>(
+                    original.face_of(left, f.k_left))];
+                EXPECT_EQ(g.left, left) << what;
+                EXPECT_EQ(g.a, m.node_id(f.a)) << what;
+                EXPECT_EQ(g.b, m.node_id(f.b)) << what;
+                if (f.right == bookleaf::no_index) {
+                    EXPECT_EQ(g.right, bookleaf::no_index) << what;
+                    continue;
+                }
+                EXPECT_LT(left, m.cell_id(f.right)) << what;
+                EXPECT_EQ(g.right, m.cell_id(f.right)) << what;
+            }
+
+            // node_corners rows ascend by canonical flat id: each is the
+            // caller's row, entry for entry.
+            for (Index n = 0; n < m.n_nodes(); ++n) {
+                const auto row = m.node_corners.row(n);
+                const auto want = original.node_corners.row(m.node_id(n));
+                ASSERT_EQ(row.size(), want.size()) << what;
+                for (std::size_t i = 0; i < row.size(); ++i)
+                    EXPECT_EQ(m.cell_id(row[i] / 4) * 4 + row[i] % 4, want[i])
+                        << what << ": node " << n;
+            }
+        }
+    }
+}
+
+TEST(MeshRenumber, InverseOrdersRestoreEveryTable) {
+    const auto original = skewed_mesh();
+    bu::SplitMix64 rng(41);
+    auto m = original;
+    const auto cells = random_order(m.n_cells(), rng);
+    const auto nodes = random_order(m.n_nodes(), rng);
+    bm::renumber(m, cells, nodes);
+    bm::renumber(m, inverse(cells), inverse(nodes));
+    EXPECT_TRUE(m.cell_ids.empty());
+    EXPECT_TRUE(m.node_ids.empty());
+    EXPECT_EQ(bytes(m.x), bytes(original.x));
+    EXPECT_EQ(bytes(m.y), bytes(original.y));
+    EXPECT_EQ(bytes(m.cell_nodes), bytes(original.cell_nodes));
+    EXPECT_EQ(bytes(m.cell_region), bytes(original.cell_region));
+    EXPECT_EQ(bytes(m.node_bc), bytes(original.node_bc));
+    EXPECT_EQ(bytes(m.cell_neigh), bytes(original.cell_neigh));
+    EXPECT_EQ(bytes(m.cell_face), bytes(original.cell_face));
+    EXPECT_EQ(bytes(m.faces), bytes(original.faces));
+    EXPECT_EQ(bytes(m.node_cells.offsets), bytes(original.node_cells.offsets));
+    EXPECT_EQ(bytes(m.node_cells.items), bytes(original.node_cells.items));
+    EXPECT_EQ(bytes(m.node_corners.offsets),
+              bytes(original.node_corners.offsets));
+    EXPECT_EQ(bytes(m.node_corners.items), bytes(original.node_corners.items));
+    EXPECT_EQ(bytes(m.continuation), bytes(original.continuation));
+}
+
+TEST(MeshRenumber, LocalityOrderFollowsTheHilbertKey) {
+    bu::SplitMix64 rng(3);
+    auto m = bm::permute(bm::generate_rect({.nx = 16, .ny = 16}), rng);
+    const auto keys = bm::hilbert_keys(m);
+    const auto order = bm::locality_order(m);
+    for (std::size_t i = 1; i < order.cells.size(); ++i)
+        EXPECT_LT(keys[static_cast<std::size_t>(order.cells[i - 1])],
+                  keys[static_cast<std::size_t>(order.cells[i])]);
+    // Nodes in first-touch order: each node's first cell comes no later
+    // than the next node's.
+    std::vector<Index> rank(static_cast<std::size_t>(m.n_cells()));
+    for (std::size_t i = 0; i < order.cells.size(); ++i)
+        rank[static_cast<std::size_t>(order.cells[i])] = static_cast<Index>(i);
+    Index prev = 0;
+    for (const Index n : order.nodes) {
+        Index first = m.n_cells();
+        for (const Index c : m.node_cells.row(n))
+            first = std::min(first, rank[static_cast<std::size_t>(c)]);
+        EXPECT_GE(first, prev);
+        prev = first;
+    }
+}
+
+namespace {
+
+/// Checks m's faces against a brute-force search that compares every
+/// edge with every other: the cells sharing an edge, the face numbering
+/// (storage order of first sighting) and the orientation (left = lower
+/// canonical id).
+void check_faces(const bm::Mesh& m, const std::string& what) {
+    std::vector<Index> expected_face(static_cast<std::size_t>(m.n_cells()) * 4,
+                                     bookleaf::no_index);
+    Index next_face = 0;
+    for (Index c = 0; c < m.n_cells(); ++c)
+        for (int k = 0; k < 4; ++k) {
+            const Index a = m.cn(c, k);
+            const Index b = m.cn(c, (k + 1) % 4);
+            Index other = bookleaf::no_index;
+            int k_other = -1;
+            for (Index c2 = 0; c2 < m.n_cells(); ++c2)
+                for (int k2 = 0; k2 < 4; ++k2) {
+                    if (c2 == c && k2 == k) continue;
+                    const Index a2 = m.cn(c2, k2);
+                    const Index b2 = m.cn(c2, (k2 + 1) % 4);
+                    if ((a2 == a && b2 == b) || (a2 == b && b2 == a)) {
+                        EXPECT_EQ(other, bookleaf::no_index) << what;
+                        other = c2;
+                        k_other = k2;
+                    }
+                }
+            EXPECT_EQ(m.neighbor(c, k), other) << what << ": cell " << c;
+            const auto slot = static_cast<std::size_t>(c) * 4 +
+                              static_cast<std::size_t>(k);
+            if (expected_face[slot] == bookleaf::no_index) {
+                expected_face[slot] = next_face++;
+                if (other != bookleaf::no_index)
+                    expected_face[static_cast<std::size_t>(other) * 4 +
+                                  static_cast<std::size_t>(k_other)] =
+                        expected_face[slot];
+            }
+            EXPECT_EQ(m.face_of(c, k), expected_face[slot])
+                << what << ": cell " << c << " face " << k;
+            const auto& f = m.faces[static_cast<std::size_t>(m.face_of(c, k))];
+            const bool lower = other == bookleaf::no_index ||
+                               m.cell_id(c) < m.cell_id(other);
+            EXPECT_EQ(f.left, lower ? c : other) << what;
+            EXPECT_EQ(f.k_left, lower ? k : k_other) << what;
+        }
+    EXPECT_EQ(m.n_faces(), next_face) << what;
+}
+
+} // namespace
+
+TEST(MeshConnectivity, FacesMatchBruteForceOnGridPermutedSkewedAndRenumbered) {
+    const auto grid = bm::generate_rect({.nx = 9, .ny = 7});
+    check_faces(grid, "grid");
+    bu::SplitMix64 rng(2024);
+    check_faces(bm::permute(grid, rng), "permuted");
+    check_faces(skewed_mesh(), "saltzmann");
+    auto renumbered = skewed_mesh();
+    const auto order = bm::locality_order(renumbered);
+    bm::renumber(renumbered, order.cells, order.nodes);
+    check_faces(renumbered, "renumbered");
+    check_continuations(renumbered, "renumbered");
 }
 
 class MeshPermuteProperty : public ::testing::TestWithParam<std::uint64_t> {};
