@@ -315,12 +315,6 @@ std::string check_consistency(const Mesh& mesh) {
     if (!mesh.node_ids.empty() &&
         mesh.node_ids.size() != static_cast<std::size_t>(n_nodes))
         return "node_ids size mismatch";
-    for (const auto* ids : {&mesh.cell_ids, &mesh.node_ids}) {
-        auto sorted = *ids;
-        std::sort(sorted.begin(), sorted.end());
-        if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
-            return "duplicate canonical id";
-    }
     if (mesh.cell_neigh.size() !=
         static_cast<std::size_t>(n_cells) * corners_per_cell)
         return "cell_neigh size mismatch (connectivity not built?)";
