@@ -295,11 +295,10 @@ TEST(MeshContinuation, SubdomainHaloEdgesHaveNoContinuation) {
         // Count the halo-edge entries: locally no neighbour, globally one.
         int halo_edge = 0;
         for (Index c = sub.n_owned_cells; c < m.n_cells(); ++c) {
-            const Index gc = sub.local.cell_ids[static_cast<std::size_t>(c)];
+            const Index gc = m.cell_id(c);
             for (int f = 0; f < 4; ++f) {
                 if (m.neighbor(c, f) != bookleaf::no_index) continue;
-                const Index ga =
-                    sub.local.node_ids[static_cast<std::size_t>(m.cn(c, f))];
+                const Index ga = m.node_id(m.cn(c, f));
                 for (int gf = 0; gf < 4; ++gf)
                     if (global.cn(gc, gf) == ga &&
                         global.neighbor(gc, gf) != bookleaf::no_index) {
@@ -321,14 +320,14 @@ TEST(MeshContinuation, SubdomainHaloEdgesHaveNoContinuation) {
         // Owned cells see their full global stencil: an owned cell's
         // continuation is "none" exactly where the global mesh's is.
         for (Index c = 0; c < sub.n_owned_cells; ++c) {
-            const Index gc = sub.local.cell_ids[static_cast<std::size_t>(c)];
+            const Index gc = m.cell_id(c);
             for (int k = 0; k < 4; ++k)
                 for (int side = 0; side < 2; ++side) {
                     const Index local = m.continuation_node(c, k, side);
                     const Index as_global =
                         local == bookleaf::no_index
                             ? bookleaf::no_index
-                            : sub.local.node_ids[static_cast<std::size_t>(local)];
+                            : sub.local.node_id(local);
                     EXPECT_EQ(as_global, global.continuation_node(gc, k, side))
                         << what << ": owned cell " << c;
                 }

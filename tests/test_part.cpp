@@ -158,7 +158,7 @@ TEST(Subdomain, GhostLayerIsNodeComplete) {
         for (Index lc = 0; lc < sub.n_owned_cells; ++lc) {
             for (int k = 0; k < 4; ++k) {
                 const Index ln = sub.local.cn(lc, k);
-                const Index gn = sub.local.node_ids[static_cast<std::size_t>(ln)];
+                const Index gn = sub.local.node_id(ln);
                 for (const Index gc : m.node_cells.row(gn))
                     EXPECT_TRUE(local_cell_set.count(gc))
                         << "rank " << sub.rank << " missing ghost " << gc;
@@ -212,10 +212,8 @@ TEST(Subdomain, SchedulesAreMutuallyConsistent) {
             ASSERT_NE(match, nullptr);
             ASSERT_EQ(match->send_items.size(), peer.recv_items.size());
             for (std::size_t i = 0; i < peer.recv_items.size(); ++i) {
-                const Index g_recv = sub.local.cell_ids[static_cast<std::size_t>(
-                    peer.recv_items[i])];
-                const Index g_send = other.local.cell_ids[static_cast<std::size_t>(
-                    match->send_items[i])];
+                const Index g_recv = sub.local.cell_id(peer.recv_items[i]);
+                const Index g_send = other.local.cell_id(match->send_items[i]);
                 EXPECT_EQ(g_recv, g_send);
             }
         }
@@ -227,9 +225,11 @@ TEST(Subdomain, BcMasksSurviveExtraction) {
     const auto part = bp::rcb(m, 2);
     const auto subs = bp::decompose(m, part, 2);
     for (const auto& sub : subs)
-        for (std::size_t ln = 0; ln < sub.local.node_ids.size(); ++ln)
-            EXPECT_EQ(sub.local.node_bc[ln],
-                      m.node_bc[static_cast<std::size_t>(sub.local.node_ids[ln])]);
+        for (Index ln = 0; ln < sub.local.n_nodes(); ++ln) {
+            const auto g = static_cast<std::size_t>(sub.local.node_id(ln));
+            EXPECT_EQ(sub.local.node_bc[static_cast<std::size_t>(ln)],
+                      m.node_bc[g]);
+        }
 }
 
 // ---------------------------------------------------------------------------
