@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
                     problem.name.c_str(), problem.mesh.n_cells(),
                     problem.mesh.n_nodes(), problem.t_end);
 
+        const Real t_end = problem.t_end;
         std::unique_ptr<core::Hydro> hydro_ptr;
         if (restart.empty()) {
             hydro_ptr = std::make_unique<core::Hydro>(std::move(problem));
@@ -94,7 +95,6 @@ int main(int argc, char** argv) {
         const int banner_every = cli.get_int("banner-every", 100);
 
         const auto initial = hydro.totals();
-        const Real t_end = hydro.problem().t_end;
         util::Timer timer;
         while (hydro.time() < t_end * (Real(1) - eps) &&
                hydro.steps() < max_steps && !hydro.halted()) {

@@ -20,7 +20,7 @@ using namespace bookleaf;
 
 namespace {
 
-Real shock_radius(const core::Hydro& h) {
+Real shock_radius(core::Hydro& h) {
     Real best_r = 0, best_rho = 0;
     for (Index c = 0; c < h.mesh().n_cells(); ++c) {
         Real cx = 0, cy = 0;

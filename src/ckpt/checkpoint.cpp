@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <span>
 #include <utility>
 
 #include "hydro/kernels.hpp"
@@ -58,31 +57,6 @@ T get(std::istream& in, const std::string& path, const char* what) {
     return v;
 }
 
-/// `in` (`width` values per storage entity) in canonical order: the
-/// values of storage entity i land at canonical slot ids[i].
-template <typename T>
-std::vector<T> to_canonical(std::span<const T> in,
-                            const std::vector<Index>& ids,
-                            std::size_t width = 1) {
-    std::vector<T> out(in.begin(), in.end());
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        for (std::size_t k = 0; k < width; ++k)
-            out[static_cast<std::size_t>(ids[i]) * width + k] =
-                in[i * width + k];
-    return out;
-}
-
-/// The inverse of to_canonical, into a state field.
-void from_canonical(const std::vector<Real>& in,
-                    const std::vector<Index>& ids, hydro::Field& out,
-                    std::size_t width = 1) {
-    out.assign(in.begin(), in.end());
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        for (std::size_t k = 0; k < width; ++k)
-            out[i * width + k] =
-                in[static_cast<std::size_t>(ids[i]) * width + k];
-}
-
 std::size_t expected_count(Kind kind, std::int64_t n_nodes,
                            std::int64_t n_cells) {
     switch (kind) {
@@ -108,14 +82,16 @@ std::uint64_t mesh_hash(const mesh::Mesh& mesh) {
         h = util::fnv1a(h, vec.data(), vec.size() * sizeof(vec[0]));
     };
     // The caller's mesh: every table in canonical order and numbering.
+    const auto nodes = mesh::canonical_order(mesh.node_ids, mesh.n_nodes());
+    const auto cells = mesh::canonical_order(mesh.cell_ids, mesh.n_cells());
     std::vector<Index> cell_nodes(mesh.cell_nodes.size());
     for (std::size_t i = 0; i < cell_nodes.size(); ++i)
         cell_nodes[i] = mesh.node_id(mesh.cell_nodes[i]);
-    over(to_canonical<Real>(mesh.x, mesh.node_ids));
-    over(to_canonical<Real>(mesh.y, mesh.node_ids));
-    over(to_canonical<Index>(cell_nodes, mesh.cell_ids, corners_per_cell));
-    over(to_canonical<Index>(mesh.cell_region, mesh.cell_ids));
-    over(to_canonical<std::uint8_t>(mesh.node_bc, mesh.node_ids));
+    over(mesh::reordered(mesh.x, nodes));
+    over(mesh::reordered(mesh.y, nodes));
+    over(mesh::reordered(cell_nodes, cells, corners_per_cell));
+    over(mesh::reordered(mesh.cell_region, cells));
+    over(mesh::reordered(mesh.node_bc, nodes));
     return h;
 }
 
@@ -284,18 +260,19 @@ Snapshot capture(const mesh::Mesh& mesh, const hydro::State& s, Real t,
     snap.t = t;
     snap.dt = dt;
     snap.regrow = regrow;
-    const auto& nodes = mesh.node_ids;
-    const auto& cells = mesh.cell_ids;
-    snap.x = to_canonical<Real>(s.x, nodes);
-    snap.y = to_canonical<Real>(s.y, nodes);
-    snap.u = to_canonical<Real>(s.u, nodes);
-    snap.v = to_canonical<Real>(s.v, nodes);
-    snap.node_mass = to_canonical<Real>(s.node_mass, nodes);
-    snap.rho = to_canonical<Real>(s.rho, cells);
-    snap.ein = to_canonical<Real>(s.ein, cells);
-    snap.q = to_canonical<Real>(s.q, cells);
-    snap.cell_mass = to_canonical<Real>(s.cell_mass, cells);
-    snap.cnmass = to_canonical<Real>(s.cnmass, cells, corners_per_cell);
+    const auto nodes = mesh::canonical_order(mesh.node_ids, mesh.n_nodes());
+    const auto cells = mesh::canonical_order(mesh.cell_ids, mesh.n_cells());
+    using Out = std::vector<Real>;
+    snap.x = mesh::reordered<Out>(s.x, nodes);
+    snap.y = mesh::reordered<Out>(s.y, nodes);
+    snap.u = mesh::reordered<Out>(s.u, nodes);
+    snap.v = mesh::reordered<Out>(s.v, nodes);
+    snap.node_mass = mesh::reordered<Out>(s.node_mass, nodes);
+    snap.rho = mesh::reordered<Out>(s.rho, cells);
+    snap.ein = mesh::reordered<Out>(s.ein, cells);
+    snap.q = mesh::reordered<Out>(s.q, cells);
+    snap.cell_mass = mesh::reordered<Out>(s.cell_mass, cells);
+    snap.cnmass = mesh::reordered<Out>(s.cnmass, cells, corners_per_cell);
     return snap;
 }
 
@@ -316,18 +293,20 @@ void restore(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
     util::require(snapshot.n_nodes() == mesh.n_nodes() &&
                       snapshot.n_cells() == mesh.n_cells(),
                   "ckpt: snapshot entity counts disagree with the mesh");
+    // Storage entity i is canonical entity id(i): the ids are the order.
     const auto& nodes = mesh.node_ids;
     const auto& cells = mesh.cell_ids;
-    from_canonical(snapshot.x, nodes, s.x);
-    from_canonical(snapshot.y, nodes, s.y);
-    from_canonical(snapshot.u, nodes, s.u);
-    from_canonical(snapshot.v, nodes, s.v);
-    from_canonical(snapshot.node_mass, nodes, s.node_mass);
-    from_canonical(snapshot.rho, cells, s.rho);
-    from_canonical(snapshot.ein, cells, s.ein);
-    from_canonical(snapshot.q, cells, s.q);
-    from_canonical(snapshot.cell_mass, cells, s.cell_mass);
-    from_canonical(snapshot.cnmass, cells, s.cnmass, corners_per_cell);
+    using Out = hydro::Field;
+    s.x = mesh::reordered<Out>(snapshot.x, nodes);
+    s.y = mesh::reordered<Out>(snapshot.y, nodes);
+    s.u = mesh::reordered<Out>(snapshot.u, nodes);
+    s.v = mesh::reordered<Out>(snapshot.v, nodes);
+    s.node_mass = mesh::reordered<Out>(snapshot.node_mass, nodes);
+    s.rho = mesh::reordered<Out>(snapshot.rho, cells);
+    s.ein = mesh::reordered<Out>(snapshot.ein, cells);
+    s.q = mesh::reordered<Out>(snapshot.q, cells);
+    s.cell_mass = mesh::reordered<Out>(snapshot.cell_mass, cells);
+    s.cnmass = mesh::reordered<Out>(snapshot.cnmass, cells, corners_per_cell);
     rebuild_derived(mesh, materials, s);
     // Seed the step-start scratch as initialise does; every step rewrites
     // these before reading them.

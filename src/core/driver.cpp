@@ -23,22 +23,10 @@ std::string history_header_line() {
     return line;
 }
 
-/// Store the problem in locality order: the mesh along the Hilbert curve
-/// of its cell centroids (mesh::locality_order), the initial conditions
-/// with it. The mesh keeps the caller's numbering as its canonical ids.
-void store_in_locality_order(setup::Problem& p) {
-    const auto order = mesh::locality_order(p.mesh);
-    mesh::renumber(p.mesh, order.cells, order.nodes);
-    p.rho = mesh::reordered(p.rho, order.cells);
-    p.ein = mesh::reordered(p.ein, order.cells);
-    p.u = mesh::reordered(p.u, order.nodes);
-    p.v = mesh::reordered(p.v, order.nodes);
-}
-
 } // namespace
 
 Hydro::Hydro(setup::Problem problem) : problem_(std::move(problem)) {
-    store_in_locality_order(problem_);
+    to_locality_order();
     state_ = hydro::allocate(problem_.mesh);
     state_.rho.assign(problem_.rho.begin(), problem_.rho.end());
     state_.ein.assign(problem_.ein.begin(), problem_.ein.end());
@@ -53,7 +41,7 @@ Hydro::Hydro(setup::Problem problem) : problem_(std::move(problem)) {
 
 Hydro::Hydro(setup::Problem problem, const ckpt::Snapshot& snapshot)
     : problem_(std::move(problem)) {
-    store_in_locality_order(problem_);
+    to_locality_order();
     state_ = hydro::allocate(problem_.mesh);
     ckpt::restore(problem_.mesh, problem_.materials, snapshot, state_);
 
@@ -62,6 +50,42 @@ Hydro::Hydro(setup::Problem problem, const ckpt::Snapshot& snapshot)
     // (An at_time trigger the snapshot already passed cannot re-fire:
     // Config::due needs the step to cross it, and t only grows.)
     continue_history();
+}
+
+void Hydro::renumber(const mesh::Order& order) {
+    auto& p = problem_;
+    mesh::renumber(p.mesh, order.cells, order.nodes);
+    p.rho = mesh::reordered(p.rho, order.cells);
+    p.ein = mesh::reordered(p.ein, order.cells);
+    p.u = mesh::reordered(p.u, order.nodes);
+    p.v = mesh::reordered(p.v, order.nodes);
+    hydro::renumber(state_, order.cells, order.nodes);
+    scatter_cells_ = p.mesh.cell_ids.empty()
+                         ? std::vector<Index>{}
+                         : mesh::canonical_order(p.mesh.cell_ids,
+                                                 p.mesh.n_cells());
+    ctx_.scatter_cells = scatter_cells_;
+    drop_graphs();
+    ale_work_ = {};
+}
+
+/// Locality order: the mesh along the Hilbert curve of its cell centroids,
+/// the initial conditions and the state with it; the mesh keeps the
+/// caller's numbering as its canonical ids.
+void Hydro::to_locality_order() {
+    if (in_locality_order_) return;
+    renumber(mesh::locality_order(problem_.mesh));
+    in_locality_order_ = true;
+}
+
+/// Back to the caller's order: storage ids sorted by canonical id, which
+/// leaves the mesh without ids.
+void Hydro::to_caller_order() {
+    if (!in_locality_order_) return;
+    const auto& m = problem_.mesh;
+    renumber({mesh::canonical_order(m.cell_ids, m.n_cells()),
+              mesh::canonical_order(m.node_ids, m.n_nodes())});
+    in_locality_order_ = false;
 }
 
 void Hydro::init_context() {
@@ -239,6 +263,7 @@ StepInfo Hydro::step() {
 }
 
 StepInfo Hydro::step_to(Real t_end) {
+    to_locality_order();
     ensure_graphs();
     const Real t_before = time();
     const StepInfo info = stepper_.step(t_end);

@@ -7,11 +7,12 @@
 /// owns the state, the kernel context, the ALE workspace, the per-run
 /// profiler and the run's outputs (history CSV, checkpoints, telemetry).
 ///
-/// The driver stores its problem in locality order (mesh::locality_order)
-/// and keeps the caller's numbering as the mesh's canonical ids. The
-/// trajectory is bitwise the caller's-order one; snapshots, checkpoints,
-/// totals and reported cell ids are in the caller's numbering, while
-/// state(), mesh() and problem() are in storage order.
+/// The driver steps its problem in locality order (mesh::locality_order),
+/// keeping the caller's numbering as the mesh's canonical ids, and the
+/// trajectory is bitwise the caller's-order one. Everything it hands out
+/// is in the caller's numbering: state(), mesh() and problem() move the
+/// data back to that order when read, snapshots, checkpoints and totals
+/// map through the ids, and reported cell ids are canonical.
 
 #include <memory>
 #include <optional>
@@ -105,12 +106,23 @@ public:
     /// that ends in run() and then writes again reports once.
     void write_telemetry() const;
 
-    /// The state, mesh and problem in storage (locality) order;
-    /// mesh().cell_ids and mesh().node_ids name each entity's caller id.
-    [[nodiscard]] const hydro::State& state() const { return state_; }
-    [[nodiscard]] hydro::State& state() { return state_; }
-    [[nodiscard]] const mesh::Mesh& mesh() const { return problem_.mesh; }
-    [[nodiscard]] const setup::Problem& problem() const { return problem_; }
+    /// The state, mesh and problem in the caller's numbering. Reading any
+    /// of them between steps moves the driver's data back to that order
+    /// (a mesh rebuild and a copy of every field: a few ms at 128^2), and
+    /// the next step moves it into locality order again. A step thus
+    /// invalidates spans into their fields; the objects stay the same.
+    [[nodiscard]] hydro::State& state() {
+        to_caller_order();
+        return state_;
+    }
+    [[nodiscard]] const mesh::Mesh& mesh() {
+        to_caller_order();
+        return problem_.mesh;
+    }
+    [[nodiscard]] const setup::Problem& problem() {
+        to_caller_order();
+        return problem_;
+    }
     [[nodiscard]] const util::Profiler& profiler() const { return profiler_; }
     [[nodiscard]] util::Profiler& profiler() { return profiler_; }
     [[nodiscard]] Real time() const { return stepper_.clock().t; }
@@ -126,6 +138,12 @@ public:
     }
 
 private:
+    /// Renumber the problem and the state by `order` (as mesh::renumber)
+    /// and drop what was built on the old numbering: the task graphs and
+    /// the ALE workspace.
+    void renumber(const mesh::Order& order);
+    void to_locality_order();
+    void to_caller_order();
     StepInfo step_to(Real t_end);
     Stepper::Hooks serial_hooks();
     void write_history_row(Real dt);
@@ -138,6 +156,13 @@ private:
 
     setup::Problem problem_;
     hydro::State state_;
+    /// True while problem_ and state_ are in locality order, false while
+    /// they are in the caller's.
+    bool in_locality_order_ = false;
+    /// Storage cells in ascending canonical id: the serial-scatter
+    /// ablation's deposition order (ctx_.scatter_cells); empty in the
+    /// caller's order.
+    std::vector<Index> scatter_cells_;
     hydro::Context ctx_;
     ale::Workspace ale_work_;
     /// Lagrangian-step task graph (threaded pool and gather assembly) and

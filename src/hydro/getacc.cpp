@@ -65,10 +65,17 @@ void assemble_gather(const Context& ctx, State& s, Index n_nodes) {
 }
 
 /// The reference serial scatter assembly, for the §IV-B ablation. Cells
-/// deposit in ascending canonical id (the caller's cell order), the order
-/// the gather's rows replay, so the two stay bitwise equal.
+/// deposit in ascending canonical id (ctx.scatter_cells, or storage order
+/// on a mesh without ids), the order the gather's rows replay, so the two
+/// stay bitwise equal.
 void assemble_scatter(const Context& ctx, State& s, Index n_nodes,
                       Index n_cells) {
+    const auto& mesh = *ctx.mesh;
+    util::require(ctx.scatter_cells.empty()
+                      ? mesh.cell_ids.empty()
+                      : ctx.scatter_cells.size() ==
+                            static_cast<std::size_t>(n_cells),
+                  "getacc: a renumbered mesh needs ctx.scatter_cells");
     // Zero in parallel; the scatter itself is the data dependency and
     // stays serial.
     par::for_each(ctx.exec, n_nodes, [&](Index n) {
@@ -77,8 +84,13 @@ void assemble_scatter(const Context& ctx, State& s, Index n_nodes,
         s.nfx[ni] = 0.0;
         s.nfy[ni] = 0.0;
     });
-    for (const Index c : mesh::canonical_order(ctx.mesh->cell_ids, n_cells))
-        scatter_cell(*ctx.mesh, s, c, s.node_mass);
+    if (ctx.scatter_cells.empty()) {
+        for (Index c = 0; c < n_cells; ++c)
+            scatter_cell(mesh, s, c, s.node_mass);
+    } else {
+        for (const Index c : ctx.scatter_cells)
+            scatter_cell(mesh, s, c, s.node_mass);
+    }
 }
 
 } // namespace

@@ -48,6 +48,11 @@ struct Context {
     /// getdt reduces over these only, so the post-reduction global dt is
     /// identical to a serial run; no_index means "all cells".
     Index dt_cells = no_index;
+    /// The serial-scatter ablation's deposition order: storage cells in
+    /// ascending canonical id, built once by the driver that renumbers the
+    /// mesh. Empty means storage order, which is canonical on a mesh
+    /// without ids.
+    std::span<const Index> scatter_cells;
     /// Task-graph executor for the Lagrangian step, built once by the
     /// serial driver when it applies (threaded pool, gather assembly) and
     /// re-run every step. lagstep dispatches to it; nullptr (bare

@@ -7,6 +7,29 @@
 
 namespace bookleaf::hydro {
 
+namespace {
+
+/// Every field of a state, by the entity it lives on.
+struct FieldGroups {
+    std::array<Field*, 13> nodes;
+    std::array<Field*, 9> cells;
+    std::array<Field*, 10> corners;
+};
+
+FieldGroups fields_of(State& s) {
+    return {{&s.x, &s.y, &s.u, &s.v, &s.node_mass, &s.nfx, &s.nfy, &s.x0,
+             &s.y0, &s.u0, &s.v0, &s.ubar, &s.vbar},
+            {&s.rho, &s.ein, &s.pre, &s.csqrd, &s.q, &s.volume, &s.cell_mass,
+             &s.char_len, &s.ein0},
+            {&s.fx, &s.fy, &s.qfx, &s.qfy, &s.cnmass, &s.cnvol, &s.cnx, &s.cny,
+             &s.cngx, &s.cngy}};
+}
+
+// A field added to State belongs in one of the groups above.
+static_assert(sizeof(State) == 32 * sizeof(Field));
+
+} // namespace
+
 State allocate(const mesh::Mesh& mesh) { return allocate(mesh, par::Exec{}); }
 
 State allocate(const mesh::Mesh& mesh, const par::Exec& exec) {
@@ -20,22 +43,22 @@ State allocate(const mesh::Mesh& mesh, const par::Exec& exec) {
     // write to each page happens on the worker whose block it belongs to,
     // so the OS places it on that worker's NUMA node (first-touch). The
     // bytes are identical to a serial zero-fill.
-    const std::array<Field*, 28> zeroed = {
-        &s.u,     &s.v,     &s.node_mass, &s.nfx,   &s.nfy,
-        &s.u0,    &s.v0,    &s.ubar,      &s.vbar,  // nodes
-        &s.rho,   &s.ein,   &s.pre,       &s.csqrd, &s.q,
-        &s.volume, &s.cell_mass, &s.char_len, &s.ein0, // cells
-        &s.fx,    &s.fy,    &s.qfx,       &s.qfy,   &s.cnmass,
-        &s.cnvol, &s.cnx,   &s.cny,       &s.cngx,  &s.cngy}; // corners
-    for (std::size_t i = 0; i < zeroed.size(); ++i)
-        zeroed[i]->resize(i < 9 ? nn : (i < 18 ? nc : nk));
+    const auto f = fields_of(s);
+    for (Field* p : f.nodes) p->resize(nn);
+    for (Field* p : f.cells) p->resize(nc);
+    for (Field* p : f.corners) p->resize(nk);
 
     auto fill_block = [&](int tid, int parts) {
-        for (Field* f : zeroed) {
-            const auto [begin, end] =
-                par::detail::block(static_cast<Index>(f->size()), parts, tid);
-            std::fill(f->begin() + begin, f->begin() + end, Real(0.0));
-        }
+        const auto fill = [&](const auto& group) {
+            for (Field* p : group) {
+                const auto [begin, end] = par::detail::block(
+                    static_cast<Index>(p->size()), parts, tid);
+                std::fill(p->begin() + begin, p->begin() + end, Real(0.0));
+            }
+        };
+        fill(f.nodes);
+        fill(f.cells);
+        fill(f.corners);
     };
     if (exec.threaded())
         exec.pool->run([&](int tid) { fill_block(tid, exec.width()); });
@@ -47,6 +70,15 @@ State allocate(const mesh::Mesh& mesh, const par::Exec& exec) {
     s.x0 = s.x;
     s.y0 = s.y;
     return s;
+}
+
+void renumber(State& s, std::span<const Index> cell_order,
+              std::span<const Index> node_order) {
+    const auto f = fields_of(s);
+    for (Field* p : f.nodes) *p = mesh::reordered(*p, node_order);
+    for (Field* p : f.cells) *p = mesh::reordered(*p, cell_order);
+    for (Field* p : f.corners)
+        *p = mesh::reordered(*p, cell_order, corners_per_cell);
 }
 
 void initialise(const mesh::Mesh& mesh, const eos::MaterialTable& materials,

@@ -4,6 +4,7 @@
 /// cells, kinematic variables on nodes, and corner (cell x 4) work arrays
 /// for the compatible discretisation.
 
+#include <span>
 #include <vector>
 
 #include "eos/eos.hpp"
@@ -121,6 +122,11 @@ State allocate(const mesh::Mesh& mesh);
 /// pages on the socket of the worker that will process it. The resulting
 /// bytes are identical to the serial overload.
 State allocate(const mesh::Mesh& mesh, const par::Exec& exec);
+
+/// Carry every field through mesh::renumber with the same orders: node
+/// fields by `node_order`, cell and corner fields by `cell_order`.
+void renumber(State& state, std::span<const Index> cell_order,
+              std::span<const Index> node_order);
 
 /// Finish initialisation after the caller has filled rho, ein, u, v:
 /// computes volumes, corner volumes, cell/corner/node masses, pressure and

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/csr.hpp"
@@ -159,17 +160,26 @@ void build_connectivity(Mesh& mesh);
 void renumber(Mesh& mesh, std::span<const Index> cell_order,
               std::span<const Index> node_order);
 
-/// A per-entity field carried through `renumber`: out[i] = field[order[i]]
-/// for the same `order`. An empty field stays empty.
-template <typename T>
-[[nodiscard]] std::vector<T> reordered(const std::vector<T>& field,
-                                       std::span<const Index> order) {
-    if (field.empty()) return {};
-    util::require(field.size() == order.size(),
+/// A per-entity field carried through `renumber`: entity i of the result
+/// is entity order[i] of `field`, `width` values per entity (a corner
+/// field carries 4). An empty order is the identity, as empty ids are; an
+/// empty field stays empty. The result has `field`'s container type
+/// unless `Out` names another.
+template <typename Out = void, typename V>
+[[nodiscard]] auto reordered(const V& field, std::span<const Index> order,
+                             std::size_t width = 1) {
+    using Result = std::conditional_t<std::is_void_v<Out>, V, Out>;
+    if (order.empty()) return Result(field.begin(), field.end());
+    Result out;
+    if (field.empty()) return out;
+    util::require(field.size() == order.size() * width,
                   "reordered: field size disagrees with the order");
-    std::vector<T> out(order.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        out[i] = field[static_cast<std::size_t>(order[i])];
+    out.resize(field.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        const auto from = static_cast<std::size_t>(order[i]) * width;
+        for (std::size_t k = 0; k < width; ++k)
+            out[i * width + k] = field[from + k];
+    }
     return out;
 }
 

@@ -48,7 +48,7 @@ void step_past(bc::Hydro& h, Real t_min) {
     while (h.time() < t_min) h.step();
 }
 
-void expect_state_bitwise(const bc::Hydro& a, const bc::Hydro& b,
+void expect_state_bitwise(bc::Hydro& a, bc::Hydro& b,
                           const std::string& label) {
     ASSERT_EQ(a.steps(), b.steps()) << label;
     EXPECT_EQ(a.time(), b.time()) << label;

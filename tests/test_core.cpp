@@ -24,7 +24,7 @@ using bookleaf::Real;
 namespace {
 
 /// Centroid of a cell at the current node positions.
-std::pair<Real, Real> centroid(const bc::Hydro& h, Index c) {
+std::pair<Real, Real> centroid(bc::Hydro& h, Index c) {
     Real cx = 0, cy = 0;
     for (int k = 0; k < 4; ++k) {
         const auto n = static_cast<std::size_t>(h.mesh().cn(c, k));
