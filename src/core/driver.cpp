@@ -53,6 +53,8 @@ Hydro::Hydro(setup::Problem problem, const ckpt::Snapshot& snapshot)
 }
 
 void Hydro::renumber(const mesh::Order& order) {
+    drop_graphs();
+    ale_work_ = {};
     auto& p = problem_;
     mesh::renumber(p.mesh, order.cells, order.nodes);
     p.rho = mesh::reordered(p.rho, order.cells);
@@ -65,8 +67,6 @@ void Hydro::renumber(const mesh::Order& order) {
                          : mesh::canonical_order(p.mesh.cell_ids,
                                                  p.mesh.n_cells());
     ctx_.scatter_cells = scatter_cells_;
-    drop_graphs();
-    ale_work_ = {};
 }
 
 /// Locality order: the mesh along the Hilbert curve of its cell centroids,

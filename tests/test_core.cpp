@@ -208,14 +208,12 @@ TEST(SedovProblem, ShockRadiusScalesAsSqrtT) {
 TEST(SedovProblem, BlastIsDiagonallySymmetric) {
     bc::Hydro h(bs::sedov(30));
     h.run(0.3);
-    // rho(x, y) == rho(y, x) on the Cartesian mesh (cell (i,j) <-> (j,i)
-    // in the generator's numbering, which the snapshot keeps).
+    // rho(x, y) == rho(y, x) on the Cartesian mesh (cell (i,j) <-> (j,i)).
     const Index n = 30;
-    const auto rho = h.snapshot().rho;
     for (Index j = 0; j < n; ++j)
         for (Index i = 0; i < j; ++i) {
-            const Real a = rho[static_cast<std::size_t>(j * n + i)];
-            const Real b = rho[static_cast<std::size_t>(i * n + j)];
+            const Real a = h.state().rho[static_cast<std::size_t>(j * n + i)];
+            const Real b = h.state().rho[static_cast<std::size_t>(i * n + j)];
             EXPECT_NEAR(a, b, 1e-9) << i << "," << j;
         }
 }
@@ -459,6 +457,39 @@ TEST(Driver, ThreadedRunMatchesSerialOnFullProblem) {
     // order, the order the gather's rows replay on the driver's
     // renumbered mesh: bitwise equal too.
     expect_serial(run_with(nullptr, Assembly::serial_scatter), "scatter");
+}
+
+TEST(Driver, ReadingBetweenStepsLeavesTheTrajectoryBitwise) {
+    // state(), mesh() and problem() move the driver's data back to the
+    // caller's order, and the next step renumbers it into locality order
+    // again. Neither trip may change a byte: ALE Noh on a pool takes the
+    // task graphs and the smoothing's node adjacency through every one.
+    bookleaf::par::ThreadPool pool(2);
+    const auto run = [&](bool read) {
+        auto p = bs::noh(24);
+        p.ale.mode = bookleaf::ale::Mode::ale;
+        bc::Hydro h(std::move(p));
+        bookleaf::par::Exec ex;
+        ex.pool = &pool;
+        h.set_exec(ex);
+        for (int i = 0; i < 12; ++i) {
+            h.step();
+            if (read) {
+                EXPECT_TRUE(h.mesh().cell_ids.empty());
+                EXPECT_EQ(h.state().rho.size(), 24u * 24u);
+                EXPECT_EQ(h.problem().rho.size(), 24u * 24u);
+            }
+        }
+        return h.snapshot();
+    };
+    const auto plain = run(false);
+    const auto read = run(true);
+    EXPECT_EQ(read.rho, plain.rho);
+    EXPECT_EQ(read.ein, plain.ein);
+    EXPECT_EQ(read.x, plain.x);
+    EXPECT_EQ(read.u, plain.u);
+    EXPECT_EQ(read.node_mass, plain.node_mass);
+    EXPECT_EQ(read.cnmass, plain.cnmass);
 }
 
 // ---------------------------------------------------------------------------

@@ -180,17 +180,14 @@ SerialFields serial_reference(bookleaf::setup::Problem problem, Real t_end) {
     problem.telemetry.enabled = true;
     bookleaf::core::Hydro h(std::move(problem));
     const auto summary = h.run(t_end);
-    // The snapshot holds the fields in the caller's numbering, as the
-    // distributed result does.
-    const auto snap = h.snapshot();
     SerialFields f;
     f.steps = summary.steps;
-    f.rho = snap.rho;
-    f.ein = snap.ein;
-    f.u = snap.u;
-    f.v = snap.v;
-    f.x = snap.x;
-    f.y = snap.y;
+    f.rho.assign(h.state().rho.begin(), h.state().rho.end());
+    f.ein.assign(h.state().ein.begin(), h.state().ein.end());
+    f.u.assign(h.state().u.begin(), h.state().u.end());
+    f.v.assign(h.state().v.begin(), h.state().v.end());
+    f.x.assign(h.state().x.begin(), h.state().x.end());
+    f.y.assign(h.state().y.begin(), h.state().y.end());
     f.records = h.telemetry_report().ranks.at(0).steps;
     return f;
 }

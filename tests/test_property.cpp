@@ -154,13 +154,12 @@ TEST_P(NumberingInvariance, LagrangianStepIsOrderIndependent) {
     reference.run(0.03);
     renumbered.run(0.03);
 
-    // Snapshots hold each run's fields in its caller's numbering.
-    const auto rho = renumbered.snapshot().rho;
-    const auto rho_ref = reference.snapshot().rho;
-    for (Index c = 0; c < permuted.n_cells(); ++c) {
-        const Index orig = original_by_centroid.at(centroid_key(permuted, c));
-        EXPECT_NEAR(rho[static_cast<std::size_t>(c)],
-                    rho_ref[static_cast<std::size_t>(orig)], 1e-9)
+    for (Index c = 0; c < renumbered.mesh().n_cells(); ++c) {
+        const Index orig =
+            original_by_centroid.at(centroid_key(renumbered.mesh(), c));
+        EXPECT_NEAR(renumbered.state().rho[static_cast<std::size_t>(c)],
+                    reference.state().rho[static_cast<std::size_t>(orig)],
+                    1e-9)
             << "cell " << c;
     }
 }

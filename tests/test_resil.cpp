@@ -267,13 +267,13 @@ TEST(ResilGuard, RetryDecisionBitwiseAgreedAcrossRanks) {
     serial.run();
     bd::Result reference;
     reference.steps = serial.steps();
-    const auto s = serial.snapshot(); // the caller's numbering
-    reference.rho = s.rho;
-    reference.ein = s.ein;
-    reference.u = s.u;
-    reference.v = s.v;
-    reference.x = s.x;
-    reference.y = s.y;
+    const auto& s = serial.state();
+    reference.rho.assign(s.rho.begin(), s.rho.end());
+    reference.ein.assign(s.ein.begin(), s.ein.end());
+    reference.u.assign(s.u.begin(), s.u.end());
+    reference.v.assign(s.v.begin(), s.v.end());
+    reference.x.assign(s.x.begin(), s.x.end());
+    reference.y.assign(s.y.begin(), s.y.end());
     const auto records = serial.telemetry_report().ranks.at(0).steps;
     ASSERT_FALSE(records.empty());
     EXPECT_GT(records.front().retries, 0);

@@ -181,11 +181,16 @@ struct Fields {
     std::vector<Real> rho, ein, u, v, x, y;
 };
 
-/// The driver's fields in the caller's numbering (the snapshot's order,
-/// which the distributed result shares).
 Fields serial_fields(bc::Hydro& h, int steps) {
-    const auto snap = h.snapshot();
-    return {steps, snap.rho, snap.ein, snap.u, snap.v, snap.x, snap.y};
+    Fields f;
+    f.steps = steps;
+    f.rho.assign(h.state().rho.begin(), h.state().rho.end());
+    f.ein.assign(h.state().ein.begin(), h.state().ein.end());
+    f.u.assign(h.state().u.begin(), h.state().u.end());
+    f.v.assign(h.state().v.begin(), h.state().v.end());
+    f.x.assign(h.state().x.begin(), h.state().x.end());
+    f.y.assign(h.state().y.begin(), h.state().y.end());
+    return f;
 }
 
 /// Run a deck on the serial driver on the given pool (nullptr: serial).
