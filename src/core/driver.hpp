@@ -42,7 +42,9 @@ struct RunSummary {
 class Hydro {
 public:
     /// Takes ownership of the problem (mesh, materials, IC, options) and
-    /// renumbers its mesh and initial conditions into locality order.
+    /// renumbers its mesh and initial conditions into locality order. A
+    /// mesh that comes with canonical ids of its own is handed back in
+    /// their order.
     explicit Hydro(setup::Problem problem);
 
     /// Restore from a checkpoint: the problem supplies the mesh, materials
@@ -109,7 +111,7 @@ public:
     /// The state, mesh and problem in the caller's numbering. Reading any
     /// of them between steps moves the driver's data back to that order
     /// (a mesh rebuild and a copy of every field: a few ms at 128^2), and
-    /// the next step moves it into locality order again. A step thus
+    /// the next step moves it into locality order again. Either move
     /// invalidates spans into their fields; the objects stay the same.
     [[nodiscard]] hydro::State& state() {
         to_caller_order();
