@@ -110,7 +110,7 @@ public:
 
     /// The state, mesh and problem in the caller's numbering. Reading any
     /// of them between steps moves the driver's data back to that order
-    /// (a mesh rebuild and a copy of every field: a few ms at 128^2), and
+    /// (a mesh rebuild and a copy of every field: ~5 ms at 128^2), and
     /// the next step moves it into locality order again. Either move
     /// invalidates spans into their fields; the objects stay the same.
     [[nodiscard]] hydro::State& state() {
