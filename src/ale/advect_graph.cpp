@@ -25,36 +25,15 @@
 /// cells tasks are terminal (nothing in the graph reads cell_mass/ein
 /// after them); the graph completes only when every task has run.
 
-#include <algorithm>
 #include <atomic>
 #include <vector>
 
 #include "ale/advect_graph.hpp"
+#include "par/blocks.hpp"
 #include "par/task_graph.hpp"
 #include "util/log.hpp"
 
 namespace bookleaf::ale {
-
-namespace {
-
-struct BlockRange {
-    Index begin = 0, end = 0;
-};
-
-std::vector<BlockRange> make_blocks(Index n, Index block_size) {
-    std::vector<BlockRange> blocks;
-    for (Index b = 0; b < n; b += block_size)
-        blocks.push_back({b, std::min<Index>(n, b + block_size)});
-    if (blocks.empty()) blocks.push_back({0, 0});
-    return blocks;
-}
-
-void sort_unique(std::vector<int>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-
-} // namespace
 
 AdvectGraph::AdvectGraph(const hydro::Context& ctx, hydro::State& s,
                          const Options& opts, Workspace& w)
@@ -77,15 +56,24 @@ void AdvectGraph::build() {
     const Index cell_bs = par::detail::resolve_task_block(run_exec_, n_cells);
     const Index node_bs = par::detail::resolve_task_block(run_exec_, n_nodes);
     const Index face_bs = par::detail::resolve_task_block(run_exec_, n_faces);
-    const auto cells = make_blocks(n_cells, cell_bs);
-    const auto nodes = make_blocks(n_nodes, node_bs);
-    const auto faces = make_blocks(n_faces, face_bs);
+    const auto cells = par::make_blocks(n_cells, cell_bs);
+    const auto nodes = par::make_blocks(n_nodes, node_bs);
+    const auto faces = par::make_blocks(n_faces, face_bs);
     const int n_cb = static_cast<int>(cells.size());
     const int n_nb = static_cast<int>(nodes.size());
     const int n_fb = static_cast<int>(faces.size());
     const auto cb_of = [&](Index c) { return static_cast<int>(c / cell_bs); };
     const auto nb_of = [&](Index n) { return static_cast<int>(n / node_bs); };
     const auto fb_of = [&](Index f) { return static_cast<int>(f / face_bs); };
+    const auto cells_of = [&](int cb) {
+        return cells[static_cast<std::size_t>(cb)];
+    };
+    const auto nodes_of = [&](int nb) {
+        return nodes[static_cast<std::size_t>(nb)];
+    };
+    const auto faces_of = [&](int fb) {
+        return faces[static_cast<std::size_t>(fb)];
+    };
 
     // --- couplings -------------------------------------------------------
     // face_nb_cb[cb]:  cb plus the cell blocks of its face neighbours
@@ -96,54 +84,39 @@ void AdvectGraph::build() {
     //                  (ctx.mesh->node_corners: flat corner id / 4 = cell).
     // adj_nb[nb]:      node blocks sharing a cell with a node in nb — the
     //                  upwind-velocity stencil (symmetric, includes nb).
-    std::vector<std::vector<int>> face_nb_cb(cells.size());
-    std::vector<std::vector<int>> faces_cb(cells.size());
-    std::vector<std::vector<int>> cells_fb(faces.size());
-    std::vector<std::vector<int>> touch_cb(nodes.size());
-    std::vector<std::vector<int>> adj_nb(nodes.size());
-
-    for (int cb = 0; cb < n_cb; ++cb) {
-        auto& nbs = face_nb_cb[static_cast<std::size_t>(cb)];
-        auto& fbs = faces_cb[static_cast<std::size_t>(cb)];
-        nbs.push_back(cb);
-        for (Index c = cells[static_cast<std::size_t>(cb)].begin;
-             c < cells[static_cast<std::size_t>(cb)].end; ++c) {
+    const auto face_nb_cb = par::coupling(n_cb, n_cb, [&](int cb, auto add) {
+        add(cb);
+        for (Index c = cells_of(cb).begin; c < cells_of(cb).end; ++c)
             for (int k = 0; k < corners_per_cell; ++k) {
                 const Index nbr = mesh.neighbor(c, k);
-                if (nbr != no_index) nbs.push_back(cb_of(nbr));
-                fbs.push_back(fb_of(mesh.face_of(c, k)));
+                if (nbr != no_index) add(cb_of(nbr));
             }
-        }
-        sort_unique(nbs);
-        sort_unique(fbs);
-    }
-    for (int fb = 0; fb < n_fb; ++fb) {
-        auto& cbs = cells_fb[static_cast<std::size_t>(fb)];
-        for (Index f = faces[static_cast<std::size_t>(fb)].begin;
-             f < faces[static_cast<std::size_t>(fb)].end; ++f) {
+    });
+    const auto faces_cb = par::coupling(n_cb, n_fb, [&](int cb, auto add) {
+        for (Index c = cells_of(cb).begin; c < cells_of(cb).end; ++c)
+            for (int k = 0; k < corners_per_cell; ++k)
+                add(fb_of(mesh.face_of(c, k)));
+    });
+    const auto cells_fb = par::coupling(n_fb, n_cb, [&](int fb, auto add) {
+        for (Index f = faces_of(fb).begin; f < faces_of(fb).end; ++f) {
             const auto& face = mesh.faces[static_cast<std::size_t>(f)];
-            cbs.push_back(cb_of(face.left));
-            if (face.right != no_index) cbs.push_back(cb_of(face.right));
+            add(cb_of(face.left));
+            if (face.right != no_index) add(cb_of(face.right));
         }
-        sort_unique(cbs);
-    }
+    });
     const auto& gather = ctx_.mesh->node_corners;
-    for (int nb = 0; nb < n_nb; ++nb) {
-        auto& touch = touch_cb[static_cast<std::size_t>(nb)];
-        auto& adj = adj_nb[static_cast<std::size_t>(nb)];
-        for (Index n = nodes[static_cast<std::size_t>(nb)].begin;
-             n < nodes[static_cast<std::size_t>(nb)].end; ++n) {
-            for (const Index ck : gather.row(n)) {
-                const Index c = ck / corners_per_cell;
-                touch.push_back(cb_of(c));
+    const auto touch_cb = par::coupling(n_nb, n_cb, [&](int nb, auto add) {
+        for (Index n = nodes_of(nb).begin; n < nodes_of(nb).end; ++n)
+            for (const Index ck : gather.row(n))
+                add(cb_of(ck / corners_per_cell));
+    });
+    const auto adj_nb = par::coupling(n_nb, n_nb, [&](int nb, auto add) {
+        add(nb);
+        for (Index n = nodes_of(nb).begin; n < nodes_of(nb).end; ++n)
+            for (const Index ck : gather.row(n))
                 for (int m = 0; m < corners_per_cell; ++m)
-                    adj.push_back(nb_of(mesh.cn(c, m)));
-            }
-        }
-        adj.push_back(nb);
-        sort_unique(touch);
-        sort_unique(adj);
-    }
+                    add(nb_of(mesh.cn(ck / corners_per_cell, m)));
+    });
 
     // --- tasks -----------------------------------------------------------
     using par::TaskId;

@@ -41,6 +41,7 @@
 #include <thread>
 
 #include "core/stepper.hpp"
+#include "par/blocks.hpp"
 #include "par/task_graph.hpp"
 #include "perfmodel/calibrate.hpp"
 #include "part/subdomain.hpp"
@@ -196,7 +197,11 @@ void overlap_step(const hydro::Context& ctx, hydro::State& s, Real dt_local,
     // Boundary cells first (they contain every corner the peers need),
     // post the sends, then interior cells and the interior nodal assembly
     // proceed while the messages fly; only the boundary assembly waits.
-    hydro::getq(ctx, s, boundary);
+    // Nothing has written a velocity a cell's getq reads since its
+    // predictor getq (the state halo fills only nodes interior cells never
+    // read, and no exchange carries velocities between the two calls), so
+    // the corrector getq reuses the predictor's limiters.
+    hydro::getq(ctx, s, boundary, hydro::Phase::corrector);
     hydro::getforce(ctx, s, boundary);
     typhon::PendingExchange corner_halo;
     {
@@ -205,7 +210,7 @@ void overlap_step(const hydro::Context& ctx, hydro::State& s, Real dt_local,
         corner_halo = typhon::exchange_start(comm, sub.corner_schedule,
                                              {s.fx, s.fy}, 200);
     }
-    hydro::getq(ctx, s, interior);
+    hydro::getq(ctx, s, interior, hydro::Phase::corrector);
     hydro::getforce(ctx, s, interior);
     hydro::getacc_assemble(ctx, s, sub.interior_nodes);
     {
@@ -496,18 +501,21 @@ void FluxGraph::build() {
     // flux tasks of its cells' own faces (unlisted faces keep the prelude
     // zero and gate nothing).
     const Index cblock = par::detail::resolve_task_block(run_exec_, n_owned);
-    std::vector<par::TaskId> deps;
-    for (Index begin = 0; begin < n_owned; begin += cblock) {
+    const int n_blocks = static_cast<int>((n_owned + cblock - 1) / cblock);
+    const auto deps = par::coupling(
+        n_blocks, static_cast<int>(graph_.size()), [&](int blk, auto add) {
+            const Index begin = blk * cblock;
+            const Index end = std::min(n_owned, begin + cblock);
+            for (Index c = begin; c < end; ++c)
+                for (int k = 0; k < corners_per_cell; ++k) {
+                    const par::TaskId t = task_of_face[static_cast<std::size_t>(
+                        mesh.face_of(c, k))];
+                    if (t >= 0) add(t);
+                }
+        });
+    for (int blk = 0; blk < n_blocks; ++blk) {
+        const Index begin = blk * cblock;
         const Index end = std::min(n_owned, begin + cblock);
-        deps.clear();
-        for (Index c = begin; c < end; ++c)
-            for (int k = 0; k < corners_per_cell; ++k) {
-                const par::TaskId t =
-                    task_of_face[static_cast<std::size_t>(mesh.face_of(c, k))];
-                if (t >= 0) deps.push_back(t);
-            }
-        std::sort(deps.begin(), deps.end());
-        deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
         const par::TaskId t_cells = graph_.add(
             [this, begin, end] {
                 ale::aleadvect_cells(ctx_, s_, w_, begin, end);
@@ -518,7 +526,7 @@ void FluxGraph::build() {
                 ale::aleadvect_dual(ctx_, s_, w_, begin, end, floored_);
             },
             false, util::Kernel::ale_dual);
-        for (const par::TaskId d : deps) {
+        for (const par::TaskId d : deps[static_cast<std::size_t>(blk)]) {
             graph_.depend(t_cells, d);
             graph_.depend(t_dual, d);
         }

@@ -8,11 +8,19 @@
 /// continuation edges come from the mesh's precomputed
 /// `mesh::Mesh::continuation` table (topology never changes mid-run).
 ///
+/// The limiter reads only node velocities and topology, and no velocity
+/// is written between a step's predictor and corrector calls, so the
+/// predictor stores it per edge (State::psi) and the corrector reads it
+/// back. Both phases skip a fully limited edge (psi == 1) whose force is
+/// provably +-0: its corner sums and q would not change by a bit.
+///
 /// This is the kernel that needs ghost data in distributed runs (the
 /// halo exchange immediately before GETQ in the paper's Algorithm 1).
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <type_traits>
 
 #include "geom/geometry.hpp"
 #include "hydro/kernels.hpp"
@@ -21,10 +29,45 @@ namespace bookleaf::hydro {
 
 namespace {
 
-/// The per-cell viscosity computation. Writes only cell c's corner forces
-/// and q scalar, so any disjoint cover of the cell range (full sweep or
-/// the distributed driver's boundary/interior split) produces bitwise
-/// identical results in any order.
+/// What the predictor stores for a moving edge that does not compress
+/// under the step-start geometry. A computed limiter is >= 0, -0.0 or
+/// NaN, so `psi < 0` selects only this value.
+constexpr Real psi_unset = -1.0;
+
+/// Bound on each factor of a fully limited edge's force (rho excepted,
+/// which need only be finite): under it no product can overflow, so
+/// (1 - 1) * rho * (cq*du2 + cl*cs*|du|) * |e| / |du| is exactly +-0.
+constexpr Real skip_bound = 1.0e100;
+
+/// Monotonicity limiter of edge k (a -> b) of cell c from its
+/// continuation edges, both oriented like a -> b: the "previous" one runs
+/// from its far node into a (inside the neighbour across face k-1), the
+/// "next" one from b out to its far node (across face k+1). An edge with
+/// neither gets 0. Reads only u, v and topology.
+inline Real limiter(const mesh::Mesh& mesh, const State& s, Index c, int k,
+                    Index a, Index b, Real du, Real dv, Real du2) {
+    const Index pf = mesh.continuation_node(c, k, 0);
+    const Index nf = mesh.continuation_node(c, k, 1);
+    if (pf == no_index && nf == no_index) return 0.0;
+
+    // Velocity difference along from -> to, projected on du.
+    const auto ratio = [&](Index from, Index to) {
+        const auto fi = static_cast<std::size_t>(from);
+        const auto ti = static_cast<std::size_t>(to);
+        return ((s.u[ti] - s.u[fi]) * du + (s.v[ti] - s.v[fi]) * dv) / du2;
+    };
+    const Real rp = pf != no_index ? ratio(pf, a) : ratio(b, nf);
+    const Real rn = nf != no_index ? ratio(b, nf) : rp;
+    const Real psi = std::min({Real(1.0), Real(0.5) * (rp + rn),
+                               Real(2.0) * rp, Real(2.0) * rn});
+    return std::max(psi, Real(0.0));
+}
+
+/// The per-cell viscosity computation. Writes only cell c's corner forces,
+/// limiters and q scalar, so any disjoint cover of the cell range (full
+/// sweep or the distributed driver's boundary/interior split) produces
+/// bitwise identical results in any order.
+template <Phase phase>
 inline void q_cell(const mesh::Mesh& mesh, const Options& opts, State& s,
                    Index c) {
     const Real cq = opts.cq;
@@ -33,7 +76,13 @@ inline void q_cell(const mesh::Mesh& mesh, const Options& opts, State& s,
     const std::size_t base = State::cidx(c, 0);
     std::array<Real, 4> qfx{}, qfy{}; // corner forces, summed from +0.0
     Real q_max = 0.0;
+    const Real rho = s.rho[ci];
     const Real cs = std::sqrt(std::max(s.csqrd[ci], Real(0.0)));
+    // The per-cell half of the skip guard (the per-edge half bounds du2
+    // and |e|^2).
+    const bool bounded = std::isfinite(rho) && cs <= skip_bound &&
+                         std::abs(cq) <= skip_bound &&
+                         std::abs(cl) <= skip_bound;
 
     for (int k = 0; k < corners_per_cell; ++k) {
         const int k1 = (k + 1) % corners_per_cell;
@@ -54,34 +103,34 @@ inline void q_cell(const mesh::Mesh& mesh, const Options& opts, State& s,
         const auto kk1 = static_cast<std::size_t>(k1);
         const Real ex = s.cnx[base + kk1] - s.cnx[base + kk];
         const Real ey = s.cny[base + kk1] - s.cny[base + kk];
-        if (du * ex + dv * ey >= 0.0) continue;
-
-        // Monotonicity limiter from the continuation edges, both
-        // oriented like a -> b: the "previous" one runs from its far node
-        // into a (inside the neighbour across face k-1), the "next" one
-        // from b out to its far node (across face k+1).
-        const Index pf = mesh.continuation_node(c, k, 0);
-        const Index nf = mesh.continuation_node(c, k, 1);
-
-        Real psi = 0.0;
-        if (pf != no_index || nf != no_index) {
-            // Velocity difference along from -> to, projected on du.
-            const auto ratio = [&](Index from, Index to) {
-                const auto fi = static_cast<std::size_t>(from);
-                const auto ti = static_cast<std::size_t>(to);
-                return ((s.u[ti] - s.u[fi]) * du + (s.v[ti] - s.v[fi]) * dv) /
-                       du2;
-            };
-            const Real rp = pf != no_index ? ratio(pf, a) : ratio(b, nf);
-            const Real rn = nf != no_index ? ratio(b, nf) : rp;
-            psi = std::min({Real(1.0), Real(0.5) * (rp + rn),
-                            Real(2.0) * rp, Real(2.0) * rn});
-            psi = std::max(psi, Real(0.0));
+        if (du * ex + dv * ey >= 0.0) {
+            if constexpr (phase == Phase::predictor)
+                s.psi[base + kk] = psi_unset;
+            continue;
         }
 
+        // The corrector recomputes only for an edge that starts
+        // compressing under the half-step geometry.
+        Real psi;
+        if constexpr (phase == Phase::corrector) {
+            psi = s.psi[base + kk];
+            if (psi < 0.0) psi = limiter(mesh, s, c, k, a, b, du, dv, du2);
+        } else {
+            psi = limiter(mesh, s, c, k, a, b, du, dv, du2);
+            s.psi[base + kk] = psi;
+        }
+
+        // A fully limited edge contributes +-0 to every sum below, and
+        // +-0 added to a +0.0-seeded round-to-nearest sum (never -0.0)
+        // changes no bit; so does max(q_max, +-0). Inf or NaN inputs
+        // would make the zero a NaN, so they take the full path.
+        if (psi == Real(1.0) && bounded && du2 <= skip_bound &&
+            ex * ex + ey * ey <= skip_bound)
+            continue;
+
         const Real dunorm = std::sqrt(du2);
-        const Real q_edge = (Real(1.0) - psi) * s.rho[ci] *
-                            (cq * du2 + cl * cs * dunorm);
+        const Real q_edge =
+            (Real(1.0) - psi) * rho * (cq * du2 + cl * cs * dunorm);
 
         const Real edge_len = geom::length(ex, ey);
         const Real mu = q_edge * edge_len / std::max(dunorm, tiny);
@@ -101,30 +150,44 @@ inline void q_cell(const mesh::Mesh& mesh, const Options& opts, State& s,
     s.q[ci] = q_max;
 }
 
+/// q_cell over cells cell_at(0 .. n-1) on `exec`, with the phase fixed at
+/// compile time so each loop inlines its own cell body.
+template <typename CellAt>
+void sweep(const Context& ctx, const par::Exec& exec, State& s, Phase phase,
+           Index n, CellAt cell_at) {
+    const auto run = [&](auto p) {
+        par::for_each(exec, n, [&](Index i) {
+            q_cell<decltype(p)::value>(*ctx.mesh, ctx.opts, s, cell_at(i));
+        });
+    };
+    if (phase == Phase::corrector)
+        run(std::integral_constant<Phase, Phase::corrector>{});
+    else
+        run(std::integral_constant<Phase, Phase::predictor>{});
+}
+
 } // namespace
 
-void getq(const Context& ctx, State& s) {
+void getq(const Context& ctx, State& s, Phase phase) {
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::getq,
                                   ctx.mesh->n_cells());
-    const auto& mesh = *ctx.mesh;
-    par::for_each(ctx.exec, mesh.n_cells(),
-                  [&](Index c) { q_cell(mesh, ctx.opts, s, c); });
+    sweep(ctx, ctx.exec, s, phase, ctx.mesh->n_cells(),
+          [](Index c) { return c; });
 }
 
-void getq(const Context& ctx, State& s, std::span<const Index> cells) {
+void getq(const Context& ctx, State& s, std::span<const Index> cells,
+          Phase phase) {
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::getq,
                                   static_cast<long long>(cells.size()));
-    const auto& mesh = *ctx.mesh;
-    par::for_each(ctx.exec, static_cast<Index>(cells.size()), [&](Index i) {
-        q_cell(mesh, ctx.opts, s, cells[static_cast<std::size_t>(i)]);
-    });
+    sweep(ctx, ctx.exec, s, phase, static_cast<Index>(cells.size()),
+          [cells](Index i) { return cells[static_cast<std::size_t>(i)]; });
 }
 
-void getq(const Context& ctx, State& s, Index begin, Index end) {
+void getq(const Context& ctx, State& s, Index begin, Index end, Phase phase) {
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::getq,
                                   end - begin);
-    const auto& mesh = *ctx.mesh;
-    for (Index c = begin; c < end; ++c) q_cell(mesh, ctx.opts, s, c);
+    sweep(ctx, par::Exec{}, s, phase, end - begin,
+          [begin](Index i) { return begin + i; });
 }
 
 } // namespace bookleaf::hydro

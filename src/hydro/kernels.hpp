@@ -94,16 +94,32 @@ void getein(const Context& ctx, State& s, std::span<const Real> wu,
 /// EoS evaluation: pressure and squared sound speed per cell.
 void getpc(const Context& ctx, State& s);
 
+/// Which of a step's two getq calls is running.
+///
+/// Invariant of every step shape (lagstep, StepGraph, the distributed
+/// overlap_step): no velocity (u, v) is written between a cell's
+/// predictor getq and its corrector getq. The limiter depends only on
+/// u, v and topology, so the predictor stores it in State::psi and the
+/// corrector reads it back instead of recomputing it.
+enum class Phase {
+    predictor, ///< computes and stores every compressing edge's limiter
+    corrector  ///< reuses the predictor's limiters; same bytes as recomputing
+};
+
 /// Edge-centred monotonic artificial viscosity (Caramana-Shashkov-Whalen
-/// [28]). Writes the viscous corner forces (qfx, qfy) and the cell
-/// viscosity scalar q. Needs face-neighbour velocities: this is the
-/// kernel preceded by a halo exchange in distributed runs.
-void getq(const Context& ctx, State& s);
+/// [28]). Writes the viscous corner forces (qfx, qfy), the cell
+/// viscosity scalar q and, in the predictor, the limiters (psi). Needs
+/// face-neighbour velocities: this is the kernel preceded by a halo
+/// exchange in distributed runs. A corrector call must follow the
+/// predictor call of the same step over the same cells with no velocity
+/// write in between (see Phase); a lone call is a predictor.
+void getq(const Context& ctx, State& s, Phase phase = Phase::predictor);
 /// Subrange variant over an explicit cell list. Each cell writes only its
 /// own corner arrays, so any disjoint cover of the cell range (e.g. the
 /// distributed driver's boundary/interior split for halo overlap) is
 /// bitwise identical to the full sweep regardless of execution order.
-void getq(const Context& ctx, State& s, std::span<const Index> cells);
+void getq(const Context& ctx, State& s, std::span<const Index> cells,
+          Phase phase = Phase::predictor);
 
 /// Total corner forces: pressure gradient + sub-zonal pressures +
 /// hourglass filter + the viscous forces computed by getq.
@@ -142,7 +158,8 @@ void getacc_advance(const Context& ctx, State& s, Real dt);
 // ---------------------------------------------------------------------------
 
 /// getq over cells [begin, end).
-void getq(const Context& ctx, State& s, Index begin, Index end);
+void getq(const Context& ctx, State& s, Index begin, Index end,
+          Phase phase = Phase::predictor);
 /// getforce over cells [begin, end).
 void getforce(const Context& ctx, State& s, Index begin, Index end);
 /// The node-move half of getgeom over nodes [begin, end).

@@ -43,7 +43,8 @@ void lagstep(const Context& ctx, State& s, Real dt) {
     getpc(ctx, s);
 
     // --- corrector: full step with time-centred quantities ------------------
-    getq(ctx, s);
+    // Nothing above wrote u or v, so getq reuses the predictor's limiters.
+    getq(ctx, s, Phase::corrector);
     getforce(ctx, s);
     getacc(ctx, s, dt);
     getgeom(ctx, s, s.ubar, s.vbar, dt);

@@ -13,7 +13,7 @@ namespace {
 struct FieldGroups {
     std::array<Field*, 13> nodes;
     std::array<Field*, 9> cells;
-    std::array<Field*, 10> corners;
+    std::array<Field*, 11> corners;
 };
 
 FieldGroups fields_of(State& s) {
@@ -22,11 +22,11 @@ FieldGroups fields_of(State& s) {
             {&s.rho, &s.ein, &s.pre, &s.csqrd, &s.q, &s.volume, &s.cell_mass,
              &s.char_len, &s.ein0},
             {&s.fx, &s.fy, &s.qfx, &s.qfy, &s.cnmass, &s.cnvol, &s.cnx, &s.cny,
-             &s.cngx, &s.cngy}};
+             &s.cngx, &s.cngy, &s.psi}};
 }
 
 // A field added to State belongs in one of the groups above.
-static_assert(sizeof(State) == 32 * sizeof(Field));
+static_assert(sizeof(State) == 33 * sizeof(Field));
 
 } // namespace
 

@@ -62,6 +62,14 @@ struct State {
     Field u0, v0;       ///< velocities at step start
     Field ein0;         ///< energy at step start
     Field ubar, vbar;   ///< time-centred velocities (corrector)
+    /// getq's limiter of edge k (corner k -> k+1) of cell c, at cidx(c, k):
+    /// written by the predictor getq, read by the corrector getq of the
+    /// same step. Valid only because no velocity is written between the
+    /// two calls (see hydro::Phase); -1 marks a moving edge that was not
+    /// compressing under the step-start geometry. Not a primary: never
+    /// snapshotted or checkpointed, since every step (including a guard
+    /// retry) rewrites it in its predictor before the corrector reads it.
+    Field psi;
 
     [[nodiscard]] Index n_nodes() const { return static_cast<Index>(x.size()); }
     [[nodiscard]] Index n_cells() const { return static_cast<Index>(rho.size()); }

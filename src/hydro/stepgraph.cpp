@@ -17,34 +17,13 @@
 
 #include "hydro/stepgraph.hpp"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "par/blocks.hpp"
 #include "util/error.hpp"
 
 namespace bookleaf::hydro {
-
-namespace {
-
-struct BlockRange {
-    Index begin = 0, end = 0;
-};
-
-std::vector<BlockRange> make_blocks(Index n, Index block_size) {
-    std::vector<BlockRange> blocks;
-    for (Index b = 0; b < n; b += block_size)
-        blocks.push_back({b, std::min<Index>(n, b + block_size)});
-    if (blocks.empty()) blocks.push_back({0, 0});
-    return blocks;
-}
-
-void sort_unique(std::vector<int>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-
-} // namespace
 
 StepGraph::StepGraph(const Context& ctx, State& s)
     : run_exec_(ctx.exec), ctx_(ctx), s_(&s) {
@@ -66,12 +45,18 @@ void StepGraph::build() {
 
     const Index cell_bs = par::detail::resolve_task_block(run_exec_, n_cells);
     const Index node_bs = par::detail::resolve_task_block(run_exec_, n_nodes);
-    const auto cells = make_blocks(n_cells, cell_bs);
-    const auto nodes = make_blocks(n_nodes, node_bs);
+    const auto cells = par::make_blocks(n_cells, cell_bs);
+    const auto nodes = par::make_blocks(n_nodes, node_bs);
     const int n_cb = static_cast<int>(cells.size());
     const int n_nb = static_cast<int>(nodes.size());
     const auto nb_of = [&](Index n) { return static_cast<int>(n / node_bs); };
     const auto cb_of = [&](Index c) { return static_cast<int>(c / cell_bs); };
+    const auto cells_of = [&](int cb) {
+        return cells[static_cast<std::size_t>(cb)];
+    };
+    const auto nodes_of = [&](int nb) {
+        return nodes[static_cast<std::size_t>(nb)];
+    };
 
     // --- couplings -------------------------------------------------------
     // own_nb[cb]:  node blocks holding any node of a cell in cb.
@@ -81,45 +66,38 @@ void StepGraph::build() {
     //              (via ctx.mesh->node_corners: flat corner id / 4 = cell).
     // wide_reader_cb[nb]: transpose of wide_nb — the cell blocks whose
     //              getq reads u,v of a node in nb.
-    std::vector<std::vector<int>> own_nb(cells.size());
-    std::vector<std::vector<int>> wide_nb(cells.size());
-    std::vector<std::vector<int>> touch_cb(nodes.size());
-    std::vector<std::vector<int>> wide_reader_cb(nodes.size());
-
-    for (int cb = 0; cb < n_cb; ++cb) {
-        auto& own = own_nb[static_cast<std::size_t>(cb)];
-        auto& wide = wide_nb[static_cast<std::size_t>(cb)];
-        for (Index c = cells[static_cast<std::size_t>(cb)].begin;
-             c < cells[static_cast<std::size_t>(cb)].end; ++c) {
+    const auto own_nb = par::coupling(n_cb, n_nb, [&](int cb, auto add) {
+        for (Index c = cells_of(cb).begin; c < cells_of(cb).end; ++c)
+            for (int k = 0; k < corners_per_cell; ++k)
+                add(nb_of(mesh.cn(c, k)));
+    });
+    const auto wide_nb = par::coupling(n_cb, n_nb, [&](int cb, auto add) {
+        for (Index c = cells_of(cb).begin; c < cells_of(cb).end; ++c)
             for (int k = 0; k < corners_per_cell; ++k) {
-                own.push_back(nb_of(mesh.cn(c, k)));
+                add(nb_of(mesh.cn(c, k)));
                 const Index nbr = mesh.neighbor(c, k);
                 if (nbr == no_index) continue;
                 for (int m = 0; m < corners_per_cell; ++m)
-                    wide.push_back(nb_of(mesh.cn(nbr, m)));
+                    add(nb_of(mesh.cn(nbr, m)));
             }
-        }
-        wide.insert(wide.end(), own.begin(), own.end());
-        sort_unique(own);
-        sort_unique(wide);
-        for (const int nb : wide)
-            wide_reader_cb[static_cast<std::size_t>(nb)].push_back(cb);
-    }
+    });
     const auto& gather = ctx_.mesh->node_corners;
-    for (int nb = 0; nb < n_nb; ++nb) {
-        auto& touch = touch_cb[static_cast<std::size_t>(nb)];
-        for (Index n = nodes[static_cast<std::size_t>(nb)].begin;
-             n < nodes[static_cast<std::size_t>(nb)].end; ++n)
+    const auto touch_cb = par::coupling(n_nb, n_cb, [&](int nb, auto add) {
+        for (Index n = nodes_of(nb).begin; n < nodes_of(nb).end; ++n)
             for (const Index ck : gather.row(n))
-                touch.push_back(cb_of(ck / corners_per_cell));
-        sort_unique(touch);
-    }
+                add(cb_of(ck / corners_per_cell));
+    });
+    std::vector<std::vector<int>> wide_reader_cb(nodes.size());
+    for (int cb = 0; cb < n_cb; ++cb)
+        for (const int nb : wide_nb[static_cast<std::size_t>(cb)])
+            wide_reader_cb[static_cast<std::size_t>(nb)].push_back(cb);
 
     // --- tasks -----------------------------------------------------------
     using par::TaskId;
     const Context& ctx = ctx_;
-    auto link = [&](TaskId after, std::vector<TaskId> befores) {
-        sort_unique(befores);
+    // No list below repeats a task, and the order within one list does
+    // not reach the graph (each listed task gains `after` once).
+    auto link = [&](TaskId after, const std::vector<TaskId>& befores) {
         for (const TaskId b : befores) graph_.depend(after, b);
     };
 
@@ -183,7 +161,7 @@ void StepGraph::build() {
         std::vector<TaskId> deps = {p_q[ci], p_f[ci]};
         for (const int nb : own_nb[ci])
             deps.push_back(p_gm[static_cast<std::size_t>(nb)]);
-        link(p_gc[ci], std::move(deps));
+        link(p_gc[ci], deps);
 
         p_rho[ci] = graph_.add([&ctx, &s, b, e] { getrho(ctx, s, b, e); },
                                false, util::Kernel::getrho);
@@ -197,7 +175,7 @@ void StepGraph::build() {
         std::vector<TaskId> ein_deps = {p_f[ci], snapc[ci]};
         for (const int nb : own_nb[ci])
             ein_deps.push_back(snapn[static_cast<std::size_t>(nb)]);
-        link(p_ein[ci], std::move(ein_deps));
+        link(p_ein[ci], ein_deps);
 
         p_pc[ci] = graph_.add([&ctx, &s, b, e] { getpc(ctx, s, b, e); }, false,
                               util::Kernel::getpc);
@@ -228,11 +206,17 @@ void StepGraph::build() {
     for (int cb = 0; cb < n_cb; ++cb) {
         const auto ci = static_cast<std::size_t>(cb);
         const Index b = cells[ci].begin, e = cells[ci].end;
-        c_q[ci] = graph_.add([&ctx, &s, b, e] { getq(ctx, s, b, e); }, false,
-                             util::Kernel::getq);
+        c_q[ci] = graph_.add([&ctx, &s, b, e] {
+            getq(ctx, s, b, e, Phase::corrector);
+        }, false, util::Kernel::getq);
         // RAW csqrd/rho/cache via the predictor EoS (p_pc is downstream of
         // p_rho and p_gc for the same block, so one edge covers all
-        // three); u,v are untouched since step entry.
+        // three), and psi from p_q (upstream of p_gc). u,v are untouched
+        // since step entry — no task writes a velocity between p_q and
+        // c_q, the invariant that lets c_q reuse p_q's limiters — so c_q
+        // needs no edge for them. It keeps the wide coupling on the
+        // velocity advance below: an edge that starts compressing only in
+        // the corrector recomputes its limiter from continuation nodes.
         link(c_q[ci], {p_pc[ci]});
         c_f[ci] = graph_.add([&ctx, &s, b, e] { getforce(ctx, s, b, e); },
                              false, util::Kernel::getforce);
@@ -250,7 +234,7 @@ void StepGraph::build() {
         std::vector<TaskId> deps;
         for (const int cb : touch_cb[ni])
             deps.push_back(c_f[static_cast<std::size_t>(cb)]);
-        link(c_asm[ni], std::move(deps));
+        link(c_asm[ni], deps);
 
         c_adv[ni] = graph_.add([this, &ctx, &s, b, e] {
             getacc_advance_velocity(ctx, s, dt_, b, e);
@@ -262,7 +246,7 @@ void StepGraph::build() {
         std::vector<TaskId> adv_deps = {c_asm[ni], snapn[ni]};
         for (const int cb : wide_reader_cb[ni])
             adv_deps.push_back(c_q[static_cast<std::size_t>(cb)]);
-        link(c_adv[ni], std::move(adv_deps));
+        link(c_adv[ni], adv_deps);
     }
     // Boundary conditions touch arbitrary (boundary-masked) nodes: one
     // serial task each, exactly where the fork-join sequence applies them.
@@ -308,7 +292,7 @@ void StepGraph::build() {
         std::vector<TaskId> deps;
         for (const int nb : own_nb[ci])
             deps.push_back(c_gm[static_cast<std::size_t>(nb)]);
-        link(c_gc[ci], std::move(deps));
+        link(c_gc[ci], deps);
 
         c_rho[ci] = graph_.add([&ctx, &s, b, e] { getrho(ctx, s, b, e); },
                                false, util::Kernel::getrho);

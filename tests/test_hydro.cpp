@@ -3,8 +3,15 @@
 // conservation, hourglass control, timestep control, threaded equivalence.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "hydro/kernels.hpp"
 #include "mesh/generator.hpp"
@@ -607,4 +614,278 @@ TEST(LagStep, SlowCompressionIsNearlyIsentropic) {
     Real max_q = 0.0;
     for (const Real q : rig.state.q) max_q = std::max(max_q, q);
     EXPECT_LT(max_q, 0.01); // ~1% of the gas pressure: negligible viscosity
+}
+
+// ---------------------------------------------------------------------------
+// getq phases: the predictor's stored limiters and the fully limited skip
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// getq's outputs.
+struct QOut {
+    std::vector<Real> qfx, qfy, q;
+};
+
+/// getq as it was before its limiters were stored per edge: every
+/// compressing edge recomputes its limiter and evaluates its force, fully
+/// limited ones included. The byte reference for both phases.
+QOut reference_q(const bm::Mesh& mesh, const bh::Options& opts,
+                 const bh::State& s) {
+    QOut out{std::vector<Real>(s.qfx.size()), std::vector<Real>(s.qfy.size()),
+             std::vector<Real>(s.q.size())};
+    const Real cq = opts.cq;
+    const Real cl = opts.cl;
+    for (Index c = 0; c < mesh.n_cells(); ++c) {
+        const auto ci = static_cast<std::size_t>(c);
+        const std::size_t base = bh::State::cidx(c, 0);
+        std::array<Real, 4> qfx{}, qfy{};
+        Real q_max = 0.0;
+        const Real cs = std::sqrt(std::max(s.csqrd[ci], Real(0.0)));
+        for (int k = 0; k < 4; ++k) {
+            const int k1 = (k + 1) % 4;
+            const Index a = mesh.cn(c, k);
+            const Index b = mesh.cn(c, k1);
+            const auto ai = static_cast<std::size_t>(a);
+            const auto bi = static_cast<std::size_t>(b);
+            const Real du = s.u[bi] - s.u[ai];
+            const Real dv = s.v[bi] - s.v[ai];
+            const Real du2 = du * du + dv * dv;
+            if (du2 < bookleaf::tiny) continue;
+            const auto kk = static_cast<std::size_t>(k);
+            const auto kk1 = static_cast<std::size_t>(k1);
+            const Real ex = s.cnx[base + kk1] - s.cnx[base + kk];
+            const Real ey = s.cny[base + kk1] - s.cny[base + kk];
+            if (du * ex + dv * ey >= 0.0) continue;
+            const Index pf = mesh.continuation_node(c, k, 0);
+            const Index nf = mesh.continuation_node(c, k, 1);
+            Real psi = 0.0;
+            if (pf != bookleaf::no_index || nf != bookleaf::no_index) {
+                const auto ratio = [&](Index from, Index to) {
+                    const auto fi = static_cast<std::size_t>(from);
+                    const auto ti = static_cast<std::size_t>(to);
+                    return ((s.u[ti] - s.u[fi]) * du +
+                            (s.v[ti] - s.v[fi]) * dv) /
+                           du2;
+                };
+                const Real rp =
+                    pf != bookleaf::no_index ? ratio(pf, a) : ratio(b, nf);
+                const Real rn = nf != bookleaf::no_index ? ratio(b, nf) : rp;
+                psi = std::min({Real(1.0), Real(0.5) * (rp + rn),
+                                Real(2.0) * rp, Real(2.0) * rn});
+                psi = std::max(psi, Real(0.0));
+            }
+            const Real dunorm = std::sqrt(du2);
+            const Real q_edge = (Real(1.0) - psi) * s.rho[ci] *
+                                (cq * du2 + cl * cs * dunorm);
+            const Real edge_len = std::sqrt(ex * ex + ey * ey);
+            const Real mu =
+                q_edge * edge_len / std::max(dunorm, bookleaf::tiny);
+            qfx[kk] += mu * du;
+            qfy[kk] += mu * dv;
+            qfx[kk1] -= mu * du;
+            qfy[kk1] -= mu * dv;
+            q_max = std::max(q_max, q_edge);
+        }
+        for (std::size_t k = 0; k < 4; ++k) {
+            out.qfx[base + k] = qfx[k];
+            out.qfy[base + k] = qfy[k];
+        }
+        out.q[ci] = q_max;
+    }
+    return out;
+}
+
+/// Byte equality, naming the first differing slot.
+::testing::AssertionResult same_bytes(const bh::Field& got,
+                                      const std::vector<Real>& want) {
+    if (got.size() != want.size())
+        return ::testing::AssertionFailure()
+               << "size " << got.size() << " vs " << want.size();
+    for (std::size_t i = 0; i < got.size(); ++i)
+        if (std::memcmp(&got[i], &want[i], sizeof(Real)) != 0)
+            return ::testing::AssertionFailure()
+                   << "slot " << i << ": " << got[i] << " vs " << want[i];
+    return ::testing::AssertionSuccess();
+}
+
+/// A problem's initial state under its own options, advanced `steps`
+/// Lagrangian steps at the controller's dt.
+struct ProblemRig {
+    bookleaf::setup::Problem p;
+    bh::State state;
+    bu::Profiler profiler;
+    bh::Context ctx;
+    Real dt = 0.0;
+
+    ProblemRig(const ProblemRig&) = delete;
+    ProblemRig& operator=(const ProblemRig&) = delete;
+
+    ProblemRig(bookleaf::setup::Problem problem, int steps)
+        : p(std::move(problem)) {
+        state = bh::allocate(p.mesh);
+        state.rho.assign(p.rho.begin(), p.rho.end());
+        state.ein.assign(p.ein.begin(), p.ein.end());
+        state.u.assign(p.u.begin(), p.u.end());
+        state.v.assign(p.v.begin(), p.v.end());
+        bh::initialise(p.mesh, p.materials, state);
+        ctx.mesh = &p.mesh;
+        ctx.materials = &p.materials;
+        ctx.opts = p.hydro;
+        ctx.profiler = &profiler;
+        dt = p.hydro.dt_initial;
+        for (int i = 0; i < steps; ++i) {
+            dt = bh::getdt(ctx, state, dt).dt;
+            bh::lagstep(ctx, state, dt);
+        }
+        dt = bh::getdt(ctx, state, dt).dt;
+    }
+
+    /// Check getq's outputs byte for byte against the reference.
+    void expect_reference(const char* phase) const {
+        const auto want = reference_q(p.mesh, ctx.opts, state);
+        EXPECT_TRUE(same_bytes(state.qfx, want.qfx)) << phase << " qfx";
+        EXPECT_TRUE(same_bytes(state.qfy, want.qfy)) << phase << " qfy";
+        EXPECT_TRUE(same_bytes(state.q, want.q)) << phase << " q";
+    }
+
+    /// lagstep's predictor, half-step update and corrector getq, each getq
+    /// checked against the reference. The half step moves the nodes with
+    /// (wu, wv): lagstep's step-start velocities by default.
+    void predictor_then_corrector(std::span<const Real> wu = {},
+                                  std::span<const Real> wv = {}) {
+        bh::State& s = state;
+        s.x0 = s.x;
+        s.y0 = s.y;
+        s.u0 = s.u;
+        s.v0 = s.v;
+        s.ein0 = s.ein;
+        const Real half_dt = 0.5 * dt;
+        bh::getq(ctx, s, bh::Phase::predictor);
+        expect_reference("predictor");
+        bh::getforce(ctx, s);
+        bh::getgeom(ctx, s, wu.empty() ? s.u0 : wu, wv.empty() ? s.v0 : wv,
+                    half_dt);
+        bh::getrho(ctx, s);
+        bh::getein(ctx, s, s.u0, s.v0, half_dt);
+        bh::getpc(ctx, s);
+        bh::getq(ctx, s, bh::Phase::corrector);
+        expect_reference("corrector");
+    }
+
+    /// Whether edge k of cell c moves and compresses under the current
+    /// velocities and geometry cache (getq's two switches).
+    [[nodiscard]] bool compressing(Index c, int k) const {
+        const auto a = static_cast<std::size_t>(p.mesh.cn(c, k));
+        const auto b = static_cast<std::size_t>(p.mesh.cn(c, (k + 1) % 4));
+        const Real du = state.u[b] - state.u[a];
+        const Real dv = state.v[b] - state.v[a];
+        if (du * du + dv * dv < bookleaf::tiny) return false;
+        const std::size_t base = bh::State::cidx(c, 0);
+        const auto k0 = static_cast<std::size_t>(k);
+        const auto k1 = static_cast<std::size_t>((k + 1) % 4);
+        const Real ex = state.cnx[base + k1] - state.cnx[base + k0];
+        const Real ey = state.cny[base + k1] - state.cny[base + k0];
+        return du * ex + dv * ey < 0.0;
+    }
+};
+
+} // namespace
+
+TEST(GetQPhases, CorrectorReusesPredictorLimitersBitwise) {
+    for (auto problem : {bookleaf::setup::noh(24), bookleaf::setup::sedov(24),
+                         bookleaf::setup::saltzmann(40, 4)}) {
+        SCOPED_TRACE(problem.name);
+        ProblemRig rig(std::move(problem), 60);
+        // Two consecutive steps: the second predictor must not reuse the
+        // first step's limiters (getacc moved u in between).
+        rig.predictor_then_corrector();
+        bh::lagstep(rig.ctx, rig.state, rig.dt);
+        rig.predictor_then_corrector();
+    }
+}
+
+TEST(GetQPhases, EdgesCompressingOnlyInTheCorrectorRecomputeTheirLimiter) {
+    // Noh's smooth convergent flow (fully limited edges) with random
+    // velocities in its right half (velocity jumps at every angle to their
+    // edges), and a half step moved with perturbed velocities, so some
+    // edges start compressing only under the corrector's geometry. The
+    // half step leaves u, v as they are, so the corrector must still give
+    // the reference bytes.
+    ProblemRig rig(bookleaf::setup::noh(24), 60);
+    auto& s = rig.state;
+    bu::SplitMix64 rng(20);
+    for (std::size_t n = 0; n < s.u.size(); ++n)
+        if (s.x[n] > 0.5) {
+            s.u[n] += rng.uniform(-1.0, 1.0);
+            s.v[n] += rng.uniform(-1.0, 1.0);
+        }
+    const Real amplitude = 0.1 / 24.0 / (0.5 * rig.dt); // 0.1 h per half step
+    std::vector<Real> wu(s.u.begin(), s.u.end()), wv(s.v.begin(), s.v.end());
+    for (std::size_t n = 0; n < wu.size(); ++n) {
+        wu[n] += rng.uniform(-amplitude, amplitude);
+        wv[n] += rng.uniform(-amplitude, amplitude);
+    }
+    std::fill(s.psi.begin(), s.psi.end(), 0.5); // nothing left from lagstep
+    rig.predictor_then_corrector(wu, wv);
+
+    long sentinel_path = 0, fully_limited = 0;
+    for (Index c = 0; c < rig.p.mesh.n_cells(); ++c)
+        for (int k = 0; k < 4; ++k) {
+            const Real psi = s.psi[bh::State::cidx(c, k)];
+            if (psi == 1.0) ++fully_limited;
+            if (psi < 0.0 && rig.compressing(c, k)) ++sentinel_path;
+        }
+    EXPECT_GT(sentinel_path, 0) << "no edge started compressing late";
+    EXPECT_GT(fully_limited, 0) << "no edge was fully limited";
+}
+
+TEST(GetQPhases, NonFiniteAndHugeInputsOnFullyLimitedEdges) {
+    // The skip of a fully limited edge is exact only while its force is a
+    // signed zero; these states make it inf or NaN and must still give
+    // the reference bytes in both phases.
+    ProblemRig clean(bookleaf::setup::noh(24), 60);
+    bh::getq(clean.ctx, clean.state, bh::Phase::predictor);
+    Index cell = bookleaf::no_index;
+    int edge = 0;
+    for (Index c = 0; c < clean.p.mesh.n_cells() && cell == bookleaf::no_index;
+         ++c)
+        for (int k = 0; k < 4; ++k)
+            if (clean.state.psi[bh::State::cidx(c, k)] == 1.0) {
+                cell = c;
+                edge = k;
+                break;
+            }
+    ASSERT_NE(cell, bookleaf::no_index) << "no fully limited edge";
+    const auto ci = static_cast<std::size_t>(cell);
+    const auto a = static_cast<std::size_t>(clean.p.mesh.cn(cell, edge));
+    const std::size_t ka = bh::State::cidx(cell, edge);
+    const std::size_t kb = bh::State::cidx(cell, (edge + 1) % 4);
+
+    const std::vector<std::pair<const char*, std::function<void(bh::State&)>>>
+        cases = {
+            {"NaN velocity",
+             [&](bh::State& s) {
+                 s.u[a] = std::numeric_limits<Real>::quiet_NaN();
+             }},
+            {"inf rho",
+             [&](bh::State& s) {
+                 s.rho[ci] = std::numeric_limits<Real>::infinity();
+             }},
+            {"csqrd 1e250", [&](bh::State& s) { s.csqrd[ci] = 1e250; }},
+            {"huge edge",
+             [&](bh::State& s) {
+                 s.cnx[kb] = s.cnx[ka] + 1e200 * (s.cnx[kb] - s.cnx[ka]);
+                 s.cny[kb] = s.cny[ka] + 1e200 * (s.cny[kb] - s.cny[ka]);
+             }},
+        };
+    for (const auto& [name, inject] : cases) {
+        SCOPED_TRACE(name);
+        ProblemRig rig(bookleaf::setup::noh(24), 60);
+        inject(rig.state);
+        bh::getq(rig.ctx, rig.state, bh::Phase::predictor);
+        rig.expect_reference("predictor");
+        bh::getq(rig.ctx, rig.state, bh::Phase::corrector);
+        rig.expect_reference("corrector");
+    }
 }

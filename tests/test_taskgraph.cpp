@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -15,6 +16,8 @@
 
 #include "core/driver.hpp"
 #include "dist/distributed.hpp"
+#include "mesh/generator.hpp"
+#include "par/blocks.hpp"
 #include "par/exec.hpp"
 #include "par/task_graph.hpp"
 #include "par/thread_pool.hpp"
@@ -26,6 +29,7 @@ namespace bc = bookleaf::core;
 namespace bd = bookleaf::dist;
 namespace bs = bookleaf::setup;
 namespace ba = bookleaf::ale;
+using bookleaf::Index;
 using bookleaf::Real;
 
 // ---------------------------------------------------------------------------
@@ -168,6 +172,95 @@ TEST(TaskGraph, TaskExceptionPropagatesAndCancels) {
     ex.pool = &pool;
     EXPECT_THROW(g.run(ex), std::runtime_error);
     EXPECT_EQ(ran.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Block coupling tables (par::coupling), as the graph builders use them
+// ---------------------------------------------------------------------------
+
+TEST(BlockCoupling, BlocksCoverTheRangeInOrder) {
+    const auto blocks = bp::make_blocks(30, 7);
+    ASSERT_EQ(blocks.size(), 5u);
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        EXPECT_EQ(blocks[b].begin, static_cast<Index>(7 * b));
+        EXPECT_EQ(blocks[b].end,
+                  std::min<Index>(30, static_cast<Index>(7 * b + 7)));
+    }
+    const auto none = bp::make_blocks(0, 7);
+    ASSERT_EQ(none.size(), 1u);
+    EXPECT_EQ(none[0].begin, 0);
+    EXPECT_EQ(none[0].end, 0);
+}
+
+TEST(BlockCoupling, MatchesBruteForceSetsOnARenumberedMesh) {
+    // The graph builders' stencils on a randomly renumbered 24^2 mesh at
+    // task_block 7: every row must be exactly the sorted distinct blocks
+    // a std::set collects from the same visits.
+    bookleaf::util::SplitMix64 rng(24);
+    const auto mesh = bookleaf::mesh::permute(bs::noh(24).mesh, rng);
+    bp::Exec ex;
+    ex.task_block = 7;
+    const Index cell_bs = bp::detail::resolve_task_block(ex, mesh.n_cells());
+    const Index node_bs = bp::detail::resolve_task_block(ex, mesh.n_nodes());
+    ASSERT_EQ(cell_bs, 7);
+    ASSERT_EQ(node_bs, 7);
+    const auto cells = bp::make_blocks(mesh.n_cells(), cell_bs);
+    const auto nodes = bp::make_blocks(mesh.n_nodes(), node_bs);
+    const int n_cb = static_cast<int>(cells.size());
+    const int n_nb = static_cast<int>(nodes.size());
+    const auto nb_of = [&](Index n) { return static_cast<int>(n / node_bs); };
+    const auto cb_of = [&](Index c) { return static_cast<int>(c / cell_bs); };
+
+    // Own nodes plus the face neighbours' nodes (the step graph's getq
+    // stencil).
+    const auto wide = [&](int cb, auto add) {
+        const auto blk = cells[static_cast<std::size_t>(cb)];
+        for (Index c = blk.begin; c < blk.end; ++c)
+            for (int k = 0; k < 4; ++k) {
+                add(nb_of(mesh.cn(c, k)));
+                const Index nbr = mesh.neighbor(c, k);
+                if (nbr == bookleaf::no_index) continue;
+                for (int m = 0; m < 4; ++m) add(nb_of(mesh.cn(nbr, m)));
+            }
+    };
+    // The cells a node's corner gather reads (the assembly stencil).
+    const auto touch = [&](int nb, auto add) {
+        const auto blk = nodes[static_cast<std::size_t>(nb)];
+        for (Index n = blk.begin; n < blk.end; ++n)
+            for (const Index ck : mesh.node_corners.row(n)) add(cb_of(ck / 4));
+    };
+    // Nodes sharing a cell with the block's nodes, and the block itself
+    // (the advection graph's upwind-velocity stencil).
+    const auto adjacent = [&](int nb, auto add) {
+        add(nb);
+        const auto blk = nodes[static_cast<std::size_t>(nb)];
+        for (Index n = blk.begin; n < blk.end; ++n)
+            for (const Index ck : mesh.node_corners.row(n))
+                for (int m = 0; m < 4; ++m) add(nb_of(mesh.cn(ck / 4, m)));
+    };
+
+    const auto check = [](const char* name, int n_rows, int n_cols,
+                          const auto& visit) {
+        const auto table = bp::coupling(n_rows, n_cols, visit);
+        ASSERT_EQ(table.size(), static_cast<std::size_t>(n_rows)) << name;
+        std::size_t repeats_seen = 0;
+        for (int r = 0; r < n_rows; ++r) {
+            std::set<int> want;
+            std::size_t visits = 0;
+            visit(r, [&](int col) {
+                want.insert(col);
+                ++visits;
+            });
+            repeats_seen += visits - want.size();
+            EXPECT_EQ(table[static_cast<std::size_t>(r)],
+                      std::vector<int>(want.begin(), want.end()))
+                << name << " row " << r;
+        }
+        EXPECT_GT(repeats_seen, 0u) << name << ": nothing to deduplicate";
+    };
+    check("wide", n_cb, n_nb, wide);
+    check("touch", n_nb, n_cb, touch);
+    check("adjacent", n_nb, n_nb, adjacent);
 }
 
 // ---------------------------------------------------------------------------
