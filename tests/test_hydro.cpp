@@ -678,7 +678,7 @@ QOut reference_q(const bm::Mesh& mesh, const bh::Options& opts,
             const Real dunorm = std::sqrt(du2);
             const Real q_edge = (Real(1.0) - psi) * s.rho[ci] *
                                 (cq * du2 + cl * cs * dunorm);
-            const Real edge_len = std::sqrt(ex * ex + ey * ey);
+            const Real edge_len = bookleaf::geom::length(ex, ey);
             const Real mu =
                 q_edge * edge_len / std::max(dunorm, bookleaf::tiny);
             qfx[kk] += mu * du;
