@@ -12,6 +12,7 @@
 /// of a distributed remap is communication at strong-scaled sizes.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 
@@ -73,9 +74,10 @@ bench_dist_remap(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
             }
             s.x0 = s.x;
             s.y0 = s.y;
-            hydro::getgeom(ctx, s, s.u, s.v, 0.0);
-            hydro::getrho(ctx, s);
-            hydro::getpc(ctx, s);
+            std::atomic<Index> tangled{no_index};
+            hydro::getgeom_cells(ctx, s, 0, lm.n_cells(), tangled);
+            hydro::getrho(ctx, s, 0, lm.n_cells());
+            hydro::getpc(ctx, s, 0, lm.n_cells());
             dist::remap(ctx, s, aopts, w, comm, sub);
         }
     });

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <string>
 
+#include "assembly_ablation.hpp"
 #include "core/driver.hpp"
 #include "obs/json.hpp"
 #include "perfmodel/calibrate.hpp"
@@ -66,24 +67,21 @@ int main(int argc, char** argv) {
                 skl_h.at(Kernel::getq) / skl.at(Kernel::getq),
                 skl_h.at(Kernel::getacc) / skl.at(Kernel::getacc));
 
-    // --- measured counterpart on this host: the acceleration kernel under
-    // both assembly strategies (Fig. 2b's data dependency, and the gather
-    // that removes it). Noh 64x64, 30 steps per variant.
+    // --- measured counterpart on this host: the acceleration assembly
+    // both ways (Fig. 2b's data dependency, and the gather that removes
+    // it) on the state of Noh 64x64 after 30 steps, 30 assemblies each.
+    // The serial scatter is bench-local (assembly_ablation.hpp).
     namespace bl = bookleaf;
     std::printf("\n=== Measured acceleration assembly on this host "
-                "(Noh 64x64, 30 steps, 2 threads) ===\n");
-    auto measure = [](bl::par::Assembly assembly) {
-        bl::core::Hydro h(bl::setup::noh(64));
+                "(Noh 64x64 after 30 steps, 30 assemblies, 2 threads) ===\n");
+    double t_serial = 0.0, t_gather = 0.0;
+    {
+        bl::bench::AssemblyRig rig(bl::setup::noh(64), 30);
         bl::par::ThreadPool pool(2);
-        bl::par::Exec exec;
-        exec.pool = &pool;
-        h.set_exec(exec);
-        h.set_assembly(assembly);
-        h.run(std::nullopt, 30);
-        return h.profiler().stats(Kernel::getacc).wall_s;
-    };
-    const double t_serial = measure(bl::par::Assembly::serial_scatter);
-    const double t_gather = measure(bl::par::Assembly::gather);
+        const auto t = bl::bench::time_assembly(rig, 30, pool);
+        t_serial = t.scatter_s;
+        t_gather = t.gather_s;
+    }
 
     // One more instrumented run keeping the FULL kernel breakdown: its
     // per-kernel {wall_s, calls, items} counters become the document's
@@ -99,7 +97,7 @@ int main(int argc, char** argv) {
         instrumented.run(std::nullopt, 30);
     }
     std::printf("%-28s %10.4f s\n", "serial scatter (paper)", t_serial);
-    std::printf("%-28s %10.4f s  (%.2fx vs serial)\n", "gather (default)",
+    std::printf("%-28s %10.4f s  (%.2fx vs serial)\n", "gather (library)",
                 t_gather, t_serial / std::max(t_gather, 1e-12));
 
     if (cli.has("json")) {

@@ -4,7 +4,6 @@
 /// Algorithm 1, prints the step banner and the final per-kernel summary.
 ///
 ///   ./bookleaf_main data/sod.in [--threads N] [--grain N] [--max_steps N]
-///                   [--assembly gather|serial]
 ///                   [--banner-every N] [--vtk out.vtk]
 ///                   [--restart snapshot.ckpt]
 ///                   [--telemetry-report run.json] [--telemetry-trace t.json]
@@ -28,9 +27,9 @@ using namespace bookleaf;
 int main(int argc, char** argv) {
     try {
         const util::Cli cli(argc, argv,
-                            {"threads", "grain", "max_steps", "assembly",
-                             "banner-every", "vtk", "restart",
-                             "telemetry-report", "telemetry-trace",
+                            {"threads", "grain", "max_steps", "banner-every",
+                             "vtk", "restart", "telemetry-report",
+                             "telemetry-trace",
                              "telemetry-summary", "telemetry-window",
                              "telemetry-live", "watchdog-factor"});
         setup::Problem problem =
@@ -82,15 +81,6 @@ int main(int argc, char** argv) {
             exec.grain = static_cast<Index>(cli.get_int("grain", 0));
             hydro.set_exec(exec);
         }
-        // Nodal-assembly strategy: default is the race-free gather; the
-        // paper's §IV-B serial scatter stays available for the ablation.
-        const auto assembly = cli.get("assembly", "gather");
-        if (assembly == "serial")
-            hydro.set_assembly(par::Assembly::serial_scatter);
-        else if (assembly != "gather")
-            throw util::Error("unknown --assembly '" + assembly +
-                              "' (expected gather|serial)");
-
         const int max_steps = cli.get_int("max_steps", 1 << 30);
         const int banner_every = cli.get_int("banner-every", 100);
 

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     if (threads > 1) {
         par::Exec exec;
         exec.pool = &pool;
-        hydro.set_exec(exec); // gather assembly (the default) is race-free
+        hydro.set_exec(exec);
     }
 
     const auto summary = hydro.run();

@@ -221,20 +221,6 @@ void aleadvect_fluxes(const hydro::Context& ctx, const hydro::State& s,
 }
 
 void aleadvect_fluxes(const hydro::Context& ctx, const hydro::State& s,
-                      const Options& opts, Workspace& w,
-                      std::span<const Index> faces) {
-    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,
-                                  static_cast<long long>(faces.size()));
-    const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_fluxes,
-                                  static_cast<long long>(faces.size()));
-    const auto& mesh = *ctx.mesh;
-    w.mflux.assign(mesh.faces.size(), 0.0);
-    w.eflux.assign(mesh.faces.size(), 0.0);
-    for (const Index fi : faces)
-        flux_face(mesh, s, opts, w, static_cast<std::size_t>(fi));
-}
-
-void aleadvect_fluxes(const hydro::Context& ctx, const hydro::State& s,
                       const Options& opts, Workspace& w, Index begin,
                       Index end) {
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,

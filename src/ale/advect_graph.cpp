@@ -41,7 +41,6 @@ AdvectGraph::AdvectGraph(const hydro::Context& ctx, hydro::State& s,
     // Task bodies are serial block loops: null the pool so nothing they
     // reach can re-dispatch onto the pool the graph is scheduled on.
     ctx_.exec.pool = nullptr;
-    ctx_.stepgraph = nullptr;
     ctx_.advectgraph = nullptr;
     const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::other);
     build();

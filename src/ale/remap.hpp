@@ -140,10 +140,6 @@ void aleadvect_gradients(const hydro::Context& ctx, const hydro::State& s,
 /// Donor-cell mass/energy fluxes with limited reconstruction, all faces.
 void aleadvect_fluxes(const hydro::Context& ctx, const hydro::State& s,
                       const Options& opts, Workspace& w);
-/// Subrange overload (see alegetfvol). Unlisted faces get zero flux.
-void aleadvect_fluxes(const hydro::Context& ctx, const hydro::State& s,
-                      const Options& opts, Workspace& w,
-                      std::span<const Index> faces);
 /// Block overload: faces [begin, end), caller sizes w.mflux/w.eflux (own
 /// slots are zeroed before fluxing, so no full-array assign is needed).
 void aleadvect_fluxes(const hydro::Context& ctx, const hydro::State& s,

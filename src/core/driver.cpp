@@ -62,11 +62,6 @@ void Hydro::renumber(const mesh::Order& order) {
     p.u = mesh::reordered(p.u, order.nodes);
     p.v = mesh::reordered(p.v, order.nodes);
     hydro::renumber(state_, order.cells, order.nodes);
-    scatter_cells_ = p.mesh.cell_ids.empty()
-                         ? std::vector<Index>{}
-                         : mesh::canonical_order(p.mesh.cell_ids,
-                                                 p.mesh.n_cells());
-    ctx_.scatter_cells = scatter_cells_;
 }
 
 /// Locality order: the mesh along the Hilbert curve of its cell centroids,
@@ -108,7 +103,7 @@ void Hydro::init_context() {
 Stepper::Hooks Hydro::serial_hooks() {
     Stepper::Hooks hooks;
     hooks.advance = [this](Real dt_local, bool, const Stepper::Settle& settle) {
-        hydro::lagstep(ctx_, state_, settle(dt_local));
+        stepgraph_->run([&] { return settle(dt_local); });
     };
     hooks.remap = [this] {
         ale::alestep(ctx_, state_, problem_.ale, ale_work_);
@@ -225,36 +220,24 @@ void Hydro::maybe_checkpoint(Real t_before) {
     if (cfg.halt_after) halt_requested_ = true;
 }
 
-void Hydro::set_assembly(par::Assembly assembly) {
-    ctx_.exec.assembly = assembly;
-    chosen_assembly_ = assembly;
-    assembly_chosen_ = true;
-    // The step graph's acceleration tasks encode the gather assembly;
-    // rebuild (or drop) the graphs under the new strategy.
-    drop_graphs();
-}
-
 void Hydro::drop_graphs() {
     stepgraph_.reset();
     advectgraph_.reset();
-    ctx_.stepgraph = nullptr;
     ctx_.advectgraph = nullptr;
 }
 
-/// Build the task graphs the current execution policy wants, once: both
-/// need a threaded pool; the step graph also needs the default gather
-/// assembly (the serial scatter deliberately keeps the reference
-/// fork-join shape), the advection graph a remapping mode. set_exec and
-/// set_assembly drop them, so a graph never outlives the policy it was
-/// built for.
+/// Build the task graphs the current execution policy wants, once: the
+/// step graph always (a run without a pool executes it inline), the
+/// advection graph with a threaded pool in a remapping mode. set_exec and
+/// renumbering drop them, so a graph never outlives the policy or the
+/// numbering it was built for.
 void Hydro::ensure_graphs() {
-    const bool graphs = ctx_.exec.threaded();
-    if (graphs && ctx_.exec.assembly == par::Assembly::gather && !stepgraph_)
+    if (!stepgraph_)
         stepgraph_ = std::make_unique<hydro::StepGraph>(ctx_, state_);
-    if (graphs && problem_.ale.mode != ale::Mode::lagrange && !advectgraph_)
+    if (ctx_.exec.threaded() && problem_.ale.mode != ale::Mode::lagrange &&
+        !advectgraph_)
         advectgraph_ = std::make_unique<ale::AdvectGraph>(
             ctx_, state_, problem_.ale, ale_work_);
-    ctx_.stepgraph = stepgraph_.get();
     ctx_.advectgraph = advectgraph_.get();
 }
 

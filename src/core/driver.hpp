@@ -62,18 +62,13 @@ public:
     Hydro(const Hydro&) = delete;
     Hydro& operator=(const Hydro&) = delete;
 
-    /// Optional execution policy (threading) — set before stepping. An
-    /// assembly strategy chosen via set_assembly() survives this call
-    /// (set_exec configures the pool, not the assembly ablation). The
+    /// Optional execution policy (threading) — set before stepping. The
     /// task graphs built for the previous policy are dropped; the next
     /// step rebuilds the ones the new policy wants.
     void set_exec(par::Exec exec) {
         ctx_.exec = exec;
-        if (assembly_chosen_) ctx_.exec.assembly = chosen_assembly_;
         drop_graphs();
     }
-    /// Select the acceleration nodal-assembly strategy (default: gather).
-    void set_assembly(par::Assembly assembly);
 
     /// One step of Algorithm 1. Returns the step record.
     StepInfo step();
@@ -161,16 +156,12 @@ private:
     /// True while problem_ and state_ are in locality order, false while
     /// they are in the caller's.
     bool in_locality_order_ = false;
-    /// Storage cells in ascending canonical id: the serial-scatter
-    /// ablation's deposition order (ctx_.scatter_cells); empty in the
-    /// caller's order.
-    std::vector<Index> scatter_cells_;
     hydro::Context ctx_;
     ale::Workspace ale_work_;
-    /// Lagrangian-step task graph (threaded pool and gather assembly) and
-    /// ALE advection graph (threaded pool, remapping mode); built on the
-    /// first step after set_exec or set_assembly and re-run every step /
-    /// remap after that.
+    /// The Lagrangian step (every execution policy: inline without a
+    /// pool) and the ALE advection graph (threaded pool, remapping mode);
+    /// built on the first step after set_exec or a renumbering and re-run
+    /// every step / remap after that.
     std::unique_ptr<hydro::StepGraph> stepgraph_;
     std::unique_ptr<ale::AdvectGraph> advectgraph_;
     util::Profiler profiler_;
@@ -178,8 +169,6 @@ private:
     /// of t, dt, total mass, internal and kinetic energy, plus a step-0
     /// baseline row. Null when disabled.
     std::unique_ptr<io::CsvWriter> history_;
-    par::Assembly chosen_assembly_ = par::Assembly::gather;
-    bool assembly_chosen_ = false;
     /// Set when a checkpoint was written and `halt_after` asks the run
     /// loop to stop there (the step itself still completed normally).
     bool halt_requested_ = false;

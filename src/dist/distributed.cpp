@@ -14,18 +14,19 @@
 /// cadence, step records) is core::Stepper's, shared with the serial
 /// driver; this file supplies the per-rank mechanics as its hooks.
 ///
-/// The step overlaps both exchanges with interior work: it posts each
-/// exchange through typhon's request layer and runs the interior work —
-/// cells whose stencils see no halo-refreshed data, nodes whose assembly
-/// reads no ghost corner — while the messages are in flight; only the
-/// boundary finish waits. The dt min-reduction is likewise posted
-/// nonblocking before the pre-step halo and finished just before the
-/// predictor consumes dt. Every kernel piece involved is per-item
-/// independent, the exchanged bytes are the serial ones and the reduction
-/// is rank-order deterministic, so the gathered fields equal the serial
-/// driver's bit for bit at every rank count. Every exchange posts one
-/// message per peer, the fields' slices back-to-back. A health-guard
-/// retry replays the same step from the restored loop-top state.
+/// The step is hydro::StepGraph with the rank's halo nodes, built once
+/// per attempt: the rank posts the dt min-reduce and the state exchange,
+/// and the graph finishes the state exchange while the predictor blocks
+/// that read no halo data run, settles dt after it (the reduce rides
+/// under the state exchange), and posts the corner exchange as soon as
+/// the blocks holding sent corners have their forces, finishing it under
+/// the other blocks' work. Every kernel piece is per-item independent,
+/// the exchanged bytes are the serial ones and the reduction is
+/// rank-order deterministic, so the gathered fields equal the serial
+/// driver's bit for bit at every rank and thread count. Every exchange
+/// posts one message per peer, the fields' slices back-to-back. A
+/// health-guard retry replays the same step from the restored loop-top
+/// state.
 
 #include "dist/distributed.hpp"
 
@@ -41,6 +42,7 @@
 #include <thread>
 
 #include "core/stepper.hpp"
+#include "hydro/stepgraph.hpp"
 #include "par/blocks.hpp"
 #include "par/task_graph.hpp"
 #include "perfmodel/calibrate.hpp"
@@ -54,16 +56,6 @@
 namespace bookleaf::dist {
 
 namespace {
-
-/// Copy the step-start snapshot the predictor/corrector rewind to.
-void snapshot(const hydro::Context& ctx, hydro::State& s) {
-    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::other);
-    s.x0 = s.x;
-    s.y0 = s.y;
-    s.u0 = s.u;
-    s.v0 = s.v;
-    s.ein0 = s.ein;
-}
 
 /// Rebuild the dependent state (geometry cache, volumes, density, EoS) *of
 /// the ghost cells only* after their x/y/ein were refreshed — owned cells
@@ -96,10 +88,6 @@ void blocking_halo(const hydro::Context& ctx, Start&& start) {
     halo.finish(ctx.profiler);
 }
 
-// ---------------------------------------------------------------------------
-// The step: halo exchanges hide behind interior work
-// ---------------------------------------------------------------------------
-
 /// The fused pre-step state halo: node kinematics {x, y, u, v} and ghost
 /// internal energy {ein} as ONE wire exchange — where a peer appears in
 /// both schedules (the common case: a rank owning our ghost cells
@@ -118,111 +106,44 @@ start_state_halo(hydro::State& s, typhon::Comm& comm,
     return typhon::exchange_start(comm, groups, 100);
 }
 
+/// The rank's halo in the step graph's terms: its ghost layout, the cells
+/// whose corners a peer receives, and the exchange callbacks — finishing
+/// `state` (which the rank posts before each step) and posting and
+/// finishing `corners`. Each callback charges Kernel::halo.
+hydro::StepHalo step_halo(const hydro::Context& ctx, hydro::State& s,
+                          typhon::Comm& comm, const part::Subdomain& sub,
+                          typhon::PendingExchange& state,
+                          typhon::PendingExchange& corners) {
+    hydro::StepHalo halo;
+    halo.n_owned_cells = sub.n_owned_cells;
+    halo.node_owned = sub.node_owned;
+    for (const auto& peer : sub.corner_schedule.peers)
+        for (const Index item : peer.send_items)
+            halo.sent_cells.push_back(item / corners_per_cell);
+    util::Profiler* profiler = ctx.profiler;
+    halo.finish_state = [profiler, &state] {
+        const util::ScopedTimer timer(*profiler, util::Kernel::halo);
+        state.finish(profiler);
+    };
+    halo.post_corners = [profiler, &s, &comm, &sub, &corners] {
+        const util::ScopedTimer timer(*profiler, util::Kernel::halo);
+        const util::ScopedTimer pack(*profiler, util::Kernel::halo_pack);
+        corners = typhon::exchange_start(comm, sub.corner_schedule,
+                                         {s.fx, s.fy}, 200);
+    };
+    halo.finish_corners = [profiler, &corners] {
+        const util::ScopedTimer timer(*profiler, util::Kernel::halo);
+        corners.finish(profiler);
+    };
+    return halo;
+}
+
 /// Blocking pre-remap halo: refresh ghost node kinematics and ghost
 /// internal energy, then rebuild the ghost dependent state.
 void refresh_ghosts(const hydro::Context& ctx, hydro::State& s,
                     typhon::Comm& comm, const part::Subdomain& sub) {
     blocking_halo(ctx, [&] { return start_state_halo(s, comm, sub); });
     rebuild_ghost_state(ctx, s, sub);
-}
-
-/// One step with both exchanges overlapped, plus the dt reduction. Covers
-/// getdt's reduce + refresh + lagstep: the global min-reduce of
-/// `dt_local` is posted nonblocking *before* the pre-step state exchange
-/// (the exchanged bytes do not depend on dt) and finished only when the
-/// predictor is about to consume dt, where `settle` turns the agreed
-/// value into the dt the step uses; the state exchange spans into the
-/// predictor and the corner-force exchange spans the corrector's interior
-/// viscosity/force/assembly work.
-/// Note on profiles: each subrange piece charges the profiler separately,
-/// so per-kernel *call counts* differ from the serial driver's (e.g. two
-/// getq calls per sweep instead of one, halo split into post and finish
-/// scopes, reduce split into post and wait); the wall-second buckets
-/// remain comparable.
-void overlap_step(const hydro::Context& ctx, hydro::State& s, Real dt_local,
-                  bool reduce, const core::Stepper::Settle& settle,
-                  typhon::Comm& comm, const part::Subdomain& sub) {
-    const std::span<const Index> interior(sub.interior_cells);
-    const std::span<const Index> boundary(sub.boundary_cells);
-
-    // --- dt reduce + pre-step state halo, overlapped with the interior
-    // predictor. The reduce is posted first: every rank's contribution is
-    // this step's local controller value, the result is the deterministic
-    // rank-ordered min (bitwise what a blocking allreduce returns), and
-    // nothing before the first half_dt use reads dt — so the collective
-    // rides for free under the state exchange. Sends pack owned values,
-    // so they post immediately; interior cells read no halo node, no
-    // ghost state and no snapshot array, so running their predictor
-    // viscosity/forces here computes bit-for-bit what they would compute
-    // after the exchange.
-    typhon::CollRequest dt_reduce;
-    if (reduce) {
-        const util::ScopedTimer timer(*ctx.profiler, util::Kernel::reduce);
-        dt_reduce = comm.iallreduce_min(dt_local);
-    }
-    typhon::PendingExchange state_halo;
-    {
-        const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
-        const util::ScopedTimer pack(*ctx.profiler, util::Kernel::halo_pack);
-        state_halo = start_state_halo(s, comm, sub);
-    }
-    hydro::getq(ctx, s, interior);
-    hydro::getforce(ctx, s, interior);
-    {
-        const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
-        state_halo.finish(ctx.profiler);
-    }
-    rebuild_ghost_state(ctx, s, sub);
-    snapshot(ctx, s);
-
-    // The predictor consumes dt from here on: finish the reduce.
-    Real dt_agreed = dt_local;
-    if (reduce) {
-        const util::ScopedTimer timer(*ctx.profiler, util::Kernel::reduce);
-        const util::ScopedTimer wait(*ctx.profiler, util::Kernel::reduce_wait);
-        dt_agreed = dt_reduce.wait();
-    }
-    const Real dt = settle(dt_agreed);
-    const Real half_dt = Real(0.5) * dt;
-
-    // --- predictor boundary finish + whole-range remainder ------------------
-    hydro::getq(ctx, s, boundary);
-    hydro::getforce(ctx, s, boundary);
-    hydro::getgeom(ctx, s, s.u0, s.v0, half_dt);
-    hydro::getrho(ctx, s);
-    hydro::getein(ctx, s, s.u0, s.v0, half_dt);
-    hydro::getpc(ctx, s);
-
-    // --- corrector: corner-force halo behind interior work ------------------
-    // Boundary cells first (they contain every corner the peers need),
-    // post the sends, then interior cells and the interior nodal assembly
-    // proceed while the messages fly; only the boundary assembly waits.
-    // Nothing has written a velocity a cell's getq reads since its
-    // predictor getq (the state halo fills only nodes interior cells never
-    // read, and no exchange carries velocities between the two calls), so
-    // the corrector getq reuses the predictor's limiters.
-    hydro::getq(ctx, s, boundary, hydro::Phase::corrector);
-    hydro::getforce(ctx, s, boundary);
-    typhon::PendingExchange corner_halo;
-    {
-        const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
-        const util::ScopedTimer pack(*ctx.profiler, util::Kernel::halo_pack);
-        corner_halo = typhon::exchange_start(comm, sub.corner_schedule,
-                                             {s.fx, s.fy}, 200);
-    }
-    hydro::getq(ctx, s, interior, hydro::Phase::corrector);
-    hydro::getforce(ctx, s, interior);
-    hydro::getacc_assemble(ctx, s, sub.interior_nodes);
-    {
-        const util::ScopedTimer timer(*ctx.profiler, util::Kernel::halo);
-        corner_halo.finish(ctx.profiler);
-    }
-    hydro::getacc_assemble(ctx, s, sub.boundary_nodes);
-    hydro::getacc_advance(ctx, s, dt);
-    hydro::getgeom(ctx, s, s.ubar, s.vbar, dt);
-    hydro::getrho(ctx, s);
-    hydro::getein(ctx, s, s.ubar, s.vbar, dt);
-    hydro::getpc(ctx, s);
 }
 
 // ---------------------------------------------------------------------------
@@ -387,15 +308,16 @@ void restore_rank_state(const part::Subdomain& sub,
     s.ein0 = s.ein;
 }
 
-/// Remap phases 3b-4 as a task graph (ranks with a pool):
-/// the ghost-gradient exchange finish becomes a main-thread graph node, so
-/// *interior* face fluxes — both sides owned, gradients locally exact —
-/// compute while the exchange is in flight, and only the *frontier* face
-/// blocks (those reading a ghost gradient) are released by the finish.
-/// Cell and dual sweeps join per-block as soon as their own four faces'
-/// flux blocks are done. Bitwise identical to the blocking sequence: the
-/// interior/frontier split only reorders per-face-independent work, the
-/// prelude zero-fill is the same bytes the blocking overloads assign, and
+/// Remap phases 3b-4 as a task graph, on every rank: the ghost-gradient
+/// exchange finish is a main-thread graph node, so *interior* face fluxes
+/// — both sides owned, gradients locally exact — compute while the
+/// exchange is in flight, and only the *frontier* face blocks (those
+/// reading a ghost gradient) are released by the finish. Cell and dual
+/// sweeps join per-block as soon as their own four faces' flux blocks are
+/// done. Without a pool the graph runs inline, lowest task id first: the
+/// interior fluxes precede the finish. The result is the serial remap's
+/// bytes: the interior/frontier split only reorders per-face-independent
+/// work, the prelude zero-fill is the bytes the serial phases assign, and
 /// every task writes disjoint slots.
 ///
 /// The face split, the per-block dependencies and the tasks are constants
@@ -564,11 +486,10 @@ void FluxGraph::run() {
                        " negative corner masses");
 }
 
-/// The ghost-aware remap (see dist::remap) with phases 3b-4 on `graph`
-/// when the rank holds one, or on the blocking sequence when it is null.
+/// The ghost-aware remap (see dist::remap) with phases 3b-4 on `graph`.
 void remap_on(const hydro::Context& ctx, hydro::State& s,
               const ale::Options& ale, ale::Workspace& w, typhon::Comm& comm,
-              const part::Subdomain& sub, FluxGraph* graph) {
+              const part::Subdomain& sub, FluxGraph& graph) {
     // 1. Pre-remap state refresh: the corrector left ghost kinematics and
     // energy stale (fringe assemblies are incomplete); the remap reads
     // them everywhere, so run the same fused halo + ghost rebuild the
@@ -600,25 +521,10 @@ void remap_on(const hydro::Context& ctx, hydro::State& s,
     ale::aleadvect_centroids(ctx, s, w);
     ale::aleadvect_gradients(ctx, s, ale, w, sub.n_owned_cells);
 
-    if (graph != nullptr) {
-        // 4. (graph) The exchange finish releases only the ghost-touching
-        // face blocks; interior fluxes and per-block cell/dual sweeps
-        // overlap the in-flight messages. Bitwise == the blocking branch.
-        graph->run();
-    } else {
-        blocking_halo(ctx, [&] {
-            return typhon::exchange_start(comm, sub.remap_cell_schedule,
-                                          {w.grad_rho_x, w.grad_rho_y,
-                                           w.grad_e_x, w.grad_e_y},
-                                          320);
-        });
-
-        // 4. Fluxes on the remap faces; cell and dual sweeps over owned
-        // cells.
-        ale::aleadvect_fluxes(ctx, s, ale, w, sub.remap_faces);
-        ale::aleadvect_cells(ctx, s, w, sub.n_owned_cells);
-        ale::aleadvect_dual(ctx, s, w, sub.n_owned_cells);
-    }
+    // 4. The exchange finish releases only the ghost-touching face
+    // blocks; interior fluxes and per-block cell/dual sweeps overlap the
+    // in-flight messages.
+    graph.run();
 
     // 5. Fused result exchange: ghost cell results {cell_mass, ein} (the
     // next steps' ghost rebuild divides cell_mass by volume) and ghost
@@ -648,7 +554,8 @@ void remap_on(const hydro::Context& ctx, hydro::State& s,
 
 void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
            ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub) {
-    remap_on(ctx, s, ale, w, comm, sub, nullptr);
+    FluxGraph graph(ctx, s, ale, w, comm, sub);
+    remap_on(ctx, s, ale, w, comm, sub, graph);
 }
 
 namespace {
@@ -755,8 +662,8 @@ struct Attempt {
     std::vector<part::Subdomain> subs;
     std::vector<util::Profiler> profilers;
     /// Trace and critical-path spans, one slot per rank, each stamped
-    /// against that rank's own epoch (aligned onto rank 0's timeline by
-    /// the report).
+    /// against that rank's own epoch (aligned onto the run epoch's
+    /// timeline by the report).
     std::vector<std::vector<util::TraceEvent>> traces;
     std::vector<std::vector<obs::CritSpan>> crits;
     // Rank 0 only.
@@ -903,9 +810,10 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
     // slightly different instants, so every sink this rank writes — trace
     // spans, step start times, graph-run spans — is measured against its
     // own origin, and the offset to the shared run epoch ships with the
-    // tag-501 gather so rank 0 can align all records onto its own
-    // timeline (what a real MPI run must do, since node clocks share no
-    // origin).
+    // tag-501 gather so the report can align all records onto the run
+    // epoch (what a real MPI run must do, since node clocks share no
+    // origin). Every rank stamps after the run epoch, so each offset is
+    // >= 0 and no aligned timestamp goes negative.
     const auto rank_epoch =
         run.telemetry ? std::chrono::steady_clock::now() : run.epoch;
     if (!a.traces.empty())
@@ -947,14 +855,48 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
     ctx.profiler = &profiler;
     ctx.dt_cells = sub.n_owned_cells; // dt over owned cells only
     ale::Workspace ale_work;
-    // The remap-flux graph (ranks with a pool), built on this attempt's
-    // first remap and re-run on every remap after it.
+    // The step's two exchanges: the advance hook posts the state halo,
+    // the step graph finishes it and posts and finishes the corner halo.
+    // The step graph and the remap-flux graph are each built on this
+    // attempt's first use (after telemetry has attached its collector to
+    // ctx) and re-run after it.
+    typhon::PendingExchange state_halo, corner_halo;
+    std::optional<hydro::StepGraph> step_graph;
     std::optional<FluxGraph> flux_graph;
 
     core::Stepper::Hooks hooks;
     hooks.advance = [&](Real dt_local, bool reduce,
                         const core::Stepper::Settle& settle) {
-        overlap_step(ctx, s, dt_local, reduce, settle, comm, sub);
+        if (!step_graph)
+            step_graph.emplace(ctx, s,
+                               step_halo(ctx, s, comm, sub, state_halo,
+                                         corner_halo));
+        // The reduce is posted first: every rank's contribution is this
+        // step's local controller value and the result is the
+        // deterministic rank-ordered min (bitwise what a blocking
+        // allreduce returns). The graph's settle task waits for it after
+        // the state finish, so it rides under the state exchange. Sends
+        // pack owned values, so the state halo posts before any work.
+        typhon::CollRequest dt_reduce;
+        if (reduce) {
+            const util::ScopedTimer timer(profiler, util::Kernel::reduce);
+            dt_reduce = comm.iallreduce_min(dt_local);
+        }
+        {
+            const util::ScopedTimer timer(profiler, util::Kernel::halo);
+            const util::ScopedTimer pack(profiler, util::Kernel::halo_pack);
+            state_halo = start_state_halo(s, comm, sub);
+        }
+        step_graph->run([&] {
+            Real dt_agreed = dt_local;
+            if (reduce) {
+                const util::ScopedTimer timer(profiler, util::Kernel::reduce);
+                const util::ScopedTimer wait(profiler,
+                                             util::Kernel::reduce_wait);
+                dt_agreed = dt_reduce.wait();
+            }
+            return settle(dt_agreed);
+        });
     };
     // Every rank checks its owned entities (their union is the global set
     // and owned bytes are bitwise-serial), so the min-reduced verdict is
@@ -965,10 +907,9 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
                Real(0.5);
     };
     hooks.remap = [&] {
-        if (!flux_graph && exec.threaded())
+        if (!flux_graph)
             flux_graph.emplace(ctx, s, opts.ale, ale_work, comm, sub);
-        remap_on(ctx, s, opts.ale, ale_work, comm, sub,
-                 flux_graph ? &*flux_graph : nullptr);
+        remap_on(ctx, s, opts.ale, ale_work, comm, sub, *flux_graph);
     };
     // Every rank streams each closed window to rank 0 on tag 502 (rank 0
     // sends to itself through the same channel — one discipline).
@@ -1096,7 +1037,8 @@ obs::WireCheck check_wire(const Run& run, const Attempt& a,
 
 /// The run report of the successful attempt: the executed configuration,
 /// the gathered per-rank records with what only the host holds attached,
-/// every timestamp aligned onto rank 0's timeline, and the wire check.
+/// every timestamp aligned onto the run epoch's timeline, and the wire
+/// check.
 obs::RunReport telemetry_report(const Run& run, Attempt& a) {
     const Options& opts = run.opts;
     const Result& result = run.result;
@@ -1123,8 +1065,9 @@ obs::RunReport telemetry_report(const Run& run, Attempt& a) {
     // spans (after a recovery the records cover the successful attempt
     // only — its traffic, its traces, its steps from the rollback point),
     // then shift every per-rank timestamp by that rank's epoch offset so
-    // all tracks share rank 0's timeline.
-    const double epoch0 = a.records.empty() ? 0.0 : a.records[0].epoch_us;
+    // all tracks share the run epoch's timeline. (Aligning on rank 0
+    // instead would push a rank that stamped its epoch before rank 0 did
+    // to negative timestamps.)
     for (auto& rank : a.records) {
         const auto r = static_cast<std::size_t>(rank.rank);
         for (const auto& p : result.traffic.peers)
@@ -1134,11 +1077,10 @@ obs::RunReport telemetry_report(const Run& run, Attempt& a) {
             rank.trace = std::move(a.traces[r]);
             rank.critical = std::move(a.crits[r]);
         }
-        const double shift = rank.epoch_us - epoch0;
+        const double shift = rank.epoch_us;
         for (auto& step : rank.steps) step.start_us += shift;
         for (auto& span : rank.trace) span.t0_us += shift;
         for (auto& span : rank.critical) span.t0_us += shift;
-        rank.epoch_us = shift;
     }
     report.ranks = std::move(a.records);
     report.imbalance = obs::imbalance_of(report.ranks);

@@ -49,14 +49,14 @@ struct Options {
     int max_steps = std::numeric_limits<int>::max();
     /// Worker threads per rank (the hybrid MPI+OpenMP analogue). 1 keeps
     /// the flat-MPI model: each rank runs its subdomain serially. > 1
-    /// attaches a per-rank par::ThreadPool, so every hydro/ALE kernel runs
-    /// its existing threaded path over the subdomain and state allocation
-    /// first-touches pages in the same blocks the kernels sweep. Bitwise
-    /// invariant at any (n_ranks x n_threads): the threaded kernels are
-    /// schedule-independent by construction. With a pool, each rank runs
-    /// the remap's flux, cell and dual sweeps as a task graph whose
-    /// ghost-gradient exchange finish releases only the ghost-touching
-    /// face blocks.
+    /// attaches a per-rank par::ThreadPool, on which the rank's task
+    /// graphs and the remaining threaded ALE loops run, and state
+    /// allocation first-touches pages in the same blocks the kernels
+    /// sweep. Each rank runs its step and the remap's flux, cell and dual
+    /// sweeps as task graphs (inline at one thread) whose exchange
+    /// finishes release only the blocks that read ghost data. Bitwise
+    /// invariant at any (n_ranks x n_threads): every schedule of a graph
+    /// lands the same bytes by construction.
     int n_threads = 1;
     /// ALE/remap configuration carried over from the source deck. All
     /// three modes run distributed: after the Lagrangian corrector of a
@@ -179,10 +179,10 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
 ///      results {cell_mass, ein} and the dual-mesh results {cnmass,
 ///      dflux} — ghost dual fluxes are not locally computable (their far
 ///      faces leave the subdomain) yet drive owned-node momentum.
-/// Inside dist::run, a rank with a pool runs 3-4 on a remap-flux graph it
-/// builds once per attempt (the gradient exchange overlaps the interior
-/// fluxes); this entry point holds no graph and runs the blocking
-/// sequence, with bitwise the same result.
+/// Steps 3-4 run on a remap-flux graph whose gradient-exchange finish
+/// releases only the ghost-touching face blocks. Inside dist::run a rank
+/// builds that graph once per attempt; this entry point builds one per
+/// call.
 void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
            ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub);
 

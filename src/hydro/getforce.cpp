@@ -21,8 +21,7 @@ namespace bookleaf::hydro {
 namespace {
 
 /// The per-cell force computation. Writes only cell c's corner forces, so
-/// any disjoint cover of the cell range (full sweep or the distributed
-/// driver's boundary/interior split) is bitwise identical in any order.
+/// any disjoint cover of the cell range is bitwise identical in any order.
 inline void force_cell(const mesh::Mesh& mesh,
                        const eos::MaterialTable& materials, const Options& opts,
                        State& s, Index c) {
@@ -94,27 +93,6 @@ inline void force_cell(const mesh::Mesh& mesh,
 }
 
 } // namespace
-
-void getforce(const Context& ctx, State& s) {
-    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::getforce,
-                                  ctx.mesh->n_cells());
-    const auto& mesh = *ctx.mesh;
-    const auto& materials = *ctx.materials;
-    par::for_each(ctx.exec, mesh.n_cells(), [&](Index c) {
-        force_cell(mesh, materials, ctx.opts, s, c);
-    });
-}
-
-void getforce(const Context& ctx, State& s, std::span<const Index> cells) {
-    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::getforce,
-                                  static_cast<long long>(cells.size()));
-    const auto& mesh = *ctx.mesh;
-    const auto& materials = *ctx.materials;
-    par::for_each(ctx.exec, static_cast<Index>(cells.size()), [&](Index i) {
-        force_cell(mesh, materials, ctx.opts, s,
-                   cells[static_cast<std::size_t>(i)]);
-    });
-}
 
 void getforce(const Context& ctx, State& s, Index begin, Index end) {
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::getforce,

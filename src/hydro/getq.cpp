@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <type_traits>
 
 #include "geom/geometry.hpp"
 #include "hydro/kernels.hpp"
@@ -64,8 +63,7 @@ inline Real limiter(const mesh::Mesh& mesh, const State& s, Index c, int k,
 }
 
 /// The per-cell viscosity computation. Writes only cell c's corner forces,
-/// limiters and q scalar, so any disjoint cover of the cell range (full
-/// sweep or the distributed driver's boundary/interior split) produces
+/// limiters and q scalar, so any disjoint cover of the cell range produces
 /// bitwise identical results in any order.
 template <Phase phase>
 inline void q_cell(const mesh::Mesh& mesh, const Options& opts, State& s,
@@ -150,44 +148,18 @@ inline void q_cell(const mesh::Mesh& mesh, const Options& opts, State& s,
     s.q[ci] = q_max;
 }
 
-/// q_cell over cells cell_at(0 .. n-1) on `exec`, with the phase fixed at
-/// compile time so each loop inlines its own cell body.
-template <typename CellAt>
-void sweep(const Context& ctx, const par::Exec& exec, State& s, Phase phase,
-           Index n, CellAt cell_at) {
-    const auto run = [&](auto p) {
-        par::for_each(exec, n, [&](Index i) {
-            q_cell<decltype(p)::value>(*ctx.mesh, ctx.opts, s, cell_at(i));
-        });
-    };
-    if (phase == Phase::corrector)
-        run(std::integral_constant<Phase, Phase::corrector>{});
-    else
-        run(std::integral_constant<Phase, Phase::predictor>{});
-}
-
 } // namespace
-
-void getq(const Context& ctx, State& s, Phase phase) {
-    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::getq,
-                                  ctx.mesh->n_cells());
-    sweep(ctx, ctx.exec, s, phase, ctx.mesh->n_cells(),
-          [](Index c) { return c; });
-}
-
-void getq(const Context& ctx, State& s, std::span<const Index> cells,
-          Phase phase) {
-    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::getq,
-                                  static_cast<long long>(cells.size()));
-    sweep(ctx, ctx.exec, s, phase, static_cast<Index>(cells.size()),
-          [cells](Index i) { return cells[static_cast<std::size_t>(i)]; });
-}
 
 void getq(const Context& ctx, State& s, Index begin, Index end, Phase phase) {
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::getq,
                                   end - begin);
-    sweep(ctx, par::Exec{}, s, phase, end - begin,
-          [begin](Index i) { return begin + i; });
+    // The phase is fixed per call, so each loop inlines its own cell body.
+    if (phase == Phase::corrector)
+        for (Index c = begin; c < end; ++c)
+            q_cell<Phase::corrector>(*ctx.mesh, ctx.opts, s, c);
+    else
+        for (Index c = begin; c < end; ++c)
+            q_cell<Phase::predictor>(*ctx.mesh, ctx.opts, s, c);
 }
 
 } // namespace bookleaf::hydro

@@ -3,7 +3,8 @@
 /// The hydrodynamics kernels, named after the reference BookLeaf routines
 /// (Algorithm 1 in the paper). Each kernel charges its wall time to the
 /// profiler under the matching Kernel id, which is what the Table II
-/// bench aggregates.
+/// bench aggregates. The step that sequences them is hydro::StepGraph
+/// (stepgraph.hpp), the one LAGSTEP both drivers run.
 
 #include <atomic>
 #include <cstdint>
@@ -27,8 +28,6 @@ class AdvectGraph;
 
 namespace bookleaf::hydro {
 
-class StepGraph;
-
 /// Everything a kernel needs besides the state: mesh topology, materials,
 /// options, execution policy, profiler, and the drivers' optional
 /// distributed-run override and task graphs. Every corner->node gather
@@ -48,22 +47,10 @@ struct Context {
     /// getdt reduces over these only, so the post-reduction global dt is
     /// identical to a serial run; no_index means "all cells".
     Index dt_cells = no_index;
-    /// The serial-scatter ablation's deposition order: storage cells in
-    /// ascending canonical id, built once by the driver that renumbers the
-    /// mesh. Empty means storage order, which is canonical on a mesh
-    /// without ids.
-    std::span<const Index> scatter_cells;
-    /// Task-graph executor for the Lagrangian step, built once by the
-    /// serial driver when it applies (threaded pool, gather assembly) and
-    /// re-run every step. lagstep dispatches to it; nullptr (bare
-    /// contexts, no-pool runs, the serial scatter, distributed ranks)
-    /// runs the barrier-per-kernel sequence. Results are bitwise
-    /// identical either way.
-    StepGraph* stepgraph = nullptr;
     /// Task-graph executor for ALEADVECT, built once by the serial driver
-    /// beside `stepgraph` (threaded pool, a remapping mode) and re-run
-    /// every remap. aleadvect dispatches to it; nullptr runs the
-    /// fork-join phases, with the same result.
+    /// (threaded pool, a remapping mode) and re-run every remap.
+    /// aleadvect dispatches to it; nullptr runs the fork-join phases, with
+    /// the same result.
     ale::AdvectGraph* advectgraph = nullptr;
     /// Attribution collector: when the owning driver runs with telemetry
     /// active it attaches a par::GraphRunLog here and every task-graph
@@ -75,117 +62,83 @@ struct Context {
     par::GraphRunLog* graph_log = nullptr;
 };
 
-/// Move nodes to x0 + w*dt_move and rebuild geometry (volumes, corner
-/// volumes, characteristic lengths). Throws util::Error on non-positive
-/// cell volume (tangled mesh).
-void getgeom(const Context& ctx, State& s, std::span<const Real> wu,
-             std::span<const Real> wv, Real dt_move);
-
-/// Density from constant Lagrangian cell mass: rho = m / V.
-void getrho(const Context& ctx, State& s);
-
-/// Compatible internal-energy update:
-///   ein = ein0 - dt_eff * sum_i(f_i . w_i) / cell_mass
-/// using the *total* corner forces (pressure + sub-zonal + hourglass +
-/// viscous), which is what makes total energy conservation exact.
-void getein(const Context& ctx, State& s, std::span<const Real> wu,
-            std::span<const Real> wv, Real dt_eff);
-
-/// EoS evaluation: pressure and squared sound speed per cell.
-void getpc(const Context& ctx, State& s);
-
 /// Which of a step's two getq calls is running.
 ///
-/// Invariant of every step shape (lagstep, StepGraph, the distributed
-/// overlap_step): no velocity (u, v) is written between a cell's
-/// predictor getq and its corrector getq. The limiter depends only on
-/// u, v and topology, so the predictor stores it in State::psi and the
-/// corrector reads it back instead of recomputing it.
+/// Invariant of the step (hydro::StepGraph, the one step shape of both
+/// drivers): no velocity (u, v) is written between a cell's predictor
+/// getq and its corrector getq. The limiter depends only on u, v and
+/// topology, so the predictor stores it in State::psi and the corrector
+/// reads it back instead of recomputing it.
 enum class Phase {
     predictor, ///< computes and stores every compressing edge's limiter
     corrector  ///< reuses the predictor's limiters; same bytes as recomputing
 };
 
+// ---------------------------------------------------------------------------
+// The kernels, one form each: a *serial* loop over the entities
+// [begin, end) of one block. hydro::StepGraph runs them as (kernel, block)
+// tasks — parallelism comes from running many blocks at once — and each
+// writes only its own block's slots, so any disjoint cover of a range,
+// run in any order, is bitwise identical to one sweep over [0, n). Every
+// call charges its kernel's profiler slot with the entities it sweeps
+// (concurrent block scopes sum to CPU seconds, not wall).
+// ---------------------------------------------------------------------------
+
 /// Edge-centred monotonic artificial viscosity (Caramana-Shashkov-Whalen
-/// [28]). Writes the viscous corner forces (qfx, qfy), the cell
-/// viscosity scalar q and, in the predictor, the limiters (psi). Needs
-/// face-neighbour velocities: this is the kernel preceded by a halo
-/// exchange in distributed runs. A corrector call must follow the
-/// predictor call of the same step over the same cells with no velocity
-/// write in between (see Phase); a lone call is a predictor.
-void getq(const Context& ctx, State& s, Phase phase = Phase::predictor);
-/// Subrange variant over an explicit cell list. Each cell writes only its
-/// own corner arrays, so any disjoint cover of the cell range (e.g. the
-/// distributed driver's boundary/interior split for halo overlap) is
-/// bitwise identical to the full sweep regardless of execution order.
-void getq(const Context& ctx, State& s, std::span<const Index> cells,
-          Phase phase = Phase::predictor);
-
-/// Total corner forces: pressure gradient + sub-zonal pressures +
-/// hourglass filter + the viscous forces computed by getq.
-void getforce(const Context& ctx, State& s);
-/// Subrange variant over an explicit cell list (see getq).
-void getforce(const Context& ctx, State& s, std::span<const Index> cells);
-
-/// Acceleration: assemble corner masses/forces onto nodes, apply boundary
-/// conditions, advance velocities by dt and form the time-centred
-/// velocities (ubar, vbar). The assembly strategy follows
-/// `exec.assembly`: the default gather over the node->(cell, corner) CSR
-/// is race-free and bitwise thread-count independent; `serial_scatter`
-/// reproduces the paper's §IV-B data dependency.
-void getacc(const Context& ctx, State& s, Real dt);
-
-/// Subrange pieces of the acceleration kernel for the distributed
-/// driver's halo/compute overlap. `getacc_assemble` gathers nodal mass and
-/// force for an explicit node list (always the race-free gather; the
-/// serial scatter makes no sense over subsets); nodes not incident to
-/// any ghost cell can be assembled while ghost corner forces are still in
-/// flight. `getacc_advance` performs the remaining whole-range work of
-/// getacc (velocity advance, boundary conditions, time-centred
-/// velocities) and must follow assembly of *all* nodes. Composing
-/// assemble(interior) + assemble(boundary) + advance is bitwise identical
-/// to one full getacc with gather assembly.
-void getacc_assemble(const Context& ctx, State& s, std::span<const Index> nodes);
-void getacc_advance(const Context& ctx, State& s, Real dt);
-
-// ---------------------------------------------------------------------------
-// Contiguous-block kernel pieces for the task-graph executor. Each runs a
-// *serial* loop over entities [begin, end) — parallelism comes from running
-// many blocks as graph tasks — and writes only its own block's slots, so
-// any disjoint cover executed in any order is bitwise identical to the
-// full fork-join kernel. Every piece charges its kernel's profiler slot
-// (in graph mode concurrent block scopes sum to CPU seconds, not wall).
-// ---------------------------------------------------------------------------
-
-/// getq over cells [begin, end).
+/// [28]) over cells [begin, end). Writes the viscous corner forces (qfx,
+/// qfy), the cell viscosity scalar q and, in the predictor, the limiters
+/// (psi). Reads the velocities of the cells' nodes and of their
+/// face-neighbours' nodes: in distributed runs this is the kernel behind
+/// the pre-step state halo. A corrector call must follow the predictor
+/// call of the same step over the same cells with no velocity write in
+/// between (see Phase); a lone call is a predictor.
 void getq(const Context& ctx, State& s, Index begin, Index end,
           Phase phase = Phase::predictor);
-/// getforce over cells [begin, end).
+/// Total corner forces over cells [begin, end): pressure gradient +
+/// sub-zonal pressures + hourglass filter + the viscous forces computed
+/// by getq.
 void getforce(const Context& ctx, State& s, Index begin, Index end);
-/// The node-move half of getgeom over nodes [begin, end).
+/// The node-move half of GETGEOM over nodes [begin, end): x = x0 +
+/// w * dt_move.
 void getgeom_move(const Context& ctx, State& s, std::span<const Real> wu,
                   std::span<const Real> wv, Real dt_move, Index begin,
                   Index end);
-/// The cell-geometry half of getgeom over cells [begin, end). A tangled
-/// cell's canonical id is recorded in `bad_cell` (lowest id wins) instead
-/// of throwing; the graph's check task (or the caller) owns the throw
-/// decision.
+/// The cell-geometry half of GETGEOM over cells [begin, end): volumes,
+/// corner volumes, characteristic lengths and the gathered-geometry
+/// cache. A tangled cell's canonical id is recorded in `bad_cell` (lowest
+/// id wins) instead of throwing; the caller owns the throw decision
+/// (StepGraph's check task throws unless health guards are on).
 void getgeom_cells(const Context& ctx, State& s, Index begin, Index end,
                    std::atomic<Index>& bad_cell);
-/// getrho over cells [begin, end).
+/// Density from constant Lagrangian cell mass, rho = m / V, over cells
+/// [begin, end).
 void getrho(const Context& ctx, State& s, Index begin, Index end);
-/// getein over cells [begin, end).
+/// Compatible internal-energy update over cells [begin, end):
+///   ein = ein0 - dt_eff * sum_i(f_i . w_i) / cell_mass
+/// using the *total* corner forces (pressure + sub-zonal + hourglass +
+/// viscous), which is what makes total energy conservation exact.
 void getein(const Context& ctx, State& s, std::span<const Real> wu,
             std::span<const Real> wv, Real dt_eff, Index begin, Index end);
-/// getpc over cells [begin, end).
+/// EoS evaluation over cells [begin, end): pressure and squared sound
+/// speed.
 void getpc(const Context& ctx, State& s, Index begin, Index end);
-/// The gather assembly of getacc over nodes [begin, end).
+
+/// GETACC in three node-block pieces, with apply_velocity_bc between
+/// them. `getacc_assemble` gathers the nodal mass and force of nodes
+/// [begin, end) over the mesh's node->(cell, corner) CSR: each node sums
+/// its incident corners in ascending canonical corner id, the order the
+/// paper's serial scatter (§IV-B) deposits them, so the gather is that
+/// scatter's bytes at any thread count with no race. It is the piece
+/// that charges the kernel's items (each node once per call).
 void getacc_assemble(const Context& ctx, State& s, Index begin, Index end);
-/// The velocity advance of getacc over nodes [begin, end) (no BCs — the
-/// graph applies them as a serial task after all blocks).
+/// The velocity advance u = u0 + dt * f / m over nodes [begin, end); must
+/// follow the assembly of the same nodes. The boundary conditions are
+/// applied after every block (apply_velocity_bc).
 void getacc_advance_velocity(const Context& ctx, State& s, Real dt,
                              Index begin, Index end);
-/// The time-centred (ubar, vbar) formation over nodes [begin, end).
+/// The time-centred velocities ubar = (u0 + u) / 2 over nodes
+/// [begin, end), after the boundary conditions on u; the conditions are
+/// applied to ubar again after every block.
 void getacc_centered(const Context& ctx, State& s, Index begin, Index end);
 
 /// Timestep-controller result. `reason` names the active constraint and
@@ -215,9 +168,6 @@ struct ClampedDt {
     return {t + dt > t_end ? t_end - t : dt, dt};
 }
 
-/// One full predictor-corrector Lagrangian step (Algorithm 1's LAGSTEP).
-void lagstep(const Context& ctx, State& s, Real dt);
-
 /// Apply kinematic boundary conditions in place (reflective walls zero
 /// the normal component; piston nodes get the prescribed velocity).
 void apply_velocity_bc(const mesh::Mesh& mesh, const Options& opts,
@@ -244,8 +194,8 @@ void rebuild_cells(const mesh::Mesh& mesh, const eos::MaterialTable& materials,
                    State& s, Index begin, Index end, bool with_rho, bool strict,
                    const char* who);
 
-/// Loop-top primary state of one step, captured before lagstep so a
-/// rejected step can be rolled back exactly. Only the fields lagstep
+/// Loop-top primary state of one step, captured before the step so a
+/// rejected step can be rolled back exactly. Only the fields the step
 /// *reads* before writing are saved (positions, velocities, rho, ein, q);
 /// the masses are constant during Lagrangian motion, the derived fields
 /// are rebuilt, and the scratch arrays are rewritten by the retry before

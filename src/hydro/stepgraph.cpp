@@ -13,11 +13,13 @@
 ///     deposition order is what keeps the reduction bitwise).
 /// Redundant edges already implied by transitivity are mostly avoided,
 /// but correctness never relies on a chain longer than the comments in
-/// build() argue explicitly.
+/// build() argue explicitly. The order in which build() adds tasks is
+/// their id order, the inline executor's priority (see stepgraph.hpp).
 
 #include "hydro/stepgraph.hpp"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "par/blocks.hpp"
@@ -25,19 +27,24 @@
 
 namespace bookleaf::hydro {
 
-StepGraph::StepGraph(const Context& ctx, State& s)
+StepGraph::StepGraph(const Context& ctx, State& s,
+                     std::optional<StepHalo> halo)
     : run_exec_(ctx.exec), ctx_(ctx), s_(&s) {
     // Task bodies are serial block loops: null the pool so any par::
     // entry point they reach cannot re-dispatch onto the pool the graph
     // itself is scheduled on.
     ctx_.exec.pool = nullptr;
-    ctx_.stepgraph = nullptr;
     ctx_.advectgraph = nullptr;
     const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::other);
-    build();
+    if (halo) {
+        finish_state_ = std::move(halo->finish_state);
+        post_corners_ = std::move(halo->post_corners);
+        finish_corners_ = std::move(halo->finish_corners);
+    }
+    build(halo ? &*halo : nullptr);
 }
 
-void StepGraph::build() {
+void StepGraph::build(const StepHalo* halo) {
     const auto& mesh = *ctx_.mesh;
     State& s = *s_;
     const Index n_cells = mesh.n_cells();
@@ -92,6 +99,48 @@ void StepGraph::build() {
         for (const int nb : wide_nb[static_cast<std::size_t>(cb)])
             wide_reader_cb[static_cast<std::size_t>(nb)].push_back(cb);
 
+    // --- halo footprints (ranks) ----------------------------------------
+    // ghost_cb[cb]:   cb holds a ghost cell (ghost cells are the tail).
+    // ghost_nb[nb]:   nb holds a node of a ghost cell. Every non-owned
+    //                 node is one (the foreign cell that makes it
+    //                 non-owned is in the node-adjacent ghost layer), so
+    //                 this covers the nodes the state finish writes, the
+    //                 nodes the ghost rebuild reads and the nodes whose
+    //                 assembly gathers a ghost corner.
+    // stale_q[cb]:    cb's predictor getq reads a non-owned node or a
+    //                 ghost cell's state.
+    // sends_cb[cb]:   cb holds a cell whose corners a peer receives.
+    std::vector<std::uint8_t> ghost_cb(cells.size(), 0),
+        ghost_nb(nodes.size(), 0), stale_q(cells.size(), 0),
+        sends_cb(cells.size(), 0);
+    if (halo != nullptr) {
+        for (Index c = halo->n_owned_cells; c < n_cells; ++c) {
+            ghost_cb[static_cast<std::size_t>(cb_of(c))] = 1;
+            for (int k = 0; k < corners_per_cell; ++k)
+                ghost_nb[static_cast<std::size_t>(nb_of(mesh.cn(c, k)))] = 1;
+        }
+        const auto foreign = [&](Index c) {
+            for (int k = 0; k < corners_per_cell; ++k)
+                if (!halo->node_owned[static_cast<std::size_t>(mesh.cn(c, k))])
+                    return true;
+            return false;
+        };
+        for (int cb = 0; cb < n_cb; ++cb) {
+            auto& stale = stale_q[static_cast<std::size_t>(cb)];
+            stale = ghost_cb[static_cast<std::size_t>(cb)];
+            for (Index c = cells_of(cb).begin; !stale && c < cells_of(cb).end;
+                 ++c) {
+                stale = foreign(c);
+                for (int k = 0; !stale && k < corners_per_cell; ++k) {
+                    const Index nbr = mesh.neighbor(c, k);
+                    stale = nbr != no_index && foreign(nbr);
+                }
+            }
+        }
+        for (const Index c : halo->sent_cells)
+            sends_cb[static_cast<std::size_t>(cb_of(c))] = 1;
+    }
+
     // --- tasks -----------------------------------------------------------
     using par::TaskId;
     const Context& ctx = ctx_;
@@ -101,10 +150,10 @@ void StepGraph::build() {
         for (const TaskId b : befores) graph_.depend(after, b);
     };
 
-    // Step-start snapshot (lagstep's Kernel::other scope), per block.
+    // Step-start snapshot, per block.
     std::vector<TaskId> snapn(nodes.size()), snapc(cells.size());
     for (int nb = 0; nb < n_nb; ++nb) {
-        const Index b = nodes[static_cast<std::size_t>(nb)].begin, e = nodes[static_cast<std::size_t>(nb)].end;
+        const Index b = nodes_of(nb).begin, e = nodes_of(nb).end;
         snapn[static_cast<std::size_t>(nb)] = graph_.add([&ctx, &s, b, e] {
             const util::ScopedTimer t(*ctx.profiler, util::Kernel::other);
             for (Index n = b; n < e; ++n) {
@@ -117,7 +166,7 @@ void StepGraph::build() {
         }, false, util::Kernel::other);
     }
     for (int cb = 0; cb < n_cb; ++cb) {
-        const Index b = cells[static_cast<std::size_t>(cb)].begin, e = cells[static_cast<std::size_t>(cb)].end;
+        const Index b = cells_of(cb).begin, e = cells_of(cb).end;
         snapc[static_cast<std::size_t>(cb)] = graph_.add([&ctx, &s, b, e] {
             const util::ScopedTimer t(*ctx.profiler, util::Kernel::other);
             for (Index c = b; c < e; ++c)
@@ -135,20 +184,62 @@ void StepGraph::build() {
     for (int cb = 0; cb < n_cb; ++cb) {
         const auto ci = static_cast<std::size_t>(cb);
         const Index b = cells[ci].begin, e = cells[ci].end;
-        // getq reads pre-step u,v/rho/csqrd/cache — no intra-step inputs.
+        // getq reads pre-step u,v/rho/csqrd/cache — no intra-step inputs
+        // (on a rank, the ghost edges below add the halo ones).
         p_q[ci] = graph_.add([&ctx, &s, b, e] { getq(ctx, s, b, e); }, false,
                              util::Kernel::getq);
         p_f[ci] = graph_.add([&ctx, &s, b, e] { getforce(ctx, s, b, e); },
                              false, util::Kernel::getforce);
         link(p_f[ci], {p_q[ci]}); // RAW qfx/qfy
     }
+
+    // The state halo lands after every predictor getq/getforce that does
+    // not read it (ids before the finish), and the ghost rebuild after it.
+    // The snapshot and getq tasks that read the refreshed entities wait
+    // for the rebuild; getforce reads no more than its block's getq.
+    TaskId state_done = -1;
+    if (halo != nullptr) {
+        const TaskId finish = graph_.add([this] { finish_state_(); },
+                                         /*main_thread=*/true,
+                                         util::Kernel::halo);
+        const Index n_owned = halo->n_owned_cells;
+        state_done = graph_.add([&ctx, &s, n_owned] {
+            const util::ScopedTimer t(*ctx.profiler, util::Kernel::other);
+            // Strict unless health guards are on: then a tangled ghost
+            // must reach the post-corrector vote, so every rank takes the
+            // collective retry instead of one rank dying mid-step.
+            rebuild_cells(*ctx.mesh, *ctx.materials, s, n_owned,
+                          ctx.mesh->n_cells(), /*with_rho=*/true,
+                          /*strict=*/!ctx.opts.guard.enabled, "dist ghost");
+        }, false, util::Kernel::other);
+        link(state_done, {finish});
+        for (int nb = 0; nb < n_nb; ++nb)
+            if (ghost_nb[static_cast<std::size_t>(nb)])
+                link(snapn[static_cast<std::size_t>(nb)], {state_done});
+        for (int cb = 0; cb < n_cb; ++cb) {
+            const auto ci = static_cast<std::size_t>(cb);
+            if (ghost_cb[ci]) link(snapc[ci], {state_done});
+            if (stale_q[ci]) link(p_q[ci], {state_done});
+        }
+    }
+
+    // The step's dt: one main-thread task, after the state finish on a
+    // rank (the settle callback waits for the dt reduce there).
+    const TaskId settle = graph_.add([this] {
+        dt_ = (*settle_)();
+        half_dt_ = Real(0.5) * dt_;
+    }, /*main_thread=*/true,
+       halo != nullptr ? util::Kernel::reduce : util::Kernel::other);
+    if (halo != nullptr) link(settle, {state_done});
+
     for (int nb = 0; nb < n_nb; ++nb) {
         const auto ni = static_cast<std::size_t>(nb);
         const Index b = nodes[ni].begin, e = nodes[ni].end;
         p_gm[ni] = graph_.add([this, &ctx, &s, b, e] {
             getgeom_move(ctx, s, s.u0, s.v0, half_dt_, b, e);
         }, false, util::Kernel::getgeom);
-        link(p_gm[ni], {snapn[ni]}); // RAW x0/u0 (and WAR on x,y it reads)
+        // RAW x0/u0 (and WAR on x,y it reads), and dt.
+        link(p_gm[ni], {snapn[ni], settle});
     }
     for (int cb = 0; cb < n_cb; ++cb) {
         const auto ci = static_cast<std::size_t>(cb);
@@ -170,9 +261,9 @@ void StepGraph::build() {
         p_ein[ci] = graph_.add([this, &ctx, &s, b, e] {
             getein(ctx, s, s.u0, s.v0, half_dt_, b, e);
         }, false, util::Kernel::getein);
-        // RAW fx/fy (forces), ein0 (snapshot), u0/v0 (own node snapshots);
-        // the snapshot edges also cover the WAR on ein it overwrites.
-        std::vector<TaskId> ein_deps = {p_f[ci], snapc[ci]};
+        // RAW fx/fy (forces), ein0 (snapshot), u0/v0 (own node snapshots),
+        // dt; the snapshot edges also cover the WAR on ein it overwrites.
+        std::vector<TaskId> ein_deps = {p_f[ci], snapc[ci], settle};
         for (const int nb : own_nb[ci])
             ein_deps.push_back(snapn[static_cast<std::size_t>(nb)]);
         link(p_ein[ci], ein_deps);
@@ -183,8 +274,10 @@ void StepGraph::build() {
     }
     if (!ctx_.opts.guard.enabled) {
         // Without health guards a tangled predictor mesh aborts the step:
-        // the check task throws, cancelling the rest of the graph — the
-        // graph-mode equivalent of getgeom's immediate throw.
+        // the check task throws, cancelling the rest of the graph. With
+        // them, the bad volumes flow into the post-corrector health vote,
+        // which rolls the step back on every rank together; a throw here
+        // would kill one rank before that vote.
         const TaskId chk = graph_.add([this] {
             const Index bad = bad_pred_.load();
             if (bad != no_index)
@@ -203,7 +296,7 @@ void StepGraph::build() {
     std::vector<TaskId> c_asm(nodes.size()), c_adv(nodes.size()),
         c_ubar(nodes.size()), c_gm(nodes.size());
 
-    for (int cb = 0; cb < n_cb; ++cb) {
+    const auto add_force = [&](int cb) {
         const auto ci = static_cast<std::size_t>(cb);
         const Index b = cells[ci].begin, e = cells[ci].end;
         c_q[ci] = graph_.add([&ctx, &s, b, e] {
@@ -223,7 +316,22 @@ void StepGraph::build() {
         // RAW qfx (c_q), and via c_q <- p_pc: pre/ein/rho/csqrd/geometry.
         // WAR fx/fy read by p_ein: p_ein -> p_pc -> c_q covers it.
         link(c_f[ci], {c_q[ci]});
+    };
+    // The blocks holding sent corners first, then the corner post, then
+    // the rest: the corner messages fly while the other blocks compute.
+    TaskId post = -1;
+    for (int cb = 0; cb < n_cb; ++cb)
+        if (sends_cb[static_cast<std::size_t>(cb)]) add_force(cb);
+    if (halo != nullptr) {
+        post = graph_.add([this] { post_corners_(); }, /*main_thread=*/true,
+                          util::Kernel::halo_pack);
+        for (int cb = 0; cb < n_cb; ++cb)
+            if (sends_cb[static_cast<std::size_t>(cb)])
+                link(post, {c_f[static_cast<std::size_t>(cb)]});
     }
+    for (int cb = 0; cb < n_cb; ++cb)
+        if (!sends_cb[static_cast<std::size_t>(cb)]) add_force(cb);
+
     for (int nb = 0; nb < n_nb; ++nb) {
         const auto ni = static_cast<std::size_t>(nb);
         const Index b = nodes[ni].begin, e = nodes[ni].end;
@@ -242,15 +350,34 @@ void StepGraph::build() {
         // RAW node_mass/nfx/nfy (c_asm) and u0/v0 (snapshot). WAR: this
         // writes u,v that the corrector getq of every wide-reader cell
         // block still reads (getforce's own-node reads are covered by
-        // c_f -> c_asm over the touch coupling).
+        // c_f -> c_asm over the touch coupling). dt is upstream via
+        // c_asm <- c_f <- c_q <- p_pc <- p_ein <- settle.
         std::vector<TaskId> adv_deps = {c_asm[ni], snapn[ni]};
         for (const int cb : wide_reader_cb[ni])
             adv_deps.push_back(c_q[static_cast<std::size_t>(cb)]);
         link(c_adv[ni], adv_deps);
     }
+    if (halo != nullptr) {
+        // Last among the tasks that do not wait for it: it writes the
+        // ghost fx/fy that the ghost blocks' getforce wrote too (WAW) and
+        // that the assembly of every node incident to a ghost cell reads.
+        // The ghost blocks' corrector getein reads them as well; it is
+        // downstream through c_asm -> c_adv -> c_bc -> c_ubar -> c_bcu.
+        const TaskId finish = graph_.add([this] { finish_corners_(); },
+                                         /*main_thread=*/true,
+                                         util::Kernel::halo);
+        std::vector<TaskId> deps = {post};
+        for (int cb = 0; cb < n_cb; ++cb)
+            if (ghost_cb[static_cast<std::size_t>(cb)])
+                deps.push_back(c_f[static_cast<std::size_t>(cb)]);
+        link(finish, deps);
+        for (int nb = 0; nb < n_nb; ++nb)
+            if (ghost_nb[static_cast<std::size_t>(nb)])
+                link(c_asm[static_cast<std::size_t>(nb)], {finish});
+    }
     // Boundary conditions touch arbitrary (boundary-masked) nodes: one
-    // serial task each, exactly where the fork-join sequence applies them.
-    // These are the only intentional graph-wide rendezvous points.
+    // serial task each, after every block of the piece they follow. These
+    // are the only intentional graph-wide rendezvous points.
     const TaskId c_bc = graph_.add([&ctx, &s] {
         const util::ScopedTimer t(*ctx.profiler, util::Kernel::getacc);
         apply_velocity_bc(*ctx.mesh, ctx.opts, s.u, s.v);
@@ -322,9 +449,8 @@ void StepGraph::build() {
     }
 }
 
-void StepGraph::run(Real dt) {
-    dt_ = dt;
-    half_dt_ = Real(0.5) * dt;
+void StepGraph::run(const std::function<Real()>& settle) {
+    settle_ = &settle;
     bad_pred_.store(no_index);
     bad_corr_.store(no_index);
     graph_.run(run_exec_, ctx_.profiler, ctx_.graph_log);

@@ -197,10 +197,10 @@ struct PeerCount {
 /// Everything one rank recorded. In dist runs, gathered to rank 0.
 struct RankRecord {
     int rank = 0;
-    /// This rank's run epoch, as microseconds after rank 0's epoch.
+    /// This rank's epoch, as microseconds after the run epoch (>= 0).
     /// Rank threads start (and stamp their clocks) at slightly different
-    /// times; rank 0 uses this offset to shift gathered timestamps onto
-    /// its own timeline so trace tracks align.
+    /// times; the report shifts gathered timestamps by this offset onto
+    /// the run epoch's timeline so trace tracks align.
     double epoch_us = 0.0;
     std::vector<StepRecord> steps;
     std::array<util::KernelStats, util::kernel_count> kernels{};

@@ -1,22 +1,14 @@
 #pragma once
 /// \file exec.hpp
-/// Execution policy threaded through every hydro kernel. Mirrors the
+/// Execution policy threaded through the drivers and kernels. Mirrors the
 /// paper's programming-model space:
 ///   * serial           — pool == nullptr (one rank of the flat-MPI model)
 ///   * threaded         — pool != nullptr (the OpenMP-analogue)
-/// A driver with a threaded pool runs its step and remap as task graphs
-/// over entity blocks (par::TaskGraph); the kernels' fork-join bodies
-/// (for_each below) serve the runs and kernels no graph covers. Both
-/// give bitwise-identical results. Beside the pool sits the nodal-assembly
-/// strategy for the acceleration kernel, the
-/// structural artefact §IV-B documents for the OpenMP port:
-///   * `Assembly::gather`  (default) — the corner-force scatter is
-///     transposed into a race-free gather over nodes via the mesh's
-///     node->(cell, corner) CSR: embarrassingly parallel and bitwise
-///     deterministic at any thread count;
-///   * `Assembly::serial_scatter` — the reference behaviour: the scatter
-///     is a data dependency and runs serially even when a pool is present
-///     (the paper left the kernel unparallelised).
+/// The Lagrangian step is always a task graph over entity blocks
+/// (hydro::StepGraph on par::TaskGraph), run inline without a pool and on
+/// the pool with one; the remap runs as task graphs with a pool and as
+/// fork-join phases (for_each below) without. Every shape gives
+/// bitwise-identical results. The remaining fields size the work units.
 
 #include <algorithm>
 #include <atomic>
@@ -30,15 +22,8 @@
 
 namespace bookleaf::par {
 
-/// Nodal-assembly strategy for the acceleration kernel (§IV-B).
-enum class Assembly {
-    gather,          ///< node-centred gather (default; race-free, bitwise)
-    serial_scatter,  ///< paper-faithful serial corner scatter
-};
-
 struct Exec {
     ThreadPool* pool = nullptr;
-    Assembly assembly = Assembly::gather;
     /// Minimum iterations handed to a worker per chunk in for_each; 0
     /// selects an automatic grain (~4 chunks per worker for dynamic load
     /// balance on irregular meshes without starving the fast threads).

@@ -138,7 +138,6 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
         lm.cell_ids = own;
         lm.cell_ids.insert(lm.cell_ids.end(), ghosts.begin(), ghosts.end());
         lm.node_ids = mesh::first_touch_nodes(global, lm.cell_ids);
-        const auto n_local_cells = static_cast<Index>(lm.cell_ids.size());
         const auto n_local_nodes = static_cast<Index>(lm.node_ids.size());
         for (Index ln = 0; ln < n_local_nodes; ++ln)
             node_local[static_cast<std::size_t>(lm.node_id(ln))] = ln;
@@ -166,45 +165,6 @@ std::vector<Subdomain> decompose(const mesh::Mesh& global,
         for (const Index g : lm.node_ids)
             node_local[static_cast<std::size_t>(g)] = no_index;
         mesh::build_connectivity(lm);
-
-        // --- boundary/interior overlap sets --------------------------------
-        // Nodes incident to a ghost cell: their assembly needs exchanged
-        // corner forces, and their kinematic state is refreshed by the
-        // node halo (a non-owned node is always incident to a ghost cell:
-        // the foreign owned cell that makes it non-owned is node-adjacent
-        // to an owned cell here, hence in the ghost layer).
-        std::vector<std::uint8_t> node_near_ghost(
-            static_cast<std::size_t>(n_local_nodes), 0);
-        for (Index lc = sub.n_owned_cells; lc < n_local_cells; ++lc)
-            for (int k = 0; k < corners_per_cell; ++k)
-                node_near_ghost[static_cast<std::size_t>(lm.cn(lc, k))] = 1;
-        for (Index ln = 0; ln < n_local_nodes; ++ln)
-            (node_near_ghost[static_cast<std::size_t>(ln)] ? sub.boundary_nodes
-                                                           : sub.interior_nodes)
-                .push_back(ln);
-
-        // Cells whose own nodes touch a ghost cell ("near"), then widen by
-        // one face ring: the viscosity limiter of a cell reads the nodes
-        // of its face neighbours, so a cell is interior only if neither it
-        // nor any face neighbour is near. Ghost cells are near by
-        // construction (they share their own nodes).
-        std::vector<std::uint8_t> near(static_cast<std::size_t>(n_local_cells),
-                                       0);
-        for (Index lc = 0; lc < n_local_cells; ++lc)
-            for (int k = 0; k < corners_per_cell; ++k)
-                if (node_near_ghost[static_cast<std::size_t>(lm.cn(lc, k))]) {
-                    near[static_cast<std::size_t>(lc)] = 1;
-                    break;
-                }
-        for (Index lc = 0; lc < n_local_cells; ++lc) {
-            bool boundary = near[static_cast<std::size_t>(lc)];
-            for (int k = 0; !boundary && k < corners_per_cell; ++k) {
-                const Index nb = lm.neighbor(lc, k);
-                if (nb != no_index && near[static_cast<std::size_t>(nb)])
-                    boundary = true;
-            }
-            (boundary ? sub.boundary_cells : sub.interior_cells).push_back(lc);
-        }
 
         // --- distributed remap stencil metadata -----------------------------
         // Faces the remap evaluates here: incident to an owned cell. Faces

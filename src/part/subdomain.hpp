@@ -14,6 +14,11 @@
 /// canonical ids. Its face orientation and corner-gather rows therefore
 /// follow the global numbering, which is what keeps every owned entity
 /// bitwise equal to the serial run.
+///
+/// The step's halo/compute overlap keeps no entity lists here: the
+/// distributed driver hands hydro::StepGraph the ghost layout
+/// (n_owned_cells, node_owned) and the corner schedule's sent cells, and
+/// the graph derives its halo edges at block granularity from them.
 
 #include <vector>
 
@@ -70,24 +75,6 @@ struct Subdomain {
     /// fringe, whose owners compute them and whose state the next
     /// pre-step halo refreshes.
     std::vector<Index> remap_nodes;
-    // --- halo/compute overlap sets (local ids, ascending) -----------------
-    // boundary_cells / interior_cells partition all local cells. A cell is
-    // *boundary* when its kernel stencil (the cell itself plus its face
-    // neighbours, whose nodes the viscosity limiter reads) can see data
-    // refreshed by a halo exchange: ghost cells, cells sharing a node with
-    // a ghost cell, and cells with such a face neighbour. Interior cells
-    // read only owned-fresh data, so the overlapped schedule may run them
-    // while halo messages are in flight; boundary cells run after the
-    // pre-step exchange completes and (being a superset of every peer's
-    // ghost layer) before the corner-force sends are packed.
-    //
-    // boundary_nodes / interior_nodes partition all local nodes by
-    // ghost-cell incidence: the corner-force gather at an interior node
-    // reads no ghost corner, so its assembly can proceed before the
-    // pre-acceleration exchange completes.
-    std::vector<Index> boundary_cells, interior_cells;
-    std::vector<Index> boundary_nodes, interior_nodes;
-
     // --- wire metadata -----------------------------------------------------
     // Every exchange of the distributed driver posts one message per
     // sending peer, whatever its field count. Per step: the fused state

@@ -8,6 +8,8 @@
 #include "ale/remap.hpp"
 #include "geom/geometry.hpp"
 #include "hydro/kernels.hpp"
+#include "hydro/stepgraph.hpp"
+#include "hydro_reference.hpp"
 #include "mesh/generator.hpp"
 #include "par/thread_pool.hpp"
 #include "util/error.hpp"
@@ -78,9 +80,9 @@ struct Rig {
     void refresh_geometry() {
         state.x0 = state.x;
         state.y0 = state.y;
-        bh::getgeom(ctx, state, state.u, state.v, 0.0);
-        bh::getrho(ctx, state);
-        bh::getpc(ctx, state);
+        hydro_ref::getgeom(ctx, state, state.u, state.v, 0.0);
+        bh::getrho(ctx, state, 0, mesh.n_cells());
+        bh::getpc(ctx, state, 0, mesh.n_cells());
     }
 };
 
@@ -319,7 +321,7 @@ TEST(AleStep, EulerianCycleAfterLagrangianStep) {
     bh::initialise(rig.mesh, rig.materials, rig.state);
     const auto before = bh::totals(rig.mesh, rig.state);
 
-    bh::lagstep(rig.ctx, rig.state, 2e-4);
+    bh::StepGraph(rig.ctx, rig.state).run(2e-4);
     const auto mid = bh::totals(rig.mesh, rig.state);
     ba::Options opts;
     opts.mode = ba::Mode::eulerian;

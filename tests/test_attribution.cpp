@@ -299,7 +299,7 @@ TEST(Attrib, SerialReportCarriesAttributionConfigAndWorkModel) {
     EXPECT_GT(eff, 0.0);
     EXPECT_LE(eff, 1.0 + 1e-12);
 
-    // Kernels swept entities and the lagstep graphs attributed them.
+    // Kernels swept entities and the step graphs attributed them.
     EXPECT_GT(rank.kernels[static_cast<std::size_t>(Kernel::getq)].items, 0);
     bool step_with_graph = false;
     for (const auto& s : rank.steps)
@@ -364,7 +364,7 @@ TEST(Attrib, AttributionOnIsBitwisePassiveAcrossRanksAndSchedules) {
     }
 }
 
-TEST(Attrib, EpochOffsetsAlignOntoRankZero) {
+TEST(Attrib, EpochOffsetsAlignOntoTheRunEpoch) {
     const auto p = sod_like(40, 2);
     bd::Options opts;
     opts.n_ranks = 4;
@@ -376,14 +376,16 @@ TEST(Attrib, EpochOffsetsAlignOntoRankZero) {
     const auto r = bd::run(p.mesh, p.materials, p.rho, p.ein, p.u, p.v, opts);
 
     ASSERT_EQ(r.telemetry.ranks.size(), 4u);
-    EXPECT_EQ(r.telemetry.ranks[0].epoch_us, 0.0)
-        << "rank 0 is the reference timeline";
+    // Every rank stamps its epoch after the run's, so every offset onto
+    // the run epoch's timeline is >= 0, rank 0's included.
+    for (const auto& rank : r.telemetry.ranks)
+        EXPECT_GE(rank.epoch_us, 0.0) << "rank " << rank.rank;
     // After alignment, the same-numbered step starts within the run's
     // wall-clock envelope on every rank (the ranks run concurrently).
     const double run_us = r.telemetry.wall_s * 1e6;
     for (const auto& rank : r.telemetry.ranks)
         for (const auto& s : rank.steps) {
-            EXPECT_GT(s.start_us + rank.epoch_us + run_us, 0.0);
+            EXPECT_GE(s.start_us, 0.0);
             EXPECT_LT(s.start_us, run_us * 2.0 + 1e6);
         }
 }

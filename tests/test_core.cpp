@@ -428,35 +428,26 @@ TEST(Driver, ProfilerCoversAllLagrangianKernels) {
 }
 
 TEST(Driver, ThreadedRunMatchesSerialOnFullProblem) {
-    using bookleaf::par::Assembly;
-    auto run_with = [](bookleaf::par::ThreadPool* pool, Assembly assembly) {
+    auto run_with = [](bookleaf::par::ThreadPool* pool) {
         bc::Hydro h(bs::sod(64, 2));
         if (pool) {
             bookleaf::par::Exec ex;
             ex.pool = pool;
             h.set_exec(ex);
         }
-        h.set_assembly(assembly);
         h.run(0.05);
         return h.snapshot();
     };
-    const auto serial = run_with(nullptr, Assembly::gather);
+    const auto serial = run_with(nullptr);
     // The nodal masses are the assembly's most order-sensitive output: a
     // velocity absorbs most last-bit changes of its nodal force.
-    const auto expect_serial = [&](const bookleaf::ckpt::Snapshot& s,
-                                   const char* what) {
-        EXPECT_EQ(s.node_mass, serial.node_mass) << what;
-        EXPECT_EQ(s.u, serial.u) << what;
-        EXPECT_EQ(s.x, serial.x) << what;
-        EXPECT_EQ(s.rho, serial.rho) << what;
-        EXPECT_EQ(s.ein, serial.ein) << what;
-    };
     bookleaf::par::ThreadPool pool(4);
-    expect_serial(run_with(&pool, Assembly::gather), "4 threads");
-    // The paper's serial scatter (§IV-B) deposits cells in the caller's
-    // order, the order the gather's rows replay on the driver's
-    // renumbered mesh: bitwise equal too.
-    expect_serial(run_with(nullptr, Assembly::serial_scatter), "scatter");
+    const auto threaded = run_with(&pool);
+    EXPECT_EQ(threaded.node_mass, serial.node_mass);
+    EXPECT_EQ(threaded.u, serial.u);
+    EXPECT_EQ(threaded.x, serial.x);
+    EXPECT_EQ(threaded.rho, serial.rho);
+    EXPECT_EQ(threaded.ein, serial.ein);
 }
 
 TEST(Driver, ReadingBetweenStepsLeavesTheTrajectoryBitwise) {

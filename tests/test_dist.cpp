@@ -9,6 +9,7 @@
 
 #include "core/driver.hpp"
 #include "dist/distributed.hpp"
+#include "hydro_reference.hpp"
 #include "mesh/generator.hpp"
 #include "part/partition.hpp"
 #include "part/subdomain.hpp"
@@ -557,13 +558,10 @@ struct RemapRig {
         }
         s.x0 = s.x;
         s.y0 = s.y;
-        bh::getgeom(ctx, s, s.u, s.v, 0.0);
-        bh::getrho(ctx, s);
-        bh::getpc(ctx, s);
-        std::vector<Index> all(static_cast<std::size_t>(ctx.mesh->n_nodes()));
-        for (Index n = 0; n < ctx.mesh->n_nodes(); ++n)
-            all[static_cast<std::size_t>(n)] = n;
-        bh::getacc_assemble(ctx, s, all);
+        hydro_ref::getgeom(ctx, s, s.u, s.v, 0.0);
+        bh::getrho(ctx, s, 0, ctx.mesh->n_cells());
+        bh::getpc(ctx, s, 0, ctx.mesh->n_cells());
+        bh::getacc_assemble(ctx, s, 0, ctx.mesh->n_nodes());
     }
 };
 

@@ -233,113 +233,19 @@ TEST(Subdomain, BcMasksSurviveExtraction) {
 }
 
 // ---------------------------------------------------------------------------
-// Boundary/interior overlap sets
+// Halo layout
 // ---------------------------------------------------------------------------
 
-TEST(SubdomainOverlapSets, CellsAndNodesArePartitioned) {
-    const auto m = bm::generate_rect({.nx = 12, .ny = 10});
-    const auto part = bp::rcb(m, 4);
-    const auto subs = bp::decompose(m, part, 4);
-    for (const auto& sub : subs) {
-        std::vector<int> cell_seen(sub.local.cell_ids.size(), 0);
-        for (const Index c : sub.boundary_cells)
-            cell_seen[static_cast<std::size_t>(c)]++;
-        for (const Index c : sub.interior_cells)
-            cell_seen[static_cast<std::size_t>(c)]++;
-        for (const int s : cell_seen) EXPECT_EQ(s, 1);
-
-        std::vector<int> node_seen(sub.local.node_ids.size(), 0);
-        for (const Index n : sub.boundary_nodes)
-            node_seen[static_cast<std::size_t>(n)]++;
-        for (const Index n : sub.interior_nodes)
-            node_seen[static_cast<std::size_t>(n)]++;
-        for (const int s : node_seen) EXPECT_EQ(s, 1);
-    }
-}
-
-TEST(SubdomainOverlapSets, InteriorCellsAreOwnedAndStencilClosed) {
-    // An interior cell must be owned, and neither it nor any face
-    // neighbour may touch a ghost cell — that is exactly the condition
-    // under which its viscosity/force stencil reads only owned-fresh data
-    // while halo messages are in flight.
-    const auto m = bm::generate_rect({.nx = 11, .ny = 9});
-    const auto part = bp::multilevel(m, 3);
-    const auto subs = bp::decompose(m, part, 3);
-    for (const auto& sub : subs) {
-        const auto& lm = sub.local;
-        std::vector<std::uint8_t> node_near_ghost(sub.local.node_ids.size(), 0);
-        for (Index c = sub.n_owned_cells;
-             c < static_cast<Index>(sub.local.cell_ids.size()); ++c)
-            for (int k = 0; k < 4; ++k)
-                node_near_ghost[static_cast<std::size_t>(lm.cn(c, k))] = 1;
-        auto near = [&](Index c) {
-            for (int k = 0; k < 4; ++k)
-                if (node_near_ghost[static_cast<std::size_t>(lm.cn(c, k))])
-                    return true;
-            return false;
-        };
-        for (const Index c : sub.interior_cells) {
-            EXPECT_LT(c, sub.n_owned_cells);
-            EXPECT_FALSE(near(c));
-            for (int k = 0; k < 4; ++k) {
-                const Index nb = lm.neighbor(c, k);
-                if (nb != bookleaf::no_index) EXPECT_FALSE(near(nb));
-            }
-        }
-    }
-}
-
-TEST(SubdomainOverlapSets, CornerSendCellsAreBoundary) {
-    // Every owned cell packed for a peer's ghost layer must be in the
-    // boundary set: the overlapped corrector computes boundary forces
-    // first and packs immediately after.
-    const auto m = bm::generate_rect({.nx = 10, .ny = 10});
-    const auto part = bp::rcb(m, 4);
-    const auto subs = bp::decompose(m, part, 4);
-    for (const auto& sub : subs) {
-        std::set<Index> boundary(sub.boundary_cells.begin(),
-                                 sub.boundary_cells.end());
-        for (const auto& peer : sub.corner_schedule.peers)
-            for (const Index item : peer.send_items) {
-                const Index cell = item / 4;
-                EXPECT_LT(cell, sub.n_owned_cells);
-                EXPECT_TRUE(boundary.count(cell))
-                    << "rank " << sub.rank << " sends non-boundary cell "
-                    << cell;
-            }
-    }
-}
-
-TEST(SubdomainOverlapSets, InteriorNodesTouchNoGhostCell) {
-    // The corner-force gather at an interior node must read no ghost
-    // corner (it runs before the pre-acceleration halo completes), and
-    // every node refreshed by the node halo must be classified boundary.
-    const auto m = bm::generate_rect({.nx = 9, .ny = 7});
-    const auto part = bp::rcb(m, 4);
-    const auto subs = bp::decompose(m, part, 4);
-    for (const auto& sub : subs) {
-        const auto& lm = sub.local;
-        std::set<Index> interior(sub.interior_nodes.begin(),
-                                 sub.interior_nodes.end());
-        for (const Index n : sub.interior_nodes)
-            for (const Index c : lm.node_cells.row(n))
-                EXPECT_LT(c, sub.n_owned_cells)
-                    << "interior node " << n << " touches ghost cell " << c;
-        for (const auto& peer : sub.node_schedule.peers)
-            for (const Index item : peer.recv_items)
-                EXPECT_FALSE(interior.count(item))
-                    << "halo-refreshed node " << item << " marked interior";
-    }
-}
-
 TEST(SubdomainOverlapSets, SingleRankIsAllInterior) {
+    // One rank has nothing on a halo: no ghost cell, every node owned and
+    // no peer in any schedule, so its step graph gates no task.
     const auto m = bm::generate_rect({.nx = 6, .ny = 6});
     const auto subs = bp::decompose(
         m, std::vector<Index>(static_cast<std::size_t>(m.n_cells()), 0), 1);
-    EXPECT_TRUE(subs[0].boundary_cells.empty());
-    EXPECT_TRUE(subs[0].boundary_nodes.empty());
-    EXPECT_EQ(subs[0].interior_cells.size(),
-              static_cast<std::size_t>(m.n_cells()));
-    EXPECT_EQ(subs[0].interior_nodes.size(),
-              static_cast<std::size_t>(m.n_nodes()));
+    EXPECT_EQ(subs[0].n_owned_cells, m.n_cells());
+    EXPECT_EQ(subs[0].local.n_cells(), m.n_cells());
+    EXPECT_EQ(subs[0].n_owned_nodes(), m.n_nodes());
+    EXPECT_TRUE(subs[0].node_schedule.peers.empty());
+    EXPECT_TRUE(subs[0].cell_schedule.peers.empty());
+    EXPECT_TRUE(subs[0].corner_schedule.peers.empty());
 }

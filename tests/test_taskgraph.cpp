@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <initializer_list>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -374,8 +376,9 @@ TEST(Sched, SetExecDropsTheCachedGraphs) {
     // them, so set_exec must drop them: a graph that survived would keep
     // running blocks sized for, and scheduled on, the pool it was built
     // with. Every segment's graphs must report the current pool's width —
-    // none in the no-pool segment — and the interrupted run must land on
-    // the uninterrupted serial run's bytes.
+    // one worker in the no-pool segment, whose step graph runs inline —
+    // and the interrupted run must land on the uninterrupted serial run's
+    // bytes.
     const Real t_end = 0.03;
     for (const auto mode : {ba::Mode::eulerian, ba::Mode::ale}) {
         const auto ref = run_core(deck(mode), t_end, nullptr);
@@ -401,7 +404,7 @@ TEST(Sched, SetExecDropsTheCachedGraphs) {
         h.set_exec(wide);
         steps(4, 4);
         h.set_exec(bp::Exec{});
-        steps(4, 0);
+        steps(4, 1);
         h.set_exec(wide);
         const auto summary = h.run(t_end);
         ASSERT_GT(summary.steps, 12) << mode_name(mode);
@@ -474,6 +477,79 @@ TEST(Sched, DistHybridBitwiseOnAleNoh) {
     for (const int n_ranks : {2, 4})
         expect_dist_bitwise(run_dist(problem, t_end, n_ranks, 4), ref,
                             std::to_string(n_ranks) + " ranks x 4 threads");
+
+    // Lagrangian Noh drives the rank step graph through the compressing
+    // getq path everywhere, limiter sentinels included, with no remap in
+    // between.
+    const auto lagrange = bs::noh(16);
+    const auto lagrange_ref = run_core(bs::noh(16), 0.1, nullptr);
+    ASSERT_GT(lagrange_ref.steps, 0);
+    for (const int n_ranks : {2, 3})
+        for (const int n_threads : {1, 2})
+            expect_dist_bitwise(run_dist(lagrange, 0.1, n_ranks, n_threads),
+                                lagrange_ref,
+                                "lagrange " + std::to_string(n_ranks) +
+                                    " ranks x " + std::to_string(n_threads) +
+                                    " threads");
+}
+
+TEST(Sched, RankGraphHidesBothExchangesAtOneThread) {
+    // At one thread a rank runs its step graph inline, lowest task id
+    // first, so the rank's trace replays the graph's id order. Within
+    // every step, some predictor getq must run between the state-halo post
+    // and its finish, and some corrector getq or getforce between the
+    // corner post and its finish: a finish task with a low id would run
+    // first and wait out the messages with nothing to hide behind.
+    const auto path = ::testing::TempDir() + "sched_overlap_trace.json";
+    const auto problem = bs::noh(32);
+    bd::Options opts;
+    opts.n_ranks = 2;
+    opts.t_end = problem.t_end;
+    opts.max_steps = 6;
+    opts.hydro = problem.hydro;
+    opts.ale = problem.ale;
+    opts.telemetry.trace = path;
+    const auto r = bd::run(problem.mesh, problem.materials, problem.rho,
+                           problem.ein, problem.u, problem.v, opts);
+    std::remove(path.c_str());
+    ASSERT_EQ(r.telemetry.ranks.size(), 2u);
+
+    using K = bookleaf::util::Kernel;
+    for (const auto& rank : r.telemetry.ranks) {
+        ASSERT_EQ(rank.steps.size(), 6u);
+        for (const auto& step : rank.steps) {
+            const std::string label = "rank " + std::to_string(rank.rank) +
+                                      ", step " + std::to_string(step.step);
+            std::vector<bookleaf::util::TraceEvent> events;
+            for (const auto& e : rank.trace)
+                if (e.t0_us >= step.start_us &&
+                    e.t0_us <= step.start_us + step.wall_us)
+                    events.push_back(e);
+            std::stable_sort(events.begin(), events.end(),
+                             [](const auto& a, const auto& b) {
+                                 return a.t0_us < b.t0_us;
+                             });
+            // State post, state finish, corner post, corner finish.
+            std::vector<bookleaf::util::TraceEvent> halo;
+            for (const auto& e : events)
+                if (e.kernel == K::halo) halo.push_back(e);
+            ASSERT_EQ(halo.size(), 4u) << label;
+            const auto between = [&](const auto& after, const auto& before,
+                                     std::initializer_list<K> kernels) {
+                for (const auto& e : events)
+                    if (e.t0_us >= after.t0_us + after.dur_us &&
+                        e.t0_us + e.dur_us <= before.t0_us &&
+                        std::find(kernels.begin(), kernels.end(), e.kernel) !=
+                            kernels.end())
+                        return true;
+                return false;
+            };
+            EXPECT_TRUE(between(halo[0], halo[1], {K::getq}))
+                << label << ": no predictor getq under the state halo";
+            EXPECT_TRUE(between(halo[2], halo[3], {K::getq, K::getforce}))
+                << label << ": no corrector work under the corner halo";
+        }
+    }
 }
 
 TEST(Sched, DistRejectsNonPositiveThreadCount) {
