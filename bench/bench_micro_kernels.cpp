@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "ale/advect_graph.hpp"
 #include "ale/remap.hpp"
 #include "assembly_ablation.hpp"
 #include "hydro/kernels.hpp"
@@ -150,9 +151,10 @@ static void BM_alestep_eulerian(benchmark::State& s) {
     opts.mode = ale::Mode::eulerian;
     ale::Workspace work;
     hydro::StepGraph step(rig.ctx, rig.state);
+    ale::AdvectGraph advect(rig.ctx, rig.state, opts, work);
     for (auto _ : s) {
         step.run(1e-5);
-        ale::alestep(rig.ctx, rig.state, opts, work);
+        ale::alestep(rig.ctx, rig.state, opts, work, advect);
     }
     s.SetItemsProcessed(s.iterations() * rig.cells());
 }

@@ -3,7 +3,7 @@
 /// reference `bookleaf` binary. Reads a BookLeaf-style input deck, runs
 /// Algorithm 1, prints the step banner and the final per-kernel summary.
 ///
-///   ./bookleaf_main data/sod.in [--threads N] [--grain N] [--max_steps N]
+///   ./bookleaf_main data/sod.in [--threads N] [--max_steps N]
 ///                   [--banner-every N] [--vtk out.vtk]
 ///                   [--restart snapshot.ckpt]
 ///                   [--telemetry-report run.json] [--telemetry-trace t.json]
@@ -27,7 +27,7 @@ using namespace bookleaf;
 int main(int argc, char** argv) {
     try {
         const util::Cli cli(argc, argv,
-                            {"threads", "grain", "max_steps", "banner-every",
+                            {"threads", "max_steps", "banner-every",
                              "vtk", "restart", "telemetry-report",
                              "telemetry-trace",
                              "telemetry-summary", "telemetry-window",
@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
         if (threads > 1) {
             par::Exec exec;
             exec.pool = &pool;
-            exec.grain = static_cast<Index>(cli.get_int("grain", 0));
             hydro.set_exec(exec);
         }
         const int max_steps = cli.get_int("max_steps", 1 << 30);

@@ -19,19 +19,17 @@
 /// dual -> nodes), each per-entity independent, with every cross-entity
 /// accumulation written as a *gather in ascending global order*: cells
 /// gather their own four faces, nodes gather their incident corners via
-/// the mesh's node_corners. The distributed remap runs the same phases over
-/// subranges with ghost exchanges in between and lands bitwise-identical
-/// owned results; aleadvect() below is the full-mesh composition.
+/// the mesh's node_corners. ale::AdvectGraph runs these forms as block
+/// tasks in both drivers; on a rank the graph's exchange tasks supply the
+/// ghost inputs, and owned results land bitwise-identical.
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
 
-#include "ale/advect_graph.hpp"
 #include "ale/remap.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace bookleaf::ale {
 
@@ -154,43 +152,12 @@ inline void flux_face(const mesh::Mesh& mesh, const hydro::State& s,
 } // namespace
 
 void aleadvect_centroids(const hydro::Context& ctx, const hydro::State& s,
-                         Workspace& w) {
-    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,
-                                  ctx.mesh->n_cells());
-    const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_gradients,
-                                  ctx.mesh->n_cells());
-    const auto& mesh = *ctx.mesh;
-    const Index n_cells = mesh.n_cells();
-    w.cx.assign(static_cast<std::size_t>(n_cells), 0.0);
-    w.cy.assign(static_cast<std::size_t>(n_cells), 0.0);
-    centroids_core(mesh, s, w, 0, n_cells);
-}
-
-void aleadvect_centroids(const hydro::Context& ctx, const hydro::State& s,
                          Workspace& w, Index begin, Index end) {
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,
                                   end - begin);
     const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_gradients,
                                   end - begin);
     centroids_core(*ctx.mesh, s, w, begin, end);
-}
-
-void aleadvect_gradients(const hydro::Context& ctx, const hydro::State& s,
-                         const Options& opts, Workspace& w, Index n_cells) {
-    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,
-                                  n_cells);
-    const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_gradients,
-                                  n_cells);
-    const auto& mesh = *ctx.mesh;
-    const auto nc = static_cast<std::size_t>(mesh.n_cells());
-    w.grad_rho_x.assign(nc, 0.0);
-    w.grad_rho_y.assign(nc, 0.0);
-    w.grad_e_x.assign(nc, 0.0);
-    w.grad_e_y.assign(nc, 0.0);
-    gradients_core(mesh, s, w, s.rho, opts.limit, 0, n_cells, w.grad_rho_x,
-                   w.grad_rho_y);
-    gradients_core(mesh, s, w, s.ein, opts.limit, 0, n_cells, w.grad_e_x,
-                   w.grad_e_y);
 }
 
 void aleadvect_gradients(const hydro::Context& ctx, const hydro::State& s,
@@ -208,46 +175,20 @@ void aleadvect_gradients(const hydro::Context& ctx, const hydro::State& s,
 }
 
 void aleadvect_fluxes(const hydro::Context& ctx, const hydro::State& s,
-                      const Options& opts, Workspace& w) {
+                      const Options& opts, Workspace& w,
+                      std::span<const Index> faces) {
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,
-                                  ctx.mesh->n_faces());
+                                  static_cast<long long>(faces.size()));
     const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_fluxes,
-                                  ctx.mesh->n_faces());
+                                  static_cast<long long>(faces.size()));
     const auto& mesh = *ctx.mesh;
-    w.mflux.assign(mesh.faces.size(), 0.0);
-    w.eflux.assign(mesh.faces.size(), 0.0);
-    for (std::size_t fi = 0; fi < mesh.faces.size(); ++fi)
-        flux_face(mesh, s, opts, w, fi);
-}
-
-void aleadvect_fluxes(const hydro::Context& ctx, const hydro::State& s,
-                      const Options& opts, Workspace& w, Index begin,
-                      Index end) {
-    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,
-                                  end - begin);
-    const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_fluxes,
-                                  end - begin);
-    const auto& mesh = *ctx.mesh;
-    // Own-slot zeroing replaces the full-array assign of the whole-mesh
-    // overload (flux_face leaves quiescent faces untouched).
-    for (Index f = begin; f < end; ++f) {
+    // flux_face leaves a quiescent face untouched: zero its slots first.
+    for (const Index f : faces) {
         const auto fi = static_cast<std::size_t>(f);
         w.mflux[fi] = 0.0;
         w.eflux[fi] = 0.0;
         flux_face(mesh, s, opts, w, fi);
     }
-}
-
-void aleadvect_fluxes_chunk(const hydro::Context& ctx, const hydro::State& s,
-                            const Options& opts, Workspace& w,
-                            std::span<const Index> faces) {
-    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,
-                                  static_cast<long long>(faces.size()));
-    const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_fluxes,
-                                  static_cast<long long>(faces.size()));
-    const auto& mesh = *ctx.mesh;
-    for (const Index fi : faces)
-        flux_face(mesh, s, opts, w, static_cast<std::size_t>(fi));
 }
 
 namespace {
@@ -315,37 +256,12 @@ void dual_core(const mesh::Mesh& mesh, hydro::State& s, Workspace& w,
 } // namespace
 
 void aleadvect_cells(const hydro::Context& ctx, hydro::State& s, Workspace& w,
-                     Index n_cells) {
-    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,
-                                  n_cells);
-    const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_cells,
-                                  n_cells);
-    cells_core(*ctx.mesh, s, w, 0, n_cells);
-}
-
-void aleadvect_cells(const hydro::Context& ctx, hydro::State& s, Workspace& w,
                      Index begin, Index end) {
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,
                                   end - begin);
     const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_cells,
                                   end - begin);
     cells_core(*ctx.mesh, s, w, begin, end);
-}
-
-void aleadvect_dual(const hydro::Context& ctx, hydro::State& s, Workspace& w,
-                    Index n_cells) {
-    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,
-                                  n_cells);
-    const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_dual,
-                                  n_cells);
-    const auto& mesh = *ctx.mesh;
-    w.dflux.assign(static_cast<std::size_t>(mesh.n_cells()) * corners_per_cell,
-                   0.0);
-    std::atomic<long> floored{0};
-    dual_core(mesh, s, w, 0, n_cells, floored);
-    if (floored.load() > 0)
-        util::log_warn("aleadvect: floored ", floored.load(),
-                       " negative corner masses");
 }
 
 void aleadvect_dual(const hydro::Context& ctx, hydro::State& s, Workspace& w,
@@ -412,84 +328,25 @@ inline void node_write(hydro::State& s, const Workspace& w, Index n) {
     }
 }
 
-void nodes_resize(const mesh::Mesh& mesh, Workspace& w) {
-    const auto nn = static_cast<std::size_t>(mesh.n_nodes());
-    w.pmx.assign(nn, 0.0);
-    w.pmy.assign(nn, 0.0);
-    w.nmass.assign(nn, 0.0);
-}
-
 } // namespace
 
-void aleadvect_nodes(const hydro::Context& ctx, hydro::State& s, Workspace& w) {
-    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,
-                                  ctx.mesh->n_nodes());
-    const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_nodes,
-                                  ctx.mesh->n_nodes());
-    const auto& mesh = *ctx.mesh;
-    const auto& corners = ctx.mesh->node_corners;
-    nodes_resize(mesh, w);
-    for (Index n = 0; n < mesh.n_nodes(); ++n)
-        node_gather(mesh, s, corners, w, n);
-    for (Index n = 0; n < mesh.n_nodes(); ++n) node_write(s, w, n);
-    hydro::apply_velocity_bc(mesh, ctx.opts, s.u, s.v);
-}
-
-void aleadvect_nodes(const hydro::Context& ctx, hydro::State& s, Workspace& w,
-                     std::span<const Index> nodes) {
-    const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,
-                                  static_cast<long long>(nodes.size()));
-    const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_nodes,
-                                  static_cast<long long>(nodes.size()));
-    const auto& mesh = *ctx.mesh;
-    const auto& corners = ctx.mesh->node_corners;
-    nodes_resize(mesh, w);
-    for (const Index n : nodes) node_gather(mesh, s, corners, w, n);
-    for (const Index n : nodes) node_write(s, w, n);
-    hydro::apply_velocity_bc(mesh, ctx.opts, s.u, s.v);
-}
-
 void aleadvect_node_gather(const hydro::Context& ctx, const hydro::State& s,
-                           Workspace& w, Index begin, Index end) {
+                           Workspace& w, std::span<const Index> nodes) {
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,
-                                  end - begin);
+                                  static_cast<long long>(nodes.size()));
     const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_nodes,
-                                  end - begin);
+                                  static_cast<long long>(nodes.size()));
     const auto& corners = ctx.mesh->node_corners;
-    for (Index n = begin; n < end; ++n)
-        node_gather(*ctx.mesh, s, corners, w, n);
+    for (const Index n : nodes) node_gather(*ctx.mesh, s, corners, w, n);
 }
 
 void aleadvect_node_write(const hydro::Context& ctx, hydro::State& s,
-                          Workspace& w, Index begin, Index end) {
+                          Workspace& w, std::span<const Index> nodes) {
     const util::ScopedTimer timer(*ctx.profiler, util::Kernel::aleadvect,
-                                  end - begin);
+                                  static_cast<long long>(nodes.size()));
     const util::ScopedTimer phase(*ctx.profiler, util::Kernel::ale_nodes,
-                                  end - begin);
-    for (Index n = begin; n < end; ++n) node_write(s, w, n);
-}
-
-void aleadvect_nodes_resize(const mesh::Mesh& mesh, Workspace& w) {
-    nodes_resize(mesh, w);
-}
-
-void aleadvect(const hydro::Context& ctx, hydro::State& s, const Options& opts,
-               Workspace& w) {
-    // The same phases as (kernel, block) tasks with footprint-derived
-    // dependencies — a cell block's fluxes start as soon as the gradients
-    // they read are ready. The driver builds the graph once and re-runs
-    // it every remap; without one the fork-join sequence below runs.
-    // Bitwise identical either way (see advect_graph.hpp).
-    if (ctx.advectgraph != nullptr && ctx.advectgraph->binds(s, opts, w)) {
-        ctx.advectgraph->run();
-        return;
-    }
-    aleadvect_centroids(ctx, s, w);
-    aleadvect_gradients(ctx, s, opts, w, ctx.mesh->n_cells());
-    aleadvect_fluxes(ctx, s, opts, w);
-    aleadvect_cells(ctx, s, w, ctx.mesh->n_cells());
-    aleadvect_dual(ctx, s, w, ctx.mesh->n_cells());
-    aleadvect_nodes(ctx, s, w);
+                                  static_cast<long long>(nodes.size()));
+    for (const Index n : nodes) node_write(s, w, n);
 }
 
 } // namespace bookleaf::ale

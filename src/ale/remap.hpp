@@ -12,14 +12,15 @@
 /// every cross-entity reduction (the Jacobi smoothing average, the
 /// cell-flux gather, the dual-mesh corner/momentum gather) sums its
 /// contributions in ascending global-id order. That structure is what
-/// lets the distributed driver run the very same code over subdomain
-/// subranges and land bitwise-identical results on owned entities: the
-/// subrange + ghost-aware overloads below take an explicit entity set
-/// (the owned prefix, the owned-incident faces, the stencil-complete
-/// nodes), and dist::remap interleaves them with Typhon ghost exchanges
-/// that supply exactly the foreign inputs each phase reads (target node
-/// positions per smoothing pass, ghost-cell gradients before the face
-/// fluxes, ghost cell/corner results after the sweeps).
+/// lets the distributed driver run the very same code over a subdomain
+/// and land bitwise-identical results on owned entities. ALEADVECT is
+/// ale::AdvectGraph (advect_graph.hpp) in both drivers: its phases run as
+/// (phase, block) tasks, and on a rank the graph also posts and finishes
+/// the two remap exchanges that supply exactly the foreign inputs a phase
+/// reads (ghost-cell gradients before the face fluxes, ghost cell and
+/// corner results before the nodal gather). ALEGETMESH, ALEGETFVOL and
+/// ALEUPDATE are par::for_each loops; the ghost-aware overloads below
+/// take the rank's target-position sync and remap face list.
 
 #include <atomic>
 #include <functional>
@@ -31,6 +32,8 @@
 #include "util/types.hpp"
 
 namespace bookleaf::ale {
+
+class AdvectGraph;
 
 /// ALE operating mode (paper §III-A: pure Lagrange, ALE, or Eulerian as
 /// the bounding cases).
@@ -111,95 +114,58 @@ void alegetfvol(const hydro::Context& ctx, const hydro::State& s, Workspace& w,
                 std::span<const Index> faces);
 
 // --- ALEADVECT phases -------------------------------------------------------
-// The advection sweep decomposed so the distributed driver can interleave
-// ghost exchanges; aleadvect() composes them over the full mesh. Cell
-// phases take an owned-cell *prefix* (subdomain numbering is owned-first;
-// the serial mesh is all-owned).
+// One form per phase: a serial loop over one block of entities, which
+// ale::AdvectGraph runs as a task. Each writes only its own entities'
+// slots, so any disjoint cover of the entities, run in any order the
+// graph's edges allow, lands the bytes of one sweep in storage order. The
+// caller sizes the workspace arrays a form writes.
 
-/// Old-geometry centroids for every cell (ghosts included — they are
-/// donor candidates for owned faces).
-void aleadvect_centroids(const hydro::Context& ctx, const hydro::State& s,
-                         Workspace& w);
-/// Block overload for the task-graph schedule: cells [begin, end) only,
-/// caller sizes w.cx/w.cy.
+/// Old-geometry centroids of cells [begin, end) (w.cx, w.cy). A rank
+/// computes them for ghost cells too: they are donor candidates for owned
+/// faces.
 void aleadvect_centroids(const hydro::Context& ctx, const hydro::State& s,
                          Workspace& w, Index begin, Index end);
 
-/// Limited least-squares gradients of rho and ein for cells [0, n_cells).
-/// Needs complete face-neighbour data: in distributed runs only owned
-/// cells qualify, and ghost-cell gradients arrive by exchange before the
-/// fluxes read them.
-void aleadvect_gradients(const hydro::Context& ctx, const hydro::State& s,
-                         const Options& opts, Workspace& w, Index n_cells);
-/// Block overload: cells [begin, end), caller sizes the gradient arrays
-/// (every listed slot is written, zero for degenerate stencils).
+/// Limited least-squares gradients of rho and ein for cells [begin, end)
+/// (every slot is written, zero for degenerate stencils). Needs the
+/// centroids of the cells and of their face neighbours, so a rank
+/// computes owned cells only; ghost-cell gradients arrive by exchange
+/// before the fluxes read them.
 void aleadvect_gradients(const hydro::Context& ctx, const hydro::State& s,
                          const Options& opts, Workspace& w, Index begin,
                          Index end);
 
-/// Donor-cell mass/energy fluxes with limited reconstruction, all faces.
+/// Donor-cell mass and energy fluxes with limited reconstruction for the
+/// listed faces. Each listed slot of w.mflux/w.eflux is zeroed before it
+/// is fluxed, and a face with no swept volume keeps the zero, so a face
+/// list covering every face needs no fill beforehand.
 void aleadvect_fluxes(const hydro::Context& ctx, const hydro::State& s,
-                      const Options& opts, Workspace& w);
-/// Block overload: faces [begin, end), caller sizes w.mflux/w.eflux (own
-/// slots are zeroed before fluxing, so no full-array assign is needed).
-void aleadvect_fluxes(const hydro::Context& ctx, const hydro::State& s,
-                      const Options& opts, Workspace& w, Index begin,
-                      Index end);
-/// Face-list chunk for the distributed remap graph: no zero prologue —
-/// the caller zero-fills w.mflux/w.eflux once and partitions the remap
-/// faces across tasks, so each listed slot is written by exactly one task.
-void aleadvect_fluxes_chunk(const hydro::Context& ctx, const hydro::State& s,
-                            const Options& opts, Workspace& w,
-                            std::span<const Index> faces);
+                      const Options& opts, Workspace& w,
+                      std::span<const Index> faces);
 
-/// Cell mass / internal-energy update for cells [0, n_cells): each cell
+/// Cell mass / internal-energy update for cells [begin, end): each cell
 /// gathers the signed fluxes of its own four faces (ascending local face
 /// index — identical order on every rank).
 void aleadvect_cells(const hydro::Context& ctx, hydro::State& s, Workspace& w,
-                     Index n_cells);
-/// Block overload: cells [begin, end).
-void aleadvect_cells(const hydro::Context& ctx, hydro::State& s, Workspace& w,
                      Index begin, Index end);
 
-/// Corner-mass update and median-dual fluxes for cells [0, n_cells):
-/// writes w.dflux and the remapped cnmass.
-void aleadvect_dual(const hydro::Context& ctx, hydro::State& s, Workspace& w,
-                    Index n_cells);
-/// Block overload: cells [begin, end), caller sizes w.dflux and owns the
-/// shared floor counter (atomic — the count is a commutative integer sum,
-/// equal to the serial total at any schedule).
+/// Corner-mass update and median-dual fluxes for cells [begin, end):
+/// writes w.dflux and the remapped cnmass. `floored` counts the corner
+/// masses floored at zero (atomic — the count is a commutative integer
+/// sum, equal to the serial total at any schedule).
 void aleadvect_dual(const hydro::Context& ctx, hydro::State& s, Workspace& w,
                     Index begin, Index end, std::atomic<long>& floored);
 
-/// Dual-mesh nodal remap: gather the remapped corner masses and the
-/// upwind dual-flux momentum transfers at each node (rows from the mesh's
-/// node_corners, i.e. ascending canonical corner order), then form
-/// the new nodal velocities and re-apply the kinematic BCs.
-void aleadvect_nodes(const hydro::Context& ctx, hydro::State& s, Workspace& w);
-/// Subrange overload: only the listed nodes are remapped (the distributed
-/// driver passes the stencil-complete set; fringe nodes are owned and
-/// computed elsewhere, and refreshed by the next pre-step halo).
-void aleadvect_nodes(const hydro::Context& ctx, hydro::State& s, Workspace& w,
-                     std::span<const Index> nodes);
-/// Block overloads of the nodal remap's two halves, for the task-graph
-/// schedule: the gather accumulates into the workspace only (upwind
-/// velocities stay clean), the write forms the new nodal state. Caller
-/// sizes w.pmx/w.pmy/w.nmass (aleadvect_nodes_resize) and re-applies the
-/// kinematic BCs after every write block has finished.
+/// The dual-mesh nodal remap in two halves over the listed nodes. The
+/// gather accumulates the remapped corner masses and the upwind dual-flux
+/// momentum transfers of each node (rows from the mesh's node_corners,
+/// i.e. ascending canonical corner order) into the workspace only, so the
+/// upwind velocities stay clean; the write forms the new nodal mass and
+/// velocities. The caller re-applies the kinematic BCs after every write.
 void aleadvect_node_gather(const hydro::Context& ctx, const hydro::State& s,
-                           Workspace& w, Index begin, Index end);
+                           Workspace& w, std::span<const Index> nodes);
 void aleadvect_node_write(const hydro::Context& ctx, hydro::State& s,
-                          Workspace& w, Index begin, Index end);
-/// Size the nodal-remap accumulators (the serial phases do this inline).
-void aleadvect_nodes_resize(const mesh::Mesh& mesh, Workspace& w);
-
-/// Advect independent variables: the full composition of the phases above
-/// over every cell, face and node. When the driver holds an AdvectGraph
-/// for (s, opts, w) in ctx.advectgraph (a pool is present, see
-/// advect_graph.hpp) this re-runs it; otherwise — bare contexts, no-pool
-/// runs — the phases run in sequence. Bitwise identical either way.
-void aleadvect(const hydro::Context& ctx, hydro::State& s, const Options& opts,
-               Workspace& w);
+                          Workspace& w, std::span<const Index> nodes);
 
 /// Rebuild dependent variables on the target mesh: positions, geometry,
 /// density, velocity from momentum, EoS. Ghost-aware as-is: every input
@@ -208,8 +174,9 @@ void aleadvect(const hydro::Context& ctx, hydro::State& s, const Options& opts,
 /// bitwise-serial everywhere.
 void aleupdate(const hydro::Context& ctx, hydro::State& s, Workspace& w);
 
-/// The full ALE step.
+/// The full ALE step: ALEGETMESH, ALEGETFVOL, `advect` (the graph built
+/// over s, opts and w) and ALEUPDATE. Does nothing in Lagrange mode.
 void alestep(const hydro::Context& ctx, hydro::State& s, const Options& opts,
-             Workspace& w);
+             Workspace& w, AdvectGraph& advect);
 
 } // namespace bookleaf::ale

@@ -5,6 +5,7 @@
 
 #include <atomic>
 
+#include "ale/advect_graph.hpp"
 #include "ale/remap.hpp"
 #include "util/error.hpp"
 
@@ -37,11 +38,11 @@ void aleupdate(const hydro::Context& ctx, hydro::State& s, Workspace& w) {
 }
 
 void alestep(const hydro::Context& ctx, hydro::State& s, const Options& opts,
-             Workspace& w) {
+             Workspace& w, AdvectGraph& advect) {
     if (opts.mode == Mode::lagrange) return;
     alegetmesh(ctx, s, opts, w);
     alegetfvol(ctx, s, w);
-    aleadvect(ctx, s, opts, w);
+    advect.run();
     aleupdate(ctx, s, w);
 }
 

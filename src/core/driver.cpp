@@ -103,10 +103,10 @@ void Hydro::init_context() {
 Stepper::Hooks Hydro::serial_hooks() {
     Stepper::Hooks hooks;
     hooks.advance = [this](Real dt_local, bool, const Stepper::Settle& settle) {
-        stepgraph_->run([&] { return settle(dt_local); });
+        step_graph_->run([&] { return settle(dt_local); });
     };
     hooks.remap = [this] {
-        ale::alestep(ctx_, state_, problem_.ale, ale_work_);
+        ale::alestep(ctx_, state_, problem_.ale, ale_work_, *advect_graph_);
     };
     hooks.window = [this](const obs::WindowRecord& w) {
         if (live_) (void)obs::stream_window(*live_, assembler_, 0, w);
@@ -221,24 +221,20 @@ void Hydro::maybe_checkpoint(Real t_before) {
 }
 
 void Hydro::drop_graphs() {
-    stepgraph_.reset();
-    advectgraph_.reset();
-    ctx_.advectgraph = nullptr;
+    step_graph_.reset();
+    advect_graph_.reset();
 }
 
-/// Build the task graphs the current execution policy wants, once: the
-/// step graph always (a run without a pool executes it inline), the
-/// advection graph with a threaded pool in a remapping mode. set_exec and
-/// renumbering drop them, so a graph never outlives the policy or the
-/// numbering it was built for.
+/// Build the task graphs once: the step graph always and the advection
+/// graph in a remapping mode (a run without a pool executes both inline).
+/// set_exec and renumbering drop them, so a graph never outlives the
+/// policy or the numbering it was built for.
 void Hydro::ensure_graphs() {
-    if (!stepgraph_)
-        stepgraph_ = std::make_unique<hydro::StepGraph>(ctx_, state_);
-    if (ctx_.exec.threaded() && problem_.ale.mode != ale::Mode::lagrange &&
-        !advectgraph_)
-        advectgraph_ = std::make_unique<ale::AdvectGraph>(
+    if (!step_graph_)
+        step_graph_ = std::make_unique<hydro::StepGraph>(ctx_, state_);
+    if (problem_.ale.mode != ale::Mode::lagrange && !advect_graph_)
+        advect_graph_ = std::make_unique<ale::AdvectGraph>(
             ctx_, state_, problem_.ale, ale_work_);
-    ctx_.advectgraph = advectgraph_.get();
 }
 
 StepInfo Hydro::step() {
@@ -267,7 +263,6 @@ obs::RunReport Hydro::telemetry_report() const {
     report.t_final = time();
     report.wall_s = stepper_.wall_s();
     report.config.task_block = ctx_.exec.task_block;
-    report.config.grain = ctx_.exec.grain;
     report.config.n_threads = ctx_.exec.width();
     report.config.n_ranks = 1;
     report.work = perfmodel::telemetry_work_model(ctx_.exec.width());

@@ -64,7 +64,7 @@ public:
 
     /// Optional execution policy (threading) — set before stepping. The
     /// task graphs built for the previous policy are dropped; the next
-    /// step rebuilds the ones the new policy wants.
+    /// step rebuilds them for the new one.
     void set_exec(par::Exec exec) {
         ctx_.exec = exec;
         drop_graphs();
@@ -158,12 +158,12 @@ private:
     bool in_locality_order_ = false;
     hydro::Context ctx_;
     ale::Workspace ale_work_;
-    /// The Lagrangian step (every execution policy: inline without a
-    /// pool) and the ALE advection graph (threaded pool, remapping mode);
-    /// built on the first step after set_exec or a renumbering and re-run
-    /// every step / remap after that.
-    std::unique_ptr<hydro::StepGraph> stepgraph_;
-    std::unique_ptr<ale::AdvectGraph> advectgraph_;
+    /// The Lagrangian step and, in a remapping mode, the ALE advection
+    /// graph (every execution policy: inline without a pool); built on the
+    /// first step after set_exec or a renumbering and re-run every step /
+    /// remap after that.
+    std::unique_ptr<hydro::StepGraph> step_graph_;
+    std::unique_ptr<ale::AdvectGraph> advect_graph_;
     util::Profiler profiler_;
     /// Time-history CSV (deck `[io] history = <path>`): one row per step
     /// of t, dt, total mass, internal and kinetic energy, plus a step-0

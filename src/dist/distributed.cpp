@@ -41,10 +41,9 @@
 #include <string>
 #include <thread>
 
+#include "ale/advect_graph.hpp"
 #include "core/stepper.hpp"
 #include "hydro/stepgraph.hpp"
-#include "par/blocks.hpp"
-#include "par/task_graph.hpp"
 #include "perfmodel/calibrate.hpp"
 #include "part/subdomain.hpp"
 #include "typhon/fault.hpp"
@@ -308,188 +307,61 @@ void restore_rank_state(const part::Subdomain& sub,
     s.ein0 = s.ein;
 }
 
-/// Remap phases 3b-4 as a task graph, on every rank: the ghost-gradient
-/// exchange finish is a main-thread graph node, so *interior* face fluxes
-/// — both sides owned, gradients locally exact — compute while the
-/// exchange is in flight, and only the *frontier* face blocks (those
-/// reading a ghost gradient) are released by the finish. Cell and dual
-/// sweeps join per-block as soon as their own four faces' flux blocks are
-/// done. Without a pool the graph runs inline, lowest task id first: the
-/// interior fluxes precede the finish. The result is the serial remap's
-/// bytes: the interior/frontier split only reorders per-face-independent
-/// work, the prelude zero-fill is the bytes the serial phases assign, and
-/// every task writes disjoint slots.
-///
-/// The face split, the per-block dependencies and the tasks are constants
-/// of the subdomain and the execution policy: the rank body builds the
-/// graph on an attempt's first remap and re-runs it on every remap after
-/// that (a recovery attempt, on new subdomains, builds its own).
-class FluxGraph {
-public:
-    /// The context is copied (task bodies get a serialized one); the
-    /// state, options, workspace, comm and subdomain must outlive the
-    /// graph. The build is charged to Kernel::other.
-    FluxGraph(const hydro::Context& ctx, hydro::State& s,
-              const ale::Options& ale, ale::Workspace& w, typhon::Comm& comm,
-              const part::Subdomain& sub);
-    /// Task bodies hold the addresses of this object's members.
-    FluxGraph(const FluxGraph&) = delete;
-    FluxGraph& operator=(const FluxGraph&) = delete;
-
-    /// Post the ghost-gradient exchange and run the fluxes, cell and dual
-    /// sweeps of one remap.
-    void run();
-
-private:
-    void build();
-
-    par::Exec run_exec_; ///< scheduling policy (owns the pool pointer)
-    hydro::Context ctx_; ///< body context: exec serialized (pool == nullptr)
-    hydro::State& s_;
-    const ale::Options& ale_;
-    ale::Workspace& w_;
-    typhon::Comm& comm_;
-    const part::Subdomain& sub_;
-    /// The remap faces split by whether they read a ghost gradient; the
-    /// flux tasks hold spans into them.
-    std::vector<Index> interior_, frontier_;
-    /// The in-flight ghost-gradient exchange the finish task completes.
-    typhon::PendingExchange grads_;
-    std::atomic<long> floored_{0}; ///< corner masses floored this run
-    par::TaskGraph graph_;
-};
-
-FluxGraph::FluxGraph(const hydro::Context& ctx, hydro::State& s,
-                     const ale::Options& ale, ale::Workspace& w,
-                     typhon::Comm& comm, const part::Subdomain& sub)
-    : run_exec_(ctx.exec), ctx_(ctx), s_(s), ale_(ale), w_(w), comm_(comm),
-      sub_(sub) {
-    // Task bodies run the serial kernel paths (no nested pool dispatch).
-    ctx_.exec.pool = nullptr;
-    const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::other);
-    build();
-}
-
-void FluxGraph::build() {
-    const auto& mesh = *ctx_.mesh;
-    const Index n_owned = sub_.n_owned_cells;
-
-    // Split the remap faces: a frontier face touches a ghost cell, so its
-    // donor reconstruction may read an exchanged gradient; interior faces
-    // read locally-computed gradients only. Boundary faces have no right
-    // cell and classify by their left cell alone.
-    interior_.reserve(sub_.remap_faces.size());
-    for (const Index f : sub_.remap_faces) {
-        const auto& face = mesh.faces[static_cast<std::size_t>(f)];
-        const bool ghost = face.left >= n_owned ||
-                           (face.right != no_index && face.right >= n_owned);
-        (ghost ? frontier_ : interior_).push_back(f);
-    }
-
-    const par::TaskId t_finish = graph_.add(
-        [this] {
-            const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::halo);
-            grads_.finish(ctx_.profiler);
-        },
-        /*main_thread=*/true, // comm endpoints are per-rank-thread
-        util::Kernel::halo);
-
-    // Flux tasks over chunks of the face lists; face -> task for the
-    // cell/dual dependencies.
-    std::vector<par::TaskId> task_of_face(mesh.faces.size(), par::TaskId{-1});
-    const Index n_faces = static_cast<Index>(sub_.remap_faces.size());
-    const Index fchunk = par::detail::resolve_task_block(run_exec_, n_faces);
-    auto add_flux_chunks = [&](const std::vector<Index>& faces,
-                               bool needs_ghosts) {
-        for (std::size_t at = 0; at < faces.size();
-             at += static_cast<std::size_t>(fchunk)) {
-            const auto len = std::min(static_cast<std::size_t>(fchunk),
-                                      faces.size() - at);
-            const std::span<const Index> chunk(faces.data() + at, len);
-            const par::TaskId t = graph_.add(
-                [this, chunk] {
-                    ale::aleadvect_fluxes_chunk(ctx_, s_, ale_, w_, chunk);
-                },
-                false, util::Kernel::ale_fluxes);
-            if (needs_ghosts) graph_.depend(t, t_finish);
-            for (const Index f : chunk)
-                task_of_face[static_cast<std::size_t>(f)] = t;
-        }
+/// The rank's remap halo in the advection graph's terms: its ghost
+/// layout, the nodes it remaps and the callbacks that post and finish the
+/// gradient exchange (`grads`) and the fused result exchange (`results`).
+/// Each callback charges Kernel::halo.
+ale::AdvectHalo advect_halo(const hydro::Context& ctx, hydro::State& s,
+                            ale::Workspace& w, typhon::Comm& comm,
+                            const part::Subdomain& sub,
+                            typhon::PendingExchange& grads,
+                            typhon::PendingExchange& results) {
+    ale::AdvectHalo halo;
+    halo.n_owned_cells = sub.n_owned_cells;
+    halo.nodes = sub.remap_nodes;
+    util::Profiler* profiler = ctx.profiler;
+    // Limited reconstruction at a boundary cell reads its face-adjacent
+    // ghosts' gradients, which only their owner can compute with a full
+    // stencil.
+    halo.post_gradients = [profiler, &w, &comm, &sub, &grads] {
+        const util::ScopedTimer timer(*profiler, util::Kernel::halo);
+        const util::ScopedTimer pack(*profiler, util::Kernel::halo_pack);
+        grads = typhon::exchange_start(
+            comm, sub.remap_cell_schedule,
+            {w.grad_rho_x, w.grad_rho_y, w.grad_e_x, w.grad_e_y}, 320);
     };
-    add_flux_chunks(interior_, /*needs_ghosts=*/false);
-    add_flux_chunks(frontier_, /*needs_ghosts=*/true);
-
-    // Cell and dual sweeps over owned-cell blocks, each gated only on the
-    // flux tasks of its cells' own faces (unlisted faces keep the prelude
-    // zero and gate nothing).
-    const Index cblock = par::detail::resolve_task_block(run_exec_, n_owned);
-    const int n_blocks = static_cast<int>((n_owned + cblock - 1) / cblock);
-    const auto deps = par::coupling(
-        n_blocks, static_cast<int>(graph_.size()), [&](int blk, auto add) {
-            const Index begin = blk * cblock;
-            const Index end = std::min(n_owned, begin + cblock);
-            for (Index c = begin; c < end; ++c)
-                for (int k = 0; k < corners_per_cell; ++k) {
-                    const par::TaskId t = task_of_face[static_cast<std::size_t>(
-                        mesh.face_of(c, k))];
-                    if (t >= 0) add(t);
-                }
-        });
-    for (int blk = 0; blk < n_blocks; ++blk) {
-        const Index begin = blk * cblock;
-        const Index end = std::min(n_owned, begin + cblock);
-        const par::TaskId t_cells = graph_.add(
-            [this, begin, end] {
-                ale::aleadvect_cells(ctx_, s_, w_, begin, end);
-            },
-            false, util::Kernel::ale_cells);
-        const par::TaskId t_dual = graph_.add(
-            [this, begin, end] {
-                ale::aleadvect_dual(ctx_, s_, w_, begin, end, floored_);
-            },
-            false, util::Kernel::ale_dual);
-        for (const par::TaskId d : deps[static_cast<std::size_t>(blk)]) {
-            graph_.depend(t_cells, d);
-            graph_.depend(t_dual, d);
-        }
-    }
+    halo.finish_gradients = [profiler, &grads] {
+        const util::ScopedTimer timer(*profiler, util::Kernel::halo);
+        grads.finish(profiler);
+    };
+    // Ghost cell results {cell_mass, ein} (the next steps' ghost rebuild
+    // divides cell_mass by volume) and ghost dual-mesh results {cnmass,
+    // dflux}: the acceleration assembly reads ghost corner masses every
+    // step, and the nodal remap needs the dual fluxes of ghost cells,
+    // which their far faces make impossible to compute here.
+    halo.post_results = [profiler, &s, &w, &comm, &sub, &results] {
+        const util::ScopedTimer timer(*profiler, util::Kernel::halo);
+        const util::ScopedTimer pack(*profiler, util::Kernel::halo_pack);
+        const std::array<typhon::FieldGroup, 2> groups{
+            typhon::FieldGroup{&sub.cell_schedule,
+                               {std::span<Real>(s.cell_mass),
+                                std::span<Real>(s.ein)}},
+            typhon::FieldGroup{&sub.remap_dual_schedule,
+                               {std::span<Real>(s.cnmass),
+                                std::span<Real>(w.dflux)}}};
+        results = typhon::exchange_start(comm, groups, 340);
+    };
+    halo.finish_results = [profiler, &results] {
+        const util::ScopedTimer timer(*profiler, util::Kernel::halo);
+        results.finish(profiler);
+    };
+    return halo;
 }
 
-void FluxGraph::run() {
-    const auto& mesh = *ctx_.mesh;
-    // Prelude: the exact zero state the blocking overloads assign (ghost
-    // dflux slots the result exchange does not cover must read zero, as
-    // they do in the sequential remap).
-    {
-        const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::aleadvect);
-        w_.mflux.assign(mesh.faces.size(), 0.0);
-        w_.eflux.assign(mesh.faces.size(), 0.0);
-        w_.dflux.assign(
-            static_cast<std::size_t>(mesh.n_cells()) * corners_per_cell, 0.0);
-    }
-
-    // Post the ghost-gradient exchange; the graph's finish task completes
-    // it.
-    {
-        const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::halo);
-        const util::ScopedTimer pack(*ctx_.profiler, util::Kernel::halo_pack);
-        grads_ = typhon::exchange_start(comm_, sub_.remap_cell_schedule,
-                                        {w_.grad_rho_x, w_.grad_rho_y,
-                                         w_.grad_e_x, w_.grad_e_y},
-                                        320);
-    }
-
-    floored_.store(0);
-    graph_.run(run_exec_, ctx_.profiler, ctx_.graph_log);
-    if (floored_.load() > 0)
-        util::log_warn("aleadvect: floored ", floored_.load(),
-                       " negative corner masses");
-}
-
-/// The ghost-aware remap (see dist::remap) with phases 3b-4 on `graph`.
+/// The ghost-aware remap (see dist::remap), advecting on `advect`.
 void remap_on(const hydro::Context& ctx, hydro::State& s,
               const ale::Options& ale, ale::Workspace& w, typhon::Comm& comm,
-              const part::Subdomain& sub, FluxGraph& graph) {
+              const part::Subdomain& sub, ale::AdvectGraph& advect) {
     // 1. Pre-remap state refresh: the corrector left ghost kinematics and
     // energy stale (fringe assemblies are incomplete); the remap reads
     // them everywhere, so run the same fused halo + ghost rebuild the
@@ -513,40 +385,15 @@ void remap_on(const hydro::Context& ctx, hydro::State& s,
     }
 
     // 3. Swept volumes on the faces this rank remaps (owned-incident; a
-    // ghost cell's far face is phantom here and is never evaluated), then
-    // gradients for owned cells and the ghost-gradient exchange: limited
-    // reconstruction at a boundary cell reads its face-adjacent ghosts'
-    // gradients, which only their owner can compute with a full stencil.
+    // ghost cell's far face is phantom here and is never evaluated).
     ale::alegetfvol(ctx, s, w, sub.remap_faces);
-    ale::aleadvect_centroids(ctx, s, w);
-    ale::aleadvect_gradients(ctx, s, ale, w, sub.n_owned_cells);
 
-    // 4. The exchange finish releases only the ghost-touching face
-    // blocks; interior fluxes and per-block cell/dual sweeps overlap the
-    // in-flight messages.
-    graph.run();
+    // 4. ALEADVECT with its gradient and result exchanges as graph nodes.
+    advect.run();
 
-    // 5. Fused result exchange: ghost cell results {cell_mass, ein} (the
-    // next steps' ghost rebuild divides cell_mass by volume) and ghost
-    // dual-mesh results {cnmass, dflux} — the acceleration assembly reads
-    // ghost corner masses every step, and the nodal remap below needs the
-    // dual fluxes of ghost cells, which their far faces make impossible
-    // to compute here.
-    const std::array<typhon::FieldGroup, 2> results{
-        typhon::FieldGroup{&sub.cell_schedule, {std::span<Real>(s.cell_mass),
-                                                std::span<Real>(s.ein)}},
-        typhon::FieldGroup{&sub.remap_dual_schedule,
-                           {std::span<Real>(s.cnmass),
-                            std::span<Real>(w.dflux)}}};
-    blocking_halo(ctx, [&] {
-        return typhon::exchange_start(comm, results, 340);
-    });
-
-    // 6. Nodal (dual-mesh) remap over the stencil-complete nodes, then
-    // move everything onto the target mesh and rebuild the dependent
+    // 5. Move everything onto the target mesh and rebuild the dependent
     // state — all inputs are exact on every local entity by now, so the
     // full-range update is bitwise-serial even on ghosts.
-    ale::aleadvect_nodes(ctx, s, w, sub.remap_nodes);
     ale::aleupdate(ctx, s, w);
 }
 
@@ -554,8 +401,10 @@ void remap_on(const hydro::Context& ctx, hydro::State& s,
 
 void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
            ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub) {
-    FluxGraph graph(ctx, s, ale, w, comm, sub);
-    remap_on(ctx, s, ale, w, comm, sub, graph);
+    typhon::PendingExchange grads, results;
+    ale::AdvectGraph advect(ctx, s, ale, w,
+                            advect_halo(ctx, s, w, comm, sub, grads, results));
+    remap_on(ctx, s, ale, w, comm, sub, advect);
 }
 
 namespace {
@@ -856,13 +705,13 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
     ctx.dt_cells = sub.n_owned_cells; // dt over owned cells only
     ale::Workspace ale_work;
     // The step's two exchanges: the advance hook posts the state halo,
-    // the step graph finishes it and posts and finishes the corner halo.
-    // The step graph and the remap-flux graph are each built on this
-    // attempt's first use (after telemetry has attached its collector to
-    // ctx) and re-run after it.
-    typhon::PendingExchange state_halo, corner_halo;
+    // the step graph finishes it and posts and finishes the corner halo;
+    // the advection graph posts and finishes both remap exchanges. Each
+    // graph is built on this attempt's first use (after telemetry has
+    // attached its collector to ctx) and re-run after it.
+    typhon::PendingExchange state_halo, corner_halo, grads_halo, results_halo;
     std::optional<hydro::StepGraph> step_graph;
-    std::optional<FluxGraph> flux_graph;
+    std::optional<ale::AdvectGraph> advect_graph;
 
     core::Stepper::Hooks hooks;
     hooks.advance = [&](Real dt_local, bool reduce,
@@ -907,9 +756,11 @@ void rank_body(Run& run, Attempt& a, typhon::Comm& comm) {
                Real(0.5);
     };
     hooks.remap = [&] {
-        if (!flux_graph)
-            flux_graph.emplace(ctx, s, opts.ale, ale_work, comm, sub);
-        remap_on(ctx, s, opts.ale, ale_work, comm, sub, *flux_graph);
+        if (!advect_graph)
+            advect_graph.emplace(ctx, s, opts.ale, ale_work,
+                                 advect_halo(ctx, s, ale_work, comm, sub,
+                                             grads_halo, results_halo));
+        remap_on(ctx, s, opts.ale, ale_work, comm, sub, *advect_graph);
     };
     // Every rank streams each closed window to rank 0 on tag 502 (rank 0
     // sends to itself through the same channel — one discipline).
@@ -1053,10 +904,9 @@ obs::RunReport telemetry_report(const Run& run, Attempt& a) {
     for (const auto& rec : result.recoveries)
         report.recoveries.push_back(event_of(rec));
     // The executed configuration, so the report reproduces the run without
-    // the invoking script. task_block and grain mirror the per-rank Exec
-    // the rank bodies build (automatic sizes).
+    // the invoking script. task_block mirrors the per-rank Exec the rank
+    // bodies build (automatic sizes).
     report.config.task_block = par::Exec{}.task_block;
-    report.config.grain = par::Exec{}.grain;
     report.config.n_threads = opts.n_threads;
     report.config.n_ranks = a.n_ranks;
     report.work = perfmodel::telemetry_work_model(opts.n_threads);

@@ -52,9 +52,9 @@ struct Options {
     /// attaches a per-rank par::ThreadPool, on which the rank's task
     /// graphs and the remaining threaded ALE loops run, and state
     /// allocation first-touches pages in the same blocks the kernels
-    /// sweep. Each rank runs its step and the remap's flux, cell and dual
-    /// sweeps as task graphs (inline at one thread) whose exchange
-    /// finishes release only the blocks that read ghost data. Bitwise
+    /// sweep. Each rank runs its step and the remap's ALEADVECT as task
+    /// graphs (inline at one thread) whose exchange finishes release only
+    /// the blocks that read ghost data. Bitwise
     /// invariant at any (n_ranks x n_threads): every schedule of a graph
     /// lands the same bytes by construction.
     int n_threads = 1;
@@ -165,13 +165,15 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
 /// of every remap-due step. Exposed so the remap unit tests and the
 /// remap-halo bench can drive it directly inside a typhon::run.
 ///
-/// Exchange schedule (all blocking, all charged to Kernel::halo):
-///   1. pre-remap state refresh — the same fused node{x,y,u,v}+cell{ein}
-///      halo as the pre-step exchange, then the ghost dependent state is
-///      rebuilt (the corrector left ghosts stale);
-///   2. ALE mode only: a node{xt,yt} halo after every Jacobi smoothing
-///      pass and after the clamp (fringe stencils are incomplete);
-///      Eulerian needs none — the target is the original mesh;
+/// Exchange schedule (all charged to Kernel::halo):
+///   1. pre-remap state refresh (blocking) — the same fused
+///      node{x,y,u,v}+cell{ein} halo as the pre-step exchange, then the
+///      ghost dependent state is rebuilt (the corrector left ghosts
+///      stale);
+///   2. ALE mode only (blocking): a node{xt,yt} halo after every Jacobi
+///      smoothing pass and after the clamp (fringe stencils are
+///      incomplete); Eulerian needs none — the target is the original
+///      mesh;
 ///   3. ghost-cell gradients over part::Subdomain::remap_cell_schedule
 ///      (face-adjacent ghosts), so limited reconstruction at boundary
 ///      cells sees bitwise the serial inputs;
@@ -179,10 +181,11 @@ Result run(const mesh::Mesh& global, const eos::MaterialTable& materials,
 ///      results {cell_mass, ein} and the dual-mesh results {cnmass,
 ///      dflux} — ghost dual fluxes are not locally computable (their far
 ///      faces leave the subdomain) yet drive owned-node momentum.
-/// Steps 3-4 run on a remap-flux graph whose gradient-exchange finish
-/// releases only the ghost-touching face blocks. Inside dist::run a rank
-/// builds that graph once per attempt; this entry point builds one per
-/// call.
+/// Exchanges 3 and 4 are main-thread nodes of the rank's ale::AdvectGraph
+/// (an ale::AdvectHalo): the gradient finish releases only the face
+/// chunks with a ghost side, and the result finish only the node gathers
+/// that read a ghost cell's corner. Inside dist::run a rank builds that
+/// graph once per attempt; this entry point builds one per call.
 void remap(const hydro::Context& ctx, hydro::State& s, const ale::Options& ale,
            ale::Workspace& w, typhon::Comm& comm, const part::Subdomain& sub);
 

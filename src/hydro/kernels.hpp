@@ -22,18 +22,16 @@ namespace bookleaf::par {
 struct GraphRunLog;
 } // namespace bookleaf::par
 
-namespace bookleaf::ale {
-class AdvectGraph;
-} // namespace bookleaf::ale
-
 namespace bookleaf::hydro {
 
 /// Everything a kernel needs besides the state: mesh topology, materials,
-/// options, execution policy, profiler, and the drivers' optional
-/// distributed-run override and task graphs. Every corner->node gather
-/// (the acceleration assembly, the dual-mesh remap) reads
-/// mesh->node_corners, whose rows follow the canonical ids: the serial
-/// deposition order on any storage order and on every subdomain.
+/// options, execution policy, profiler, the distributed run's owned-cell
+/// count and the drivers' optional graph-run collector. No driver state
+/// lives here: the task graphs that sequence the kernels
+/// (hydro::StepGraph, ale::AdvectGraph) copy the context. Every
+/// corner->node gather (the acceleration assembly, the dual-mesh remap)
+/// reads mesh->node_corners, whose rows follow the canonical ids: the
+/// serial deposition order on any storage order and on every subdomain.
 struct Context {
     const mesh::Mesh* mesh = nullptr;
     const eos::MaterialTable* materials = nullptr;
@@ -47,15 +45,10 @@ struct Context {
     /// getdt reduces over these only, so the post-reduction global dt is
     /// identical to a serial run; no_index means "all cells".
     Index dt_cells = no_index;
-    /// Task-graph executor for ALEADVECT, built once by the serial driver
-    /// (threaded pool, a remapping mode) and re-run every remap.
-    /// aleadvect dispatches to it; nullptr runs the fork-join phases, with
-    /// the same result.
-    ale::AdvectGraph* advectgraph = nullptr;
     /// Attribution collector: when the owning driver runs with telemetry
     /// active it attaches a par::GraphRunLog here and every task-graph
-    /// execution (step graph, ALE advection graph, distributed remap-flux
-    /// graph) appends its per-task spans + edges for obs::critical_path.
+    /// execution (step graph, ALE advection graph) appends its per-task
+    /// spans + edges for obs::critical_path.
     /// Graphs copy the context when built, so the driver attaches the
     /// collector before building any. nullptr (the default, and all
     /// telemetry-off runs) records nothing.

@@ -34,7 +34,6 @@ StepGraph::StepGraph(const Context& ctx, State& s,
     // entry point they reach cannot re-dispatch onto the pool the graph
     // itself is scheduled on.
     ctx_.exec.pool = nullptr;
-    ctx_.advectgraph = nullptr;
     const util::ScopedTimer timer(*ctx_.profiler, util::Kernel::other);
     if (halo) {
         finish_state_ = std::move(halo->finish_state);

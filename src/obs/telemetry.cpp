@@ -213,7 +213,6 @@ Json to_json(const RunReport& report) {
 
     Json& cfg = root["config"];
     cfg["task_block"] = Json(report.config.task_block);
-    cfg["grain"] = Json(report.config.grain);
     cfg["n_threads"] = Json(report.config.n_threads);
     cfg["n_ranks"] = Json(report.config.n_ranks);
 

@@ -261,11 +261,9 @@ struct RecoveryEvent {
 };
 
 /// The full run configuration, recorded so a report is reproducible
-/// without the invoking script: at what width, with which block and
-/// chunk sizes.
+/// without the invoking script: at what width, with which block size.
 struct RunConfig {
     long task_block = 0;  ///< resolved task-graph block size (0 = n/a)
-    long grain = 0;       ///< fork-join partition grain (0 = default)
     int n_threads = 1;    ///< pool width per rank
     int n_ranks = 1;
 };

@@ -1,10 +1,10 @@
 #pragma once
 /// \file blocks.hpp
 /// Entity blocks and block coupling tables, shared by the task-graph
-/// builders (hydro::StepGraph, ale::AdvectGraph and the distributed
-/// driver's remap-flux graph). A task covers one contiguous block of
-/// cells, nodes or faces; a coupling table lists, per block, the blocks
-/// of another kind that its tasks must be ordered against.
+/// builders (hydro::StepGraph and ale::AdvectGraph). A task covers one
+/// contiguous block of cells, or of a face order or node list; a coupling
+/// table lists, per block, the blocks of another kind that its tasks must
+/// be ordered against.
 
 #include <algorithm>
 #include <vector>

@@ -4,11 +4,12 @@
 /// paper's programming-model space:
 ///   * serial           — pool == nullptr (one rank of the flat-MPI model)
 ///   * threaded         — pool != nullptr (the OpenMP-analogue)
-/// The Lagrangian step is always a task graph over entity blocks
-/// (hydro::StepGraph on par::TaskGraph), run inline without a pool and on
-/// the pool with one; the remap runs as task graphs with a pool and as
-/// fork-join phases (for_each below) without. Every shape gives
-/// bitwise-identical results. The remaining fields size the work units.
+/// The Lagrangian step and ALEADVECT are task graphs over entity blocks
+/// (hydro::StepGraph and ale::AdvectGraph on par::TaskGraph), run inline
+/// without a pool and on the pool with one, bitwise-identical either way.
+/// The remap's other phases (ALEGETMESH, ALEGETFVOL, ALEUPDATE) are
+/// for_each loops below, chunked automatically. `task_block` sizes the
+/// graphs' blocks.
 
 #include <algorithm>
 #include <atomic>
@@ -24,10 +25,6 @@ namespace bookleaf::par {
 
 struct Exec {
     ThreadPool* pool = nullptr;
-    /// Minimum iterations handed to a worker per chunk in for_each; 0
-    /// selects an automatic grain (~4 chunks per worker for dynamic load
-    /// balance on irregular meshes without starving the fast threads).
-    Index grain = 0;
     /// Entities per task-graph block; 0 selects an automatic size
     /// (~4 blocks per worker, floor 64) so the graph has enough slack to
     /// overlap adjacent kernels without drowning in scheduling overhead.
@@ -55,14 +52,12 @@ inline Index auto_grain(Index n, int parts) {
     return std::max<Index>(Index{64}, target);
 }
 
-/// The chunk size for_each actually uses: the explicit knob when set,
-/// auto_grain otherwise, clamped to [1, n] so an oversized knob on a small
-/// loop degrades to one chunk instead of being silently ignored (the old
-/// code compared the raw knob against n and dropped it on the serial
-/// path). Callers can assert against this to know the decomposition.
+/// The chunk size for_each uses: auto_grain clamped to [1, n], so a loop
+/// shorter than the floor is one chunk. Callers can assert against this
+/// to know the decomposition.
 inline Index resolve_grain(const Exec& ex, Index n) {
-    const Index g = ex.grain > 0 ? ex.grain : auto_grain(n, ex.width());
-    return std::clamp<Index>(g, Index{1}, std::max<Index>(n, Index{1}));
+    return std::clamp<Index>(auto_grain(n, ex.width()), Index{1},
+                             std::max<Index>(n, Index{1}));
 }
 
 /// Entities per task-graph block: the explicit knob when set, otherwise
@@ -78,7 +73,7 @@ inline Index resolve_task_block(const Exec& ex, Index n) {
 } // namespace detail
 
 /// Parallel (or serial) loop over [0, n): body(i). Threaded execution uses
-/// dynamic chunk scheduling: workers pull `grain`-sized chunks off a
+/// dynamic chunk scheduling: workers pull resolve_grain-sized chunks off a
 /// shared atomic counter, so uneven iteration costs (boundary cells, mixed
 /// valence) balance without a static decomposition. Results are
 /// scheduling-independent because bodies write disjoint slots.

@@ -1,10 +1,15 @@
 // Tests for the ALE remap: swept-volume identities, exact conservation,
-// monotonicity, smoothing behaviour, Eulerian round trips.
+// monotonicity, smoothing behaviour, Eulerian round trips, and the
+// advection graph against the plain phase sequence.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 
+#include "ale/advect_graph.hpp"
 #include "ale/remap.hpp"
 #include "geom/geometry.hpp"
 #include "hydro/kernels.hpp"
@@ -12,6 +17,8 @@
 #include "hydro_reference.hpp"
 #include "mesh/generator.hpp"
 #include "par/thread_pool.hpp"
+#include "remap_reference.hpp"
+#include "setup/problems.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
 
@@ -34,6 +41,8 @@ struct Rig {
     bu::Profiler profiler;
     bh::Context ctx;
     ba::Workspace work;
+    ba::Options opts;
+    std::unique_ptr<ba::AdvectGraph> advect;
 
     Rig(const Rig&) = delete;
     Rig& operator=(const Rig&) = delete;
@@ -84,6 +93,16 @@ struct Rig {
         bh::getrho(ctx, state, 0, mesh.n_cells());
         bh::getpc(ctx, state, 0, mesh.n_cells());
     }
+
+    /// One ALE step with `with` as the options, through the rig's one
+    /// advection graph: built on the first call (so after attach() has set
+    /// the pool) over the rig's copy of the options.
+    void alestep(const ba::Options& with) {
+        opts = with;
+        if (!advect)
+            advect = std::make_unique<ba::AdvectGraph>(ctx, state, opts, work);
+        ba::alestep(ctx, state, opts, work, *advect);
+    }
 };
 
 } // namespace
@@ -93,7 +112,7 @@ TEST(AleStep, LagrangeModeIsNoOp) {
     const auto x_before = rig.state.x;
     const auto rho_before = rig.state.rho;
     ba::Options opts; // lagrange
-    ba::alestep(rig.ctx, rig.state, opts, rig.work);
+    rig.alestep(opts);
     EXPECT_EQ(rig.state.x, x_before);
     EXPECT_EQ(rig.state.rho, rho_before);
 }
@@ -161,7 +180,7 @@ TEST(AleStep, EulerianRemapOfUniformStateIsExact) {
     bh::initialise(rig.mesh, rig.materials, rig.state);
     ba::Options opts;
     opts.mode = ba::Mode::eulerian;
-    ba::alestep(rig.ctx, rig.state, opts, rig.work);
+    rig.alestep(opts);
     // Nodes restored exactly; uniform state untouched.
     for (Index n = 0; n < rig.mesh.n_nodes(); ++n) {
         const auto ni = static_cast<std::size_t>(n);
@@ -194,7 +213,7 @@ TEST(AleStep, ConservesMassEnergyMomentumExactly) {
     const auto before = bh::totals(rig.mesh, rig.state);
     ba::Options opts;
     opts.mode = ba::Mode::eulerian;
-    ba::alestep(rig.ctx, rig.state, opts, rig.work);
+    rig.alestep(opts);
     const auto after = bh::totals(rig.mesh, rig.state);
 
     EXPECT_NEAR(after.mass, before.mass, 1e-13 * before.mass);
@@ -214,7 +233,7 @@ TEST(AleStep, CornerMassesStayConsistentWithCellMass) {
     rig.shift_interior(0.01, 0.0);
     ba::Options opts;
     opts.mode = ba::Mode::eulerian;
-    ba::alestep(rig.ctx, rig.state, opts, rig.work);
+    rig.alestep(opts);
     for (Index c = 0; c < rig.mesh.n_cells(); ++c) {
         Real sum = 0.0;
         for (int k = 0; k < 4; ++k) sum += rig.state.cnmass[bh::State::cidx(c, k)];
@@ -234,7 +253,7 @@ TEST(AleStep, RemapPreservesUniformVelocityExactly) {
     rig.shift_strict_interior(0.009, -0.004);
     ba::Options opts;
     opts.mode = ba::Mode::eulerian;
-    ba::alestep(rig.ctx, rig.state, opts, rig.work);
+    rig.alestep(opts);
     for (Index n = 0; n < rig.mesh.n_nodes(); ++n) {
         const auto ni = static_cast<std::size_t>(n);
         EXPECT_NEAR(rig.state.u[ni], 0.37, 1e-13);
@@ -256,7 +275,7 @@ TEST(AleStep, MonotonicityNoNewDensityExtrema) {
     opts.mode = ba::Mode::eulerian;
     for (int rep = 0; rep < 5; ++rep) {
         rig.shift_interior(0.005, 0.0);
-        ba::alestep(rig.ctx, rig.state, opts, rig.work);
+        rig.alestep(opts);
         for (Index c = 0; c < rig.state.n_cells(); ++c) {
             const Real rho = rig.state.rho[static_cast<std::size_t>(c)];
             EXPECT_GE(rho, 1.0 - 1e-10) << "rep " << rep << " cell " << c;
@@ -325,7 +344,7 @@ TEST(AleStep, EulerianCycleAfterLagrangianStep) {
     const auto mid = bh::totals(rig.mesh, rig.state);
     ba::Options opts;
     opts.mode = ba::Mode::eulerian;
-    ba::alestep(rig.ctx, rig.state, opts, rig.work);
+    rig.alestep(opts);
     const auto after = bh::totals(rig.mesh, rig.state);
 
     for (Index n = 0; n < rig.mesh.n_nodes(); ++n) {
@@ -346,7 +365,7 @@ TEST(AleAdvect, ThrowsWhenBoundaryFaceSweeps) {
     rig.refresh_geometry();
     ba::Options opts;
     opts.mode = ba::Mode::eulerian;
-    EXPECT_THROW(ba::alestep(rig.ctx, rig.state, opts, rig.work), bu::Error);
+    EXPECT_THROW(rig.alestep(opts), bu::Error);
 }
 
 namespace {
@@ -362,11 +381,13 @@ std::string error_of(Fn&& fn) {
     return "";
 }
 
-/// Attach `pool` with one-item chunks, so even the 4x4 rig's loops split
-/// across the workers instead of running serially inside for_each.
+/// Attach `pool` to a rig big enough that for_each's automatic chunks
+/// split its loops across the workers (on 2 workers a 12x12 rig's 312
+/// faces make 5 chunks and its 144 cells make 3).
 void attach(Rig& rig, bp::ThreadPool& pool) {
     rig.ctx.exec.pool = &pool;
-    rig.ctx.exec.grain = 1;
+    ASSERT_LT(bp::detail::resolve_grain(rig.ctx.exec, rig.mesh.n_cells()),
+              rig.mesh.n_cells());
 }
 
 } // namespace
@@ -376,14 +397,14 @@ TEST(AleAdvect, ThrowsWhenBoundaryFaceSweepsThreaded) {
     // bad face must not throw (the pool carries no exception across
     // threads); the sweep throws after the join, with the serial message.
     bp::ThreadPool pool(2);
-    Rig rig({.nx = 4, .ny = 4, .reflective_walls = false});
+    Rig rig({.nx = 12, .ny = 12, .reflective_walls = false});
     attach(rig, pool);
     for (auto& x : rig.state.x) x += 0.01; // move EVERY node, walls included
     rig.refresh_geometry();
     ba::Options opts;
     opts.mode = ba::Mode::eulerian;
     EXPECT_EQ(
-        error_of([&] { ba::alestep(rig.ctx, rig.state, opts, rig.work); }),
+        error_of([&] { rig.alestep(opts); }),
         "alegetfvol: boundary face swept volume (node left its wall)");
 }
 
@@ -396,11 +417,11 @@ TEST(AleUpdate, NonPositiveVolumeThrowsAfterTheThreadedSweep) {
         for (std::size_t n = 0; n < rig.work.xt.size(); ++n)
             if (std::abs(rig.mesh.x[n] - 0.25) < 1e-9 &&
                 std::abs(rig.mesh.y[n] - 0.25) < 1e-9) {
-                rig.work.xt[n] = 0.9; // past its neighbours at 0.5
+                rig.work.xt[n] = 0.9; // past its neighbours at 1/3
                 rig.work.yt[n] = 0.9;
             }
     };
-    Rig serial({.nx = 4, .ny = 4});
+    Rig serial({.nx = 12, .ny = 12});
     fold(serial);
     const std::string expected = error_of(
         [&] { ba::aleupdate(serial.ctx, serial.state, serial.work); });
@@ -408,7 +429,7 @@ TEST(AleUpdate, NonPositiveVolumeThrowsAfterTheThreadedSweep) {
         << expected;
 
     bp::ThreadPool pool(2);
-    Rig threaded({.nx = 4, .ny = 4});
+    Rig threaded({.nx = 12, .ny = 12});
     attach(threaded, pool);
     fold(threaded);
     EXPECT_EQ(error_of([&] {
@@ -434,6 +455,80 @@ TEST(AleAdvect, LimiterOffAllowsSharperButUnclampedProfile) {
     ba::Options opts;
     opts.mode = ba::Mode::eulerian;
     opts.limit = false;
-    ba::alestep(rig.ctx, rig.state, opts, rig.work);
+    rig.alestep(opts);
     EXPECT_NEAR(bh::totals(rig.mesh, rig.state).mass, m0, 1e-12 * m0);
+}
+
+TEST(AleStep, GraphMatchesThePhaseReferenceEveryRemap) {
+    // The whole-run check of the one remap shape against the plain phase
+    // sequence through the block forms (tests/remap_reference.hpp):
+    // AdvectGraph inline and at 4 threads with 1-, 7- and 64-entity
+    // blocks, byte for byte after every remap.
+    const auto fields = [](const bh::State& s) {
+        return std::vector<const bh::Field*>{
+            &s.cell_mass, &s.ein, &s.rho, &s.cnmass, &s.node_mass,
+            &s.u,         &s.v,   &s.x,   &s.y};
+    };
+    auto sod = bookleaf::setup::sod(48, 4);
+    sod.ale.mode = ba::Mode::eulerian;
+    auto sedov = bookleaf::setup::sedov(24);
+    sedov.ale.mode = ba::Mode::eulerian;
+    auto noh = bookleaf::setup::noh(24);
+    noh.ale.mode = ba::Mode::ale;
+    noh.ale.frequency = 1;
+    bp::ThreadPool pool(4);
+    for (const auto* problem : {&sod, &sedov, &noh}) {
+        SCOPED_TRACE(problem->name);
+        struct Run {
+            bh::State state;
+            bh::Context ctx;
+            ba::Workspace work;
+            std::optional<bh::StepGraph> step;
+            std::optional<ba::AdvectGraph> advect;
+        };
+        const auto start = [&](Index task_block, bp::ThreadPool* with) {
+            auto r = std::make_unique<Run>();
+            r->state = bh::allocate(problem->mesh);
+            r->state.rho.assign(problem->rho.begin(), problem->rho.end());
+            r->state.ein.assign(problem->ein.begin(), problem->ein.end());
+            r->state.u.assign(problem->u.begin(), problem->u.end());
+            r->state.v.assign(problem->v.begin(), problem->v.end());
+            bh::initialise(problem->mesh, problem->materials, r->state);
+            r->ctx.mesh = &problem->mesh;
+            r->ctx.materials = &problem->materials;
+            r->ctx.opts = problem->hydro;
+            r->ctx.exec.pool = with;
+            r->ctx.exec.task_block = task_block;
+            r->step.emplace(r->ctx, r->state);
+            return r;
+        };
+        const auto ref = start(0, nullptr);
+        std::vector<std::unique_ptr<Run>> graphs;
+        graphs.push_back(start(0, nullptr));
+        for (const Index block : {1, 7, 64})
+            graphs.push_back(start(block, &pool));
+        for (auto& g : graphs)
+            g->advect.emplace(g->ctx, g->state, problem->ale, g->work);
+
+        Real dt = problem->hydro.dt_initial;
+        for (int remap = 0; remap < 20; ++remap) {
+            if (remap > 0) dt = bh::getdt(ref->ctx, ref->state, dt).dt;
+            ref->step->run(dt);
+            remap_ref::alestep(ref->ctx, ref->state, problem->ale, ref->work);
+            const auto want = fields(ref->state);
+            for (std::size_t g = 0; g < graphs.size(); ++g) {
+                auto& run = *graphs[g];
+                run.step->run(dt);
+                ba::alestep(run.ctx, run.state, problem->ale, run.work,
+                            *run.advect);
+                const auto got = fields(run.state);
+                for (std::size_t f = 0; f < want.size(); ++f)
+                    ASSERT_EQ(std::memcmp(got[f]->data(), want[f]->data(),
+                                          want[f]->size() * sizeof(Real)),
+                              0)
+                        << "graph " << g << ", field " << f << ", remap "
+                        << remap;
+            }
+        }
+    }
 }

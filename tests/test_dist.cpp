@@ -13,6 +13,7 @@
 #include "mesh/generator.hpp"
 #include "part/partition.hpp"
 #include "part/subdomain.hpp"
+#include "remap_reference.hpp"
 #include "setup/problems.hpp"
 #include "step_records.hpp"
 #include "util/error.hpp"
@@ -593,7 +594,7 @@ TEST(DistRemap, ConservationPerRemapExactAtEveryRankCount) {
     // off: mass, internal energy and momentum are conserved to
     // near-machine precision, and the distributed remap's gathered fields
     // (hence its conserved totals, summed in global order) are bitwise
-    // identical to the serial ale::alestep.
+    // identical to the serial phase sequence (tests/remap_reference.hpp).
     const RemapRig rig(8, 8);
     bookleaf::util::Profiler profiler;
 
@@ -618,7 +619,7 @@ TEST(DistRemap, ConservationPerRemapExactAtEveryRankCount) {
             remap_totals(serial.cell_mass, serial.ein, serial.node_mass,
                          serial.u, serial.v);
         ba::Workspace w;
-        ba::alestep(ctx, serial, aopts, w);
+        remap_ref::alestep(ctx, serial, aopts, w);
         const auto after =
             remap_totals(serial.cell_mass, serial.ein, serial.node_mass,
                          serial.u, serial.v);
@@ -716,9 +717,10 @@ TEST(DistRemap, ConservationPerRemapExactAtEveryRankCount) {
 
 TEST(DistRemap, GhostGradientExchangeMatchesSerial) {
     // Unit test of the ghost-gradient exchange on a hand-built 2-rank
-    // split: after aleadvect_gradients(owned) + the remap_cell_schedule
-    // exchange, every face-adjacent ghost cell holds bitwise the gradient
-    // its owner computed — which is bitwise the serial gradient.
+    // split: after the block forms' centroids (every local cell) and
+    // gradients (owned cells) + the remap_cell_schedule exchange, every
+    // face-adjacent ghost cell holds bitwise the gradient its owner
+    // computed — which is bitwise the serial gradient.
     const auto m = bm::generate_rect({.nx = 6, .ny = 3});
     be::MaterialTable mats;
     mats.materials = {be::IdealGas{1.4}};
@@ -761,10 +763,21 @@ TEST(DistRemap, GhostGradientExchangeMatchesSerial) {
     ctx.mesh = &m;
     ctx.materials = &mats;
     ctx.profiler = &prof;
+    // Size the arrays the block forms write, then run them over [0, n)
+    // centroids and [0, n_owned) gradients.
+    const auto gradients = [](const bh::Context& c, const bh::State& s,
+                              const ba::Options& o, ba::Workspace& w,
+                              Index n_owned) {
+        const auto n = static_cast<std::size_t>(c.mesh->n_cells());
+        for (auto* field : {&w.cx, &w.cy, &w.grad_rho_x, &w.grad_rho_y,
+                            &w.grad_e_x, &w.grad_e_y})
+            field->assign(n, 0.0);
+        ba::aleadvect_centroids(c, s, w, 0, c.mesh->n_cells());
+        ba::aleadvect_gradients(c, s, o, w, 0, n_owned);
+    };
     ba::Workspace sw;
     ba::Options aopts;
-    ba::aleadvect_centroids(ctx, serial, sw);
-    ba::aleadvect_gradients(ctx, serial, aopts, sw, m.n_cells());
+    gradients(ctx, serial, aopts, sw, m.n_cells());
 
     std::array<bookleaf::util::Profiler, 2> profs;
     bt::run(2, [&](bt::Comm& comm) {
@@ -781,8 +794,7 @@ TEST(DistRemap, GhostGradientExchangeMatchesSerial) {
         lctx.materials = &mats;
         lctx.profiler = &profs[static_cast<std::size_t>(comm.rank())];
         ba::Workspace lw;
-        ba::aleadvect_centroids(lctx, s, lw);
-        ba::aleadvect_gradients(lctx, s, aopts, lw, sub.n_owned_cells);
+        gradients(lctx, s, aopts, lw, sub.n_owned_cells);
         bt::exchange_all(comm, sub.remap_cell_schedule,
                          {lw.grad_rho_x, lw.grad_rho_y, lw.grad_e_x,
                           lw.grad_e_y},

@@ -71,17 +71,17 @@ TEST(ThreadPool, RunAcceptsMoveOnlyCallable) {
 }
 
 TEST(Exec, ForEachChunkedCoversRangeExactlyOnce) {
-    // Dynamic chunk scheduling with a tiny grain: every index still
-    // executes exactly once, whatever the chunk interleaving.
+    // Dynamic chunk scheduling over ranges from one short chunk to many
+    // chunks with a ragged tail: every index still executes exactly once,
+    // whatever the chunk interleaving.
     bp::ThreadPool pool(4);
     bp::Exec ex;
     ex.pool = &pool;
-    for (const bookleaf::Index grain : {1, 3, 64, 1000, 100000}) {
-        ex.grain = grain;
-        std::vector<std::atomic<int>> counts(9973);
-        bp::for_each(ex, 9973,
+    for (const bookleaf::Index n : {1, 63, 64, 65, 1000, 9973, 100003}) {
+        std::vector<std::atomic<int>> counts(static_cast<std::size_t>(n));
+        bp::for_each(ex, n,
                      [&](Index i) { counts[static_cast<std::size_t>(i)]++; });
-        for (const auto& c : counts) ASSERT_EQ(c.load(), 1) << "grain " << grain;
+        for (const auto& c : counts) ASSERT_EQ(c.load(), 1) << "n " << n;
     }
 }
 
@@ -92,7 +92,6 @@ TEST(Exec, ForEachChunkedBalancesIrregularWork) {
     bp::ThreadPool pool(4);
     bp::Exec ex;
     ex.pool = &pool;
-    ex.grain = 8;
     std::atomic<long> total{0};
     bp::for_each(ex, 2048, [&](Index i) {
         long local = 0;
@@ -104,19 +103,11 @@ TEST(Exec, ForEachChunkedBalancesIrregularWork) {
 }
 
 TEST(Exec, ResolveGrainHonorsAndClampsTheKnob) {
-    // Regression: the old for_each compared the raw knob against n and
-    // silently dropped an oversized grain (falling back to auto sizing on
-    // the serial path). resolve_grain is the single source of truth now:
-    // the knob is honored when it fits and clamps to [1, n] when it
-    // doesn't.
+    // for_each's chunk size is automatic (there is no grain knob): ~4
+    // chunks per worker with a floor of 64, clamped to [1, n].
     bp::ThreadPool pool(4);
     bp::Exec ex;
     ex.pool = &pool;
-    ex.grain = 5;
-    EXPECT_EQ(bp::detail::resolve_grain(ex, 1000), 5);
-    ex.grain = 100000; // oversized: one chunk, not a silent fallback
-    EXPECT_EQ(bp::detail::resolve_grain(ex, 1000), 1000);
-    ex.grain = 0; // automatic: ~4 chunks per worker, floor 64
     EXPECT_EQ(bp::detail::resolve_grain(ex, 10000),
               std::max<Index>(64, 10000 / (4 * 4)));
     EXPECT_EQ(bp::detail::resolve_grain(ex, 10), 10); // floor clamps to n
@@ -135,18 +126,6 @@ TEST(Exec, ResolveTaskBlockHonorsAndClampsTheKnob) {
     EXPECT_EQ(bp::detail::resolve_task_block(ex, 10000),
               std::max<Index>(64, 10000 / (4 * 4)));
     EXPECT_EQ(bp::detail::resolve_task_block(ex, 3), 3);
-}
-
-TEST(Exec, ForEachOversizedGrainKnobStillCoversThreaded) {
-    // The companion behavioral check: an oversized knob degrades to one
-    // chunk (serial body) but still visits every index exactly once.
-    bp::ThreadPool pool(4);
-    bp::Exec ex;
-    ex.pool = &pool;
-    ex.grain = 1 << 20;
-    std::vector<int> counts(513, 0);
-    bp::for_each(ex, 513, [&](Index i) { counts[static_cast<std::size_t>(i)]++; });
-    for (const int c : counts) EXPECT_EQ(c, 1);
 }
 
 TEST(Exec, ForEachEmptyRange) {

@@ -323,16 +323,16 @@ TEST(ResilRecovery, KillAtStepRecoversOnSurvivorsBitwise) {
     EXPECT_TRUE(bd::bitwise_equal(reference, r));
 }
 
-TEST(ResilRecovery, ThreadedEulerianRecoveryRebuildsTheFluxGraph) {
-    // Hybrid ranks build their remap-flux graph on an attempt's first
+TEST(ResilRecovery, ThreadedEulerianRecoveryRebuildsTheAdvectGraph) {
+    // Hybrid ranks build their advection graph on an attempt's first
     // remap and re-run it after. The recovery attempt runs on new
     // subdomains, so the survivors must build new graphs (a graph kept
-    // from the failed attempt would flux the old face split) and still
-    // land on the uninterrupted run's bytes.
+    // from the failed attempt would advect the old face order and ghost
+    // layout) and still land on the uninterrupted run's bytes.
     const auto p = sod_like(40, 2);
     auto opts = base_opts(4, 0.03);
     opts.ale.mode = bookleaf::ale::Mode::eulerian;
-    opts.n_threads = 2; // a pool per rank: the remap runs its flux graph
+    opts.n_threads = 2; // a pool per rank: the graphs run on it
     const auto reference = run_dist(p, opts);
 
     opts.supervise.enabled = true;

@@ -339,7 +339,9 @@ const char* mode_name(ba::Mode mode) {
 
 } // namespace
 
-TEST(Sched, TaskgraphBitwiseMatchesForkjoinAndSerialAllModes) {
+TEST(Sched, PoolRunsMatchTheInlineGraphsAllModes) {
+    // Both graphs run inline without a pool: the pool runs of every mode
+    // must land on the inline run's bytes.
     const Real t_end = 0.03;
     for (const auto mode :
          {ba::Mode::lagrange, ba::Mode::eulerian, ba::Mode::ale}) {
@@ -376,7 +378,7 @@ TEST(Sched, SetExecDropsTheCachedGraphs) {
     // them, so set_exec must drop them: a graph that survived would keep
     // running blocks sized for, and scheduled on, the pool it was built
     // with. Every segment's graphs must report the current pool's width —
-    // one worker in the no-pool segment, whose step graph runs inline —
+    // one worker in the no-pool segment, whose graphs run inline —
     // and the interrupted run must land on the uninterrupted serial run's
     // bytes.
     const Real t_end = 0.03;
@@ -452,10 +454,10 @@ void expect_dist_bitwise(const bd::Result& r, const Fields& ref,
 } // namespace
 
 TEST(Sched, DistHybridRanksTimesThreadsBitwiseOnEulerianSod) {
-    // The remap-due steps drive the distributed flux graph: the
-    // ghost-gradient exchange finish releases frontier face blocks while
-    // interior fluxes overlap the messages. Every (ranks x threads) cell
-    // must gather the serial driver's bytes.
+    // The remap-due steps drive the rank's advection graph: the
+    // gradient-exchange finish releases the face chunks with a ghost side
+    // while the ghost-free fluxes overlap the messages. Every (ranks x
+    // threads) cell must gather the serial driver's bytes.
     const Real t_end = 0.02;
     const auto problem = deck(ba::Mode::eulerian);
     const auto ref = run_core(deck(ba::Mode::eulerian), t_end, nullptr);
@@ -469,7 +471,8 @@ TEST(Sched, DistHybridRanksTimesThreadsBitwiseOnEulerianSod) {
 }
 
 TEST(Sched, DistHybridBitwiseOnAleNoh) {
-    // ALE adds the smoothing-pass node halos around the same flux graph.
+    // ALE adds the smoothing-pass node halos around the same advection
+    // graph.
     const Real t_end = 0.03;
     const auto problem = deck(ba::Mode::ale);
     const auto ref = run_core(deck(ba::Mode::ale), t_end, nullptr);
@@ -494,60 +497,76 @@ TEST(Sched, DistHybridBitwiseOnAleNoh) {
 }
 
 TEST(Sched, RankGraphHidesBothExchangesAtOneThread) {
-    // At one thread a rank runs its step graph inline, lowest task id
-    // first, so the rank's trace replays the graph's id order. Within
-    // every step, some predictor getq must run between the state-halo post
-    // and its finish, and some corrector getq or getforce between the
-    // corner post and its finish: a finish task with a low id would run
-    // first and wait out the messages with nothing to hide behind.
-    const auto path = ::testing::TempDir() + "sched_overlap_trace.json";
-    const auto problem = bs::noh(32);
-    bd::Options opts;
-    opts.n_ranks = 2;
-    opts.t_end = problem.t_end;
-    opts.max_steps = 6;
-    opts.hydro = problem.hydro;
-    opts.ale = problem.ale;
-    opts.telemetry.trace = path;
-    const auto r = bd::run(problem.mesh, problem.materials, problem.rho,
-                           problem.ein, problem.u, problem.v, opts);
-    std::remove(path.c_str());
-    ASSERT_EQ(r.telemetry.ranks.size(), 2u);
-
+    // At one thread a rank runs its graphs inline, lowest task id first,
+    // so the rank's trace replays the graphs' id order. Within every
+    // step, some predictor getq must run between the state-halo post and
+    // its finish, and some corrector getq or getforce between the corner
+    // post and its finish; within every remap, some face fluxes between
+    // the gradient post and its finish: a finish task with a low id would
+    // run first and wait out the messages with nothing to hide behind.
     using K = bookleaf::util::Kernel;
-    for (const auto& rank : r.telemetry.ranks) {
-        ASSERT_EQ(rank.steps.size(), 6u);
-        for (const auto& step : rank.steps) {
-            const std::string label = "rank " + std::to_string(rank.rank) +
-                                      ", step " + std::to_string(step.step);
-            std::vector<bookleaf::util::TraceEvent> events;
-            for (const auto& e : rank.trace)
-                if (e.t0_us >= step.start_us &&
-                    e.t0_us <= step.start_us + step.wall_us)
-                    events.push_back(e);
-            std::stable_sort(events.begin(), events.end(),
-                             [](const auto& a, const auto& b) {
-                                 return a.t0_us < b.t0_us;
-                             });
-            // State post, state finish, corner post, corner finish.
-            std::vector<bookleaf::util::TraceEvent> halo;
-            for (const auto& e : events)
-                if (e.kernel == K::halo) halo.push_back(e);
-            ASSERT_EQ(halo.size(), 4u) << label;
-            const auto between = [&](const auto& after, const auto& before,
-                                     std::initializer_list<K> kernels) {
+    auto eulerian = bs::noh(32);
+    eulerian.ale.mode = ba::Mode::eulerian;
+    for (const auto& problem : {bs::noh(32), eulerian}) {
+        const std::string deck = mode_name(problem.ale.mode);
+        const auto path = ::testing::TempDir() + "sched_overlap_trace.json";
+        bd::Options opts;
+        opts.n_ranks = 2;
+        opts.t_end = problem.t_end;
+        opts.max_steps = 6;
+        opts.hydro = problem.hydro;
+        opts.ale = problem.ale;
+        opts.telemetry.trace = path;
+        const auto r = bd::run(problem.mesh, problem.materials, problem.rho,
+                               problem.ein, problem.u, problem.v, opts);
+        std::remove(path.c_str());
+        ASSERT_EQ(r.telemetry.ranks.size(), 2u) << deck;
+
+        for (const auto& rank : r.telemetry.ranks) {
+            ASSERT_EQ(rank.steps.size(), 6u) << deck;
+            for (const auto& step : rank.steps) {
+                const std::string label =
+                    deck + ", rank " + std::to_string(rank.rank) + ", step " +
+                    std::to_string(step.step);
+                std::vector<bookleaf::util::TraceEvent> events;
+                for (const auto& e : rank.trace)
+                    if (e.t0_us >= step.start_us &&
+                        e.t0_us <= step.start_us + step.wall_us)
+                        events.push_back(e);
+                std::stable_sort(events.begin(), events.end(),
+                                 [](const auto& a, const auto& b) {
+                                     return a.t0_us < b.t0_us;
+                                 });
+                // State post, state finish, corner post, corner finish;
+                // in an Eulerian remap then the blocking state refresh,
+                // gradient post, gradient finish, result post and result
+                // finish.
+                ASSERT_EQ(step.remapped,
+                          problem.ale.mode == ba::Mode::eulerian)
+                    << label;
+                std::vector<bookleaf::util::TraceEvent> halo;
                 for (const auto& e : events)
-                    if (e.t0_us >= after.t0_us + after.dur_us &&
-                        e.t0_us + e.dur_us <= before.t0_us &&
-                        std::find(kernels.begin(), kernels.end(), e.kernel) !=
-                            kernels.end())
-                        return true;
-                return false;
-            };
-            EXPECT_TRUE(between(halo[0], halo[1], {K::getq}))
-                << label << ": no predictor getq under the state halo";
-            EXPECT_TRUE(between(halo[2], halo[3], {K::getq, K::getforce}))
-                << label << ": no corrector work under the corner halo";
+                    if (e.kernel == K::halo) halo.push_back(e);
+                ASSERT_EQ(halo.size(), step.remapped ? 9u : 4u) << label;
+                const auto between = [&](const auto& after,
+                                         const auto& before,
+                                         std::initializer_list<K> kernels) {
+                    for (const auto& e : events)
+                        if (e.t0_us >= after.t0_us + after.dur_us &&
+                            e.t0_us + e.dur_us <= before.t0_us &&
+                            std::find(kernels.begin(), kernels.end(),
+                                      e.kernel) != kernels.end())
+                            return true;
+                    return false;
+                };
+                EXPECT_TRUE(between(halo[0], halo[1], {K::getq}))
+                    << label << ": no predictor getq under the state halo";
+                EXPECT_TRUE(between(halo[2], halo[3], {K::getq, K::getforce}))
+                    << label << ": no corrector work under the corner halo";
+                if (step.remapped)
+                    EXPECT_TRUE(between(halo[5], halo[6], {K::ale_fluxes}))
+                        << label << ": no face fluxes under the gradient halo";
+            }
         }
     }
 }
